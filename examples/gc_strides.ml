@@ -56,7 +56,9 @@ let () =
 
   (* collect with only the list head as root: garbage arrays die, the
      linked nodes survive via the next chain *)
-  let result = Vm.Gc_compact.collect heap ~roots:[ V.Ref nodes.(0) ] in
+  let result =
+    Vm.Gc_compact.collect heap ~roots:(fun visit -> visit (V.Ref nodes.(0)))
+  in
   Printf.printf "\nGC: collected %d, kept %d (%d bytes)\n" result.collected
     result.live result.live_bytes;
 

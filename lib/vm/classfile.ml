@@ -118,10 +118,6 @@ let find_class program name =
   Array.to_list program.classes
   |> List.find_opt (fun c -> c.class_name = name)
 
-let field_by_name class_info name =
-  Array.to_list class_info.fields
-  |> List.find_opt (fun f -> f.field_name = name)
-
 (* Restore every method to its unoptimized body (fresh run of the VM). *)
 let reset_program program =
   Array.iter

@@ -98,12 +98,9 @@ let peek t =
     raise (Stack_error ("operand stack underflow in " ^ t.method_info.method_name));
   t.stack.(t.sp - 1)
 
-(* Live values for the collector's root set. *)
-let roots t =
-  let acc = ref [] in
-  Array.iter (fun v -> acc := v :: !acc) t.locals;
+let iter_roots t f =
+  Array.iter f t.locals;
   for i = 0 to t.sp - 1 do
-    acc := t.stack.(i) :: !acc
+    f t.stack.(i)
   done;
-  Array.iter (fun v -> acc := v :: !acc) t.pref_regs;
-  !acc
+  Array.iter f t.pref_regs

@@ -44,6 +44,6 @@ val pop : t -> Value.t
 val pop_int : t -> int
 val peek : t -> Value.t
 
-val roots : t -> Value.t list
-(** Every value the collector must treat as live: locals, the live part
-    of the operand stack, and the speculative prefetch registers. *)
+val iter_roots : t -> (Value.t -> unit) -> unit
+(** Visit every value the collector must treat as live: locals, the live
+    part of the operand stack, and the speculative prefetch registers. *)

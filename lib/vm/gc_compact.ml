@@ -1,28 +1,5 @@
 type result = { live : int; collected : int; live_bytes : int }
 
 let collect heap ~roots =
-  let marked = Hashtbl.create 1024 in
-  let stack = ref [] in
-  let push id =
-    if Heap.exists heap id && not (Hashtbl.mem marked id) then begin
-      Hashtbl.replace marked id ();
-      stack := id :: !stack
-    end
-  in
-  List.iter (function Value.Ref id -> push id | Value.Int _ | Value.Null -> ())
-    roots;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | id :: rest ->
-        stack := rest;
-        List.iter push (Heap.referenced_ids heap id);
-        drain ()
-  in
-  drain ();
-  let collected = Heap.compact heap ~live:(Hashtbl.mem marked) in
-  {
-    live = Heap.live_objects heap;
-    collected;
-    live_bytes = Heap.used_bytes heap;
-  }
+  let collected = Heap.mark_compact heap ~roots in
+  { live = Heap.live_objects heap; collected; live_bytes = Heap.used_bytes heap }

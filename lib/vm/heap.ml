@@ -27,9 +27,15 @@ type t = {
   (* One-entry memo of the last [object_containing] hit. Speculative loads
      ([Spec_load]) exhibit strong locality: consecutive probes usually land
      in the same object, so checking the memo first skips the binary
-     search. Invalidated (reset to [tombstone]) by compaction and [clear],
-     the only operations that can move or kill objects. *)
+     search. Invalidated (reset to [tombstone]) by compaction, the only
+     operation that can move or kill objects. *)
   mutable last_hit : obj;
+  (* Collector scratch, empty until the first collection: one mark byte
+     per id (all zero between collections: compaction clears what marking
+     set) and the explicit mark stack. *)
+  mutable marks : Bytes.t;
+  mutable work : int array;
+  mutable work_sp : int;
 }
 
 exception Out_of_memory
@@ -45,28 +51,29 @@ let create ?(limit_bytes = default_limit) () =
     n_objects = 0;
     next_id = 0;
     last_hit = tombstone;
+    marks = Bytes.empty;
+    work = [||];
+    work_sp = 0;
   }
 
 let limit_bytes t = t.limit
 let used_bytes t = t.next_addr - Classfile.heap_base
 let live_objects t = t.n_objects
 
+(* A full table, doubled (at least 256 slots) with its contents kept. *)
+let grow a fill =
+  let bigger = Array.make (max 256 (2 * Array.length a)) fill in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
 let append_by_addr t obj =
-  if t.n_objects = Array.length t.by_addr then begin
-    let bigger = Array.make (2 * Array.length t.by_addr) obj in
-    Array.blit t.by_addr 0 bigger 0 t.n_objects;
-    t.by_addr <- bigger
-  end;
+  if t.n_objects = Array.length t.by_addr then t.by_addr <- grow t.by_addr obj;
   t.by_addr.(t.n_objects) <- obj;
   t.n_objects <- t.n_objects + 1
 
 let append_by_id t obj =
-  (* [obj.id = t.next_id - 1] by construction. Grow by doubling. *)
-  if obj.id >= Array.length t.by_id then begin
-    let bigger = Array.make (2 * Array.length t.by_id) tombstone in
-    Array.blit t.by_id 0 bigger 0 (Array.length t.by_id);
-    t.by_id <- bigger
-  end;
+  (* [obj.id = t.next_id - 1] by construction. *)
+  if obj.id >= Array.length t.by_id then t.by_id <- grow t.by_id tombstone;
   t.by_id.(obj.id) <- obj
 
 let align n = (n + Classfile.slot_bytes - 1) land lnot (Classfile.slot_bytes - 1)
@@ -230,47 +237,75 @@ let value_at t addr =
               Some a.(slot_of off)
             else None)
 
-let referenced_ids t id =
-  let refs_of_values values =
-    Array.fold_left
-      (fun acc v -> match v with Value.Ref r -> r :: acc | _ -> acc)
-      [] values
-  in
-  match (get t id).contents with
-  | Object { fields; _ } -> refs_of_values fields
-  | Ref_array a -> refs_of_values a
-  | Int_array _ -> []
-
 let iter_ids_in_address_order t f =
   for i = 0 to t.n_objects - 1 do
     f t.by_addr.(i).id
   done
 
-let compact t ~live =
-  let kept = ref 0 and removed = ref 0 in
-  let cursor = ref Classfile.heap_base in
+let mark t v =
+  match v with
+  | Value.Ref id when exists t id && Bytes.unsafe_get t.marks id = '\000' ->
+      Bytes.unsafe_set t.marks id '\001';
+      if t.work_sp = Array.length t.work then t.work <- grow t.work 0;
+      t.work.(t.work_sp) <- id;
+      t.work_sp <- t.work_sp + 1
+  | Value.Ref _ | Value.Int _ | Value.Null -> ()
+
+let mark_compact t ~roots =
+  if Bytes.length t.marks < t.next_id then
+    t.marks <- Bytes.make (max t.next_id (2 * Bytes.length t.marks)) '\000';
+  roots (mark t);
+  while t.work_sp > 0 do
+    t.work_sp <- t.work_sp - 1;
+    match t.by_id.(t.work.(t.work_sp)).contents with
+    | Object { fields = a; _ } | Ref_array a ->
+        for i = 0 to Array.length a - 1 do
+          mark t (Array.unsafe_get a i)
+        done
+    | Int_array _ -> ()
+  done;
+  (* Slide the marked objects towards the heap base in address order,
+     clearing their marks; every unmarked object dies. *)
+  let kept = ref 0 and cursor = ref Classfile.heap_base in
   for i = 0 to t.n_objects - 1 do
     let obj = t.by_addr.(i) in
-    if live obj.id then begin
+    if Bytes.unsafe_get t.marks obj.id <> '\000' then begin
+      Bytes.unsafe_set t.marks obj.id '\000';
       obj.base <- !cursor;
       cursor := !cursor + obj.size;
       t.by_addr.(!kept) <- obj;
       incr kept
     end
-    else begin
-      t.by_id.(obj.id) <- tombstone;
-      incr removed
-    end
+    else t.by_id.(obj.id) <- tombstone
   done;
+  let removed = t.n_objects - !kept in
   t.n_objects <- !kept;
   t.next_addr <- !cursor;
   (* Bases moved and objects died: the memo can no longer be trusted. *)
   t.last_hit <- tombstone;
-  !removed
+  removed
 
-let clear t =
-  Array.fill t.by_id 0 (Array.length t.by_id) tombstone;
-  t.n_objects <- 0;
-  t.next_addr <- Classfile.heap_base;
-  t.next_id <- 0;
-  t.last_hit <- tombstone
+let check_invariants t =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  try
+    let cursor = ref Classfile.heap_base in
+    for i = 0 to t.n_objects - 1 do
+      let o = t.by_addr.(i) in
+      let indexed = exists t o.id && t.by_id.(o.id) == o in
+      if o.base <> !cursor || o.size <= 0 || not indexed then
+        fail "by_addr.(%d): id %d at %d, expected at %d" i o.id o.base !cursor;
+      cursor := !cursor + o.size
+    done;
+    if !cursor <> t.next_addr then
+      fail "objects end at %d, next_addr is %d" !cursor t.next_addr;
+    let live = ref 0 in
+    for id = 0 to t.next_id - 1 do
+      let o = t.by_id.(id) in
+      if o.id = id then incr live
+      else if o != tombstone then fail "by_id.(%d) holds id %d" id o.id
+    done;
+    if !live <> t.n_objects then
+      fail "%d live ids, %d objects by address" !live t.n_objects;
+    Option.iter (fail "mark of id %d left set") (Bytes.index_opt t.marks '\001');
+    Ok ()
+  with Failure msg -> Error msg

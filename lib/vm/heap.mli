@@ -64,18 +64,17 @@ val value_at : t -> int -> Value.t option
 val object_at : t -> int -> int option
 (** The id of the object whose extent contains the address, if any. *)
 
-val referenced_ids : t -> int -> int list
-(** Object ids directly referenced from an object's fields or elements. *)
-
 val live_objects : t -> int
 val used_bytes : t -> int
 val limit_bytes : t -> int
 
 val iter_ids_in_address_order : t -> (int -> unit) -> unit
 
-val compact : t -> live:(int -> bool) -> int
-(** Remove every object for which [live] is false and slide the remaining
-    objects towards the heap base in address order; returns the number of
-    objects removed. *)
+val mark_compact : t -> roots:((Value.t -> unit) -> unit) -> int
+(** The collector behind {!Gc_compact.collect}, which documents it;
+    returns the number of objects removed. Allocates only to grow its
+    mark table and mark stack. *)
 
-val clear : t -> unit
+val check_invariants : t -> (unit, string) result
+(** For tests: objects are gap-free in address order from the heap base,
+    each id slot holds its object or the tombstone, no mark is set. *)

@@ -477,17 +477,13 @@ let collect_garbage t =
     | Some { tsink = Some s; _ } -> (Telemetry.Sink.now_us s, t.stats.cycles)
     | _ -> (0.0, 0)
   in
-  let roots =
-    (* Reconstruct the former [Frame.t list] ordering (innermost
-       activation first) from the stack's live prefix: prepending while
-       walking bottom-up leaves the top frame at the head, so root —
-       and hence compaction — order is bit-identical to the seed. *)
-    let fs = ref [] in
+  (* Live frames, then globals. Root order cannot matter: marking
+     computes a set and compaction slides survivors in address order. *)
+  let roots visit =
     for i = 0 to t.frame_depth - 1 do
-      fs := t.frame_stack.(i) :: !fs
+      Frame.iter_roots t.frame_stack.(i) visit
     done;
-    List.concat_map Frame.roots !fs
-    @ Array.to_list t.globals
+    Array.iter visit t.globals
   in
   let result = Gc_compact.collect t.heap ~roots in
   t.gc_count <- t.gc_count + 1;

@@ -31,8 +31,6 @@ let[@inline] equal a b =
   | Null, Null -> true
   | (Int _ | Ref _ | Null), _ -> false
 
-let is_reference = function Ref _ | Null -> true | Int _ -> false
-
 let to_string = function
   | Int n -> string_of_int n
   | Ref id -> Printf.sprintf "ref#%d" id

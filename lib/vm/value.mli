@@ -18,6 +18,5 @@ val of_int : int -> t
     promoted operand stack. *)
 
 val equal : t -> t -> bool
-val is_reference : t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -47,6 +47,17 @@ let program_of_code ?(max_locals = 8) code =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Collect [heap] from a list of root values, then fail the test unless
+   every heap invariant holds afterwards. *)
+let collect heap roots =
+  let result =
+    Vm.Gc_compact.collect heap ~roots:(fun visit -> List.iter visit roots)
+  in
+  (match Vm.Heap.check_invariants heap with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "heap invariant broken after GC: %s" msg);
+  result
+
 (* Substring test (OCaml's stdlib has none). *)
 let contains s sub =
   let n = String.length s and m = String.length sub in

@@ -3,8 +3,9 @@
    The heap's id -> object map is a dense array indexed by the sequential
    allocation id, with tombstones left by GC compaction. This test runs a
    long randomized script of allocations, field/element writes, reads,
-   address probes and sliding compactions against a trivial reference
-   model (a Hashtbl of pure-OCaml shadow objects) and checks that every
+   address probes and collections from random root sets against a trivial
+   reference model (a Hashtbl of pure-OCaml shadow objects) and checks
+   that every heap invariant holds after each collection and that every
    observable answer — [get_field]/[get_elem], [exists], [base_of] order,
    [value_at], [object_at], [live_objects], [iter_ids_in_address_order] —
    agrees with the model at every step. The script is deterministic
@@ -137,18 +138,32 @@ let check_full heap model ~dead =
        (-1) iterated)
 
 let compact st model heap =
-  (* kill a random ~25% of live objects *)
-  let dead = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun id _ ->
-      if Random.State.int st 4 = 0 then Hashtbl.replace dead id ())
-    model.tbl;
-  let removed = H.compact heap ~live:(fun id -> not (Hashtbl.mem dead id)) in
-  Alcotest.(check int) "removed count" (Hashtbl.length dead) removed;
-  Hashtbl.iter (fun id () -> Hashtbl.remove model.tbl id) dead;
-  model.order <-
-    List.filter (fun id -> not (Hashtbl.mem dead id)) model.order;
-  Hashtbl.fold (fun id () acc -> id :: acc) dead []
+  (* root a random ~75% of live objects; whatever they do not reach dies *)
+  let roots =
+    Hashtbl.fold
+      (fun id _ acc -> if Random.State.int st 4 = 0 then acc else id :: acc)
+      model.tbl []
+  in
+  let reached = Hashtbl.create 64 in
+  let rec visit id =
+    if not (Hashtbl.mem reached id) then begin
+      Hashtbl.replace reached id ();
+      Array.iter
+        (function V.Ref r -> visit r | V.Int _ | V.Null -> ())
+        (Hashtbl.find model.tbl id).slots
+    end
+  in
+  List.iter visit roots;
+  let dead =
+    Hashtbl.fold
+      (fun id _ acc -> if Hashtbl.mem reached id then acc else id :: acc)
+      model.tbl []
+  in
+  let result = Helpers.collect heap (List.map (fun id -> V.Ref id) roots) in
+  Alcotest.(check int) "removed count" (List.length dead) result.collected;
+  List.iter (Hashtbl.remove model.tbl) dead;
+  model.order <- List.filter (Hashtbl.mem model.tbl) model.order;
+  dead
 
 let test_differential () =
   let st = Random.State.make [| 0x5eed; 2003 |] in
@@ -181,19 +196,13 @@ let test_differential () =
   List.iter
     (fun id ->
       if H.exists heap id then Alcotest.failf "recycled dead id %d" id)
-    !all_dead;
-  H.clear heap;
-  Alcotest.(check int) "clear empties" 0 (H.live_objects heap);
-  List.iter
-    (fun id ->
-      if H.exists heap id then Alcotest.failf "id %d survived clear" id)
-    (live_ids model)
+    !all_dead
 
 let test_dangling_get_raises () =
   let heap = H.create () in
   let a = H.alloc_object heap point_class in
   let b = H.alloc_object heap point_class in
-  ignore (H.compact heap ~live:(fun id -> id = b));
+  ignore (Helpers.collect heap [ V.Ref b ]);
   Alcotest.(check bool) "b survives" true (H.exists heap a = false);
   Alcotest.(check bool) "dangling get_field raises" true
     (try

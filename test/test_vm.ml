@@ -85,8 +85,8 @@ let test_heap_compact_slides_in_order () =
   let c = H.alloc_object h point_class in
   let size = H.size_of h a in
   (* drop b; a and c survive and slide together *)
-  let removed = H.compact h ~live:(fun id -> id <> b) in
-  Alcotest.(check int) "one removed" 1 removed;
+  let result = Helpers.collect h [ V.Ref a; V.Ref c ] in
+  Alcotest.(check int) "one removed" 1 result.collected;
   Alcotest.(check bool) "b gone" false (H.exists h b);
   Alcotest.(check int) "a stays at base" C.heap_base (H.base_of h a);
   Alcotest.(check int) "c slides next to a" (C.heap_base + size)
@@ -121,7 +121,7 @@ let test_gc_reclaims_garbage () =
   let dead = H.alloc_object h point_class in
   let child = H.alloc_int_array h 4 in
   H.set_field h keep 2 (V.Ref child);
-  let result = Vm.Gc_compact.collect h ~roots:[ V.Ref keep ] in
+  let result = Helpers.collect h [ V.Ref keep ] in
   Alcotest.(check int) "collected" 1 result.collected;
   Alcotest.(check int) "live" 2 result.live;
   Alcotest.(check bool) "keep survives" true (H.exists h keep);
@@ -136,7 +136,7 @@ let test_gc_handles_cycles () =
   H.set_field h a 2 (V.Ref b);
   H.set_field h b 2 (V.Ref a);
   (* the cycle is garbage *)
-  let result = Vm.Gc_compact.collect h ~roots:[] in
+  let result = Helpers.collect h [] in
   Alcotest.(check int) "cycle collected" 2 result.collected
 
 let test_gc_preserves_strides () =
@@ -150,7 +150,7 @@ let test_gc_preserves_strides () =
     |> List.filteri (fun i _ -> i mod 2 = 0)
     |> List.map (fun id -> V.Ref id)
   in
-  ignore (Vm.Gc_compact.collect h ~roots);
+  ignore (Helpers.collect h roots);
   let survivors =
     Array.to_list objs |> List.filter (H.exists h) |> List.map (H.base_of h)
   in
@@ -187,8 +187,9 @@ let test_frame_args_in_locals () =
   in
   Alcotest.(check bool) "arg 0" true (f.Vm.Frame.locals.(0) = V.Int 7);
   Alcotest.(check bool) "arg 1" true (f.Vm.Frame.locals.(1) = V.Ref 3);
-  Alcotest.(check bool) "roots include args" true
-    (List.mem (V.Ref 3) (Vm.Frame.roots f))
+  let roots = ref [] in
+  Vm.Frame.iter_roots f (fun v -> roots := v :: !roots);
+  Alcotest.(check bool) "roots include args" true (List.mem (V.Ref 3) !roots)
 
 (* --- bytecode ------------------------------------------------------------ *)
 
@@ -488,63 +489,238 @@ let suite =
     ("classfile: reset_program", `Quick, test_classfile_reset);
   ]
 
-(* --- model-based property test: GC reachability --------------------------- *)
+(* --- model-based property tests: GC reachability -------------------------- *)
 
-(* Build a random object graph, pick random roots, collect, and check the
-   survivor set is exactly the reachable set with all values intact. *)
+(* Two reference fields, so an object can have several out-edges. *)
+let pair_class =
+  C.make_class ~class_id:1 ~class_name:"Pair"
+    ~field_specs:[ ("a", true); ("b", true) ]
+
+let classes = [| point_class; pair_class |]
+
+(* Every field or element of a heap object, as values. *)
+let slots h id =
+  match H.class_id_of h id with
+  | Some c -> List.init (Array.length classes.(c).C.fields) (H.get_field h id)
+  | None -> List.init (H.array_length h id) (H.get_elem h id)
+
+type prediction = {
+  bases : (int * int) list;  (** surviving id, base after compaction *)
+  collected : int;
+  live_bytes : int;
+}
+
+(* Test-only reference collector: a Hashtbl mark set and a list worklist.
+   Read from the heap before a collection, it predicts the survivors and
+   their bases (sliding in address order), [collected] and [live_bytes]. *)
+let reference_collect h roots =
+  let marked = Hashtbl.create 64 and stack = ref [] in
+  let push = function
+    | V.Ref id when H.exists h id && not (Hashtbl.mem marked id) ->
+        Hashtbl.replace marked id ();
+        stack := id :: !stack
+    | V.Ref _ | V.Int _ | V.Null -> ()
+  in
+  List.iter push roots;
+  let rec drain () =
+    match !stack with
+    | [] -> ()
+    | id :: rest ->
+        stack := rest;
+        List.iter push (slots h id);
+        drain ()
+  in
+  drain ();
+  let order = ref [] in
+  H.iter_ids_in_address_order h (fun id -> order := id :: !order);
+  let cursor = ref C.heap_base and bases = ref [] and dead = ref 0 in
+  List.iter
+    (fun id ->
+      if Hashtbl.mem marked id then begin
+        bases := (id, !cursor) :: !bases;
+        cursor := !cursor + H.size_of h id
+      end
+      else incr dead)
+    (List.rev !order);
+  {
+    bases = List.rev !bases;
+    collected = !dead;
+    live_bytes = !cursor - C.heap_base;
+  }
+
+(* The ids in [ids] still alive, each with its base. *)
+let survivors h ids =
+  List.filter (H.exists h) ids |> List.map (fun id -> (id, H.base_of h id))
+
+(* A random graph: object shapes (kind, length), edges (source, slot,
+   target) and root picks (kind, index). *)
+let graph_gen =
+  QCheck.(
+    triple
+      (list_of_size Gen.(1 -- 40) (pair (int_range 0 3) (int_range 0 4)))
+      (list_of_size Gen.(0 -- 120) (triple small_nat small_nat small_nat))
+      (list_of_size Gen.(0 -- 8) (pair (int_range 0 7) small_nat)))
+
+(* Build a graph in a fresh heap whose first three ids are already swept:
+   points (one ref field), pairs (two), ref arrays and int arrays, wired
+   by the edges, self-loops included. Returns the heap, the graph's ids
+   and the swept ids. *)
+let build_graph (shapes, edges, _) =
+  let h = H.create () in
+  let swept = List.init 3 (fun _ -> H.alloc_object h point_class) in
+  ignore (Helpers.collect h []);
+  let objs =
+    Array.of_list
+      (List.mapi
+         (fun i (kind, len) ->
+           match kind with
+           | 0 ->
+               let id = H.alloc_object h point_class in
+               H.set_field h id 0 (V.Int i);
+               id
+           | 1 -> H.alloc_object h pair_class
+           | 2 -> H.alloc_ref_array h len
+           | _ ->
+               let id = H.alloc_int_array h (len + 1) in
+               H.set_elem h id 0 (V.Int i);
+               id)
+         shapes)
+  in
+  let n = Array.length objs in
+  List.iter
+    (fun (src, slot, dst) ->
+      let src = objs.(src mod n) and v = V.Ref objs.(dst mod n) in
+      match H.class_id_of h src with
+      | Some 0 -> H.set_field h src 2 v
+      | Some _ -> H.set_field h src (slot mod 2) v
+      | None when H.is_ref_array h src && H.array_length h src > 0 ->
+          H.set_elem h src (slot mod H.array_length h src) v
+      | None -> ())
+    edges;
+  (h, objs, swept)
+
+(* Roots: mostly graph objects, plus ints (which may equal a live id),
+   null, already-swept ids and ids never allocated. *)
+let roots_of objs swept picks =
+  List.map
+    (fun (kind, i) ->
+      match kind with
+      | 1 -> V.Int i
+      | 2 -> V.Null
+      | 3 -> V.Ref (List.nth swept (i mod List.length swept))
+      | 4 -> V.Ref (1_000_000 + i)
+      | _ -> V.Ref objs.(i mod Array.length objs))
+    picks
+
+(* Collect a random graph and check it against the reference collector:
+   same survivors at the same bases, same counts, contents intact. *)
 let prop_gc_exact_reachability =
-  QCheck.Test.make ~name:"gc keeps exactly the reachable objects" ~count:60
-    QCheck.(
-      pair
-        (int_range 1 40) (* object count *)
-        (pair (list_of_size Gen.(0 -- 80) (pair small_nat small_nat))
-           (list_of_size Gen.(0 -- 5) small_nat)))
-    (fun (n, (edges, root_picks)) ->
-      let h = H.create () in
-      let objs = Array.init n (fun i ->
-          let id = H.alloc_object h point_class in
-          H.set_field h id 0 (V.Int i);
-          id)
+  QCheck.Test.make ~name:"gc keeps exactly the reachable objects" ~count:200
+    graph_gen (fun ((_, _, picks) as g) ->
+      let h, objs, swept = build_graph g in
+      let roots = roots_of objs swept picks in
+      let ids = swept @ Array.to_list objs in
+      let contents =
+        List.filter (H.exists h) ids |> List.map (fun id -> (id, slots h id))
       in
-      (* wire edges via the 'next' field (last write wins) and remember the
-         final graph *)
-      let next = Array.make n None in
-      List.iter
-        (fun (a, b) ->
-          let a = a mod n and b = b mod n in
-          next.(a) <- Some b;
-          H.set_field h objs.(a) 2 (V.Ref objs.(b)))
-        edges;
-      let roots = List.map (fun r -> r mod n) root_picks in
-      (* reference reachability *)
-      let reachable = Array.make n false in
-      let rec mark i =
-        if not reachable.(i) then begin
-          reachable.(i) <- true;
-          match next.(i) with Some j -> mark j | None -> ()
-        end
-      in
-      List.iter mark roots;
-      ignore
-        (Vm.Gc_compact.collect h
-           ~roots:(List.map (fun r -> V.Ref objs.(r)) roots));
-      (* exactness + value integrity + order preservation *)
-      let ok_membership =
-        Array.for_all Fun.id
-          (Array.mapi (fun i id -> H.exists h id = reachable.(i)) objs)
-      in
-      let ok_values =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun i id ->
-               (not reachable.(i)) || H.get_field h id 0 = V.Int i)
-             objs)
-      in
-      let survivors =
-        Array.to_list objs |> List.filter (H.exists h)
-        |> List.map (H.base_of h)
-      in
-      let ok_order = List.sort compare survivors = survivors in
-      ok_membership && ok_values && ok_order)
+      let expected = reference_collect h roots in
+      let result = Helpers.collect h roots in
+      let kept = survivors h ids in
+      kept = expected.bases
+      && result.collected = expected.collected
+      && result.live_bytes = expected.live_bytes
+      && result.live = List.length kept
+      && List.for_all (fun (id, _) -> slots h id = List.assoc id contents) kept)
 
-let suite = suite @ [ Helpers.qtest prop_gc_exact_reachability ]
+let prop_gc_root_order_irrelevant =
+  QCheck.Test.make ~name:"gc: root order does not matter" ~count:100
+    QCheck.(pair graph_gen int)
+    (fun (((_, _, picks) as g), seed) ->
+      let st = Random.State.make [| seed |] in
+      let permute l =
+        List.map (fun r -> (Random.State.bits st, r)) l
+        |> List.sort compare |> List.map snd
+      in
+      let run order =
+        let h, objs, swept = build_graph g in
+        let result = Helpers.collect h (order (roots_of objs swept picks)) in
+        (survivors h (swept @ Array.to_list objs), result.collected)
+      in
+      let given = run Fun.id in
+      given = run permute && given = run List.rev)
+
+(* --- mark-table lifecycle ------------------------------------------------ *)
+
+(* [n] points linked through [next], head first. *)
+let chain h n =
+  let ids = Array.init n (fun _ -> H.alloc_object h point_class) in
+  for i = 0 to n - 2 do
+    H.set_field h ids.(i) 2 (V.Ref ids.(i + 1))
+  done;
+  ids
+
+let test_gc_second_collect_noop () =
+  let h = H.create () in
+  let kept = Array.to_list (chain h 50) in
+  ignore (chain h 20);
+  let root = [ V.Ref (List.hd kept) ] in
+  Alcotest.(check int) "first collects the garbage" 20
+    (Helpers.collect h root).collected;
+  let bases () = List.map (H.base_of h) kept in
+  let after_first = bases () in
+  Alcotest.(check int) "second collects nothing" 0
+    (Helpers.collect h root).collected;
+  Alcotest.(check (list int)) "bases unchanged" after_first (bases ());
+  (* A mark left set by either collection would keep the chain alive. *)
+  Alcotest.(check int) "unrooted chain dies" 50 (Helpers.collect h []).collected;
+  Alcotest.(check int) "heap empty" 0 (H.live_objects h)
+
+let test_gc_marks_grow_between_collections () =
+  let h = H.create () in
+  let old = chain h 10 in
+  ignore (Helpers.collect h [ V.Ref old.(0) ]);
+  (* Thousands of ids past the first collection's mark table, rooted only
+     through the newest object: a ref array wide enough to grow the mark
+     stack too. *)
+  let young = chain h 3_000 in
+  ignore (chain h 1_000);
+  H.set_field h young.(2_999) 2 (V.Ref old.(0));
+  let wide = H.alloc_ref_array h 3_000 in
+  Array.iteri (fun i id -> H.set_elem h wide i (V.Ref id)) young;
+  let roots = [ V.Ref wide ] in
+  let expected = reference_collect h roots in
+  let result = Helpers.collect h roots in
+  Alcotest.(check int) "garbage chain collected" 1_000 result.collected;
+  Alcotest.(check int) "collected as predicted" expected.collected
+    result.collected;
+  let ids = Array.to_list old @ Array.to_list young @ [ wide ] in
+  Alcotest.(check bool) "survivors and bases as predicted" true
+    (survivors h ids = expected.bases)
+
+let test_gc_deep_list_explicit_stack () =
+  let h = H.create () in
+  let ids = chain h 200_000 in
+  ignore (H.alloc_int_array h 8);
+  (* 64 Ki words of host stack: far too little for a marker that recursed
+     once per link. *)
+  let limit = (Gc.get ()).stack_limit in
+  Gc.set { (Gc.get ()) with stack_limit = 65_536 };
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Gc.set { (Gc.get ()) with stack_limit = limit })
+      (fun () -> Helpers.collect h [ V.Ref ids.(0) ])
+  in
+  Alcotest.(check int) "whole list survives" 200_000 result.live;
+  Alcotest.(check int) "only the array dies" 1 result.collected
+
+let suite =
+  suite
+  @ [
+      Helpers.qtest prop_gc_exact_reachability;
+      Helpers.qtest prop_gc_root_order_irrelevant;
+      ("gc: second collect is a no-op", `Quick, test_gc_second_collect_noop);
+      ("gc: mark table grows between collections", `Quick,
+       test_gc_marks_grow_between_collections);
+      ("gc: 200k-node list marks on an explicit stack", `Quick,
+       test_gc_deep_list_explicit_stack);
+    ]
