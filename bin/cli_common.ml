@@ -130,6 +130,31 @@ let prediction_arg =
            every tier; only compile-time work and the generated plans \
            may differ.")
 
+(* The one --inject term over the fault registry, restricted to the
+   faults the tool can act on: any other name is a usage error (exit
+   124), never a silently clean run. Repeatable. *)
+let inject_arg ~doc accepted =
+  let parse s =
+    match Vm.Fault.of_string s with
+    | Some f when List.mem f accepted -> Ok f
+    | known ->
+        Error
+          (`Msg
+            (Printf.sprintf "%s fault '%s' (expected: %s)"
+               (if known = None then "unknown" else "unsupported")
+               s
+               (String.concat ", " (List.map Vm.Fault.name accepted))))
+  in
+  let print ppf f = Format.pp_print_string ppf (Vm.Fault.name f) in
+  Cmdliner.Arg.(
+    value
+    & opt_all (conv (parse, print)) []
+    & info [ "inject" ] ~docv:"FAULT"
+        ~doc:
+          (Printf.sprintf "%s $(docv) is %s." doc
+             (String.concat " or "
+                (List.map (fun f -> "$(b," ^ Vm.Fault.name f ^ ")") accepted))))
+
 let apply_hw_prefetch hw (machine : Memsim.Config.machine) =
   match hw with
   | None -> machine

@@ -167,29 +167,23 @@ let top_arg =
     & info [ "top" ] ~docv:"N" ~doc:"Rows per blame table (default 10).")
 
 let inject_arg =
-  Cmdliner.Arg.(
-    value
-    & opt (some (enum [ ("diff-desync", `Diff_desync) ])) None
-    & info [ "inject" ] ~docv:"FAULT"
-        ~doc:
-          "Self-test fault injection: $(b,diff-desync) perturbs one \
-           loop's delta after the blame join, so the conservation check \
-           must fail and spf_diff must exit 1. Never use outside the \
-           @diff self-test.")
+  Cli_common.inject_arg [ Vm.Fault.Diff_desync ]
+    ~doc:
+      "Self-test fault injection: perturb one loop's delta after the blame \
+       join, so the conservation check must fail and spf_diff must exit 1. \
+       Never use outside the @diff self-test."
 
-let emit_blame ~json ~top ~fault blame =
-  let blame' = blame in
-  print_string (Diff.Blame.render ~top blame');
+let emit_blame ~json ~top blame =
+  print_string (Diff.Blame.render ~top blame);
   (match json with
   | Some path ->
-      write_json path (Diff.Blame.to_json blame');
+      write_json path (Diff.Blame.to_json blame);
       Printf.printf "blame JSON written to %s\n" path
   | None -> ());
-  ignore fault;
-  conservation_gate blame'
+  conservation_gate blame
 
 let main workload machine hw mode engine prediction threshold no_passes vs
-    bisect expect_axis max_replays record a_file b_file json top inject =
+    bisect expect_axis max_replays record a_file b_file json top faults =
   let base =
     {
       B.machine;
@@ -201,7 +195,7 @@ let main workload machine hw mode engine prediction threshold no_passes vs
       threshold;
     }
   in
-  let fault = inject = Some `Diff_desync in
+  let fault_desync = List.mem Vm.Fault.Diff_desync faults in
   match (record, a_file, b_file) with
   | Some path, _, _ ->
       let name =
@@ -225,8 +219,7 @@ let main workload machine hw mode engine prediction threshold no_passes vs
             exit 2
       in
       let ra = load fa and rb = load fb in
-      emit_blame ~json ~top ~fault
-        (Diff.Blame.build ~fault_desync:fault ~a:ra ~b:rb ())
+      emit_blame ~json ~top (Diff.Blame.build ~fault_desync ~a:ra ~b:rb ())
   | None, Some _, None | None, None, Some _ ->
       Printf.eprintf "spf_diff: -a and -b go together\n";
       exit 2
@@ -284,8 +277,7 @@ let main workload machine hw mode engine prediction threshold no_passes vs
       else
         let ra = rundata_of_live ~workload:w base in
         let rb = rundata_of_live ~workload:w b in
-        emit_blame ~json ~top ~fault
-          (Diff.Blame.build ~fault_desync:fault ~a:ra ~b:rb ()))
+        emit_blame ~json ~top (Diff.Blame.build ~fault_desync ~a:ra ~b:rb ()))
 
 let () =
   let info =

@@ -3,7 +3,8 @@
    Generates seeded random MiniJava programs and checks each one across
    the full configuration matrix (prefetch mode x pipeline x machine);
    see lib/fuzz. Exit status 0 when every program passed, 1 when any
-   finding was produced, so the tool slots directly into CI. *)
+   finding was produced, 124 on a usage error (cmdliner's code, e.g. an
+   unknown --inject fault), so the tool slots directly into CI. *)
 
 open Cmdliner
 
@@ -50,39 +51,17 @@ let dump_arg =
            debugging).")
 
 let inject_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "inject" ] ~docv:"FAULT"
-        ~doc:
-          "Oracle self-test: inject a deliberate fault and confirm the \
-           oracle catches it. $(docv) is $(b,unguarded-spec-loads) \
-           (speculative loads crash instead of yielding null when their \
-           guard trips, simulating unguarded prefetch dereferences) or \
-           $(b,skip-guard-dominance) (the codegen emits dereference \
-           prefetches before their spec_load guard — runtime-benign, \
-           caught only by the static lint cell) or $(b,engine-desync) \
-           (the closure-compiled engine retires one extra instruction \
-           per goto, invisible to program output and cycle counts — \
-           caught only by the engine cross-check's full-stats diff) or \
-           $(b,hw-desync) (runs on an RPT-prefetcher machine emit a \
-           spurious output line, simulating a hardware model that leaks \
-           into architectural state — caught only by the hardware \
-           cross-check, which is the sole check that varies the \
-           hardware model) or $(b,prediction-desync) (static/hybrid-tier \
-           compilations prepend an observable instruction pair, shifting \
-           every branch target — invisible to the inspect-tier matrix, \
-           caught only by the prediction cross-check, which is the sole \
-           check that varies the prediction tier) or \
-           $(b,monitor-desync) (every window-boundary fire charges one \
-           extra simulated cycle, making the monitor an observer that \
-           participates — caught only by the monitor cross-check, the \
-           sole check that arms a monitor).")
+  Cli_common.inject_arg Vm.Fault.all
+    ~doc:
+      "Oracle self-test: inject a deliberate fault into every run and \
+       confirm the oracle catches it (exit 1, with a replay line naming \
+       the fault). EXPERIMENTS.md lists the check each fault proves live."
 
 let quiet_arg =
   Arg.(
     value & flag & info [ "q"; "quiet" ] ~doc:"Only print the summary line.")
 
-let run seed count max_size shrink shrink_attempts dump inject quiet =
+let run seed count max_size shrink shrink_attempts dump faults quiet =
   if dump then (
     for index = 0 to count - 1 do
       let g = Fuzz.Gen.generate ~seed:(seed + index) ~max_size in
@@ -92,65 +71,22 @@ let run seed count max_size shrink shrink_attempts dump inject quiet =
     done;
     0)
   else
-    let tweak_options, tweak_prefetch =
-      match inject with
-      | None -> (None, None)
-      | Some "unguarded-spec-loads" ->
-          ( Some
-              (fun (o : Vm.Interp.options) ->
-                { o with Vm.Interp.unguarded_spec_loads = true }),
-            None )
-      | Some "skip-guard-dominance" ->
-          ( None,
-            Some
-              (fun (o : Strideprefetch.Options.t) ->
-                {
-                  o with
-                  Strideprefetch.Options.fault_skip_guard_dominance = true;
-                }) )
-      | Some "engine-desync" ->
-          ( Some
-              (fun (o : Vm.Interp.options) ->
-                { o with Vm.Interp.fault_engine_desync = true }),
-            None )
-      | Some "prediction-desync" ->
-          ( None,
-            Some
-              (fun (o : Strideprefetch.Options.t) ->
-                {
-                  o with
-                  Strideprefetch.Options.fault_prediction_desync = true;
-                }) )
-      | Some "hw-desync" ->
-          ( Some
-              (fun (o : Vm.Interp.options) ->
-                { o with Vm.Interp.fault_hw_desync = true }),
-            None )
-      | Some "monitor-desync" ->
-          ( Some
-              (fun (o : Vm.Interp.options) ->
-                { o with Vm.Interp.fault_monitor_desync = true }),
-            None )
-      | Some other ->
-          Printf.eprintf "unknown fault '%s'\n" other;
-          exit 2
-    in
     let progress ~index ~seed:_ =
       if (not quiet) && index > 0 && index mod 50 = 0 then (
         Printf.printf "  ... %d programs checked\n" index;
         flush stdout)
     in
     let campaign =
-      Fuzz.Driver.run ?tweak_options ?tweak_prefetch ~shrink ~shrink_attempts
-        ~progress ~campaign_seed:seed ~count ~max_size ()
+      Fuzz.Driver.run ~faults ~shrink ~shrink_attempts ~progress
+        ~campaign_seed:seed ~count ~max_size ()
     in
     List.iter
       (fun f ->
         if not quiet then
           Format.printf "%a@.@." Fuzz.Driver.pp_finding f
         else
-          Printf.printf "FAIL seed=%d index=%d\n" f.Fuzz.Driver.seed
-            f.Fuzz.Driver.index)
+          Printf.printf "FAIL seed=%d index=%d replay: %s\n" f.Fuzz.Driver.seed
+            f.Fuzz.Driver.index (Fuzz.Driver.replay f))
       campaign.Fuzz.Driver.findings;
     let failed = List.length campaign.Fuzz.Driver.findings in
     Printf.printf

@@ -6,8 +6,9 @@
    pc-level, with the faulting instruction rendered inline.
 
    Exit status 0 when everything is clean, 1 when any finding was
-   produced, 2 on usage errors — so the tool slots directly into CI
-   (`dune build @lint`). *)
+   produced (or, under --inject, when the injected fault went
+   unreported), 2 for an unknown workload, 124 on other usage errors —
+   so the tool slots directly into CI (`dune build @lint`). *)
 
 open Cmdliner
 
@@ -82,13 +83,11 @@ let verbose_arg =
     value & flag
     & info [ "v"; "verbose" ] ~doc:"Print a line per configuration run.")
 
-let skip_guard_arg =
-  Arg.(
-    value & flag
-    & info [ "inject-skip-guard-dominance" ]
-        ~doc:
-          "Self-test: make the codegen emit dereference prefetches before \
-           their spec_load guard and confirm the lint reports it.")
+let inject_arg =
+  Cli_common.inject_arg [ Vm.Fault.Skip_guard_dominance ]
+    ~doc:
+      "Self-test: make the codegen emit dereference prefetches before \
+       their spec_load guard and confirm the lint reports it."
 
 let config_name (w : Workloads.Workload.t) (machine : Memsim.Config.machine)
     mode =
@@ -97,14 +96,16 @@ let config_name (w : Workloads.Workload.t) (machine : Memsim.Config.machine)
 
 (* Lint one (workload, machine, mode) cell. Returns (methods checked,
    findings printed). *)
-let lint_one ~opts ~verify_each_pass ~verbose
+let lint_one ~opts ~faults ~verify_each_pass ~verbose
     (w : Workloads.Workload.t) (machine : Memsim.Config.machine) mode =
   let name = config_name w machine mode in
   if verbose then (
     Printf.printf "-- %s\n" name;
     flush stdout);
   match
-    Workloads.Harness.run ~opts ~verify_each_pass ~mode ~machine w
+    Workloads.Harness.run ~opts ~verify_each_pass
+      ~tweak_options:(fun o -> { o with Vm.Interp.faults })
+      ~mode ~machine w
   with
   | exception Jit.Pipeline.Verification_failed
       { pass_name; method_name; message } ->
@@ -227,7 +228,7 @@ let predict_run ~opts ~verbose ~min_agreement ~machines workloads =
       1
   | _ -> 0
 
-let run workload fuzz seed max_size verify_each_pass verbose skip_guard hw
+let run workload fuzz seed max_size verify_each_pass verbose faults hw
     prediction predict min_agreement =
   let workloads =
     match workload with
@@ -247,13 +248,7 @@ let run workload fuzz seed max_size verify_each_pass verbose skip_guard hw
   let workloads =
     workloads @ List.init fuzz (fuzz_workload ~seed ~max_size)
   in
-  let opts =
-    {
-      Strideprefetch.Options.default with
-      Strideprefetch.Options.fault_skip_guard_dominance = skip_guard;
-      prediction;
-    }
-  in
+  let opts = { Strideprefetch.Options.default with prediction } in
   let machines = List.map (apply_hw_prefetch hw) Memsim.Config.machines in
   if predict then
     exit (predict_run ~opts ~verbose ~min_agreement ~machines workloads);
@@ -265,7 +260,8 @@ let run workload fuzz seed max_size verify_each_pass verbose skip_guard hw
           List.iter
             (fun mode ->
               let m, f =
-                lint_one ~opts ~verify_each_pass ~verbose w machine mode
+                lint_one ~opts ~faults ~verify_each_pass ~verbose w machine
+                  mode
               in
               incr runs;
               methods := !methods + m;
@@ -276,7 +272,7 @@ let run workload fuzz seed max_size verify_each_pass verbose skip_guard hw
   Printf.printf "spf_lint: %d configuration(s), %d method bodies checked: \
                  %d finding(s)\n"
     !runs !methods !findings;
-  if skip_guard then
+  if faults <> [] then
     (* self-test semantics: the injected miscompile MUST be reported *)
     if !findings > 0 then (
       Printf.printf
@@ -301,7 +297,7 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ workload_arg $ fuzz_arg $ seed_arg $ max_size_arg
-      $ verify_each_pass_arg $ verbose_arg $ skip_guard_arg
+      $ verify_each_pass_arg $ verbose_arg $ inject_arg
       $ hw_prefetch_arg $ prediction_arg $ predict_flag $ min_agreement_arg)
 
 let () = exit (Cmd.eval' cmd)

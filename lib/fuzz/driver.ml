@@ -3,11 +3,14 @@
 
    Program [i] of a campaign with seed [s] is generated from the derived
    seed [s + i] (Gen applies a splitmix64 scramble internally), so
-   [spf_fuzz --seed (s + i) --count 1] replays exactly that program. *)
+   [spf_fuzz --seed (s + i) --count 1], with the campaign's size budget
+   and injected faults, replays exactly that program ([replay]). *)
 
 type finding = {
   seed : int;  (** the derived per-program seed: campaign seed + index *)
   index : int;
+  max_size : int;  (** the campaign's size budget *)
+  faults : Vm.Fault.t list;  (** the campaign's injected faults *)
   failure : Oracle.failure;
   source : string;
   shrunk : Shrink.result option;
@@ -56,81 +59,54 @@ let same_class (a : Oracle.failure) (b : Oracle.failure) =
          somehow: an unrelated runtime error in a mangled candidate would
          otherwise hijack the minimization *)
       normalize_message ma = normalize_message mb
-  | Oracle.Compile_error _, Oracle.Compile_error _
-  | Oracle.Output_divergence _, Oracle.Output_divergence _
-  | Oracle.Heap_divergence _, Oracle.Heap_divergence _
-  | Oracle.Inspection_side_effect _, Oracle.Inspection_side_effect _
-  | Oracle.Stats_violation _, Oracle.Stats_violation _
-  | Oracle.Faulting_prefetch _, Oracle.Faulting_prefetch _
-  | Oracle.Lint_violation _, Oracle.Lint_violation _
-  | Oracle.Telemetry_divergence _, Oracle.Telemetry_divergence _
-  | Oracle.Engine_divergence _, Oracle.Engine_divergence _
-  | Oracle.Hw_divergence _, Oracle.Hw_divergence _
-  | Oracle.Prediction_divergence _, Oracle.Prediction_divergence _
-  | Oracle.Monitor_divergence _, Oracle.Monitor_divergence _
-  | Oracle.Diff_divergence _, Oracle.Diff_divergence _ ->
-      true
-  | _ -> false
+  | _ -> Oracle.class_name a = Oracle.class_name b
 
-let check_seed ?cells ?tweak_options ?tweak_prefetch ~seed ~max_size () =
+let check_seed ?cells ?faults ~seed ~max_size () =
   let g = Gen.generate ~seed ~max_size in
   let verdict =
-    Oracle.check ?cells ?tweak_options ?tweak_prefetch ~source:(Gen.source g)
+    Oracle.check ?cells ?faults ~source:(Gen.source g)
       ~heap_limit_bytes:g.Gen.heap_limit_bytes ()
   in
   (g, verdict)
 
-let shrink_finding ?cells ?tweak_options ?tweak_prefetch ?max_attempts
-    ~heap_limit_bytes
+let shrink_finding ?cells ?faults ?max_attempts ~heap_limit_bytes
     ~(failure : Oracle.failure) program =
   (* A candidate counts as "still failing" only if it fails in the same
      class: shrinking an output divergence must not wander off into some
      unrelated compile error of a mangled candidate. *)
   let is_failing source =
     match
-      Oracle.check ?cells ?tweak_options ?tweak_prefetch ~source
-        ~heap_limit_bytes ()
+      Oracle.check ?cells ?faults ~source ~heap_limit_bytes ()
     with
     | Oracle.Pass _ -> false
     | Oracle.Fail f -> same_class f failure
   in
   Shrink.run ?max_attempts ~is_failing program
 
-let run ?cells ?tweak_options ?tweak_prefetch ?(shrink = true)
-    ?shrink_attempts
+let run ?cells ?(faults = []) ?(shrink = true) ?shrink_attempts
     ?(progress = fun ~index:_ ~seed:_ -> ()) ~campaign_seed ~count ~max_size
     () =
-  (* Matrix cells plus the appended cross-checks: the plain-vs-
-     telemetry+profile pair, the switch-vs-closure engine pair, the
-     hardware-model triple (none / stream / RPT), and the prediction-tier
-     triple (inspect / static / hybrid). *)
   let cells_per_program =
-    (match cells with
-    | Some cs -> List.length cs
-    | None -> List.length Oracle.default_cells)
-    + 10
+    Oracle.runs_per_program (Option.value cells ~default:Oracle.default_cells)
   in
   let findings = ref [] in
   for index = 0 to count - 1 do
     let seed = campaign_seed + index in
     progress ~index ~seed;
-    let g, verdict =
-      check_seed ?cells ?tweak_options ?tweak_prefetch ~seed ~max_size ()
-    in
+    let g, verdict = check_seed ?cells ~faults ~seed ~max_size () in
     match verdict with
     | Oracle.Pass _ -> ()
     | Oracle.Fail failure ->
         let shrunk =
           if shrink then
             Some
-              (shrink_finding ?cells ?tweak_options ?tweak_prefetch
-                 ?max_attempts:shrink_attempts
+              (shrink_finding ?cells ~faults ?max_attempts:shrink_attempts
                  ~heap_limit_bytes:g.Gen.heap_limit_bytes ~failure
                  g.Gen.program)
           else None
         in
         findings :=
-          { seed; index; failure; source = Gen.source g; shrunk }
+          { seed; index; max_size; faults; failure; source = Gen.source g; shrunk }
           :: !findings
   done;
   {
@@ -140,11 +116,21 @@ let run ?cells ?tweak_options ?tweak_prefetch ?(shrink = true)
     findings = List.rev !findings;
   }
 
+let replay (f : finding) =
+  String.concat " "
+    ([
+       "spf_fuzz --seed";
+       string_of_int f.seed;
+       "--count 1 --max-size";
+       string_of_int f.max_size;
+     ]
+    @ List.map (fun fault -> "--inject " ^ Vm.Fault.name fault) f.faults)
+
 let pp_finding ppf (f : finding) =
   Format.fprintf ppf
-    "@[<v>== FAILURE (replay: spf_fuzz --seed %d --count 1) ==@,%s@,@,\
+    "@[<v>== FAILURE (replay: %s) ==@,%s@,@,\
      -- program (seed %d, index %d) --@,%s@]"
-    f.seed
+    (replay f)
     (Oracle.describe f.failure)
     f.seed f.index f.source;
   match f.shrunk with

@@ -7,9 +7,16 @@
    differential check, each cell is audited on its own: no faulting
    prefetch addresses, object inspection leaves the real heap bit-
    identical, and the memory-system counters satisfy the structural
-   invariants that hold for any run. *)
+   invariants that hold for any run.
+
+   Past the matrix, the cross-checks are data: a table of rows, each
+   re-running the headline configuration with one axis varied and
+   holding the variant to one equivalence relation with the reference
+   run. Runs are shared by configuration, so a variant equal to the
+   reference (or to an earlier variant) is never run twice. *)
 
 module O = Strideprefetch.Options
+module H = Workloads.Harness
 
 type cell = {
   mode : O.mode;
@@ -25,27 +32,15 @@ let cell_name c =
 let default_cells =
   (* Baseline first: [check] treats the head of the list as the reference
      cell. 3 modes x {pipeline, bare} x 2 machines = 12 cells. *)
-  let modes = [ O.Off; O.Inter; O.Inter_intra ] in
-  let pipelines = [ true; false ] in
-  let machines = [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ] in
   List.concat_map
     (fun machine ->
       List.concat_map
         (fun standard_passes ->
-          List.map (fun mode -> { mode; standard_passes; machine }) modes)
-        pipelines)
-    machines
-  |> List.sort (fun a b ->
-         (* stable sort key: baseline cell to the front *)
-         let key c =
-           ( (if c.mode = O.Off && c.standard_passes
-              && c.machine.Memsim.Config.name
-                 = Memsim.Config.pentium4.Memsim.Config.name
-             then 0
-             else 1),
-             0 )
-         in
-         compare (key a) (key b))
+          List.map
+            (fun mode -> { mode; standard_passes; machine })
+            [ O.Off; O.Inter; O.Inter_intra ])
+        [ true; false ])
+    [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ]
 
 type failure =
   | Compile_error of string
@@ -124,8 +119,24 @@ let describe = function
          exact): %s"
         (cell_name cell) message
 
+let class_name = function
+  | Compile_error _ -> "compile"
+  | Crash _ -> "crash"
+  | Output_divergence _ -> "output"
+  | Heap_divergence _ -> "heap"
+  | Inspection_side_effect _ -> "inspection"
+  | Stats_violation _ -> "stats"
+  | Faulting_prefetch _ -> "faulting-prefetch"
+  | Lint_violation _ -> "lint"
+  | Telemetry_divergence _ -> "telemetry"
+  | Engine_divergence _ -> "engine"
+  | Hw_divergence _ -> "hw"
+  | Prediction_divergence _ -> "prediction"
+  | Monitor_divergence _ -> "monitor"
+  | Diff_divergence _ -> "diff"
+
 (* Structural invariants any run must satisfy, whatever the program. *)
-let stats_invariants (cell : cell) (r : Workloads.Harness.run_result) =
+let stats_invariants (cell : cell) (r : H.run_result) =
   let s = r.stats in
   let fail fmt =
     Printf.ksprintf (fun message -> Some (Stats_violation { cell; message })) fmt
@@ -198,7 +209,8 @@ let workload_of ~source ~heap_limit_bytes : Workloads.Workload.t =
    loop reports the pass produced. Warnings count as violations: the
    codegen of a correct pass never emits a redundant prefetch or a dead
    spec-load register. *)
-let lint_failure ~opts (cell : cell) (r : Workloads.Harness.run_result) =
+let lint_failure (cell : cell) (r : H.run_result) =
+  let opts = O.default in
   let program = r.program in
   let require_guarded = O.use_guarded opts cell.machine in
   let violation = ref None in
@@ -225,491 +237,266 @@ let lint_failure ~opts (cell : cell) (r : Workloads.Harness.run_result) =
     program.Vm.Classfile.methods;
   !violation
 
-(* Telemetry/profiler-observer cross-check: one fresh cell pair, plain vs
-   fully attributed AND profiled, at the headline configuration. The
-   observability stack must observe the simulation without participating:
-   program output, cycle count and every core (non-telemetry) counter
-   must be bit-identical, the attributed run's effectiveness books must
-   balance (issued = cancelled + redundant + useful + late + useless),
-   and the profiler's cycle bins must sum exactly to the run's cycle
-   count (the conservation law of lib/profile). *)
-let telemetry_crosscheck ~opts ?tweak_options workload =
-  let cell =
-    {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine = Memsim.Config.pentium4;
-    }
-  in
-  let run ~telemetry ~profile =
-    Workloads.Harness.run ~opts ?tweak_options ~telemetry ~profile
-      ~mode:cell.mode ~machine:cell.machine workload
-  in
-  match
-    (run ~telemetry:false ~profile:false, run ~telemetry:true ~profile:true)
-  with
-  | exception e -> Some (Crash { cell; message = Printexc.to_string e })
-  | plain, attributed ->
-      let diverged message = Some (Telemetry_divergence { cell; message }) in
-      if plain.output <> attributed.output then
-        diverged "program output differs"
-      else if plain.cycles <> attributed.cycles then
-        diverged
-          (Printf.sprintf "cycles differ: plain=%d telemetry=%d" plain.cycles
-             attributed.cycles)
-      else if
-        plain.faulting_prefetches <> attributed.faulting_prefetches
-        || plain.spec_guard_trips <> attributed.spec_guard_trips
-      then diverged "fault/guard counters differ"
-      else begin
-        match
-          List.find_opt
-            (fun ((k, a), (k', b)) -> k <> k' || a <> b)
-            (List.combine
-               (Memsim.Stats.core_alist plain.stats)
-               (Memsim.Stats.core_alist attributed.stats))
-        with
-        | Some ((k, a), (_, b)) ->
-            diverged
-              (Printf.sprintf "core counter %s differs: plain=%d telemetry=%d"
-                 k a b)
-        | None -> (
-            match attributed.effectiveness with
-            | None -> diverged "telemetry run produced no effectiveness report"
-            | Some eff ->
-                let t = eff.Workloads.Effectiveness.totals in
-                let classified =
-                  t.Memsim.Attribution.cancelled + t.redundant
-                  + t.redundant_hw + t.useful + t.late + t.useless
-                in
-                if t.issued <> classified then
-                  diverged
-                    (Printf.sprintf
-                       "attribution books don't balance: issued=%d but \
-                        cancelled+redundant+redundant_hw+useful+late+\
-                        useless=%d"
-                       t.issued classified)
-                else begin
-                  (* The profiler rode along on the attributed run; its
-                     conservation law must hold on every fuzzed program. *)
-                  match attributed.profile with
-                  | None -> diverged "profiled run produced no profile report"
-                  | Some rep -> (
-                      match Profile.Report.conservation_error rep with
-                      | Some msg ->
-                          diverged
-                            ("profiler conservation law violated: " ^ msg)
-                      | None ->
-                          (* The diff engine's identity law, on the same
-                             attributed run: snapshot it and diff it
-                             against itself — the blame must be empty
-                             (zero total delta, zero per-loop deltas)
-                             and the conservation check exact. A breach
-                             is a join bug in lib/diff, invisible to
-                             every cell above. *)
-                          let diff_diverged message =
-                            Some (Diff_divergence { cell; message })
-                          in
-                          let config =
-                            {
-                              Diff.Rundata.c_workload =
-                                workload.Workloads.Workload.name;
-                              c_machine = cell.machine.Memsim.Config.name;
-                              c_mode = O.mode_name cell.mode;
-                              c_engine = "closure";
-                              c_hw =
-                                Memsim.Config.hw_prefetch_to_string
-                                  cell.machine.Memsim.Config.hw_prefetch;
-                              c_prediction =
-                                O.prediction_name opts.O.prediction;
-                              c_threshold = opts.O.inter_stride_threshold;
-                              c_passes = true;
-                            }
-                          in
-                          (match
-                             Diff.Rundata.of_run ~config attributed
-                           with
-                          | Error msg ->
-                              diff_diverged
-                                ("snapshot of a profiled run failed: " ^ msg)
-                          | Ok rd -> (
-                              let bl = Diff.Blame.build ~a:rd ~b:rd () in
-                              if bl.Diff.Blame.total_delta <> 0 then
-                                diff_diverged
-                                  (Printf.sprintf
-                                     "self-diff total delta is %+d, want 0"
-                                     bl.Diff.Blame.total_delta)
-                              else
-                                match Diff.Blame.check bl with
-                                | Some msg -> diff_diverged msg
-                                | None ->
-                                    if
-                                      List.exists
-                                        (fun (d : Diff.Blame.loop_delta) ->
-                                          d.d_delta <> 0)
-                                        bl.Diff.Blame.loops
-                                    then
-                                      diff_diverged
-                                        "self-diff blames a loop for a \
-                                         nonzero delta"
-                                    else None)))
-                end)
-      end
+(* ---- Runs, keyed by configuration ---------------------------------- *)
 
-(* Engine cross-check: one fresh cell pair at the headline configuration,
-   reference switch engine vs closure-compiled engine. Bit-identity is
-   the engines' contract, so on a completed run {e everything} must
-   agree: program output, the statics-reachable heap graph, and the full
-   stats surface — every core memory-system counter plus the VM-side
-   books (cycle split, GC count, methods compiled, fault/guard
-   counters). A crashing program must crash {e identically} in both
-   engines (same exception, same message) and is compared on the crash
-   alone: the closure engine's block batching commits a whole block's
-   step/cycle bookkeeping before a mid-block error where the switch
-   engine stops at the faulting instruction (documented in
-   lib/vm/engine.ml), so post-crash counters are deliberately not
-   comparable — and no stats counter is readable from an aborted run
-   anyway. *)
-let engine_crosscheck ~opts ?tweak_options workload =
-  let cell =
-    {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine = Memsim.Config.pentium4;
-    }
-  in
-  let run engine =
-    match
-      Workloads.Harness.run ~opts ?tweak_options ~engine
-        ~capture_observables:true ~mode:cell.mode ~machine:cell.machine
-        workload
-    with
-    | r -> Ok r
-    | exception e -> Error (Printexc.to_string e)
-  in
-  let diverged message = Some (Engine_divergence { cell; message }) in
-  match (run Vm.Interp.Switch, run Vm.Interp.Closure) with
-  | Error sw, Error cl ->
-      if sw = cl then None
+(* One configuration the oracle runs: a matrix cell plus the axes the
+   cross-check rows vary. Structural equality is run identity. *)
+type config = {
+  cell : cell;
+  engine : Vm.Interp.engine;
+  prediction : O.prediction_tier;
+  observed : bool;  (** [~telemetry:true ~profile:true] *)
+  monitored : bool;  (** a live monitor with [monitor_window]-cycle windows *)
+}
+
+let plain cell =
+  let engine = Vm.Interp.Closure and prediction = O.Inspect in
+  { cell; engine; prediction; observed = false; monitored = false }
+
+(* The headline configuration every row's variants are derived from;
+   [Diff.Bisect.default_config] names the same point. *)
+let headline =
+  let machine = Memsim.Config.pentium4 in
+  plain { mode = O.Inter_intra; standard_passes = true; machine }
+
+(* Small enough that even tiny fuzzed programs close several windows. *)
+let monitor_window = 4096
+
+let run ~faults ?compile_observer workload c =
+  H.run
+    ~opts:{ O.default with O.prediction = c.prediction }
+    ~standard_passes:c.cell.standard_passes ?compile_observer
+    ~tweak_options:(fun o -> { o with Vm.Interp.faults })
+    ~engine:c.engine ~capture_observables:true ~telemetry:c.observed
+    ~profile:c.observed
+    ?monitor:(if c.monitored then Some monitor_window else None)
+    ~mode:c.cell.mode ~machine:c.cell.machine workload
+
+(* ---- Equivalence relations and laws -------------------------------- *)
+
+(* Every counter a run reports, VM-side books first. *)
+let books (r : H.run_result) =
+  ("cycles", r.cycles)
+  :: ("interpreted_cycles", r.interpreted_cycles)
+  :: ("compiled_cycles", r.compiled_cycles)
+  :: ("gc_count", r.gc_count)
+  :: ("methods_compiled", r.methods_compiled)
+  :: ("faulting_prefetches", r.faulting_prefetches)
+  :: ("spec_guard_trips", r.spec_guard_trips)
+  :: Memsim.Stats.core_alist r.stats
+
+let same_heap (a : H.run_result) (b : H.run_result) =
+  match (a.observables, b.observables) with
+  | Some a, Some b ->
+      Option.map
+        (( ^ ) "reachable heap differs: ")
+        (Workloads.Observables.diff a b)
+  | _ -> Some "a run captured no observables"
+
+(* What the program computed: output and the statics-reachable heap. *)
+let architectural (a : H.run_result) (b : H.run_result) =
+  if a.output <> b.output then Some "program output differs"
+  else same_heap a b
+
+(* Everything: output, the reachable heap, every counter. *)
+let bit_identical (a : H.run_result) (b : H.run_result) =
+  match architectural a b with
+  | Some _ as d -> d
+  | None ->
+      List.find_map
+        (fun ((k, x), (_, y)) ->
+          if x = y then None
+          else
+            Some (Printf.sprintf "%s differs: reference=%d variant=%d" k x y))
+        (List.combine (books a) (books b))
+
+let no_law (_ : H.run_result) = None
+
+(* The attributed run's effectiveness books balance, and the profiler's
+   cycle bins sum exactly to the run's cycle count. *)
+let observer_books (r : H.run_result) =
+  match (r.effectiveness, r.profile) with
+  | None, _ -> Some "telemetry run produced no effectiveness report"
+  | _, None -> Some "profiled run produced no profile report"
+  | Some eff, Some rep ->
+      let t = eff.Workloads.Effectiveness.totals in
+      let classified =
+        t.Memsim.Attribution.cancelled + t.redundant + t.redundant_hw
+        + t.useful + t.late + t.useless
+      in
+      if t.issued <> classified then
+        Some
+          (Printf.sprintf
+             "attribution books don't balance: issued=%d but \
+              cancelled+redundant+redundant_hw+useful+late+useless=%d"
+             t.issued classified)
       else
-        diverged
-          (Printf.sprintf "engines crash differently: switch raised %s, \
-                           closure raised %s" sw cl)
-  | Error sw, Ok _ ->
-      diverged
-        (Printf.sprintf "switch engine crashed (%s) but closure completed" sw)
-  | Ok _, Error cl ->
-      diverged
-        (Printf.sprintf "closure engine crashed (%s) but switch completed" cl)
-  | Ok sw, Ok cl ->
-      if sw.output <> cl.output then diverged "program output differs"
-      else begin
-        let counter name f =
-          if f sw = f cl then None
+        Option.map
+          (( ^ ) "profiler conservation law violated: ")
+          (Profile.Report.conservation_error rep)
+
+(* The diff engine's identity law: the attributed run diffed against
+   itself blames nothing, and the blame conservation check is exact. *)
+let self_diff ~faults (r : H.run_result) =
+  let config =
+    Diff.Bisect.config_strings ~workload:r.workload Diff.Bisect.default_config
+  in
+  match Diff.Rundata.of_run ~config r with
+  | Error msg -> Some ("snapshot of a profiled run failed: " ^ msg)
+  | Ok rd ->
+      let bl =
+        Diff.Blame.build
+          ~fault_desync:(List.mem Vm.Fault.Diff_desync faults)
+          ~a:rd ~b:rd ()
+      in
+      if bl.total_delta <> 0 then
+        Some
+          (Printf.sprintf "self-diff total delta is %+d, want 0"
+             bl.total_delta)
+      else
+        match Diff.Blame.check bl with
+        | Some _ as breach -> breach
+        | None ->
+            if List.exists (fun (d : Diff.Blame.loop_delta) -> d.d_delta <> 0)
+                 bl.loops
+            then Some "self-diff blames a loop for a nonzero delta"
+            else None
+
+let no_faulting_prefetch (r : H.run_result) =
+  if r.faulting_prefetches = 0 then None
+  else
+    Some
+      (Printf.sprintf "%d prefetch op(s) computed a negative address"
+         r.faulting_prefetches)
+
+(* The monitor's books: per-window stats deltas and attribution outcomes
+   sum back exactly to the run totals, tail partial window included. *)
+let window_books (r : H.run_result) =
+  match (r.monitor, r.effectiveness) with
+  | None, _ -> Some "monitored run produced no monitor report"
+  | _, None -> Some "monitored run produced no attribution"
+  | Some rep, Some eff ->
+      let windows = rep.Monitor.Report.windows in
+      let sum f = Array.fold_left (fun a w -> a + f w) 0 windows in
+      let t = eff.Workloads.Effectiveness.totals in
+      let window_total =
+        Array.fold_left
+          (fun acc (w : Monitor.Window.t) -> Memsim.Stats.add acc w.stats)
+          (Memsim.Stats.create ()) windows
+      in
+      let stat_sums =
+        List.map2
+          (fun (k, s) (_, total) -> (k, s, total))
+          (Memsim.Stats.core_alist window_total)
+          (Memsim.Stats.core_alist r.stats)
+      in
+      let outcome_sums =
+        List.map
+          (fun (k, f, total) -> ("attribution " ^ k, sum f, total))
+          [
+            ("issued", (fun (w : Monitor.Window.t) -> w.issued), t.issued);
+            ("useful", (fun w -> w.useful), t.useful);
+            ("late", (fun w -> w.late), t.late);
+            ("useless", (fun w -> w.useless), t.useless);
+          ]
+      in
+      List.find_map
+        (fun (k, s, total) ->
+          if s = total then None
           else
             Some
-              (Printf.sprintf "%s differs: switch=%d closure=%d" name (f sw)
-                 (f cl))
-        in
-        let vm_books =
-          List.filter_map
-            (fun (name, f) -> counter name f)
-            [
-              ("cycles", fun (r : Workloads.Harness.run_result) -> r.cycles);
-              ("interpreted_cycles", fun r -> r.interpreted_cycles);
-              ("compiled_cycles", fun r -> r.compiled_cycles);
-              ("gc_count", fun r -> r.gc_count);
-              ("methods_compiled", fun r -> r.methods_compiled);
-              ("faulting_prefetches", fun r -> r.faulting_prefetches);
-              ("spec_guard_trips", fun r -> r.spec_guard_trips);
-            ]
-        in
-        match vm_books with
-        | msg :: _ -> diverged msg
-        | [] -> (
-            match
-              List.find_opt
-                (fun ((k, a), (k', b)) -> k <> k' || a <> b)
-                (List.combine
-                   (Memsim.Stats.core_alist sw.stats)
-                   (Memsim.Stats.core_alist cl.stats))
-            with
-            | Some ((k, a), (_, b)) ->
-                diverged
-                  (Printf.sprintf "core counter %s differs: switch=%d \
-                                   closure=%d" k a b)
-            | None -> (
-                match (sw.observables, cl.observables) with
-                | Some a, Some b -> (
-                    match Workloads.Observables.diff a b with
-                    | None -> None
-                    | Some diff ->
-                        diverged ("reachable heap differs: " ^ diff))
-                | _ -> diverged "a run captured no observables"))
-      end
+              (Printf.sprintf
+                 "window deltas for %s sum to %d but the run total is %d" k s
+                 total))
+        (stat_sums @ outcome_sums)
 
-(* Hardware-prefetcher cross-check: the headline configuration re-run
-   under each hardware prefetch model (none, stream, RPT). The hardware
-   prefetcher lives entirely below the architectural surface: program
-   output and the statics-reachable heap graph must be identical across
-   the three models — only cycles and memory-system counters may move. A
-   model that changes what the program computes (or crashes it) is a
-   co-simulation bug — the class the [fault_hw_desync] self-test
-   injects, invisible to every same-machine check above because the
-   default matrix never varies the hardware model. *)
-let hw_crosscheck ~opts ?tweak_options workload =
-  let models =
-    [
-      Memsim.Config.Hw_none;
-      Memsim.Config.default_stream;
-      Memsim.Config.default_rpt;
-    ]
-  in
-  let cell_of hw =
+(* ---- The cross-check table ----------------------------------------- *)
+
+type row = {
+  variants : (string * config) list;
+      (** label and configuration of each run compared with the
+          reference; one equal to [headline] is dropped *)
+  relation : H.run_result -> H.run_result -> string option;
+      (** reference, variant *)
+  law : H.run_result -> string option;  (** on the variant alone *)
+  fail : cell -> string -> string -> failure;
+      (** variant cell, variant label, message *)
+}
+
+(* Row order is report order: the first failing row is the verdict. The
+   fault each row's self-test injects is named beside it. *)
+let rows ~faults =
+  let observed = { headline with observed = true } in
+  [
+    (* telemetry: no proving fault *)
     {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine =
-        { Memsim.Config.pentium4 with Memsim.Config.hw_prefetch = hw };
-    }
-  in
-  let run hw =
-    let cell = cell_of hw in
-    match
-      Workloads.Harness.run ~opts ?tweak_options ~capture_observables:true
-        ~mode:cell.mode ~machine:cell.machine workload
-    with
-    | r -> Ok (cell, Memsim.Config.hw_prefetch_to_string hw, r)
-    | exception e -> Error (Crash { cell; message = Printexc.to_string e })
-  in
-  let runs = List.map run models in
-  match List.find_map (function Error f -> Some f | Ok _ -> None) runs with
-  | Some f -> Some f
-  | None -> (
-      match
-        List.filter_map (function Ok x -> Some x | Error _ -> None) runs
-      with
-      | [] | [ _ ] -> None
-      | (_, _, base) :: rest ->
-          let compare_to_base (cell, hw, (r : Workloads.Harness.run_result))
-              =
-            if r.output <> base.Workloads.Harness.output then
-              Some
-                (Hw_divergence
-                   {
-                     cell;
-                     hw;
-                     message = "program output differs from the hw=none run";
-                   })
-            else
-              match (base.observables, r.observables) with
-              | Some a, Some b -> (
-                  match Workloads.Observables.diff a b with
-                  | None -> None
-                  | Some diff ->
-                      Some
-                        (Hw_divergence
-                           {
-                             cell;
-                             hw;
-                             message =
-                               "reachable heap differs from the hw=none \
-                                run: " ^ diff;
-                           }))
-              | _ ->
-                  Some
-                    (Hw_divergence
-                       { cell; hw; message = "a run captured no observables" })
-          in
-          List.find_map compare_to_base rest)
-
-(* Prediction cross-check: the headline configuration re-run under the
-   static and hybrid prediction tiers, compared to the inspect-tier run.
-   Tiers may only change *when* a stride is discovered (compile time,
-   inspection iterations) — never what the program computes: output and
-   the statics-reachable heap graph must match, and no static claim may
-   turn into a faulting prefetch address. Per-site disagreement between
-   static claims and inspected strides is a scored metric ([spf_lint
-   --predict]), not a failure; divergence here is a crash class — the one
-   the [fault_prediction_desync] self-test injects, invisible to every
-   check above because the default matrix never leaves the inspect
-   tier. *)
-let prediction_crosscheck ~opts ?tweak_options workload =
-  let cell =
+      variants = [ ("telemetry+profile", observed) ];
+      relation = bit_identical;
+      law = observer_books;
+      fail = (fun cell _ message -> Telemetry_divergence { cell; message });
+    };
+    (* diff-desync: the same attributed run, diffed against itself *)
     {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine = Memsim.Config.pentium4;
-    }
-  in
-  let run tier =
-    let opts = { opts with O.prediction = tier } in
-    match
-      Workloads.Harness.run ~opts ?tweak_options ~capture_observables:true
-        ~mode:cell.mode ~machine:cell.machine workload
-    with
-    | r -> Ok r
-    | exception e ->
-        Error
-          (Crash
-             {
-               cell;
-               message =
-                 Printf.sprintf "under prediction tier %s: %s"
-                   (O.prediction_name tier) (Printexc.to_string e);
-             })
-  in
-  match run O.Inspect with
-  | Error f -> Some f
-  | Ok base ->
-      let check_tier tier =
-        let name = O.prediction_name tier in
-        let diverged message =
-          Some (Prediction_divergence { cell; tier = name; message })
-        in
-        match run tier with
-        | Error f -> Some f
-        | Ok r ->
-            if r.Workloads.Harness.output <> base.Workloads.Harness.output
-            then diverged "program output differs from the inspect-tier run"
-            else if r.faulting_prefetches > 0 then
-              diverged
-                (Printf.sprintf
-                   "%d prefetch op(s) computed a negative address"
-                   r.faulting_prefetches)
-            else (
-              match (base.observables, r.observables) with
-              | Some a, Some b -> (
-                  match Workloads.Observables.diff a b with
-                  | None -> None
-                  | Some diff ->
-                      diverged
-                        ("reachable heap differs from the inspect-tier \
-                          run: " ^ diff))
-              | _ -> diverged "a run captured no observables")
-      in
-      (match check_tier O.Static with
-      | Some f -> Some f
-      | None -> check_tier O.Hybrid)
-
-(* Monitor cross-check: the headline configuration re-run with the live
-   windowed monitor armed (4096-cycle windows — small enough that even
-   tiny fuzzed programs close several) against its plain twin. The
-   monitor must observe without participating: program output, cycles
-   and every core counter bit-identical to the unmonitored run — the
-   class of bug the [fault_monitor_desync] self-test injects (a
-   window-boundary fire that charges a cycle), invisible to every check
-   above because the default matrix never arms a monitor. And the
-   monitor's own books must balance: the per-window stats deltas and
-   attribution outcomes must sum back exactly to the end-of-run totals
-   (the tail partial window included), else windowing lost or invented
-   events. *)
-let monitor_crosscheck ~opts ?tweak_options workload =
-  let cell =
+      variants = [ ("telemetry+profile", observed) ];
+      relation = bit_identical;
+      law = self_diff ~faults;
+      fail = (fun cell _ message -> Diff_divergence { cell; message });
+    };
+    (* engine-desync *)
     {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine = Memsim.Config.pentium4;
-    }
-  in
-  let run_plain () =
-    Workloads.Harness.run ~opts ?tweak_options ~mode:cell.mode
-      ~machine:cell.machine workload
-  in
-  let run_monitored () =
-    Workloads.Harness.run ~opts ?tweak_options ~monitor:4096 ~mode:cell.mode
-      ~machine:cell.machine workload
-  in
-  match (run_plain (), run_monitored ()) with
-  | exception e -> Some (Crash { cell; message = Printexc.to_string e })
-  | plain, mon -> (
-      let diverged message = Some (Monitor_divergence { cell; message }) in
-      if plain.Workloads.Harness.output <> mon.Workloads.Harness.output then
-        diverged "program output differs"
-      else if plain.cycles <> mon.cycles then
-        diverged
-          (Printf.sprintf "cycles differ: plain=%d monitored=%d" plain.cycles
-             mon.cycles)
-      else if
-        plain.faulting_prefetches <> mon.faulting_prefetches
-        || plain.spec_guard_trips <> mon.spec_guard_trips
-      then diverged "fault/guard counters differ"
-      else
-        match
-          List.find_opt
-            (fun ((k, a), (k', b)) -> k <> k' || a <> b)
-            (List.combine
-               (Memsim.Stats.core_alist plain.stats)
-               (Memsim.Stats.core_alist mon.stats))
-        with
-        | Some ((k, a), (_, b)) ->
-            diverged
-              (Printf.sprintf "core counter %s differs: plain=%d monitored=%d"
-                 k a b)
-        | None -> (
-            match mon.monitor with
-            | None -> diverged "monitored run produced no monitor report"
-            | Some rep -> (
-                let windows = rep.Monitor.Report.windows in
-                let totals = Memsim.Stats.core_alist mon.stats in
-                let sums = Array.make (List.length totals) 0 in
-                Array.iter
-                  (fun (w : Monitor.Window.t) ->
-                    List.iteri
-                      (fun i (_, v) -> sums.(i) <- sums.(i) + v)
-                      (Memsim.Stats.core_alist w.Monitor.Window.stats))
-                  windows;
-                let rec first_mismatch i = function
-                  | [] -> None
-                  | (k, total) :: rest ->
-                      if sums.(i) <> total then Some (k, sums.(i), total)
-                      else first_mismatch (i + 1) rest
-                in
-                match first_mismatch 0 totals with
-                | Some (k, s, total) ->
-                    diverged
-                      (Printf.sprintf
-                         "window deltas for %s sum to %d but the run total \
-                          is %d"
-                         k s total)
-                | None -> (
-                    match mon.effectiveness with
-                    | None ->
-                        diverged "monitored run produced no attribution"
-                    | Some eff -> (
-                        let t = eff.Workloads.Effectiveness.totals in
-                        let sum f =
-                          Array.fold_left (fun a w -> a + f w) 0 windows
-                        in
-                        let books =
-                          [
-                            ( "issued",
-                              sum (fun (w : Monitor.Window.t) -> w.issued),
-                              t.Memsim.Attribution.issued );
-                            ( "useful",
-                              sum (fun (w : Monitor.Window.t) -> w.useful),
-                              t.useful );
-                            ( "late",
-                              sum (fun (w : Monitor.Window.t) -> w.late),
-                              t.late );
-                            ( "useless",
-                              sum (fun (w : Monitor.Window.t) -> w.useless),
-                              t.useless );
-                          ]
-                        in
-                        match
-                          List.find_opt (fun (_, s, tot) -> s <> tot) books
-                        with
-                        | Some (k, s, tot) ->
-                            diverged
-                              (Printf.sprintf
-                                 "window %s deltas sum to %d but the \
-                                  attribution total is %d"
-                                 k s tot)
-                        | None -> None)))))
+      variants = [ ("switch", { headline with engine = Vm.Interp.Switch }) ];
+      relation = bit_identical;
+      law = no_law;
+      fail = (fun cell _ message -> Engine_divergence { cell; message });
+    };
+    (* hw-desync *)
+    {
+      variants =
+        List.map
+          (fun hw ->
+            let machine = { headline.cell.machine with hw_prefetch = hw } in
+            ( Memsim.Config.hw_prefetch_to_string hw,
+              { headline with cell = { headline.cell with machine } } ))
+          Memsim.Config.[ Hw_none; default_stream; default_rpt ];
+      relation = architectural;
+      law = no_law;
+      fail = (fun cell hw message -> Hw_divergence { cell; hw; message });
+    };
+    (* prediction-desync *)
+    {
+      variants =
+        List.map
+          (fun prediction ->
+            (O.prediction_name prediction, { headline with prediction }))
+          [ O.Inspect; O.Static; O.Hybrid ];
+      relation = architectural;
+      law = no_faulting_prefetch;
+      fail =
+        (fun cell tier message ->
+          Prediction_divergence { cell; tier; message });
+    };
+    (* monitor-desync *)
+    {
+      variants = [ ("monitor", { headline with monitored = true }) ];
+      relation = bit_identical;
+      law = window_books;
+      fail = (fun cell _ message -> Monitor_divergence { cell; message });
+    };
+  ]
 
-let check ?(cells = default_cells) ?tweak_options ?tweak_prefetch ~source
-    ~heap_limit_bytes () =
+let runs_per_program cells =
+  if cells = [] then 0
+  else
+    List.map plain cells @ [ headline ]
+    @ List.concat_map
+        (fun row -> List.map snd row.variants)
+        (rows ~faults:[])
+    |> List.sort_uniq compare |> List.length
+
+exception Failed of failure
+
+let check ?(cells = default_cells) ?(faults = []) ~source ~heap_limit_bytes ()
+    =
   match
     (* Surface front-end failures as their own verdict: the generator is
        supposed to emit well-typed programs, so a compile error is a
@@ -719,123 +506,90 @@ let check ?(cells = default_cells) ?tweak_options ?tweak_prefetch ~source
     with e -> Error (Printexc.to_string e)
   with
   | Error msg -> Fail (Compile_error msg)
+  | Ok () when cells = [] -> Pass { cells_run = 0 }
   | Ok () -> (
       let workload = workload_of ~source ~heap_limit_bytes in
-      let opts =
-        match tweak_prefetch with
-        | Some f -> f Strideprefetch.Options.default
-        | None -> Strideprefetch.Options.default
+      let fail f = raise (Failed f) in
+      let fail_if = Option.iter fail in
+      let runs = ref [] in
+      let shared ?compile_observer c =
+        match List.assoc_opt c !runs with
+        | Some r -> r
+        | None ->
+            let r = run ~faults ?compile_observer workload c in
+            runs := (c, r) :: !runs;
+            r
       in
-      let run cell =
+      (* A matrix cell, audited on its own. *)
+      let audited cell =
         let side_effect = ref None in
         let compile_observer ~meth ~before ~after =
           if !side_effect = None then
-            match Workloads.Observables.diff before after with
-            | None -> ()
-            | Some diff ->
-                side_effect :=
-                  Some
-                    (Inspection_side_effect
-                       {
-                         cell;
-                         meth = meth.Vm.Classfile.method_name;
-                         diff;
-                       })
+            side_effect :=
+              Option.map
+                (fun diff ->
+                  Inspection_side_effect
+                    { cell; meth = meth.Vm.Classfile.method_name; diff })
+                (Workloads.Observables.diff before after)
         in
-        match
-          Workloads.Harness.run ~opts ~standard_passes:cell.standard_passes
-            ~compile_observer ?tweak_options ~capture_observables:true
-            ~mode:cell.mode ~machine:cell.machine workload
-        with
+        match shared ~compile_observer (plain cell) with
         | exception Jit.Pipeline.Verification_failed
             { pass_name; method_name; message } ->
-            Error
-              (Lint_violation
-                 {
-                   cell;
-                   meth = method_name;
-                   message = Printf.sprintf "after pass %s: %s" pass_name message;
-                 })
-        | exception e ->
-            Error (Crash { cell; message = Printexc.to_string e })
-        | r -> (
-            match !side_effect with
-            | Some f -> Error f
-            | None ->
-                if r.faulting_prefetches > 0 then
-                  Error
-                    (Faulting_prefetch
-                       { cell; count = r.faulting_prefetches })
-                else (
-                  match stats_invariants cell r with
-                  | Some f -> Error f
-                  | None -> (
-                      match lint_failure ~opts cell r with
-                      | Some f -> Error f
-                      | None -> Ok r)))
+            let message =
+              Printf.sprintf "after pass %s: %s" pass_name message
+            in
+            fail (Lint_violation { cell; meth = method_name; message })
+        | exception e -> fail (Crash { cell; message = Printexc.to_string e })
+        | r ->
+            fail_if !side_effect;
+            if r.faulting_prefetches > 0 then
+              fail (Faulting_prefetch { cell; count = r.faulting_prefetches });
+            fail_if (stats_invariants cell r);
+            fail_if (lint_failure cell r);
+            r
       in
-      match cells with
-      | [] -> Pass { cells_run = 0 }
-      | baseline_cell :: rest -> (
-          match run baseline_cell with
-          | Error f -> Fail f
-          | Ok baseline ->
-              let compare_to_baseline cell (r : Workloads.Harness.run_result)
-                  =
-                if r.output <> baseline.output then
-                  Some
-                    (Output_divergence
-                       {
-                         cell;
-                         baseline_output = baseline.output;
-                         output = r.output;
-                       })
-                else
-                  match (baseline.observables, r.observables) with
-                  | Some a, Some b -> (
-                      match Workloads.Observables.diff a b with
-                      | None -> None
-                      | Some diff -> Some (Heap_divergence { cell; diff }))
-                  | _ -> None
-              in
-              let rec loop n = function
-                | [] -> (
-                    (* Differential matrix clean: append the telemetry
-                       observer-effect pair, the switch-vs-closure
-                       engine pair, the hardware-model triple, the
-                       prediction-tier triple, then the monitored twin
-                       pair. *)
-                    match telemetry_crosscheck ~opts ?tweak_options workload with
-                    | Some f -> Fail f
-                    | None -> (
-                        match
-                          engine_crosscheck ~opts ?tweak_options workload
-                        with
-                        | Some f -> Fail f
-                        | None -> (
-                            match
-                              hw_crosscheck ~opts ?tweak_options workload
-                            with
-                            | Some f -> Fail f
-                            | None -> (
-                                match
-                                  prediction_crosscheck ~opts ?tweak_options
-                                    workload
-                                with
-                                | Some f -> Fail f
-                                | None -> (
-                                    match
-                                      monitor_crosscheck ~opts ?tweak_options
-                                        workload
-                                    with
-                                    | Some f -> Fail f
-                                    | None -> Pass { cells_run = n + 12 })))))
-                | cell :: cells -> (
-                    match run cell with
-                    | Error f -> Fail f
-                    | Ok r -> (
-                        match compare_to_baseline cell r with
-                        | Some f -> Fail f
-                        | None -> loop (n + 1) cells))
-              in
-              loop 1 rest))
+      try
+        let baseline = audited (List.hd cells) in
+        List.iter
+          (fun cell ->
+            let r = audited cell in
+            if r.output <> baseline.output then
+              fail
+                (Output_divergence
+                   {
+                     cell;
+                     baseline_output = baseline.output;
+                     output = r.output;
+                   });
+            match (baseline.observables, r.observables) with
+            | Some a, Some b ->
+                Option.iter
+                  (fun diff -> fail (Heap_divergence { cell; diff }))
+                  (Workloads.Observables.diff a b)
+            | _ -> ())
+          (List.tl cells);
+        let reference =
+          try shared headline
+          with e ->
+            let message = Printexc.to_string e in
+            fail (Crash { cell = headline.cell; message })
+        in
+        List.iter
+          (fun row ->
+            List.iter
+              (fun (label, c) ->
+                if c <> headline then begin
+                  let fail_with msg = fail (row.fail c.cell label msg) in
+                  match shared c with
+                  | exception e ->
+                      fail_with
+                        (Printf.sprintf "the %s run crashed: %s" label
+                           (Printexc.to_string e))
+                  | r ->
+                      Option.iter fail_with (row.relation reference r);
+                      Option.iter fail_with (row.law r)
+                end)
+              row.variants)
+          (rows ~faults);
+        Pass { cells_run = List.length !runs }
+      with Failed f -> Fail f)

@@ -52,17 +52,17 @@ type failure =
           or the profiler's cycle bins did not sum to the run's cycle
           count *)
   | Engine_divergence of { cell : cell; message : string }
-      (** the switch and closure-compiled engines disagreed on the same
-          program — output, cycles, a core stats counter, a VM-side
-          counter (GC count, methods compiled, fault/guard trips), the
-          reachable heap, or their crash behaviour. Bit-identity across
-          engines is their contract (lib/vm/engine.ml); crashing runs
-          are compared on the crash alone, never on post-crash stats *)
+      (** the switch engine disagreed with the closure-compiled reference
+          on the same program — output, cycles, a core stats counter, a
+          VM-side counter (GC count, methods compiled, fault/guard
+          trips), the reachable heap — or crashed where it completed.
+          Bit-identity across engines is their contract
+          (lib/vm/engine.ml) *)
   | Hw_divergence of { cell : cell; hw : string; message : string }
       (** a hardware-prefetcher model ([hw] is its spec string, e.g.
           ["rpt:64x2@4"]) perturbed the architectural state: the headline
-          configuration re-run under hw=none, the stream unit and the
-          RPT unit must agree on program output and the
+          configuration re-run under hw=none and the RPT unit must agree
+          with the stream-unit reference on program output and the
           statics-reachable heap — the hardware prefetcher may only move
           cycles and memory-system counters *)
   | Prediction_divergence of { cell : cell; tier : string; message : string }
@@ -95,41 +95,26 @@ type verdict = Pass of { cells_run : int } | Fail of failure
 val describe : failure -> string
 (** Multi-line human-readable rendering, used in fuzzing reports. *)
 
+val class_name : failure -> string
+(** The constructor as a short tag (["crash"], ["engine"], ...): two
+    failures of the same class share it. *)
+
+val runs_per_program : cell list -> int
+(** How many runs {!check} makes on a program that passes: one per
+    distinct configuration among [cells], the headline reference and
+    the row variants. 19 for {!default_cells}. *)
+
 val check :
   ?cells:cell list ->
-  ?tweak_options:(Vm.Interp.options -> Vm.Interp.options) ->
-  ?tweak_prefetch:(Strideprefetch.Options.t -> Strideprefetch.Options.t) ->
+  ?faults:Vm.Fault.t list ->
   source:string ->
   heap_limit_bytes:int ->
   unit ->
   verdict
-(** Compile [source] once (to reject front-end failures early), then run
-    each cell and compare to the first. Once the whole differential
-    matrix is clean, one extra pair is run at the headline configuration
-    (inter+intra / pipeline / pentium4), plain vs
-    [~telemetry:true ~profile:true], and compared bit-for-bit on output,
-    cycles and every core stats counter, with the attribution and
-    profiler conservation laws checked on the observed twin — the
-    observer-effect check. A second extra pair then re-runs the headline
-    configuration on the reference switch engine vs the closure-compiled
-    engine and demands bit-identity (output, cycles, every core and
-    VM-side counter, the reachable heap; crashes must match exactly and
-    are compared on the crash alone). Finally the headline configuration
-    is re-run under each hardware prefetch model (none / stream / RPT)
-    and the three runs must agree on program output and reachable heap —
-    the hardware co-simulation axis. Last, the headline configuration is
-    re-run under the [Static] and [Hybrid] prediction tiers, which must
-    reproduce the inspect-tier output and reachable heap with no
-    faulting prefetches — the prediction-crosscheck axis. Finally the
-    headline configuration is re-run with the live windowed monitor
-    armed (4096-cycle windows) and must be bit-identical to its plain
-    twin, with window books that sum back to the run totals — the
-    monitor-crosscheck axis. The three pairs and two triples count 12
-    toward [cells_run]. [tweak_options] edits the
-    interpreter options in every cell — the hook the self-test uses to
-    inject faults (e.g. [unguarded_spec_loads]) and prove the oracle
-    catches them. [tweak_prefetch] likewise edits the prefetch-pass
-    options (each cell's mode still overrides the [mode] field) — e.g.
-    setting [fault_skip_guard_dominance] to prove the lint cell catches
-    a guard-dominance miscompile that is invisible to every differential
-    check. *)
+(** Compile [source] once (to reject front-end failures early), run each
+    cell, audit it and compare it to the first, then run the cross-check
+    rows against the headline configuration (inter+intra / pipeline /
+    pentium4) — the table in EXPERIMENTS.md, "Fuzzing & reproducing
+    failures". The first failure is the verdict; [cells_run] counts the
+    runs made. [faults] (default none) are injected into every run, to
+    prove the check each one targets is live. *)

@@ -60,7 +60,7 @@ val splice_of_action :
   ?fault_skip_guard:bool -> guarded:bool -> action -> Vm.Bytecode.instr list
 (** The pseudo-instruction sequence one action splices after its anchor.
     [fault_skip_guard] (default false) injects the guard-dominance
-    miscompile of {!Options.t.fault_skip_guard_dominance}: the
+    miscompile of {!Vm.Fault.Skip_guard_dominance}: the
     dereference prefetches are emitted {e before} their [spec_load]. *)
 
 val apply :

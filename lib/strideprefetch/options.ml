@@ -67,22 +67,9 @@ type t = {
           raise on violation. Cheap — the checks are O(sites + pcs) once
           per run — but off by default so library users decide how
           violations surface. *)
-  fault_skip_guard_dominance : bool;
-      (** fault injection for the analysis layer: emit a deref splice's
-          [prefetch_indirect]s {e before} their [spec_load] guard. The
-          miscompile is runtime-benign (the register still holds its
-          initial null, so the indirect prefetches are no-ops) but must
-          be caught statically by the spec-def-use / guard-dominance
-          checkers. Never enable outside lint self-tests. *)
   prediction : prediction_tier;
       (** stride-prediction source; [Inspect] (the default) is the paper's
           configuration and leaves compilation bit-identical to PR 7 *)
-  fault_prediction_desync : bool;
-      (** fault injection for the prediction crosscheck: when a method is
-          rewritten under a non-[Inspect] tier, prepend an observable
-          [Iconst; Print] pair to its body so static/hybrid output diverges
-          from inspect-mode output. Only the oracle's prediction_crosscheck
-          can catch it. Never enable outside fuzz self-tests. *)
 }
 
 let default =
@@ -102,9 +89,7 @@ let default =
     enable_phased = false;
     phased_min_fraction = 0.2;
     check_invariants = false;
-    fault_skip_guard_dominance = false;
     prediction = Inspect;
-    fault_prediction_desync = false;
   }
 
 let with_mode mode t = { t with mode }

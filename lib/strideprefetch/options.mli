@@ -63,20 +63,9 @@ type t = {
           profiler: binned cycles reconstruct [Stats.cycles] exactly) and
           raise {!Workloads.Harness.Invariant_violation} on a breach.
           Cheap (O(sites + pcs) once per run); off by default. *)
-  fault_skip_guard_dominance : bool;
-      (** fault injection for the analysis layer: emit a deref splice's
-          [prefetch_indirect]s {e before} their [spec_load] guard — a
-          runtime-benign miscompile the spec-def-use / guard-dominance
-          checkers must catch. Never enable outside lint self-tests. *)
   prediction : prediction_tier;
       (** stride-prediction source; [Inspect] (the default) is the paper's
           configuration and leaves compilation bit-identical to PR 7 *)
-  fault_prediction_desync : bool;
-      (** fault injection for the prediction crosscheck: when a method is
-          rewritten under a non-[Inspect] tier, prepend an observable
-          [Iconst; Print] pair to its body so static/hybrid output diverges
-          from inspect-mode output. Only the oracle's prediction_crosscheck
-          can catch it. Never enable outside fuzz self-tests. *)
 }
 
 val default : t

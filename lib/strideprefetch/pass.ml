@@ -190,7 +190,7 @@ let process ?registry ?sink ?predictor ~opts ~interp ~(meth : C.method_info)
     let forest = Jit.Loops.analyze cfg in
     if forest.roots = [] then []
     else begin
-      let machine = (Vm.Interp.options interp).machine in
+      let { Vm.Interp.machine; faults; _ } = Vm.Interp.options interp in
       let infos =
         Jit.Stack_model.analyze code ~arity:meth.arity
           ~callee_arity:(fun m -> (C.method_of_id program m).arity)
@@ -409,12 +409,14 @@ let process ?registry ?sink ?predictor ~opts ~interp ~(meth : C.method_info)
         let guarded = Options.use_guarded opts machine in
         meth.code <-
           Codegen.apply
-            ~fault_skip_guard:opts.fault_skip_guard_dominance ~guarded code
+            ~fault_skip_guard:(List.mem Vm.Fault.Skip_guard_dominance faults)
+            ~guarded code
             !plans;
         meth.n_pref_regs <- !next_reg
       end;
       if
-        rewrite && opts.fault_prediction_desync
+        rewrite
+        && List.mem Vm.Fault.Prediction_desync faults
         && opts.prediction <> Options.Inspect
       then meth.code <- Predict.inject_desync meth.code;
       List.rev !reports

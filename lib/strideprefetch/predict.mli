@@ -149,5 +149,5 @@ val render_table : (string * score) list -> string
 
 val inject_desync : Vm.Bytecode.instr array -> Vm.Bytecode.instr array
 (** Prepend an observable [Iconst 9001; Print] pair, shifting every branch
-    target past the new prefix — the [fault_prediction_desync] miscompile
+    target past the new prefix — the {!Vm.Fault.Prediction_desync} miscompile
     only the oracle's prediction crosscheck can catch. *)

@@ -198,7 +198,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
   (* [Goto] is where the fuzz oracle's engine-desync fault injection
      lands: one extra retired instruction per executed goto, visible only
      in the full-stats cross-engine diff. *)
-  let goto_retired = if t.opts.fault_engine_desync then 2 else 1 in
+  let goto_retired = if t.engine_desync then 2 else 1 in
 
   (* ---- plain variant: all observers off at compile time ----
 
@@ -578,7 +578,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           end;
           next frame
     | Spec_load { site; distance; reg } ->
-        let unguarded = t.opts.unguarded_spec_loads in
+        let unguarded = t.unguarded_spec_loads in
         fun frame ->
           let anchor = frame.site_addr.(site) in
           if anchor >= 0 then begin
@@ -1420,7 +1420,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           next frame
     | Spec_load { site; distance; reg } ->
         let extra = max 0 (machine.guarded_load_cost - base_cost) in
-        let unguarded = t.opts.unguarded_spec_loads in
+        let unguarded = t.unguarded_spec_loads in
         fun frame ->
           pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
           charge t frame extra;

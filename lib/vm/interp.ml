@@ -24,11 +24,8 @@ type options = State.options = {
   gc_cycles_per_live : int;
   gc_cycles_per_dead : int;
   max_steps : int;
-  unguarded_spec_loads : bool;
   engine : engine;
-  fault_engine_desync : bool;
-  fault_hw_desync : bool;
-  fault_monitor_desync : bool;
+  faults : Fault.t list;
 }
 
 let default_options = State.default_options
@@ -331,11 +328,11 @@ let exec_switch (t : t) (frame : Frame.t) =
                 (* The guard: a speculative load whose address fell outside
                    every live object yields Null instead of faulting
                    (Section 3.3's "loads guarded by software exception
-                   checks"). [unguarded_spec_loads] disables the guard to
-                   let the fuzzing oracle prove it would catch the
-                   resulting fault. *)
+                   checks"). [Fault.Unguarded_spec_loads] disables the
+                   guard to let the fuzzing oracle prove it would catch
+                   the resulting fault. *)
                 t.spec_guard_trips <- t.spec_guard_trips + 1;
-                if t.opts.unguarded_spec_loads then begin
+                if t.unguarded_spec_loads then begin
                   t.faulting_prefetches <- t.faulting_prefetches + 1;
                   vm_error
                     "unguarded spec_load faulted at address 0x%x in %s" addr

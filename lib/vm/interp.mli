@@ -40,33 +40,12 @@ type options = {
   gc_cycles_per_live : int;
   gc_cycles_per_dead : int;
   max_steps : int;  (** step budget; {!Budget_exhausted} when exceeded *)
-  unguarded_spec_loads : bool;
-      (** fault-injection knob for the differential fuzzing oracle: when
-          true, a [Spec_load] whose address falls outside every live
-          object raises {!Vm_error} (a simulated segfault) instead of
-          being caught by the guard and yielding [Null]. Default [false];
-          the paper's spec_load is guarded and never faults
-          (Section 3.3). *)
   engine : engine;  (** which engine {!create} wires; default [Closure] *)
-  fault_engine_desync : bool;
-      (** fault-injection knob for the fuzz oracle's engine axis: when
-          true the closure engine retires one extra instruction per
-          executed [Goto], desynchronizing it from the switch reference
-          in a way only the full-stats cross-engine diff can see.
-          Default [false]. *)
-  fault_hw_desync : bool;
-      (** fault-injection knob for the fuzz oracle's hardware-prefetcher
-          axis: when true, a run on a machine shipping the RPT model
-          appends a sentinel line to program output at end of run — an
-          architectural divergence only the {none,stream,rpt} HW
-          cross-check can see. Default [false]. *)
-  fault_monitor_desync : bool;
-      (** fault-injection knob for the fuzz oracle's monitor axis: when
-          true every window-boundary fire charges one extra simulated
-          cycle, making the monitor an observer that participates — the
-          exact defect the monitor observer-effect cross-check (plain vs
-          monitored run at equal cycles) exists to catch. Default
-          [false]. *)
+  faults : Fault.t list;
+      (** injected self-test faults (see {!Fault}); default [[]]. The VM
+          acts on the engine, hw, monitor and unguarded-spec-load faults;
+          the prefetch pass reads [Skip_guard_dominance] and
+          [Prediction_desync] from here too. *)
 }
 
 val default_options : Memsim.Config.machine -> options

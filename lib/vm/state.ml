@@ -30,30 +30,11 @@ type options = {
   gc_cycles_per_live : int;
   gc_cycles_per_dead : int;
   max_steps : int;
-  unguarded_spec_loads : bool;
   engine : engine;
       (** which execution engine [Interp.create] wires; [Closure] is the
           default — the switch engine is kept as the differential
           reference *)
-  fault_engine_desync : bool;
-      (** fault-injection knob for the fuzz oracle's engine axis: when
-          true the {e closure} engine retires one extra instruction per
-          executed [Goto] — cycles, output and heap stay identical, so
-          only the oracle's full-stats engine diff can catch it. Proves
-          the engine cross-check adds real coverage. *)
-  fault_hw_desync : bool;
-      (** fault-injection knob for the fuzz oracle's hardware-prefetcher
-          axis: when true, a run whose machine ships the RPT model
-          appends a sentinel line to program output at end of run — an
-          architectural divergence only the {none,stream,rpt} HW
-          cross-check can catch. Proves that axis adds real coverage. *)
-  fault_monitor_desync : bool;
-      (** fault-injection knob for the fuzz oracle's monitor axis: when
-          true every window-boundary fire charges one extra simulated
-          cycle — the observer participating in the simulation, which is
-          exactly what the monitor observer-effect cross-check (plain vs
-          monitored run) exists to forbid. Proves that axis adds real
-          coverage. *)
+  faults : Fault.t list;  (** injected self-test faults; [] by default *)
 }
 
 let default_options machine =
@@ -65,11 +46,8 @@ let default_options machine =
     gc_cycles_per_live = 10;
     gc_cycles_per_dead = 2;
     max_steps = 2_000_000_000;
-    unguarded_spec_loads = false;
     engine = Closure;
-    fault_engine_desync = false;
-    fault_hw_desync = false;
-    fault_monitor_desync = false;
+    faults = [];
   }
 
 (* Telemetry wiring, bundled so the disabled state is a single [None]
@@ -132,6 +110,12 @@ type t = {
           [charge]/[retire] can update it without re-fetching it from the
           hierarchy on every instruction. *)
   opts : options;
+  unguarded_spec_loads : bool;
+  engine_desync : bool;
+  monitor_desync : bool;
+      (** membership of [opts.faults], derived once at [make] so the
+          per-instruction and per-window paths test a bool, never walk
+          the list *)
   globals : Value.t array;
   out : Buffer.t;
   pool_frames : Frame.t array array;
@@ -231,6 +215,9 @@ let make ?options machine program =
     mem;
     stats = Memsim.Hierarchy.stats mem;
     opts;
+    unguarded_spec_loads = List.mem Fault.Unguarded_spec_loads opts.faults;
+    engine_desync = List.mem Fault.Engine_desync opts.faults;
+    monitor_desync = List.mem Fault.Monitor_desync opts.faults;
     globals = Array.make (max 1 (Array.length program.statics)) Value.Null;
     out = Buffer.create 256;
     pool_frames = Array.make (max 1 (Array.length program.methods)) [||];
@@ -346,7 +333,7 @@ let[@inline never] mon_fire t (m : monitor) =
   while t.stats.cycles >= m.next_boundary do
     let boundary = m.next_boundary in
     m.next_boundary <- boundary + m.window_cycles;
-    if t.opts.fault_monitor_desync then t.stats.cycles <- t.stats.cycles + 1;
+    if t.monitor_desync then t.stats.cycles <- t.stats.cycles + 1;
     m.on_window ~boundary
   done
 
@@ -698,11 +685,10 @@ let call t (m : Classfile.method_info) args =
 let run t =
   let entry = Classfile.method_of_id t.program t.program.entry in
   let result = call t entry (Array.make entry.arity Value.Null) in
-  (* Fuzz fault injection for the HW-prefetcher oracle axis: an
-     architectural observable (program output) that depends on which
-     hardware prefetcher model the machine ships — exactly the
-     divergence the {none,stream,rpt} cross-check exists to catch. *)
-  (if t.opts.fault_hw_desync then
+  (* [Fault.Hw_desync]: an architectural observable (program output)
+     that depends on which hardware prefetcher model the machine ships —
+     exactly the divergence the oracle's hw row exists to catch. *)
+  (if List.mem Fault.Hw_desync t.opts.faults then
      match t.opts.machine.hw_prefetch with
      | Memsim.Config.Hw_rpt _ -> Buffer.add_string t.out "<hw-desync>\n"
      | Memsim.Config.Hw_none | Memsim.Config.Hw_stream _ -> ());

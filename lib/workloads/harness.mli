@@ -79,8 +79,8 @@ val run :
     JIT compilation with bit-identical [`All]-scope snapshots taken
     before and after — the hook the side-effect-freedom tests use to
     prove object inspection leaves the heap and statics untouched.
-    [tweak_options] edits the interpreter options (e.g. the
-    [unguarded_spec_loads] fault-injection knob). [engine] selects the
+    [tweak_options] edits the interpreter options (e.g. [max_steps], or
+    the injected [faults] of a self-test). [engine] selects the
     execution engine (default: the interpreter default, [Closure]);
     applied before [tweak_options], which can still override it.
     [capture_observables]

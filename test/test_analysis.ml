@@ -427,11 +427,10 @@ let test_verify_each_pass_mode () =
        message);
   (* injected miscompile: the verifier aborts compilation naming the
      offending pass *)
-  let opts =
-    { SP.Options.default with SP.Options.fault_skip_guard_dominance = true }
-  in
   match
-    Workloads.Harness.run ~opts ~verify_each_pass:true
+    Workloads.Harness.run ~verify_each_pass:true
+      ~tweak_options:(fun o ->
+        { o with Vm.Interp.faults = [ Vm.Fault.Skip_guard_dominance ] })
       ~mode:SP.Options.Inter_intra ~machine:Memsim.Config.pentium4
       quickstart_workload
   with
@@ -472,8 +471,7 @@ let test_oracle_lint_cell_catches_injection () =
      behaviour is unchanged) reports the miscompile *)
   match
     Fuzz.Oracle.check ~cells:lint_cells
-      ~tweak_prefetch:(fun o ->
-        { o with SP.Options.fault_skip_guard_dominance = true })
+      ~faults:[ Vm.Fault.Skip_guard_dominance ]
       ~source:Test_strideprefetch.quickstart_source
       ~heap_limit_bytes:(64 * 1024 * 1024) ()
   with
@@ -786,8 +784,7 @@ let test_prediction_desync_injection () =
      at the inspect tier, so only the prediction crosscheck can see it *)
   let _, verdict =
     Fuzz.Driver.check_seed
-      ~tweak_prefetch:(fun o ->
-        { o with SP.Options.fault_prediction_desync = true })
+      ~faults:[ Vm.Fault.Prediction_desync ]
       ~seed:1 ~max_size:8 ()
   in
   match verdict with

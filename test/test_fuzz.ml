@@ -65,12 +65,19 @@ let test_oracle_accepts_clean_programs () =
       Alcotest.failf "unexpected finding at seed %d: %s" f.Fuzz.Driver.seed
         (Fuzz.Oracle.describe f.Fuzz.Driver.failure));
   Alcotest.(check int) "all programs ran" 8 campaign.Fuzz.Driver.programs_run;
-  (* 12 matrix cells + the telemetry/profile pair + the engine pair +
-     the hardware-model triple + the prediction-tier triple. *)
-  Alcotest.(check int) "full matrix" 22 campaign.Fuzz.Driver.cells_per_program
+  (* 12 matrix cells + telemetry/profile + switch engine + hw none and
+     rpt + static and hybrid tiers + monitor: the headline variants of
+     the hw and prediction rows are the matrix cell itself. *)
+  Alcotest.(check int) "one run per configuration" 19
+    campaign.Fuzz.Driver.cells_per_program;
+  let _, verdict = Fuzz.Driver.check_seed ~seed:301 ~max_size:6 () in
+  match verdict with
+  | Fuzz.Oracle.Pass { cells_run } ->
+      Alcotest.(check int) "runs made = runs planned"
+        campaign.Fuzz.Driver.cells_per_program cells_run
+  | Fuzz.Oracle.Fail f -> Alcotest.fail (Fuzz.Oracle.describe f)
 
-let unguarded (o : Vm.Interp.options) =
-  { o with Vm.Interp.unguarded_spec_loads = true }
+let unguarded = [ Vm.Fault.Unguarded_spec_loads ]
 
 (* Seed 111 generates an array walk whose q.next.v chain gets a spec_load
    whose guard trips near the heap frontier — the canonical victim for the
@@ -79,7 +86,7 @@ let injection_seed = 111
 
 let test_injected_fault_is_caught_and_shrunk () =
   let campaign =
-    Fuzz.Driver.run ~tweak_options:unguarded ~campaign_seed:injection_seed
+    Fuzz.Driver.run ~faults:unguarded ~campaign_seed:injection_seed
       ~count:1 ~max_size:8 ()
   in
   match campaign.Fuzz.Driver.findings with
@@ -111,7 +118,7 @@ let test_injected_fault_is_caught_and_shrunk () =
                 (Minijava.Compile.string_of_error e));
           let g = Fuzz.Gen.generate ~seed:injection_seed ~max_size:8 in
           (match
-             Fuzz.Oracle.check ~tweak_options:unguarded
+             Fuzz.Oracle.check ~faults:unguarded
                ~source:s.Fuzz.Shrink.source
                ~heap_limit_bytes:g.Fuzz.Gen.heap_limit_bytes ()
            with
@@ -141,7 +148,7 @@ let test_replay_protocol () =
      the exact failing program — the published replay protocol *)
   let campaign_seed = injection_seed - 2 in
   let campaign =
-    Fuzz.Driver.run ~tweak_options:unguarded ~shrink:false ~campaign_seed
+    Fuzz.Driver.run ~faults:unguarded ~shrink:false ~campaign_seed
       ~count:3 ~max_size:8 ()
   in
   Alcotest.(check bool) "the injected fault produced a finding" true
@@ -155,6 +162,56 @@ let test_replay_protocol () =
       Alcotest.(check string) "replay reproduces the program"
         f.Fuzz.Driver.source (Fuzz.Gen.source g))
     campaign.Fuzz.Driver.findings
+
+(* The class each fault must be reported as: its row in the oracle's
+   cross-check table, or the matrix check that catches it. *)
+let fault_classes =
+  Vm.Fault.
+    [
+      (Unguarded_spec_loads, "crash");
+      (Skip_guard_dominance, "lint");
+      (Engine_desync, "engine");
+      (Hw_desync, "hw");
+      (Prediction_desync, "prediction");
+      (Monitor_desync, "monitor");
+      (Diff_desync, "diff");
+    ]
+
+(* Without faults the same program passes: see
+   [test_injection_seed_is_clean_without_fault]. *)
+let test_every_fault_caught_in_its_class () =
+  List.iter
+    (fun fault ->
+      let name = Vm.Fault.name fault in
+      let _, verdict =
+        Fuzz.Driver.check_seed ~faults:[ fault ] ~seed:injection_seed
+          ~max_size:8 ()
+      in
+      match (verdict, List.assoc_opt fault fault_classes) with
+      | _, None -> Alcotest.failf "%s has no expected class" name
+      | Fuzz.Oracle.Pass _, _ -> Alcotest.failf "%s went undetected" name
+      | Fuzz.Oracle.Fail f, Some expected ->
+          Alcotest.(check string)
+            (name ^ " is reported in its row's class")
+            expected (Fuzz.Oracle.class_name f))
+    Vm.Fault.all
+
+let test_replay_names_the_fault () =
+  let campaign =
+    Fuzz.Driver.run ~faults:[ Vm.Fault.Engine_desync ] ~shrink:false
+      ~campaign_seed:injection_seed ~count:1 ~max_size:6 ()
+  in
+  match campaign.Fuzz.Driver.findings with
+  | [ f ] ->
+      let printed = Format.asprintf "%a" Fuzz.Driver.pp_finding f in
+      Alcotest.(check string) "replay command"
+        (Printf.sprintf
+           "spf_fuzz --seed %d --count 1 --max-size 6 --inject engine-desync"
+           injection_seed)
+        (Fuzz.Driver.replay f);
+      Alcotest.(check bool) "the report prints it" true
+        (Helpers.contains printed (Fuzz.Driver.replay f))
+  | l -> Alcotest.failf "expected exactly 1 finding, got %d" (List.length l)
 
 let test_shrink_terminates_and_decreases () =
   (* with an always-failing predicate the shrinker drives any program to a
@@ -182,7 +239,10 @@ let suite =
      test_injection_seed_is_clean_without_fault);
     ("oracle: injected fault caught and shrunk", `Slow,
      test_injected_fault_is_caught_and_shrunk);
+    ("oracle: every fault caught in its class", `Slow,
+     test_every_fault_caught_in_its_class);
     ("driver: replay protocol", `Quick, test_replay_protocol);
+    ("driver: replay names the fault", `Quick, test_replay_names_the_fault);
     ("shrink: terminates at a compiling minimum", `Quick,
      test_shrink_terminates_and_decreases);
   ]
