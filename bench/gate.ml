@@ -16,34 +16,19 @@
      must pass (asserted by test/test_bench_gate.ml). *)
 
 module J = Telemetry.Json
+module R = Workloads.Run_config
+
+let schema = "bench_hotpath/v2"
 
 type cell_rec = {
   workload : string;
-  machine : string;
-  mode : string;
-  engine : string;
-      (** "closure" when the field is absent: reports written before the
-          dispatch lane existed timed the only engine there was, and its
-          cells keep matching the closure cells of newer reports —
-          wall-clock across that boundary is compared under the reset
-          protocol in BENCH_history/README.md *)
+  config : R.t;
   telemetry : bool;
   profile : bool;
   monitor : bool;
       (** the live windowed monitor was armed; [false] when the field is
           absent — reports written before the monitor existed have no
           monitored twins, and their plain cells keep matching *)
-  hw : string;
-      (** hardware prefetch model spec; "stream:8" (the default) when
-          the field is absent — reports written before the RPT
-          co-simulation existed ran the only model there was, and their
-          cells keep matching the default cells of newer reports *)
-  sw_threshold : int option;
-      (** SW inter-stride threshold override of an arbitration-sweep
-          cell; [None] (paper default) for canonical-matrix cells *)
-  prediction : string option;
-      (** prediction tier of a prediction-sweep cell; [None] (the
-          dynamic-inspection default) for canonical-matrix cells *)
   blame : J.t option;
       (** compact per-loop blame payload of a profiled cell (raw JSON,
           ingested by [Diff.Rundata.of_bench_blame] when the gate needs
@@ -60,27 +45,30 @@ type run = {
   cells : cell_rec list;
 }
 
-let default_hw =
-  Memsim.Config.hw_prefetch_to_string Memsim.Config.default_stream
+let axis_fields =
+  R.
+    [
+      (Machine, "machine");
+      (Mode, "mode");
+      (Engine, "engine");
+      (Hw, "hw_prefetch");
+      (Threshold, "sw_threshold");
+      (Prediction, "prediction");
+      (Passes, "passes");
+    ]
 
 let cell_key c =
-  Printf.sprintf "%s/%s/%s%s%s%s%s%s%s%s" c.workload c.machine c.mode
-    (if c.telemetry then "/telemetry" else "")
-    (if c.profile then "/profile" else "")
-    (if c.monitor then "/monitor" else "")
-    (if c.engine = "closure" then "" else "/" ^ c.engine ^ "-engine")
-    (if c.hw = default_hw then "" else "/hw=" ^ c.hw)
-    (match c.sw_threshold with
-    | None -> ""
-    | Some t -> Printf.sprintf "/thr=%d" t)
-    (match c.prediction with
-    | None -> ""
-    | Some p -> "/pred=" ^ p)
+  Runner.key ~workload:c.workload ~telemetry:c.telemetry ~profile:c.profile
+    ~monitor:c.monitor c.config
 
 (* ------------------------------------------------------------------ *)
 (* Lenient report reader: any schema loads (so a mismatch can be reported
-   with both names); missing booleans default to false (v1 reports have
-   no "profile" field), but a cell without workload/cycles is an error. *)
+   with both names); a missing observer flag or axis field reads as off
+   or as the default — what reports written before the field existed
+   ran (the engine before the dispatch lane was closure, the hardware
+   model before RPT was stream:8) — so their cells keep matching newer
+   ones. A cell without workload/machine/mode/seconds/cycles, or with a
+   value no axis parser accepts, is an error. *)
 
 let mem_str k j = Option.bind (J.member k j) J.to_string_opt
 
@@ -100,41 +88,45 @@ let mem_float k j =
   | _ -> None
 
 let cell_of_json ~label i j =
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> Error (Printf.sprintf "%s: cells[%d]: %s" label i m))
+      fmt
+  in
   let req name = function
     | Some v -> Ok v
-    | None ->
-        Error (Printf.sprintf "%s: cells[%d]: missing or ill-typed %S" label i name)
+    | None -> fail "missing or ill-typed %S" name
   in
-  match
-    ( req "workload" (mem_str "workload" j),
-      req "machine" (mem_str "machine" j),
-      req "mode" (mem_str "mode" j),
-      req "seconds" (mem_float "seconds" j),
-      req "cycles" (mem_int "cycles" j) )
-  with
-  | Ok workload, Ok machine, Ok mode, Ok seconds, Ok cycles ->
-      Ok
-        {
-          workload;
-          machine;
-          mode;
-          engine = Option.value ~default:"closure" (mem_str "engine" j);
-          telemetry = Option.value ~default:false (mem_bool "telemetry" j);
-          profile = Option.value ~default:false (mem_bool "profile" j);
-          monitor = Option.value ~default:false (mem_bool "monitor" j);
-          hw = Option.value ~default:default_hw (mem_str "hw_prefetch" j);
-          sw_threshold = mem_int "sw_threshold" j;
-          prediction = mem_str "prediction" j;
-          blame = J.member "blame" j;
-          seconds;
-          cycles;
-        }
-  | (Error _ as e), _, _, _, _
-  | _, (Error _ as e), _, _, _
-  | _, _, (Error _ as e), _, _
-  | _, _, _, (Error _ as e), _
-  | _, _, _, _, (Error _ as e) ->
-      e
+  let axis acc (ax, field) =
+    Result.bind acc (fun c ->
+        match J.member field j with
+        | None when ax <> R.Machine && ax <> R.Mode -> Ok c
+        | Some (J.Str v) -> (
+            match R.parse ax v with
+            | Ok set -> Ok (set c)
+            | Error e -> fail "%s" e)
+        | Some (J.Int n) when ax = R.Threshold ->
+            Ok { c with R.threshold = Some n }
+        | Some (J.Bool b) when ax = R.Passes -> Ok { c with R.passes = b }
+        | _ -> fail "missing or ill-typed %S" field)
+  in
+  let ( let* ) = Result.bind in
+  let* workload = req "workload" (mem_str "workload" j) in
+  let* config = List.fold_left axis (Ok R.default) axis_fields in
+  let* seconds = req "seconds" (mem_float "seconds" j) in
+  let* cycles = req "cycles" (mem_int "cycles" j) in
+  let flag k = Option.value ~default:false (mem_bool k j) in
+  Ok
+    {
+      workload;
+      config;
+      telemetry = flag "telemetry";
+      profile = flag "profile";
+      monitor = flag "monitor";
+      blame = J.member "blame" j;
+      seconds;
+      cycles;
+    }
 
 let of_string ~label s =
   match J.parse s with
@@ -218,14 +210,14 @@ type comparison = {
 }
 
 let compare_runs ?(threshold = 0.05) ~(a : run) ~(b : run) () =
-  let expected = Report.schema in
-  if a.schema <> expected || b.schema <> expected then
+  if a.schema <> schema || b.schema <> schema then
     Error
       (Printf.sprintf
          "schema mismatch: the gate compares %S reports only, got %S vs %S \
-          (regenerate the older report with `dune exec bench/main.exe -- \
-          timings` or `spf_bench --record`)"
-         expected a.schema b.schema)
+          (regenerate the older report with `spf_bench --record PATH`: it \
+          records the whole canonical matrix, switch-engine twins and \
+          dispatch lane included)"
+         schema a.schema b.schema)
   else begin
     let index cells =
       let h = Hashtbl.create 64 in
@@ -300,33 +292,32 @@ let compare_runs ?(threshold = 0.05) ~(a : run) ~(b : run) () =
 let passes c = c.cycle_regressions = [] && not c.significant_slowdown
 let gate_exit c = if passes c then 0 else 1
 
-(* Per-report dispatch lane: geomean of switch/closure wall-clock over
-   the switch-engine twins and their plain closure cells. [None] when the
-   report has no dispatch lane (pre-lane baselines). *)
-let dispatch_geomean (r : run) =
-  let ratios =
-    List.filter_map
-      (fun s ->
-        if s.engine <> "switch" then None
-        else
-          List.find_opt
-            (fun c ->
-              c.engine = "closure" && (not c.telemetry) && (not c.profile)
-              && (not c.monitor)
-              && c.workload = s.workload && c.machine = s.machine
-              && c.mode = s.mode)
-            r.cells
-          |> Option.map (fun c -> (s.seconds, c.seconds)))
-      r.cells
-    |> List.filter (fun (s, c) -> s > 0.0 && c > 0.0)
+(* The dispatch lane: each switch-engine cell against the cell whose key
+   differs only in the engine — what closure compilation buys on the
+   host for the same simulation. *)
+let dispatch_pairs cells =
+  let closure_key s =
+    cell_key { s with config = { s.config with engine = Vm.Interp.Closure } }
   in
-  match ratios with
+  List.filter_map
+    (fun s ->
+      if s.config.engine = Vm.Interp.Closure then None
+      else
+        let twin = closure_key s in
+        match List.find_opt (fun c -> cell_key c = twin) cells with
+        | Some c when s.seconds > 0.0 && c.seconds > 0.0 -> Some (s, c)
+        | Some _ | None -> None)
+    cells
+
+let dispatch_geomean = function
   | [] -> None
-  | _ ->
+  | pairs ->
       Some
         (exp
-           (List.fold_left (fun acc (s, c) -> acc +. log (s /. c)) 0.0 ratios
-           /. float_of_int (List.length ratios)))
+           (List.fold_left
+              (fun acc (s, c) -> acc +. log (s.seconds /. c.seconds))
+              0.0 pairs
+           /. float_of_int (List.length pairs)))
 
 (* ------------------------------------------------------------------ *)
 

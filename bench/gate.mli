@@ -13,32 +13,20 @@
       interval clears the practical threshold (default +5%) fails, so
       same-host re-runs of an unchanged tree pass. *)
 
+val schema : string
+(** ["bench_hotpath/v2"]. v2 adds the per-cell ["profile"] flag (and so
+    changes what a cell key means); {!compare_runs} refuses to compare
+    reports whose schemas differ from this one. *)
+
 type cell_rec = {
   workload : string;
-  machine : string;
-  mode : string;
-  engine : string;
-      (** ["closure"] when the field is absent: pre-dispatch-lane reports
-          timed the only engine there was, and their cells keep matching
-          newer closure cells (see the wall-clock reset protocol in
-          BENCH_history/README.md) *)
+  config : Workloads.Run_config.t;
   telemetry : bool;
   profile : bool;
   monitor : bool;
       (** the live windowed monitor was armed; [false] when the field is
           absent — pre-monitor reports have no monitored twins, and
           their plain cells keep matching *)
-  hw : string;
-      (** hardware prefetch model spec (e.g. ["rpt:64x2@4"]);
-          ["stream:8"] — the default model — when the field is absent,
-          so pre-RPT reports keep matching newer default cells *)
-  sw_threshold : int option;
-      (** SW inter-stride threshold of an arbitration-sweep cell;
-          [None] (paper default, half a line) otherwise *)
-  prediction : string option;
-      (** prediction tier of a prediction-sweep cell; [None] (the
-          dynamic-inspection default) for canonical-matrix cells and for
-          reports written before the prediction lane existed *)
   blame : Telemetry.Json.t option;
       (** compact per-loop blame payload of a profiled cell, raw — fed
           to [Diff.Rundata.of_bench_blame] when a failing gate explains
@@ -56,23 +44,26 @@ type run = {
   cells : cell_rec list;
 }
 
-val default_hw : string
-(** Spec string of the default hardware model (["stream:8"]) — the value
-    [hw] takes when a report predates the field. *)
+val axis_fields : (Workloads.Run_config.axis * string) list
+(** The report field of each configuration axis: ["machine"],
+    ["mode"], ["engine"], ["hw_prefetch"], ["sw_threshold"],
+    ["prediction"], ["passes"]. The writer emits the first three always
+    and the rest only off their default; the reader parses each present
+    field with {!Workloads.Run_config.parse} and reads an absent one as
+    the default, so reports written before a field existed keep
+    matching newer default cells. *)
 
 val cell_key : cell_rec -> string
-(** ["workload/machine/mode"] with ["/telemetry"] / ["/profile"] /
-    ["/switch-engine"] / ["/hw=..."] / ["/thr=N"] suffixes — the
-    identity cells are matched on across reports (it deliberately
-    ignores [seconds], [cycles] and the report's [jobs]). The hw and
-    threshold suffixes appear only on non-default cells, so canonical
-    matrix keys are unchanged from pre-sweep reports. *)
+(** {!Runner.key}: the identity cells are matched on across reports (it
+    deliberately ignores [seconds], [cycles] and the report's [jobs]). *)
 
 val of_string : label:string -> string -> (run, string) result
 (** Parse a report. Lenient about schema (so {!compare_runs} can name both
-    schemas in its refusal) and about missing boolean fields, strict about
-    each cell's workload/machine/mode/seconds/cycles. [label] prefixes
-    error messages. *)
+    schemas in its refusal) and about missing observer and axis fields,
+    strict about each cell's workload/machine/mode/seconds/cycles and
+    about axis values: a cell naming an unknown machine or a malformed
+    hardware spec is an [Error] naming [cells[i]]. [label] prefixes error
+    messages. *)
 
 val load : string -> (run, string) result
 (** {!of_string} on a file's contents; I/O errors become [Error]. *)
@@ -98,8 +89,8 @@ type comparison = {
 val compare_runs :
   ?threshold:float -> a:run -> b:run -> unit -> (comparison, string) result
 (** Compare report [b] (new) against report [a] (baseline). Refuses with
-    [Error] when either schema differs from {!Report.schema} (the message
-    names both) or when the reports share no cell. [threshold] defaults
+    [Error] when either schema differs from {!schema} (the message names
+    both) or when the reports share no cell. [threshold] defaults
     to [0.05] (5% wall-clock). *)
 
 val passes : comparison -> bool
@@ -108,10 +99,14 @@ val passes : comparison -> bool
 val gate_exit : comparison -> int
 (** [0] when {!passes}, [1] otherwise. *)
 
-val dispatch_geomean : run -> float option
-(** The report's dispatch lane: geomean of switch/closure wall-clock
-    speedups over the switch-engine twins and their plain closure cells;
-    [None] when the report predates the lane. *)
+val dispatch_pairs : cell_rec list -> (cell_rec * cell_rec) list
+(** The dispatch lane: every switch-engine cell paired with the cell
+    whose key differs only in the engine, when both have positive
+    timings. *)
+
+val dispatch_geomean : (cell_rec * cell_rec) list -> float option
+(** Geometric mean of the pairs' switch/closure wall-clock ratios;
+    [None] without pairs (reports that predate the lane). *)
 
 val render : comparison -> string
 (** The full human-readable verdict: per-cell table ({!Telemetry.Table}),

@@ -1,17 +1,16 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md section 4 for the experiment index), plus an
-   ablation sweep, per-cell wall-clock timings and bechamel microbenchmarks
-   of the compiler machinery.
+   ablation sweep and bechamel microbenchmarks of the compiler machinery.
+   The bench_hotpath/v2 report of per-cell wall-clock is spf_bench
+   --record's.
 
    Usage: dune exec bench/main.exe [-- flags] [experiment ...]
    Experiments: table1 table2 table3 fig34 fig5 fig6 fig7 fig8 fig9 fig10
-   fig11 ablation timings micro; default is all of them in paper order.
+   fig11 ablation micro; default is all of them in paper order.
 
    Flags:
      --jobs N     size of the Domain pool for the simulation matrix
                   (default: Domain.recommended_domain_count ())
-     --json PATH  where [timings] writes its report
-                  (default: BENCH_hotpath.json)
      --smoke      reduced bechamel quota for [micro] (used by dune runtest)
 
    All simulation cells needed by the requested experiments are collected
@@ -22,12 +21,12 @@
 module SP = Strideprefetch
 module W = Workloads.Workload
 module H = Workloads.Harness
+module R = Workloads.Run_config
 module Runner = Bench_runner.Runner
 
-let workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all
+let workloads = Bench_runner.Report.workloads
+let machines = Bench_runner.Report.machines
 let specjvm_names = List.map (fun (w : W.t) -> w.name) Workloads.Specjvm.all
-
-let machines = [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ]
 let all_modes = [ SP.Options.Off; SP.Options.Inter; SP.Options.Inter_intra ]
 
 let heading title =
@@ -36,75 +35,54 @@ let heading title =
 let subheading title = Printf.printf "\n-- %s --\n" title
 
 (* ------------------------------------------------------------------ *)
-(* Result matrix: each (workload, machine, mode, opts) cell runs once per
-   process. The cells for the requested experiments are prefilled in
-   parallel by [prefill]; [result_of_cell] falls back to a serial run only
-   for cells no experiment declared (which would be a bug in [needs]). *)
+(* Result matrix: each cell runs once per process, keyed by its gate key.
+   The cells for the requested experiments are prefilled in parallel by
+   [prefill]; [timed_of_cell] falls back to a serial run only for cells
+   no experiment declared (which would be a bug in [needs]). *)
 
-type key =
-  string * string * SP.Options.mode * SP.Options.t option * bool * bool * bool
-
-let key_of (c : Runner.cell) : key =
-  ( c.workload.W.name,
-    c.machine.Memsim.Config.name,
-    c.mode,
-    c.opts,
-    c.telemetry,
-    c.profile,
-    c.monitor )
-
-let cache : (key, Runner.timed) Hashtbl.t = Hashtbl.create 64
-
-(* Wall-clock of the parallel prefill, for the timings report. *)
-let matrix_wall_seconds = ref 0.0
+let cache : (string, Runner.timed) Hashtbl.t = Hashtbl.create 64
 
 let prefill ~jobs cells =
-  let todo =
-    List.filter (fun c -> not (Hashtbl.mem cache (key_of c))) cells
-  in
   (* Dedup while preserving order. *)
   let seen = Hashtbl.create 64 in
   let todo =
     List.filter
       (fun c ->
-        let k = key_of c in
-        if Hashtbl.mem seen k then false
+        let k = Runner.cell_key c in
+        if Hashtbl.mem cache k || Hashtbl.mem seen k then false
         else begin
           Hashtbl.add seen k ();
           true
         end)
-      todo
+      cells
   in
   if todo <> [] then begin
     Printf.eprintf "[bench] running %d simulation cells on %d domain(s)...\n%!"
       (List.length todo) jobs;
-    let t0 = Unix.gettimeofday () in
     let timed =
       Runner.run_matrix ~jobs
         ~progress:(fun c ->
-          Printf.eprintf "[bench]   %s\n%!" (Runner.cell_label c))
+          Printf.eprintf "[bench]   %s\n%!" (Runner.cell_key c))
         todo
     in
-    matrix_wall_seconds := !matrix_wall_seconds +. Unix.gettimeofday () -. t0;
-    List.iter (fun (t : Runner.timed) -> Hashtbl.replace cache (key_of t.cell) t)
+    List.iter
+      (fun (t : Runner.timed) ->
+        Hashtbl.replace cache (Runner.cell_key t.cell) t)
       timed
   end
 
 let timed_of_cell (c : Runner.cell) =
-  let k = key_of c in
+  let k = Runner.cell_key c in
   match Hashtbl.find_opt cache k with
   | Some t -> t
   | None ->
-      Printf.eprintf "[bench] running %s (not prefilled)...\n%!"
-        (Runner.cell_label c);
+      Printf.eprintf "[bench] running %s (not prefilled)...\n%!" k;
       let t = Runner.run_cell c in
       Hashtbl.replace cache k t;
       t
 
-let result_opts ?opts (w : W.t) machine mode =
-  (timed_of_cell (Runner.cell ?opts w machine mode)).Runner.result
-
-let result w machine mode = result_opts w machine mode
+let cell w machine mode = Runner.cell w { R.default with machine; mode }
+let result w machine mode = (timed_of_cell (cell w machine mode)).Runner.result
 
 let speedup_percent w machine mode =
   let baseline = result w machine SP.Options.Off in
@@ -308,94 +286,70 @@ let fig11 () =
     !worst_per_method
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: knob sweeps, expressed as custom-opts cells so they run on
-   the same Domain pool as everything else. *)
+(* Ablation: sweeps of algorithm knobs that are not run-configuration
+   axes, run through Harness.run ~opts on the same Domain pool. *)
 
 let find_workload name = List.find (fun (w : W.t) -> w.name = name) workloads
 
-let ablation_points =
+(* (section title, workload, mode, [(label, opts)]) *)
+let ablation_sections =
   let iterations =
     List.map
       (fun n ->
-        (n, { SP.Options.default with SP.Options.inspect_iterations = n }))
+        ( Printf.sprintf "%2d iterations" n,
+          { SP.Options.default with SP.Options.inspect_iterations = n } ))
       [ 5; 10; 20; 40 ]
   and distances =
     List.map
       (fun c ->
-        (c, { SP.Options.default with SP.Options.scheduling_distance = c }))
+        ( Printf.sprintf "c = %d" c,
+          { SP.Options.default with SP.Options.scheduling_distance = c } ))
       [ 1; 2; 4 ]
   and majorities =
     List.map
-      (fun m -> (m, { SP.Options.default with SP.Options.majority = m }))
+      (fun m ->
+        ( Printf.sprintf "majority %.2f" m,
+          { SP.Options.default with SP.Options.majority = m } ))
       [ 0.5; 0.75; 0.95 ]
   in
-  (iterations, distances, majorities)
+  [
+    ( "db: INTER+INTRA speedup vs inspected iterations", "db",
+      SP.Options.Inter_intra, iterations );
+    ( "db: INTER+INTRA speedup vs scheduling distance c", "db",
+      SP.Options.Inter_intra, distances );
+    ( "Euler: INTER speedup vs scheduling distance c", "Euler",
+      SP.Options.Inter, distances );
+    ("jess: majority threshold", "jess", SP.Options.Inter_intra, majorities);
+  ]
 
-let ablation () =
+let ablation ~jobs () =
   heading "Ablation: inspected iterations and scheduling distance (Pentium 4)";
   let machine = Memsim.Config.pentium4 in
-  let iterations, distances, majorities = ablation_points in
-  let w = find_workload "db" in
-  let baseline = result w machine SP.Options.Off in
-  subheading "db: INTER+INTRA speedup vs inspected iterations";
-  List.iter
-    (fun (n, opts) ->
-      let r = result_opts ~opts w machine SP.Options.Inter_intra in
-      Printf.printf "  %2d iterations: %+6.1f%%\n" n
-        (H.percent_speedup ~baseline r))
-    iterations;
-  subheading "db: INTER+INTRA speedup vs scheduling distance c";
-  List.iter
-    (fun (c, opts) ->
-      let r = result_opts ~opts w machine SP.Options.Inter_intra in
-      Printf.printf "  c = %d: %+6.1f%%\n" c (H.percent_speedup ~baseline r))
-    distances;
-  let euler = find_workload "Euler" in
-  let euler_baseline = result euler machine SP.Options.Off in
-  subheading "Euler: INTER speedup vs scheduling distance c";
-  List.iter
-    (fun (c, opts) ->
-      let r = result_opts ~opts euler machine SP.Options.Inter in
-      Printf.printf "  c = %d: %+6.1f%%\n" c
-        (H.percent_speedup ~baseline:euler_baseline r))
-    distances;
-  subheading "jess: majority threshold";
-  let jess = find_workload "jess" in
-  let jess_baseline = result jess machine SP.Options.Off in
-  List.iter
-    (fun (m, opts) ->
-      let r = result_opts ~opts jess machine SP.Options.Inter_intra in
-      Printf.printf "  majority %.2f: %+6.1f%%\n" m
-        (H.percent_speedup ~baseline:jess_baseline r))
-    majorities
-
-(* ------------------------------------------------------------------ *)
-(* Timings: per-cell host wall-clock of the canonical matrix, written as
-   BENCH_hotpath.json (schema bench_hotpath/v2) for the regression gate.
-   The matrix and the JSON writer live in Bench_runner.Report, shared
-   with the spf_bench recorder. *)
-
-let timings ~jobs ~json_path () =
-  heading "Timings: per-cell host wall-clock (hot-path benchmark)";
-  let cells = Bench_runner.Report.default_cells () in
-  let timed = List.map timed_of_cell cells in
-  let total_cell_seconds =
-    List.fold_left (fun acc (t : Runner.timed) -> acc +. t.seconds) 0.0 timed
+  let points =
+    List.concat_map
+      (fun (title, name, mode, knobs) ->
+        List.map
+          (fun (label, opts) -> (title, find_workload name, mode, label, opts))
+          knobs)
+      ablation_sections
   in
-  Printf.printf "%-40s %10s %14s\n" "cell" "seconds" "cycles";
-  List.iter
-    (fun (t : Runner.timed) ->
-      Printf.printf "%-40s %10.3f %14d\n"
-        (Runner.cell_label t.cell)
-        t.seconds t.result.H.cycles)
-    timed;
-  Printf.printf "\nTotal cell seconds: %.3f (matrix wall-clock %.3f on %d \
-                 job(s), %d host cpu(s))\n"
-    total_cell_seconds !matrix_wall_seconds jobs
-    (Runner.default_jobs ());
-  Bench_runner.Report.write_json ~path:json_path ~jobs
-    ~matrix_wall_seconds:!matrix_wall_seconds timed;
-  Printf.printf "Wrote %s\n" json_path
+  Printf.eprintf "[bench] running %d ablation cells on %d domain(s)...\n%!"
+    (List.length points) jobs;
+  let runs =
+    Runner.map ~jobs
+      (fun (title, w, mode, label, opts) ->
+        (title, w, label, H.run ~opts ~mode ~machine w))
+      points
+  in
+  ignore
+    (List.fold_left
+       (fun previous (title, w, label, r) ->
+         if title <> previous then subheading title;
+         let baseline = result w machine SP.Options.Off in
+         Printf.printf "  %s: %+6.1f%%\n" label
+           (H.percent_speedup ~baseline r);
+         title)
+       "" runs)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the compiler-side machinery. *)
@@ -517,31 +471,9 @@ let matrix_cells ~machines ~modes =
   List.concat_map
     (fun (w : W.t) ->
       List.concat_map
-        (fun machine -> List.map (fun mode -> Runner.cell w machine mode) modes)
+        (fun machine -> List.map (fun mode -> cell w machine mode) modes)
         machines)
     workloads
-
-let ablation_cells () =
-  let p4 = Memsim.Config.pentium4 in
-  let iterations, distances, majorities = ablation_points in
-  let db = find_workload "db"
-  and euler = find_workload "Euler"
-  and jess = find_workload "jess" in
-  Runner.cell db p4 SP.Options.Off
-  :: Runner.cell euler p4 SP.Options.Off
-  :: Runner.cell jess p4 SP.Options.Off
-  :: (List.map
-        (fun (_, opts) -> Runner.cell ~opts db p4 SP.Options.Inter_intra)
-        iterations
-     @ List.map
-         (fun (_, opts) -> Runner.cell ~opts db p4 SP.Options.Inter_intra)
-         distances
-     @ List.map
-         (fun (_, opts) -> Runner.cell ~opts euler p4 SP.Options.Inter)
-         distances
-     @ List.map
-         (fun (_, opts) -> Runner.cell ~opts jess p4 SP.Options.Inter_intra)
-         majorities)
 
 let needs = function
   | "table3" ->
@@ -557,25 +489,27 @@ let needs = function
   | "fig11" ->
       matrix_cells ~machines:[ Memsim.Config.pentium4 ]
         ~modes:[ SP.Options.Inter_intra ]
-  | "ablation" -> ablation_cells ()
-  | "timings" -> Bench_runner.Report.default_cells ()
+  | "ablation" ->
+      List.map
+        (fun (_, name, _, _) ->
+          cell (find_workload name) Memsim.Config.pentium4 SP.Options.Off)
+        ablation_sections
   | _ -> []
 
 let experiment_names =
   [
     "table1"; "table2"; "table3"; "fig34"; "fig5"; "fig6"; "fig7"; "fig8";
-    "fig9"; "fig10"; "fig11"; "ablation"; "timings"; "micro";
+    "fig9"; "fig10"; "fig11"; "ablation"; "micro";
   ]
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--jobs N] [--json PATH] [--smoke] [experiment ...]\n\
+    "usage: main.exe [--jobs N] [--smoke] [experiment ...]\n\
      experiments: %s\n"
     (String.concat ", " experiment_names)
 
 let () =
   let jobs = ref (Runner.default_jobs ()) in
-  let json_path = ref "BENCH_hotpath.json" in
   let smoke = ref false in
   let names = ref [] in
   let rec parse = function
@@ -586,9 +520,6 @@ let () =
         | _ ->
             Printf.eprintf "--jobs expects a positive integer, got '%s'\n" n;
             exit 2);
-        parse rest
-    | "--json" :: path :: rest ->
-        json_path := path;
         parse rest
     | "--smoke" :: rest ->
         smoke := true;
@@ -622,8 +553,7 @@ let () =
     | "fig9" -> fig9 ()
     | "fig10" -> fig10 ()
     | "fig11" -> fig11 ()
-    | "ablation" -> ablation ()
-    | "timings" -> timings ~jobs:!jobs ~json_path:!json_path ()
+    | "ablation" -> ablation ~jobs:!jobs ()
     | "micro" -> micro ~smoke:!smoke ()
     | name ->
         Printf.eprintf "unknown experiment '%s'\n" name;

@@ -1,49 +1,115 @@
-(* The hot-path benchmark report: the canonical cell matrix and the
-   bench_hotpath/v2 JSON serialization, shared by the reproduction
-   harness (bench/main.exe timings) and the regression-gate recorder
-   (bench/spf_bench.exe --record). Keeping one writer guarantees both
-   producers emit byte-compatible reports for Gate.compare_runs. *)
+(* The hot-path benchmark report: the paper's workloads and machines,
+   the grid every cell matrix is built from (the canonical one and each
+   spf_bench --sweep), the sweep summary, and the bench_hotpath/v2 JSON
+   writer whose output Gate reads back. *)
 
-module SP = Strideprefetch
 module W = Workloads.Workload
 module H = Workloads.Harness
-
-let schema = "bench_hotpath/v2"
+module R = Workloads.Run_config
 
 let workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all
-let machines = [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ]
-let all_modes = [ SP.Options.Off; SP.Options.Inter; SP.Options.Inter_intra ]
+let machines = Memsim.Config.machines
+
+(* ------------------------------------------------------------------ *)
+(* Grids *)
+
+type dim = {
+  axis : R.axis option;  (** [None]: the workload *)
+  sets : (Runner.cell -> Runner.cell) list;  (** one per value *)
+}
+
+let workload_dim ws =
+  {
+    axis = None;
+    sets = List.map (fun w c -> { c with Runner.workload = w }) ws;
+  }
+
+let config_dim axis sets =
+  {
+    axis = Some axis;
+    sets =
+      List.map
+        (fun set (c : Runner.cell) -> { c with config = set c.config })
+        sets;
+  }
+
+let find_workload name =
+  match
+    List.find_opt
+      (fun (w : W.t) ->
+        String.lowercase_ascii w.name = String.lowercase_ascii name)
+      workloads
+  with
+  | Some w -> Ok w
+  | None ->
+      Error
+        (Printf.sprintf "unknown workload %S (expected: %s)" name
+           (String.concat ", " (List.map (fun (w : W.t) -> w.name) workloads)))
+
+let dim spec =
+  let all f vs =
+    List.fold_right
+      (fun v acc ->
+        Result.bind acc (fun l -> Result.map (fun x -> x :: l) (f v)))
+      vs (Ok [])
+  in
+  match String.index_opt spec '=' with
+  | None -> Error (Printf.sprintf "sweep %S is not AXIS=V1,V2,..." spec)
+  | Some i -> (
+      let name = String.trim (String.sub spec 0 i) in
+      let values =
+        String.sub spec (i + 1) (String.length spec - i - 1)
+        |> String.split_on_char ',' |> List.map String.trim
+        |> List.filter (fun v -> v <> "")
+      in
+      match (String.lowercase_ascii name, R.axis_of_name name) with
+      | _ when values = [] ->
+          Error (Printf.sprintf "sweep %S has no values" spec)
+      | "workload", _ -> Result.map workload_dim (all find_workload values)
+      | _, Some ax -> Result.map (config_dim ax) (all (R.parse ax) values)
+      | _, None ->
+          Error
+            (Printf.sprintf "unknown sweep axis %S (workload, %s)" name
+               (String.concat ", " (List.map R.axis_name R.all_axes))))
+
+let grid dims =
+  let dims =
+    if List.exists (fun d -> d.axis = None) dims then dims
+    else workload_dim workloads :: dims
+  in
+  List.fold_left
+    (fun cells d ->
+      List.concat_map (fun c -> List.map (fun set -> set c) d.sets) cells)
+    [ Runner.cell (List.hd workloads) R.default ]
+    dims
 
 let default_cells () =
+  let machine =
+    config_dim R.Machine
+      (List.map (fun machine c -> { c with R.machine }) machines)
+  in
+  let db = List.find (fun (w : W.t) -> w.name = "db") workloads in
   (* The full (workload x machine x mode) simulation matrix... *)
-  List.concat_map
-    (fun (w : W.t) ->
-      List.concat_map
-        (fun machine ->
-          List.map (fun mode -> Runner.cell w machine mode) all_modes)
-        machines)
-    workloads
+  grid
+    [
+      machine;
+      config_dim R.Mode
+        (List.map
+           (fun mode c -> { c with R.mode })
+           Strideprefetch.Options.[ Off; Inter; Inter_intra ]);
+    ]
   (* ...one attributed (telemetry) twin per workload at the headline
      configuration, filling [run_result.effectiveness] so the report
      carries coverage/accuracy rollups next to the cycle counts... *)
-  @ List.map
-      (fun (w : W.t) ->
-        Runner.cell ~telemetry:true w Memsim.Config.pentium4
-          SP.Options.Inter_intra)
-      workloads
-  (* ...one profiled twin of the headline db cell, so the report also
-     tracks the object-centric profiler's observer overhead over time,
-     and one monitored twin of the same cell — the live monitor's
-     observer overhead next to its zero-cost cycle claim (the monitored
+  @ List.map (fun w -> Runner.cell ~telemetry:true w R.default) workloads
+  (* ...one profiled and one monitored twin of the headline db cell: the
+     observer overheads of the object-centric profiler and the live
+     monitor over time, next to the monitor's zero-cost cycle claim (its
      twin's cycles must equal the plain cell's exactly, which the gate's
      exact-equality law then pins across history)... *)
   @ [
-      Runner.cell ~profile:true
-        (List.find (fun (w : W.t) -> w.name = "db") workloads)
-        Memsim.Config.pentium4 SP.Options.Inter_intra;
-      Runner.cell ~monitor:true
-        (List.find (fun (w : W.t) -> w.name = "db") workloads)
-        Memsim.Config.pentium4 SP.Options.Inter_intra;
+      Runner.cell ~profile:true db R.default;
+      Runner.cell ~monitor:true db R.default;
     ]
   (* ...and one switch-engine twin per (workload x machine) at the
      headline mode: the dispatch lane. The twins' cycle counts must be
@@ -51,14 +117,90 @@ let default_cells () =
      the gate's exact-equality law applies to them too); their seconds
      measure what closure compilation buys on the host, summarized as
      the report's ["dispatch"] geomean. *)
-  @ List.concat_map
-      (fun (w : W.t) ->
-        List.map
-          (fun machine ->
-            Runner.cell ~engine:Vm.Interp.Switch w machine
-              SP.Options.Inter_intra)
-          machines)
-      workloads
+  @ grid
+      [
+        machine;
+        config_dim R.Engine
+          [ (fun c -> { c with R.engine = Vm.Interp.Switch }) ];
+      ]
+
+(* ------------------------------------------------------------------ *)
+(* The sweep summary *)
+
+type row = {
+  config : R.t;
+  cycles : int;
+  iterations : int;
+  steps : int;
+  pass_seconds : float;
+}
+
+type sweep = {
+  axes : R.axis list;
+  sweep_workloads : string list;
+  rows : row list;
+  picks : row list;
+}
+
+let add_run row (r : H.run_result) =
+  List.fold_left
+    (fun row (l : Strideprefetch.Pass.loop_report) ->
+      {
+        row with
+        iterations = row.iterations + l.iterations_observed;
+        steps = row.steps + l.inspection_steps;
+      })
+    {
+      row with
+      cycles = row.cycles + r.cycles;
+      pass_seconds = row.pass_seconds +. r.prefetch_pass_seconds;
+    }
+    r.reports
+
+(* The first element of each class of [key], in list order. *)
+let distinct key xs =
+  List.fold_left
+    (fun acc x ->
+      if List.exists (fun y -> key y = key x) acc then acc else acc @ [ x ])
+    [] xs
+
+(* One row per configuration (by canonical string) in grid order; a
+   machine's pick is its first lowest-cycle row. *)
+let sweep dims (timed : Runner.timed list) =
+  let key (t : Runner.timed) = R.to_string t.cell.config in
+  let row (first : Runner.timed) =
+    List.fold_left
+      (fun row t -> if key t = key first then add_run row t.result else row)
+      {
+        config = first.cell.config;
+        cycles = 0;
+        iterations = 0;
+        steps = 0;
+        pass_seconds = 0.0;
+      }
+      timed
+  in
+  let rows = List.map row (distinct key timed) in
+  let machine r = R.axis_value r.config R.Machine in
+  let pick first =
+    List.fold_left
+      (fun best r ->
+        if machine r = machine first && r.cycles < best.cycles then r
+        else best)
+      first rows
+  in
+  {
+    axes = List.filter_map (fun d -> d.axis) dims;
+    sweep_workloads =
+      List.map
+        (fun (t : Runner.timed) -> t.cell.workload.W.name)
+        (distinct (fun (t : Runner.timed) -> t.cell.workload.W.name) timed);
+    rows;
+    picks = List.map pick (distinct machine rows);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The bench_hotpath/v2 writer *)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -94,194 +236,6 @@ let effectiveness_json (eff : Workloads.Effectiveness.t) =
     eff.unattributed_misses (List.length eff.rows)
     (String.concat ", " (List.map kind eff.kinds))
 
-(* The dispatch lane: pair every switch-engine cell with its closure
-   twin (same workload/machine/mode, no observers, no knob overrides)
-   and aggregate the per-pair wall-clock speedups switch/closure as a
-   geometric mean — the headline number for what closure compilation
-   buys on the host. *)
-let dispatch_pairs (timed : Runner.timed list) =
-  let plain_closure (t : Runner.timed) (s : Runner.timed) =
-    t.cell.Runner.engine = Vm.Interp.Closure
-    && t.cell.Runner.opts = None
-    && (not t.cell.Runner.telemetry)
-    && (not t.cell.Runner.profile)
-    && (not t.cell.Runner.monitor)
-    && t.cell.Runner.workload.W.name = s.cell.Runner.workload.W.name
-    && t.cell.Runner.machine.Memsim.Config.name
-       = s.cell.Runner.machine.Memsim.Config.name
-    && t.cell.Runner.mode = s.cell.Runner.mode
-  in
-  List.filter_map
-    (fun (s : Runner.timed) ->
-      if s.cell.Runner.engine <> Vm.Interp.Switch then None
-      else
-        match List.find_opt (fun t -> plain_closure t s) timed with
-        | Some c when s.seconds > 0.0 && c.Runner.seconds > 0.0 ->
-            Some (s, c)
-        | Some _ | None -> None)
-    timed
-
-let dispatch_geomean pairs =
-  match pairs with
-  | [] -> nan
-  | _ ->
-      exp
-        (List.fold_left
-           (fun acc ((s : Runner.timed), (c : Runner.timed)) ->
-             acc +. log (s.Runner.seconds /. c.Runner.seconds))
-           0.0 pairs
-        /. float_of_int (List.length pairs))
-
-let dispatch_json (timed : Runner.timed list) =
-  match dispatch_pairs timed with
-  | [] -> ""
-  | pairs ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "  \"dispatch\": {\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    \"geomean_speedup\": %.4f,\n"
-           (dispatch_geomean pairs));
-      Buffer.add_string buf "    \"pairs\": [\n";
-      List.iteri
-        (fun i ((s : Runner.timed), (c : Runner.timed)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      {\"workload\": \"%s\", \"machine\": \"%s\", \"mode\": \
-                \"%s\", \"switch_seconds\": %.6f, \"closure_seconds\": \
-                %.6f, \"speedup\": %.4f}%s\n"
-               (json_escape s.cell.Runner.workload.W.name)
-               (json_escape s.cell.Runner.machine.Memsim.Config.name)
-               (json_escape (SP.Options.mode_name s.cell.Runner.mode))
-               s.seconds c.Runner.seconds
-               (s.seconds /. c.Runner.seconds)
-               (if i = List.length pairs - 1 then "" else ",")))
-        pairs;
-      Buffer.add_string buf "    ]\n  },\n";
-      Buffer.contents buf
-
-(* The arbitration lane: the --sweep-arbitration grid (SW inter-stride
-   threshold x hardware prefetch model, cycles summed over the sweep
-   workloads) and the per-machine minimum-cycle pick. Cells of the sweep
-   also appear in "cells" with "hw_prefetch"/"sw_threshold" fields, so
-   the gate matches them under distinct keys. *)
-type arb_point = {
-  arb_machine : string;
-  arb_threshold : int;  (** SW inter-stride threshold in bytes *)
-  arb_hw : string;  (** hardware model spec string, e.g. "rpt:64x2@4" *)
-  arb_cycles : int;  (** summed simulated cycles over the sweep workloads *)
-}
-
-type arbitration = {
-  arb_workloads : string list;
-  arb_grid : arb_point list;
-  arb_picks : arb_point list;  (** one minimum-cycle point per machine *)
-}
-
-let arb_point_json p =
-  Printf.sprintf
-    "{\"machine\": \"%s\", \"sw_threshold\": %d, \"hw_prefetch\": \"%s\", \
-     \"cycles\": %d}"
-    (json_escape p.arb_machine)
-    p.arb_threshold (json_escape p.arb_hw) p.arb_cycles
-
-let arbitration_json a =
-  let points ps = String.concat ", " (List.map arb_point_json ps) in
-  Printf.sprintf
-    "  \"arbitration\": {\n    \"workloads\": [%s],\n    \"picks\": \
-     [%s],\n    \"grid\": [%s]\n  },\n"
-    (String.concat ", "
-       (List.map (fun w -> "\"" ^ json_escape w ^ "\"") a.arb_workloads))
-    (points a.arb_picks) (points a.arb_grid)
-
-(* The prediction lane: the --sweep-prediction grid (workload x machine
-   x prediction tier at the headline mode). Each point carries the
-   JIT-compile-time costs the tiers trade — inspection iterations begun,
-   instructions partially interpreted, prefetch-pass wall-clock — next
-   to the simulated cycle count, which the tiers must not regress. The
-   per-machine summary is the headline: iterations saved by the hybrid
-   skip rule at equal-or-better cycles. *)
-type pred_point = {
-  pred_workload : string;
-  pred_machine : string;
-  pred_tier : string;  (** "inspect" / "hybrid" / "static" *)
-  pred_cycles : int;
-  pred_iterations : int;  (** inspection iterations begun, summed over loops *)
-  pred_steps : int;  (** instructions partially interpreted during inspection *)
-  pred_pass_seconds : float;  (** prefetch-pass host wall-clock *)
-}
-
-type pred_summary = {
-  pred_sum_machine : string;
-  pred_iterations_inspect : int;
-  pred_iterations_hybrid : int;
-  pred_cycles_delta : int;  (** hybrid cycles - inspect cycles, summed *)
-}
-
-type prediction_lane = {
-  pred_points : pred_point list;
-  pred_summaries : pred_summary list;
-}
-
-let pred_point_json p =
-  Printf.sprintf
-    "{\"workload\": \"%s\", \"machine\": \"%s\", \"tier\": \"%s\", \
-     \"cycles\": %d, \"inspection_iterations\": %d, \
-     \"inspection_steps\": %d, \"prefetch_pass_seconds\": %.6f}"
-    (json_escape p.pred_workload)
-    (json_escape p.pred_machine)
-    (json_escape p.pred_tier) p.pred_cycles p.pred_iterations p.pred_steps
-    p.pred_pass_seconds
-
-let pred_summary_json s =
-  Printf.sprintf
-    "{\"machine\": \"%s\", \"iterations_inspect\": %d, \
-     \"iterations_hybrid\": %d, \"iterations_saved\": %d, \
-     \"cycles_delta\": %d}"
-    (json_escape s.pred_sum_machine)
-    s.pred_iterations_inspect s.pred_iterations_hybrid
-    (s.pred_iterations_inspect - s.pred_iterations_hybrid)
-    s.pred_cycles_delta
-
-let prediction_json l =
-  Printf.sprintf
-    "  \"prediction\": {\n    \"summaries\": [%s],\n    \"points\": \
-     [%s]\n  },\n"
-    (String.concat ", " (List.map pred_summary_json l.pred_summaries))
-    (String.concat ", " (List.map pred_point_json l.pred_points))
-
-(* Sweep-cell provenance in the per-cell record: emitted only when the
-   cell deviates from the defaults, so reports of the canonical matrix
-   stay byte-compatible with pre-sweep baselines (and their gate keys
-   unchanged). *)
-let cell_extras (c : Runner.cell) =
-  let hw =
-    if c.machine.Memsim.Config.hw_prefetch = Memsim.Config.default_stream
-    then ""
-    else
-      Printf.sprintf ", \"hw_prefetch\": \"%s\""
-        (json_escape
-           (Memsim.Config.hw_prefetch_to_string
-              c.machine.Memsim.Config.hw_prefetch))
-  in
-  let threshold =
-    match c.opts with
-    | Some { SP.Options.inter_stride_threshold = Some t; _ } ->
-        Printf.sprintf ", \"sw_threshold\": %d" t
-    | Some _ | None -> ""
-  in
-  let prediction =
-    match c.opts with
-    | Some o when o.SP.Options.prediction <> SP.Options.Inspect ->
-        Printf.sprintf ", \"prediction\": \"%s\""
-          (SP.Options.prediction_name o.SP.Options.prediction)
-    | Some _ | None -> ""
-  in
-  (* "monitor": true only when armed: canonical-matrix reports stay
-     byte-compatible with pre-monitor baselines (and their gate keys
-     unchanged). *)
-  let monitor = if c.monitor then ", \"monitor\": true" else "" in
-  hw ^ threshold ^ prediction ^ monitor
-
 (* Per-loop blame payload of a profiled cell: the profiler's loop rows
    (stall bins + totals, the straight-line remainders included) plus GC
    cycles — enough for spf_bench to reconstruct a two-sided per-loop
@@ -306,14 +260,87 @@ let blame_json (rep : Profile.Report.t) =
     rep.Profile.Report.gc_cycles
     (String.concat ", " (List.map loop rep.Profile.Report.loops))
 
-let to_json_string ?arbitration ?prediction ~jobs ~matrix_wall_seconds
+(* The dispatch section, paired by Gate's rule on the cells' gate view. *)
+let dispatch_json (timed : Runner.timed list) =
+  let view (t : Runner.timed) =
+    {
+      Gate.workload = t.cell.workload.W.name;
+      config = t.cell.config;
+      telemetry = t.cell.telemetry;
+      profile = t.cell.profile;
+      monitor = t.cell.monitor;
+      blame = None;
+      seconds = t.seconds;
+      cycles = t.result.H.cycles;
+    }
+  in
+  let pairs = Gate.dispatch_pairs (List.map view timed) in
+  match Gate.dispatch_geomean pairs with
+  | None -> ""
+  | Some geomean ->
+      let pair ((s : Gate.cell_rec), (c : Gate.cell_rec)) =
+        Printf.sprintf
+          "      {\"workload\": \"%s\", \"machine\": \"%s\", \"mode\": \"%s\", \
+           \"switch_seconds\": %.6f, \"closure_seconds\": %.6f, \"speedup\": \
+           %.4f}"
+          (json_escape s.workload)
+          (json_escape (R.axis_value s.config R.Machine))
+          (json_escape (R.axis_value s.config R.Mode))
+          s.seconds c.seconds (s.seconds /. c.seconds)
+      in
+      Printf.sprintf
+        "  \"dispatch\": {\n    \"geomean_speedup\": %.4f,\n    \"pairs\": \
+         [\n%s\n    ]\n  },\n"
+        geomean
+        (String.concat ",\n" (List.map pair pairs))
+
+let sweep_json sw =
+  let strings xs =
+    String.concat ", " (List.map (fun x -> "\"" ^ json_escape x ^ "\"") xs)
+  in
+  let rows rs =
+    String.concat ", "
+      (List.map
+         (fun r ->
+           Printf.sprintf
+             "{\"config\": \"%s\", \"cycles\": %d, \"inspection_iterations\": \
+              %d, \"inspection_steps\": %d, \"prefetch_pass_seconds\": %.6f}"
+             (json_escape (R.to_string r.config))
+             r.cycles r.iterations r.steps r.pass_seconds)
+         rs)
+  in
+  Printf.sprintf
+    "  \"sweep\": {\n    \"axes\": [%s],\n    \"workloads\": [%s],\n    \
+     \"picks\": [%s],\n    \"rows\": [%s]\n  },\n"
+    (strings (List.map R.axis_name sw.axes))
+    (strings sw.sweep_workloads) (rows sw.picks) (rows sw.rows)
+
+(* The configuration fields of a cell: machine, mode and engine always,
+   every other axis only off its default — so canonical-matrix reports
+   read the same as those written before the sweep axes existed. *)
+let config_json (c : R.t) =
+  String.concat ""
+    (List.filter_map
+       (fun (ax, field) ->
+         let v = R.axis_value c ax in
+         match ax with
+         | R.Machine | R.Mode | R.Engine ->
+             Some (Printf.sprintf ", \"%s\": \"%s\"" field (json_escape v))
+         | _ when v = R.axis_value R.default ax -> None
+         | R.Threshold -> Some (Printf.sprintf ", \"%s\": %s" field v)
+         | _ ->
+             Some (Printf.sprintf ", \"%s\": \"%s\"" field (json_escape v)))
+       Gate.axis_fields)
+
+let to_json_string ?sweep ~jobs ~matrix_wall_seconds
     (timed : Runner.timed list) =
   let total_cell_seconds =
     List.fold_left (fun acc (t : Runner.timed) -> acc +. t.seconds) 0.0 timed
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": \"%s\",\n" schema);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"schema\": \"%s\",\n" Gate.schema);
   Buffer.add_string buf
     (Printf.sprintf "  \"jobs\": %d,\n  \"host_cpus\": %d,\n" jobs
        (Runner.default_jobs ()));
@@ -322,12 +349,7 @@ let to_json_string ?arbitration ?prediction ~jobs ~matrix_wall_seconds
   Buffer.add_string buf
     (Printf.sprintf "  \"total_cell_seconds\": %.6f,\n" total_cell_seconds);
   Buffer.add_string buf (dispatch_json timed);
-  (match arbitration with
-  | Some a -> Buffer.add_string buf (arbitration_json a)
-  | None -> ());
-  (match prediction with
-  | Some l -> Buffer.add_string buf (prediction_json l)
-  | None -> ());
+  Option.iter (fun sw -> Buffer.add_string buf (sweep_json sw)) sweep;
   Buffer.add_string buf "  \"cells\": [\n";
   List.iteri
     (fun i (t : Runner.timed) ->
@@ -342,27 +364,17 @@ let to_json_string ?arbitration ?prediction ~jobs ~matrix_wall_seconds
         | Some rep -> Printf.sprintf ", \"blame\": %s" (blame_json rep)
         | None -> ""
       in
+      (* "monitor": true only when armed: canonical-matrix reports stay
+         byte-compatible with pre-monitor baselines. *)
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"workload\": \"%s\", \"machine\": \"%s\", \"mode\": \
-            \"%s\", \"engine\": \"%s\", \"telemetry\": %b, \"profile\": \
+           "    {\"workload\": \"%s\"%s, \"telemetry\": %b, \"profile\": \
             %b%s, \"seconds\": %.6f, \"cycles\": %d%s%s}%s\n"
-           (json_escape t.cell.Runner.workload.W.name)
-           (json_escape t.cell.Runner.machine.Memsim.Config.name)
-           (json_escape (SP.Options.mode_name t.cell.Runner.mode))
-           (Vm.Interp.engine_name t.cell.Runner.engine)
-           t.cell.Runner.telemetry t.cell.Runner.profile
-           (cell_extras t.cell) t.seconds
-           t.result.H.cycles effectiveness blame
+           (json_escape t.cell.workload.W.name)
+           (config_json t.cell.config) t.cell.telemetry t.cell.profile
+           (if t.cell.monitor then ", \"monitor\": true" else "")
+           t.seconds t.result.H.cycles effectiveness blame
            (if i = List.length timed - 1 then "" else ",")))
     timed;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
-
-let write_json ?arbitration ?prediction ~path ~jobs ~matrix_wall_seconds
-    timed =
-  let oc = open_out path in
-  output_string oc
-    (to_json_string ?arbitration ?prediction ~jobs ~matrix_wall_seconds
-       timed);
-  close_out oc

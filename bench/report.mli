@@ -1,104 +1,62 @@
-(** The hot-path benchmark report: canonical cell matrix and the
-    bench_hotpath/v2 JSON serialization, shared by the reproduction
-    harness ([bench/main.exe timings]) and the regression-gate recorder
-    ([bench/spf_bench.exe --record]). *)
+(** The hot-path benchmark report: the paper's workloads and machines,
+    the grid every cell matrix is built from — the canonical one and each
+    [spf_bench --sweep] — the sweep summary, and the bench_hotpath/v2
+    JSON writer whose output {!Gate} reads back. *)
 
-val schema : string
-(** ["bench_hotpath/v2"]. v2 adds the per-cell ["profile"] flag (and so
-    changes what a cell key means); {!Gate.compare_runs} refuses to
-    compare reports whose schemas differ from this one. *)
+val workloads : Workloads.Workload.t list
+(** The paper's twelve programs: SPECjvm98, then JavaGrande. *)
+
+val machines : Memsim.Config.machine list
+(** The paper's two machines, Pentium 4 and Athlon MP. *)
+
+type dim
+(** One dimension of a grid: an axis and the values it takes. *)
+
+val dim : string -> (dim, string) result
+(** Parse [AXIS=V1,V2,...]: a {!Workloads.Run_config} axis, each value
+    parsed by {!Workloads.Run_config.parse}, or [workload], each value
+    one of {!workloads}. *)
+
+val grid : dim list -> Runner.cell list
+(** Every combination of the dimensions' values over
+    {!Workloads.Run_config.default}, the first dimension outermost;
+    without a [workload] dimension the grid runs every one of
+    {!workloads}, outermost. *)
 
 val default_cells : unit -> Runner.cell list
-(** The canonical matrix: every (workload x machine x mode) cell, plus one
-    attributed (telemetry) twin per workload and one profiled twin of the
-    headline db cell at pentium4/inter+intra — so the report tracks the
-    observer overheads of telemetry and profiling alongside the plain
-    simulation wall-clock — plus one switch-engine twin per
-    (workload x machine) at inter+intra: the dispatch lane, whose cycle
-    counts must equal the closure cells' exactly and whose wall-clock
-    ratio is the report's ["dispatch"] geomean. *)
+(** The canonical matrix, 110 cells: the grid of every workload x
+    machine x mode, then the observer twins — one telemetry twin per
+    workload and one profiled and one monitored twin of the headline db
+    cell, each at the default configuration — then the grid of every
+    workload x machine on the switch engine: the dispatch lane, whose
+    cycle counts must equal the closure cells' exactly and whose
+    wall-clock ratio is the report's ["dispatch"] geomean. *)
 
-val dispatch_pairs :
-  Runner.timed list -> (Runner.timed * Runner.timed) list
-(** Every (switch twin, plain closure cell) pair with matching
-    workload/machine/mode and positive timings. *)
-
-val dispatch_geomean : (Runner.timed * Runner.timed) list -> float
-(** Geometric mean of per-pair wall-clock speedups switch/closure
-    ([nan] on the empty list). *)
-
-(** {2 The arbitration lane}
-
-    Results of an [spf_bench --sweep-arbitration] run: the
-    (SW inter-stride threshold x hardware prefetch model) grid per
-    machine, cycles summed over the sweep workloads, and the
-    minimum-cycle pick per machine — the empirically chosen SW/HW
-    arbitration point. *)
-
-type arb_point = {
-  arb_machine : string;
-  arb_threshold : int;  (** SW inter-stride threshold in bytes *)
-  arb_hw : string;  (** hardware model spec string, e.g. ["rpt:64x2@4"] *)
-  arb_cycles : int;
-      (** summed simulated cycles over the sweep workloads *)
+type row = {
+  config : Workloads.Run_config.t;
+  cycles : int;  (** summed over the sweep's workloads *)
+  iterations : int;  (** inspection iterations begun, summed *)
+  steps : int;  (** instructions partially interpreted during inspection *)
+  pass_seconds : float;  (** prefetch-pass host wall-clock, summed *)
 }
 
-type arbitration = {
-  arb_workloads : string list;
-  arb_grid : arb_point list;
-  arb_picks : arb_point list;  (** one minimum-cycle point per machine *)
+type sweep = {
+  axes : Workloads.Run_config.axis list;  (** the swept axes, in order *)
+  sweep_workloads : string list;
+  rows : row list;  (** one per configuration, in grid order *)
+  picks : row list;
+      (** per machine, its lowest-cycle row (the first one on a tie) *)
 }
 
-(** {2 The prediction lane}
-
-    Results of an [spf_bench --sweep-prediction] run: per
-    (workload x machine x prediction tier) point at the headline mode,
-    the JIT-compile-time costs the tiers trade — inspection iterations
-    begun, instructions partially interpreted, prefetch-pass wall-clock
-    — next to the simulated cycle count, plus a per-machine summary of
-    iterations saved by the hybrid skip rule. *)
-
-type pred_point = {
-  pred_workload : string;
-  pred_machine : string;
-  pred_tier : string;  (** ["inspect"] / ["hybrid"] / ["static"] *)
-  pred_cycles : int;
-  pred_iterations : int;
-      (** inspection iterations begun, summed over loop reports *)
-  pred_steps : int;
-      (** instructions partially interpreted during inspection *)
-  pred_pass_seconds : float;  (** prefetch-pass host wall-clock *)
-}
-
-type pred_summary = {
-  pred_sum_machine : string;
-  pred_iterations_inspect : int;
-  pred_iterations_hybrid : int;
-  pred_cycles_delta : int;
-      (** hybrid cycles - inspect cycles, summed over the sweep
-          workloads; the acceptance bar is [<= 0] (equal-or-better) *)
-}
-
-type prediction_lane = {
-  pred_points : pred_point list;
-  pred_summaries : pred_summary list;
-}
+val sweep : dim list -> Runner.timed list -> sweep
+(** Summarize the run of [grid dims]: one row per configuration, summed
+    over the workloads. *)
 
 val to_json_string :
-  ?arbitration:arbitration ->
-  ?prediction:prediction_lane ->
-  jobs:int -> matrix_wall_seconds:float -> Runner.timed list -> string
-(** Render a full bench_hotpath/v2 report. Cells appear in list order;
-    cycle counts are exact integers, seconds are host wall-clock. Cells
-    deviating from the default hardware model, SW threshold or
-    prediction tier carry ["hw_prefetch"] / ["sw_threshold"] /
-    ["prediction"] fields (absent otherwise, keeping canonical-matrix
-    reports byte-compatible with older baselines); [arbitration] and
-    [prediction] add their sweep lanes. *)
-
-val write_json :
-  ?arbitration:arbitration ->
-  ?prediction:prediction_lane ->
-  path:string -> jobs:int -> matrix_wall_seconds:float ->
-  Runner.timed list -> unit
-(** {!to_json_string} to a file. *)
+  ?sweep:sweep -> jobs:int -> matrix_wall_seconds:float ->
+  Runner.timed list -> string
+(** Render a full bench_hotpath/v2 report. Cells appear in list order,
+    each with its configuration under {!Gate.axis_fields}; cycle counts
+    are exact integers, seconds are host wall-clock. The ["dispatch"]
+    section pairs cells by {!Gate.dispatch_pairs}; [sweep] adds a
+    ["sweep"] section. *)

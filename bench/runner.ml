@@ -1,43 +1,24 @@
 (* Parallel bench-matrix runner.
 
-   The (workload x machine x mode) cells of the paper's evaluation are
-   mutually independent: each run builds a fresh program, a fresh
-   [Vm.Interp.t] and a fresh [Memsim.Hierarchy.t], and no library under
-   [lib/] keeps top-level mutable state. That makes the matrix
+   The cells of the paper's evaluation are mutually independent: each
+   run builds a fresh program, a fresh [Vm.Interp.t] and a fresh
+   [Memsim.Hierarchy.t], and no library under [lib/] keeps top-level
+   mutable state. That makes the matrix
    embarrassingly parallel, so we farm the cells out to a pool of OCaml 5
    Domains. Simulated cycle counts are a pure function of the cell, so the
    parallel runner is byte-identical to the serial one (asserted by
    test/test_bench_runner.ml); only host wall-clock changes. *)
 
-module SP = Strideprefetch
 module W = Workloads.Workload
 module H = Workloads.Harness
+module R = Workloads.Run_config
 
 type cell = {
   workload : W.t;
-  machine : Memsim.Config.machine;
-  mode : SP.Options.mode;
-  opts : SP.Options.t option;  (** algorithm-knob override; [None] = defaults *)
+  config : R.t;
   telemetry : bool;
-      (** thread the observability stack through the run; fills
-          [run_result.effectiveness] (coverage/accuracy rollups for the
-          BENCH json) without perturbing the simulation *)
   profile : bool;
-      (** additionally install the object-centric profiler; fills
-          [run_result.profile] (implies telemetry) without perturbing
-          the simulation *)
   monitor : bool;
-      (** arm the live windowed monitor at its default window; fills
-          [run_result.monitor] (implies telemetry). The monitored twin's
-          cycle count must equal its plain cell's exactly — monitoring
-          observes only — so the gate's exact-equality law pins the
-          monitor's zero-cost claim over time *)
-  engine : Vm.Interp.engine;
-      (** which execution engine runs the cell; default [Closure]. The
-          simulated cycle count is engine-independent (bit-identity is
-          the engines' contract), so a switch twin differs from its
-          closure cell only in host wall-clock — the dispatch-speedup
-          lane of the report *)
 }
 
 type timed = {
@@ -46,31 +27,40 @@ type timed = {
   seconds : float;  (** host wall-clock for this cell *)
 }
 
-let cell ?opts ?(telemetry = false) ?(profile = false) ?(monitor = false)
-    ?(engine = Vm.Interp.Closure) workload machine mode =
-  { workload; machine; mode; opts; telemetry; profile; monitor; engine }
+let cell ?(telemetry = false) ?(profile = false) ?(monitor = false) workload
+    config =
+  { workload; config; telemetry; profile; monitor }
 
-let cell_label c =
-  Printf.sprintf "%s/%s/%s%s%s%s%s%s%s%s" c.workload.W.name
-    c.machine.Memsim.Config.name
-    (SP.Options.mode_name c.mode)
-    (match c.opts with None -> "" | Some _ -> "/custom-opts")
-    (match c.opts with
-    | Some o when o.SP.Options.prediction <> SP.Options.Inspect ->
-        "/pred=" ^ SP.Options.prediction_name o.SP.Options.prediction
-    | _ -> "")
-    (if c.telemetry then "/telemetry" else "")
-    (if c.profile then "/profile" else "")
-    (if c.monitor then "/monitor" else "")
-    (match c.engine with
-    | Vm.Interp.Closure -> ""
-    | e -> "/" ^ Vm.Interp.engine_name e ^ "-engine")
-    (if c.machine.Memsim.Config.hw_prefetch = Memsim.Config.default_stream
-     then ""
-     else
-       "/hw="
-       ^ Memsim.Config.hw_prefetch_to_string
-           c.machine.Memsim.Config.hw_prefetch)
+(* The axes a key names only off their default, with their spelling;
+   this order, like the observers' before them, is frozen by the
+   committed baselines. *)
+let axis_suffixes =
+  R.
+    [
+      (Engine, "/", "-engine");
+      (Hw, "/hw=", "");
+      (Threshold, "/thr=", "");
+      (Prediction, "/pred=", "");
+      (Passes, "/passes=", "");
+    ]
+
+let key ~workload ~telemetry ~profile ~monitor (c : R.t) =
+  let observer on name = if on then "/" ^ name else "" in
+  let axis (ax, prefix, suffix) =
+    let v = R.axis_value c ax in
+    if v = R.axis_value R.default ax then "" else prefix ^ v ^ suffix
+  in
+  String.concat ""
+    ([
+       workload; "/"; R.axis_value c R.Machine; "/"; R.axis_value c R.Mode;
+       observer telemetry "telemetry"; observer profile "profile";
+       observer monitor "monitor";
+     ]
+    @ List.map axis axis_suffixes)
+
+let cell_key c =
+  key ~workload:c.workload.W.name ~telemetry:c.telemetry ~profile:c.profile
+    ~monitor:c.monitor c.config
 
 let run_cell c =
   let t0 = Unix.gettimeofday () in
@@ -78,41 +68,38 @@ let run_cell c =
     if c.monitor then Some Monitor.Collector.default_window_cycles else None
   in
   let result =
-    match c.opts with
-    | None ->
-        H.run ?monitor ~engine:c.engine ~telemetry:c.telemetry
-          ~profile:c.profile ~mode:c.mode ~machine:c.machine c.workload
-    | Some opts ->
-        H.run ~opts ?monitor ~engine:c.engine ~telemetry:c.telemetry
-          ~profile:c.profile ~mode:c.mode ~machine:c.machine c.workload
+    H.run ~opts:(R.opts c.config) ~standard_passes:c.config.passes
+      ~engine:c.config.engine ?monitor ~telemetry:c.telemetry
+      ~profile:c.profile ~mode:c.config.mode ~machine:(R.machine c.config)
+      c.workload
   in
   { cell = c; result; seconds = Unix.gettimeofday () -. t0 }
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let run_matrix ?progress ~jobs cells =
-  let cells = Array.of_list cells in
-  let n = Array.length cells in
+let map ?progress ~jobs f xs =
+  let xs = Array.of_list xs in
+  let n = Array.length xs in
   let results = Array.make n None in
   let jobs = max 1 (min jobs n) in
   let report =
     match progress with
     | None -> fun _ -> ()
-    | Some f ->
+    | Some progress ->
         let m = Mutex.create () in
-        fun c ->
+        fun x ->
           Mutex.lock m;
-          (try f c with e -> Mutex.unlock m; raise e);
+          (try progress x with e -> Mutex.unlock m; raise e);
           Mutex.unlock m
   in
   if jobs = 1 then
     (* Serial fallback: no domains at all, to keep single-core runs and
        debugging sessions free of any runtime-parallelism overhead. *)
     Array.iteri
-      (fun i c ->
-        report c;
-        results.(i) <- Some (run_cell c))
-      cells
+      (fun i x ->
+        report x;
+        results.(i) <- Some (f x))
+      xs
   else begin
     let next = Atomic.make 0 in
     let worker () =
@@ -121,12 +108,12 @@ let run_matrix ?progress ~jobs cells =
         let i = Atomic.fetch_and_add next 1 in
         if i >= n then continue := false
         else begin
-          let c = cells.(i) in
-          report c;
+          let x = xs.(i) in
+          report x;
           (* Distinct domains write distinct indices of a boxed-option
              array: no data race, and [Domain.join] publishes the
              writes. *)
-          results.(i) <- Some (run_cell c)
+          results.(i) <- Some (f x)
         end
       done
     in
@@ -138,5 +125,7 @@ let run_matrix ?progress ~jobs cells =
     (Array.map
        (function
          | Some r -> r
-         | None -> invalid_arg "run_matrix: unfilled cell (worker died?)")
+         | None -> invalid_arg "Runner.map: unfilled slot (worker died?)")
        results)
+
+let run_matrix ?progress ~jobs cells = map ?progress ~jobs run_cell cells

@@ -1,19 +1,17 @@
 (** Parallel bench-matrix runner.
 
-    The (workload x machine x mode) cells of the paper's evaluation are
-    mutually independent — each run builds a fresh program, interpreter and
-    memory hierarchy, and no library keeps top-level mutable state — so the
-    matrix is farmed out to a pool of OCaml 5 Domains. Simulated cycle
-    counts are a pure function of the cell: the parallel runner is
-    byte-identical to the serial one (asserted by test/test_bench_runner.ml);
-    only host wall-clock changes. *)
+    The cells of the paper's evaluation are mutually independent — each
+    run builds a fresh program, interpreter and memory hierarchy, and no
+    library keeps top-level mutable state — so the matrix is farmed out
+    to a pool of OCaml 5 Domains. Simulated cycle counts are a pure
+    function of the cell: the parallel runner is byte-identical to the
+    serial one (asserted by test/test_bench_runner.ml); only host
+    wall-clock changes. *)
 
 type cell = {
   workload : Workloads.Workload.t;
-  machine : Memsim.Config.machine;
-  mode : Strideprefetch.Options.mode;
-  opts : Strideprefetch.Options.t option;
-      (** algorithm-knob override; [None] = defaults *)
+  config : Workloads.Run_config.t;
+      (** every axis that moves a simulated number *)
   telemetry : bool;
       (** run with the observability stack threaded through, filling
           [run_result.effectiveness]; the simulation itself is
@@ -28,11 +26,6 @@ type cell = {
           only, so a monitored twin's cycle count must equal its plain
           cell's exactly — the gate's exact-equality law pins that
           zero-cost claim over time *)
-  engine : Vm.Interp.engine;
-      (** which execution engine runs the cell; default [Closure]. Cycle
-          counts are engine-independent (the engines' bit-identity
-          contract), so a switch twin differs from its closure cell only
-          in host wall-clock — the dispatch-speedup lane *)
 }
 
 type timed = {
@@ -42,27 +35,32 @@ type timed = {
 }
 
 val cell :
-  ?opts:Strideprefetch.Options.t ->
   ?telemetry:bool ->
   ?profile:bool ->
   ?monitor:bool ->
-  ?engine:Vm.Interp.engine ->
   Workloads.Workload.t ->
-  Memsim.Config.machine ->
-  Strideprefetch.Options.mode ->
+  Workloads.Run_config.t ->
   cell
-(** [telemetry], [profile] and [monitor] default to [false]; [engine]
-    to [Vm.Interp.Closure]. *)
+(** [telemetry], [profile] and [monitor] default to [false]. *)
 
-val cell_label : cell -> string
-(** ["workload/machine/mode"], with a ["/custom-opts"] suffix when the cell
-    overrides the algorithm knobs, a ["/telemetry"] suffix when the
-    cell records effectiveness attribution, a ["/profile"] suffix
-    when the cell carries the object-centric profiler, a ["/monitor"]
-    suffix when it arms the live windowed monitor, a
-    ["/switch-engine"] suffix when it runs on a non-default engine, and
-    a ["/hw=..."] suffix when the machine's hardware prefetcher is not
-    the default stream unit. *)
+val key :
+  workload:string ->
+  telemetry:bool ->
+  profile:bool ->
+  monitor:bool ->
+  Workloads.Run_config.t ->
+  string
+(** The identity cells are matched on across reports:
+    ["workload/machine/mode"], then ["/telemetry"], ["/profile"],
+    ["/monitor"] for each observer, ["/switch-engine"] off the closure
+    engine, and ["/hw=SPEC"], ["/thr=N"], ["/pred=TIER"],
+    ["/passes=off"] for each axis off its default (the hardware axis
+    resolved against the machine, so the paper's [stream:8] adds
+    nothing). Canonical-matrix keys are therefore unchanged from
+    reports written before the sweep axes existed. *)
+
+val cell_key : cell -> string
+(** {!key} of a cell. *)
 
 val run_cell : cell -> timed
 (** Run one cell serially in the calling domain. *)
@@ -70,9 +68,13 @@ val run_cell : cell -> timed
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
+val map : ?progress:('a -> unit) -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** Apply [f] to every element on a pool of [jobs] domains (clamped to
+    [1 .. length]); results are returned in input order. [jobs = 1] runs
+    serially in the calling domain with no Domain machinery at all.
+    [progress] is invoked under a mutex as each element is picked up by
+    a worker. [f] must not share mutable state across calls. *)
+
 val run_matrix :
   ?progress:(cell -> unit) -> jobs:int -> cell list -> timed list
-(** Run every cell on a pool of [jobs] domains (clamped to [1 .. n_cells]);
-    results are returned in input order. [jobs = 1] runs serially in the
-    calling domain with no Domain machinery at all. [progress] is invoked
-    under a mutex as each cell is picked up by a worker. *)
+(** {!map} of {!run_cell}. *)

@@ -1,5 +1,5 @@
-(* spf_bench: record bench_hotpath/v2 reports and run the statistical
-   regression gate between them.
+(* spf_bench: record bench_hotpath/v2 reports, sweep configuration axes,
+   and run the statistical regression gate between reports.
 
    Usage:
      spf_bench --record PATH [--jobs N]         run the canonical matrix,
@@ -10,6 +10,12 @@
                                                 record a fresh in-memory
                                                 run and gate it against
                                                 BASELINE
+     spf_bench --sweep AXIS=V1,V2,... [--sweep ...] [--record PATH]
+                                                run every combination of
+                                                the values, print each
+                                                one's sums and each
+                                                machine's pick, check the
+                                                sweep's own report
      spf_bench --smoke                          fast self-check used by
                                                 dune runtest: one cell run
                                                 twice must gate clean, an
@@ -24,23 +30,19 @@
 module Runner = Bench_runner.Runner
 module Report = Bench_runner.Report
 module Gate = Bench_runner.Gate
-module W = Workloads.Workload
-module SP = Strideprefetch
+module R = Workloads.Run_config
 
 let usage () =
   prerr_endline
     "usage: spf_bench (--record PATH | --compare BASELINE NEW | \
-     --gate-against BASELINE | --sweep-arbitration [PATH] | \
-     --sweep-prediction [PATH] | --smoke) [--jobs N] [--threshold PCT]\n\
-     --sweep-arbitration sweeps the SW inter-stride threshold against \
-     the hardware prefetch models per machine and auto-picks the \
-     minimum-cycle arbitration point; with --smoke it runs a tiny grid \
-     (Euler x pentium4) as a self-check instead.\n\
-     --sweep-prediction runs every workload on both machines \
-     under the inspect and hybrid prediction tiers and reports the \
-     inspection iterations the address-algebra predictor saves at \
-     equal-or-better simulated cycles; with --smoke it runs Euler x \
-     pentium4 as a self-check instead."
+     --gate-against BASELINE | --sweep AXIS=V1,V2,... [--record PATH] | \
+     --smoke) [--jobs N] [--threshold PCT]\n\
+     --sweep (repeatable) runs every combination of the given values; \
+     AXIS is workload (default: the paper's twelve) or a run-config \
+     axis: machine, mode, hw, threshold, prediction, passes, engine. It \
+     prints cycles, inspection iterations and steps and prefetch-pass \
+     time per combination, summed over the workloads, and each \
+     machine's lowest-cycle combination (its pick)."
 
 let ok_or_die = function
   | Ok v -> v
@@ -48,37 +50,43 @@ let ok_or_die = function
       prerr_endline ("spf_bench: " ^ e);
       exit 2
 
-let record_timed ~jobs =
-  let cells = Report.default_cells () in
-  Printf.eprintf "[spf_bench] running %d cells on %d job(s)...\n%!"
+let run_cells ~jobs what cells =
+  Printf.eprintf "[spf_bench] %s: %d cells on %d job(s)...\n%!" what
     (List.length cells) jobs;
   let t0 = Unix.gettimeofday () in
   let timed =
     Runner.run_matrix ~jobs
       ~progress:(fun c ->
-        Printf.eprintf "[spf_bench]   %s\n%!" (Runner.cell_label c))
+        Printf.eprintf "[spf_bench]   %s\n%!" (Runner.cell_key c))
       cells
   in
   (timed, Unix.gettimeofday () -. t0)
 
-let print_dispatch label run =
-  match Gate.dispatch_geomean run with
+(* Render a report, write it when asked, and read it back: the gate sees
+   exactly what was written. *)
+let report ?sweep ?path ~jobs (timed, wall) =
+  let json =
+    Report.to_json_string ?sweep ~jobs ~matrix_wall_seconds:wall timed
+  in
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc json);
+      Printf.printf "wrote %s (%d cells, %.1f s wall)\n" path
+        (List.length timed) wall)
+    path;
+  ok_or_die
+    (Gate.of_string ~label:(Option.value ~default:"<fresh run>" path) json)
+
+let print_dispatch label (run : Gate.run) =
+  match Gate.dispatch_geomean (Gate.dispatch_pairs run.Gate.cells) with
   | Some g ->
       Printf.printf "dispatch geomean speedup (switch/closure) %s: %.3fx\n"
         label g
   | None -> ()
 
 let record ~jobs path =
-  let timed, wall = record_timed ~jobs in
-  Report.write_json ~path ~jobs ~matrix_wall_seconds:wall timed;
-  Printf.printf "wrote %s (%d cells, %.1f s wall)\n" path (List.length timed)
-    wall;
-  let pairs = Report.dispatch_pairs timed in
-  if pairs <> [] then
-    Printf.printf "dispatch geomean speedup (switch/closure): %.3fx over %d \
-                   pairs\n"
-      (Report.dispatch_geomean pairs)
-      (List.length pairs)
+  let matrix = run_cells ~jobs "canonical matrix" (Report.default_cells ()) in
+  print_dispatch path (report ~path ~jobs matrix)
 
 (* ------------------------------------------------------------------ *)
 (* Blame on failure: when the gate trips on a cycle regression, explain
@@ -92,22 +100,11 @@ let record ~jobs path =
    one-sided fresh profiled re-run of the regressed cell — where the
    cycles go now, even if the delta can't be split per loop. *)
 
-let blame_config (c : Gate.cell_rec) =
-  {
-    Diff.Rundata.c_workload = c.Gate.workload;
-    c_machine = c.machine;
-    c_mode = c.mode;
-    c_engine = c.engine;
-    c_hw = c.hw;
-    c_prediction = Option.value ~default:"inspect" c.prediction;
-    c_threshold = c.sw_threshold;
-    c_passes = true;
-  }
-
 let rundata_of_cell name (c : Gate.cell_rec) =
   match c.Gate.blame with
   | Some payload ->
-      Diff.Rundata.of_bench_blame ~config:(blame_config c)
+      Diff.Rundata.of_bench_blame
+        ~config:(Diff.Rundata.config_strings ~workload:c.workload c.config)
         ~cycles:c.Gate.cycles payload
   | None -> Error (name ^ " carries no blame payload")
 
@@ -184,387 +181,120 @@ let compare_files ?threshold path_a path_b =
 
 let gate_against ?threshold ~jobs baseline_path =
   let a = ok_or_die (Gate.load baseline_path) in
-  let timed, wall = record_timed ~jobs in
-  let b =
-    ok_or_die
-      (Gate.of_string ~label:"<fresh run>"
-         (Report.to_json_string ~jobs ~matrix_wall_seconds:wall timed))
+  let ((timed, _) as matrix) =
+    run_cells ~jobs "canonical matrix" (Report.default_cells ())
   in
+  let b = report ~jobs matrix in
   (* The fresh run is still in memory: a regressed cell whose baseline
      has no blame payload is re-run with the profiler installed (one
      cell — cheap next to the matrix) for the one-sided diagnosis. *)
-  let matches (t : Runner.timed) (c : Gate.cell_rec) =
-    t.Runner.cell.Runner.workload.W.name = c.Gate.workload
-    && t.Runner.cell.Runner.machine.Memsim.Config.name = c.Gate.machine
-    && SP.Options.mode_name t.Runner.cell.Runner.mode = c.Gate.mode
-    && Vm.Interp.engine_name t.Runner.cell.Runner.engine = c.Gate.engine
-    && t.Runner.cell.Runner.telemetry = c.Gate.telemetry
-    && t.Runner.cell.Runner.profile = c.Gate.profile
-    && t.Runner.cell.Runner.monitor = c.Gate.monitor
-    && Memsim.Config.hw_prefetch_to_string
-         t.Runner.cell.Runner.machine.Memsim.Config.hw_prefetch
-       = c.Gate.hw
-    && (match t.Runner.cell.Runner.opts with
-       | Some o ->
-           o.SP.Options.inter_stride_threshold = c.Gate.sw_threshold
-           && (if o.SP.Options.prediction <> SP.Options.Inspect then
-                 Some (SP.Options.prediction_name o.SP.Options.prediction)
-               else None)
-              = c.Gate.prediction
-       | None -> c.Gate.sw_threshold = None && c.Gate.prediction = None)
-  in
   let rerun (p : Gate.pair) =
-    match List.find_opt (fun t -> matches t p.Gate.b) timed with
+    match
+      List.find_opt
+        (fun (t : Runner.timed) -> Runner.cell_key t.cell = p.Gate.key)
+        timed
+    with
     | None -> Error "regressed cell not found in the fresh run"
     | Some t ->
         let result =
-          match t.Runner.result.Workloads.Harness.profile with
-          | Some _ -> t.Runner.result
+          match t.result.Workloads.Harness.profile with
+          | Some _ -> t.result
           | None ->
-              (Runner.run_cell { t.Runner.cell with Runner.profile = true })
+              (Runner.run_cell { t.cell with Runner.profile = true })
                 .Runner.result
         in
-        Diff.Rundata.of_run ~config:(blame_config p.Gate.b) result
+        Diff.Rundata.of_run
+          ~config:
+            (Diff.Rundata.config_strings ~workload:t.cell.workload.name
+               t.cell.config)
+          result
   in
   compare_runs ?threshold ~rerun a b
 
-(* --sweep-arbitration: the SW/HW arbitration sweep. The paper hands
-   strides shorter than half a cache line to the hardware prefetcher
-   (Section 4.1's "the hardware already covers short strides"); this
-   sweep measures where that handoff point actually sits for each
-   machine's hardware model by gridding the SW inter-stride threshold
-   against the hardware prefetch models and summing simulated cycles
-   over a fixed workload set. The minimum-cycle point per machine is the
-   auto-picked arbitration point, reported in the bench JSON's
-   "arbitration" lane; every grid cell also lands in "cells" under a
-   distinct /hw=... /thr=N gate key.
-
-   The smoke variant runs a 2x2 grid on Euler x pentium4 — small enough
-   for dune runtest — and asserts the lane's structural invariants:
-   picks are grid minima, keys are distinct, the report round-trips. *)
-let sweep_arbitration ~jobs ~smoke path =
-  let module C = Memsim.Config in
-  let all = Workloads.Specjvm.all @ Workloads.Javagrande.all in
-  let find n = List.find (fun (w : W.t) -> w.name = n) all in
-  let workloads, machines, thresholds, hw_models =
-    if smoke then
-      ( [ find "Euler" ],
-        [ C.pentium4 ],
-        [ 16; 32 ],
-        [ C.default_stream; C.default_rpt ] )
-    else
-      ( [ find "db"; find "compress"; find "Euler" ],
-        [ C.pentium4; C.athlon_mp ],
-        [ 0; 16; 32; 64 ],
-        [
-          C.Hw_none;
-          C.default_stream;
-          C.default_rpt;
-          C.Hw_rpt { table_size = 64; degree = 4; distance = 4 };
-          C.Hw_rpt { table_size = 256; degree = 2; distance = 8 };
-        ] )
+(* --sweep: every combination of the given axis values. For each
+   configuration the lane prints cycles, inspection iterations begun,
+   inspection steps and prefetch-pass wall-clock, summed over the
+   workloads — the compile-side work a prediction tier saves next to the
+   simulated cycles it must not cost — and for each machine its
+   lowest-cycle configuration, the pick (the SW/HW arbitration point when
+   the sweep grids threshold against hw). Every sweep cell lands in the
+   report under its own gate key; the lane always checks its own report:
+   it round-trips, keys are distinct, and each pick has the fewest
+   cycles of its machine's grid as read back from the report's cells. *)
+let check_sweep (sw : Report.sweep) (run : Gate.run) =
+  let fail msg =
+    prerr_endline ("sweep self-check FAIL: " ^ msg);
+    exit 1
   in
-  let opts_for t =
-    { SP.Options.default with SP.Options.inter_stride_threshold = Some t }
-  in
-  let cells =
-    List.concat_map
-      (fun (machine : Memsim.Config.machine) ->
-        List.concat_map
-          (fun hw ->
-            List.concat_map
-              (fun t ->
-                List.map
-                  (fun w ->
-                    Runner.cell ~opts:(opts_for t) w
-                      { machine with C.hw_prefetch = hw }
-                      SP.Options.Inter_intra)
-                  workloads)
-              thresholds)
-          hw_models)
-      machines
-  in
-  Printf.eprintf "[spf_bench] arbitration sweep: %d cells on %d job(s)...\n%!"
-    (List.length cells) jobs;
-  let t0 = Unix.gettimeofday () in
-  let timed =
-    Runner.run_matrix ~jobs
-      ~progress:(fun c ->
-        Printf.eprintf "[spf_bench]   %s\n%!" (Runner.cell_label c))
-      cells
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* Sum cycles per (machine, hw, threshold) grid point. *)
-  let grid =
-    List.concat_map
-      (fun (machine : Memsim.Config.machine) ->
-        List.concat_map
-          (fun hw ->
-            List.map
-              (fun t ->
-                let cycles =
-                  List.fold_left
-                    (fun acc (r : Runner.timed) ->
-                      if
-                        r.cell.Runner.machine.C.name = machine.C.name
-                        && r.cell.Runner.machine.C.hw_prefetch = hw
-                        && r.cell.Runner.opts = Some (opts_for t)
-                      then acc + r.result.Workloads.Harness.cycles
-                      else acc)
-                    0 timed
-                in
-                {
-                  Report.arb_machine = machine.C.name;
-                  arb_threshold = t;
-                  arb_hw = C.hw_prefetch_to_string hw;
-                  arb_cycles = cycles;
-                })
-              thresholds)
-          hw_models)
-      machines
-  in
-  let picks =
-    List.map
-      (fun (machine : Memsim.Config.machine) ->
-        let mine =
-          List.filter
-            (fun (p : Report.arb_point) -> p.arb_machine = machine.C.name)
-            grid
-        in
-        List.fold_left
-          (fun (best : Report.arb_point) (p : Report.arb_point) ->
-            if p.Report.arb_cycles < best.Report.arb_cycles then p else best)
-          (List.hd mine) (List.tl mine))
-      machines
-  in
-  let arbitration =
-    {
-      Report.arb_workloads = List.map (fun (w : W.t) -> w.name) workloads;
-      arb_grid = grid;
-      arb_picks = picks;
-    }
-  in
-  List.iter
-    (fun (p : Report.arb_point) ->
-      Printf.printf
-        "arbitration pick [%s]: sw_threshold=%d hw=%s (%d cycles over %s)\n"
-        p.arb_machine p.arb_threshold p.arb_hw p.arb_cycles
-        (String.concat "+" arbitration.Report.arb_workloads))
-    picks;
-  let json =
-    Report.to_json_string ~arbitration ~jobs ~matrix_wall_seconds:wall timed
-  in
-  (match path with
-  | Some path ->
-      Out_channel.with_open_text path (fun oc -> output_string oc json);
-      Printf.printf "wrote %s (%d cells, %.1f s wall)\n" path
-        (List.length timed) wall
-  | None -> ());
-  if smoke then begin
-    (* Structural self-checks for the runtest hook. *)
-    let r = ok_or_die (Gate.of_string ~label:"<sweep>" json) in
-    if r.Gate.schema <> Report.schema then begin
-      prerr_endline "sweep smoke FAIL: wrong schema";
-      exit 1
-    end;
-    let keys = List.map Gate.cell_key r.Gate.cells in
-    if List.length (List.sort_uniq compare keys) <> List.length keys
-    then begin
-      prerr_endline "sweep smoke FAIL: sweep cells collide under gate keys";
-      exit 1
-    end;
-    List.iter
-      (fun (p : Report.arb_point) ->
-        let floor_cycles =
-          List.fold_left
-            (fun acc (g : Report.arb_point) ->
-              if g.arb_machine = p.arb_machine then min acc g.arb_cycles
-              else acc)
-            max_int grid
-        in
-        if p.arb_cycles <> floor_cycles then begin
-          prerr_endline
-            "sweep smoke FAIL: pick is not the grid minimum for its machine";
-          exit 1
-        end)
-      picks;
-    print_endline "sweep smoke: OK"
-  end
-
-(* --sweep-prediction: the JIT-compile-time lane. The hybrid tier's
-   promise is purely compile-side — the address-algebra predictor's
-   Certain verdicts skip the ~20 inspection iterations, Likely shortens
-   them — while the simulated cycle count must stay equal or better
-   (static claims that agree with inspection produce the same plans).
-   This sweep runs each workload under the inspect and hybrid tiers and
-   reports both sides of that trade: inspection iterations begun and
-   instructions partially interpreted (saved work) next to cycles and
-   prefetch-pass wall-clock. Results land in the bench JSON's
-   "prediction" lane; every hybrid cell also lands in "cells" under a
-   distinct /pred=hybrid gate key.
-
-   The smoke variant runs MonteCarlo x pentium4 — small enough for dune
-   runtest — and asserts the lane's contract: the report round-trips,
-   gate keys stay distinct, hybrid begins strictly fewer inspection
-   iterations, and hybrid cycles are equal or better. *)
-let sweep_prediction ~jobs ~smoke path =
-  let module C = Memsim.Config in
-  let all = Workloads.Specjvm.all @ Workloads.Javagrande.all in
-  let workloads, machines =
-    if smoke then
-      ( [ List.find (fun (w : W.t) -> w.name = "MonteCarlo") all ],
-        [ C.pentium4 ] )
-    else (all, [ C.pentium4; C.athlon_mp ])
-  in
-  let tiers = [ SP.Options.Inspect; SP.Options.Hybrid ] in
-  let opts_for tier =
-    { SP.Options.default with SP.Options.prediction = tier }
-  in
-  let cells =
-    List.concat_map
-      (fun (machine : C.machine) ->
-        List.concat_map
-          (fun tier ->
-            List.map
-              (fun w ->
-                (* The inspect cells are the canonical ones (no opts
-                   override), so their gate keys match the default
-                   matrix; hybrid cells carry the override and the
-                   /pred=hybrid key suffix. *)
-                match tier with
-                | SP.Options.Inspect ->
-                    Runner.cell w machine SP.Options.Inter_intra
-                | _ ->
-                    Runner.cell ~opts:(opts_for tier) w machine
-                      SP.Options.Inter_intra)
-              workloads)
-          tiers)
-      machines
-  in
-  Printf.eprintf "[spf_bench] prediction sweep: %d cells on %d job(s)...\n%!"
-    (List.length cells) jobs;
-  let t0 = Unix.gettimeofday () in
-  let timed =
-    Runner.run_matrix ~jobs
-      ~progress:(fun c ->
-        Printf.eprintf "[spf_bench]   %s\n%!" (Runner.cell_label c))
-      cells
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let tier_of (t : Runner.timed) =
-    match t.cell.Runner.opts with
-    | Some o -> SP.Options.prediction_name o.SP.Options.prediction
-    | None -> SP.Options.prediction_name SP.Options.Inspect
-  in
-  let point_of (t : Runner.timed) =
-    let iters, steps =
-      List.fold_left
-        (fun (i, s) (r : SP.Pass.loop_report) ->
-          (i + r.SP.Pass.iterations_observed, s + r.SP.Pass.inspection_steps))
-        (0, 0) t.result.Workloads.Harness.reports
-    in
-    {
-      Report.pred_workload = t.cell.Runner.workload.W.name;
-      pred_machine = t.cell.Runner.machine.C.name;
-      pred_tier = tier_of t;
-      pred_cycles = t.result.Workloads.Harness.cycles;
-      pred_iterations = iters;
-      pred_steps = steps;
-      pred_pass_seconds = t.result.Workloads.Harness.prefetch_pass_seconds;
-    }
-  in
-  let points = List.map point_of timed in
-  let sum_over machine tier f =
+  if run.Gate.schema <> Gate.schema then fail "wrong schema";
+  let keys = List.map Gate.cell_key run.Gate.cells in
+  if List.length (List.sort_uniq compare keys) <> List.length keys then
+    fail "sweep cells collide under gate keys";
+  let cycles config =
     List.fold_left
-      (fun acc (p : Report.pred_point) ->
-        if p.pred_machine = machine && p.pred_tier = tier then acc + f p
-        else acc)
-      0 points
+      (fun acc (c : Gate.cell_rec) ->
+        if R.equal c.Gate.config config then acc + c.Gate.cycles else acc)
+      0 run.Gate.cells
   in
-  let summaries =
-    List.map
-      (fun (machine : C.machine) ->
-        let m = machine.C.name in
-        let inspect_i =
-          sum_over m "inspect" (fun p -> p.Report.pred_iterations)
-        and hybrid_i =
-          sum_over m "hybrid" (fun p -> p.Report.pred_iterations)
-        and inspect_c = sum_over m "inspect" (fun p -> p.Report.pred_cycles)
-        and hybrid_c = sum_over m "hybrid" (fun p -> p.Report.pred_cycles) in
-        {
-          Report.pred_sum_machine = m;
-          pred_iterations_inspect = inspect_i;
-          pred_iterations_hybrid = hybrid_i;
-          pred_cycles_delta = hybrid_c - inspect_c;
-        })
-      machines
-  in
-  let prediction =
-    { Report.pred_points = points; pred_summaries = summaries }
-  in
-  Printf.printf "%-11s %-10s %-8s %12s %12s %12s %12s\n" "workload"
-    "machine" "tier" "cycles" "iterations" "insp steps" "pass (ms)";
+  let machine (r : Report.row) = R.axis_value r.config R.Machine in
   List.iter
-    (fun (p : Report.pred_point) ->
-      Printf.printf "%-11s %-10s %-8s %12d %12d %12d %12.3f\n"
-        p.pred_workload p.pred_machine p.pred_tier p.pred_cycles
-        p.pred_iterations p.pred_steps (1000.0 *. p.pred_pass_seconds))
-    points;
-  List.iter
-    (fun (s : Report.pred_summary) ->
-      Printf.printf
-        "prediction summary [%s]: hybrid begins %d of %d inspection \
-         iterations (%d saved), cycles delta %+d\n"
-        s.Report.pred_sum_machine s.pred_iterations_hybrid
-        s.pred_iterations_inspect
-        (s.pred_iterations_inspect - s.pred_iterations_hybrid)
-        s.pred_cycles_delta)
-    summaries;
-  let json =
-    Report.to_json_string ~prediction ~jobs ~matrix_wall_seconds:wall timed
+    (fun (p : Report.row) ->
+      if cycles p.config <> p.cycles then
+        fail "a pick's cycles differ from its cells in the report";
+      if
+        List.exists
+          (fun r -> machine r = machine p && cycles r.config < p.cycles)
+          sw.rows
+      then fail ("the pick is not the grid minimum for " ^ machine p))
+    sw.picks;
+  print_endline "sweep self-check: OK"
+
+let sweep ~jobs ?record specs =
+  let dims = List.map (fun s -> ok_or_die (Report.dim s)) specs in
+  let ((timed, _) as run) = run_cells ~jobs "sweep" (Report.grid dims) in
+  let sw = Report.sweep dims timed in
+  let table =
+    Telemetry.Table.make
+      ~columns:
+        (List.map (fun ax -> (R.axis_name ax, Telemetry.Table.Left)) sw.axes
+        @ List.map
+            (fun c -> (c, Telemetry.Table.Right))
+            [ "cycles"; "iterations"; "insp steps"; "pass (ms)" ])
   in
-  (match path with
-  | Some path ->
-      Out_channel.with_open_text path (fun oc -> output_string oc json);
-      Printf.printf "wrote %s (%d cells, %.1f s wall)\n" path
-        (List.length timed) wall
-  | None -> ());
-  if smoke then begin
-    let r = ok_or_die (Gate.of_string ~label:"<sweep>" json) in
-    if r.Gate.schema <> Report.schema then begin
-      prerr_endline "prediction smoke FAIL: wrong schema";
-      exit 1
-    end;
-    let keys = List.map Gate.cell_key r.Gate.cells in
-    if List.length (List.sort_uniq compare keys) <> List.length keys
-    then begin
-      prerr_endline
-        "prediction smoke FAIL: sweep cells collide under gate keys";
-      exit 1
-    end;
-    List.iter
-      (fun (s : Report.pred_summary) ->
-        if s.Report.pred_iterations_hybrid >= s.pred_iterations_inspect
-        then begin
-          prerr_endline
-            "prediction smoke FAIL: hybrid did not reduce inspection \
-             iterations";
-          exit 1
-        end;
-        if s.pred_cycles_delta > 0 then begin
-          prerr_endline
-            "prediction smoke FAIL: hybrid regressed simulated cycles";
-          exit 1
-        end)
-      summaries;
-    print_endline "prediction smoke: OK"
-  end
+  List.iter
+    (fun (r : Report.row) ->
+      Telemetry.Table.add_row table
+        (List.map (R.axis_value r.config) sw.axes
+        @ [
+            Telemetry.Table.cell_int r.cycles;
+            Telemetry.Table.cell_int r.iterations;
+            Telemetry.Table.cell_int r.steps;
+            Printf.sprintf "%.3f" (1000.0 *. r.pass_seconds);
+          ]))
+    sw.rows;
+  Printf.printf "sweep over %s\n%s\n"
+    (String.concat "+" sw.sweep_workloads)
+    (Telemetry.Table.to_string table);
+  List.iter
+    (fun (p : Report.row) ->
+      Printf.printf "pick [%s]: %s (%d cycles)\n"
+        (R.axis_value p.config R.Machine)
+        (String.concat " "
+           (List.filter_map
+              (fun ax ->
+                if ax = R.Machine then None
+                else Some (R.axis_name ax ^ "=" ^ R.axis_value p.config ax))
+              sw.axes))
+        p.cycles)
+    sw.picks;
+  check_sweep sw (report ~sweep:sw ?path:record ~jobs run)
 
 (* The runtest self-check: everything the gate promises, on one cell. *)
 let smoke () =
-  let workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all in
-  let db = List.find (fun (w : W.t) -> w.name = "db") workloads in
-  let cell = Runner.cell db Memsim.Config.pentium4 SP.Options.Inter_intra in
+  let db =
+    List.find (fun (w : Workloads.Workload.t) -> w.name = "db") Report.workloads
+  in
+  let cell = Runner.cell db R.default in
   let report_once () =
     Report.to_json_string ~jobs:1 ~matrix_wall_seconds:0.0
       [ Runner.run_cell cell ]
@@ -614,16 +344,8 @@ let smoke () =
 let () =
   let jobs = ref (Runner.default_jobs ()) in
   let threshold = ref None in
-  let action = ref None in
-  let smoke_flag = ref false in
-  let set_action a =
-    match !action with
-    | None -> action := Some a
-    | Some _ ->
-        prerr_endline "spf_bench: more than one action given";
-        usage ();
-        exit 2
-  in
+  let record_path = ref None and compare = ref None and gate = ref None in
+  let sweeps = ref [] and smoke_flag = ref false in
   let rec parse = function
     | [] -> ()
     | "--jobs" :: n :: rest ->
@@ -641,35 +363,18 @@ let () =
             exit 2);
         parse rest
     | "--record" :: path :: rest ->
-        set_action (`Record path);
+        record_path := Some path;
         parse rest
     | "--compare" :: a :: b :: rest ->
-        set_action (`Compare (a, b));
+        compare := Some (a, b);
         parse rest
     | "--gate-against" :: path :: rest ->
-        set_action (`Gate path);
+        gate := Some path;
         parse rest
-    | "--sweep-arbitration" :: rest -> (
-        match rest with
-        | path :: rest'
-          when not (String.length path > 0 && path.[0] = '-') ->
-            set_action (`Sweep (Some path));
-            parse rest'
-        | _ ->
-            set_action (`Sweep None);
-            parse rest)
-    | "--sweep-prediction" :: rest -> (
-        match rest with
-        | path :: rest'
-          when not (String.length path > 0 && path.[0] = '-') ->
-            set_action (`Sweep_prediction (Some path));
-            parse rest'
-        | _ ->
-            set_action (`Sweep_prediction None);
-            parse rest)
+    | "--sweep" :: spec :: rest ->
+        sweeps := !sweeps @ [ spec ];
+        parse rest
     | "--smoke" :: rest ->
-        (* A flag when it modifies --sweep-arbitration, an action (the
-           gate self-check) when it stands alone. *)
         smoke_flag := true;
         parse rest
     | ("--help" | "-h") :: _ ->
@@ -681,15 +386,20 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  match !action with
-  | Some (`Record path) -> record ~jobs:!jobs path
-  | Some (`Compare (a, b)) -> compare_files ?threshold:!threshold a b
-  | Some (`Gate path) -> gate_against ?threshold:!threshold ~jobs:!jobs path
-  | Some (`Sweep path) ->
-      sweep_arbitration ~jobs:!jobs ~smoke:!smoke_flag path
-  | Some (`Sweep_prediction path) ->
-      sweep_prediction ~jobs:!jobs ~smoke:!smoke_flag path
-  | None when !smoke_flag -> smoke ()
-  | None ->
+  (* --record names the sweep's report when it rides on --sweep, and is
+     the canonical-matrix recorder on its own. *)
+  match (!sweeps, !record_path, !compare, !gate, !smoke_flag) with
+  | [], Some path, None, None, false -> record ~jobs:!jobs path
+  | [], None, Some (a, b), None, false ->
+      compare_files ?threshold:!threshold a b
+  | [], None, None, Some path, false ->
+      gate_against ?threshold:!threshold ~jobs:!jobs path
+  | _ :: _, record, None, None, false -> sweep ~jobs:!jobs ?record !sweeps
+  | [], None, None, None, true -> smoke ()
+  | [], None, None, None, false ->
+      usage ();
+      exit 2
+  | _ ->
+      prerr_endline "spf_bench: more than one action given";
       usage ();
       exit 2

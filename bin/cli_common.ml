@@ -2,10 +2,10 @@
 
    Every binary used to carry its own copy of the machine / mode / engine /
    hw-prefetch / prediction converters, and the copies drifted (spf_prof
-   had no --prediction, spf_mon no --hw-prefetch). The single definitions
-   here are the only ones: a new axis added to one tool is automatically
-   spelled the same everywhere, which the diff engine's --vs override
-   parser (Diff.Bisect) relies on. *)
+   had no --prediction, spf_mon no --hw-prefetch). Each binary now takes
+   one [config_term] over the axes it accepts, and every value is parsed
+   by Workloads.Run_config — the same parser behind spf_diff --vs and
+   the bench cells — so an axis is spelled the same everywhere. *)
 
 let workloads =
   Workloads.Specjvm.all @ Workloads.Javagrande.all @ Workloads.Phase.all
@@ -16,110 +16,45 @@ let find_workload name =
       String.lowercase_ascii w.name = String.lowercase_ascii name)
     workloads
 
-let machine_conv =
-  let parse s =
-    match Memsim.Config.machine_of_name s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown machine '%s' (expected: %s)" s
-               (String.concat ", "
-                  (List.map
-                     (fun (m : Memsim.Config.machine) -> m.name)
-                     Memsim.Config.machines))))
-  in
-  let print ppf (m : Memsim.Config.machine) = Format.fprintf ppf "%s" m.name in
-  Cmdliner.Arg.conv (parse, print)
+module R = Workloads.Run_config
 
-let mode_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "off" | "baseline" -> Ok Strideprefetch.Options.Off
-    | "inter" -> Ok Strideprefetch.Options.Inter
-    | "inter+intra" | "inter_intra" | "interintra" ->
-        Ok Strideprefetch.Options.Inter_intra
-    | _ -> Error (`Msg "expected one of: off, inter, inter+intra")
+(* One axis as a cmdliner argument whose value sets that axis (parsed by
+   Run_config); absent, it leaves the default in place. The standard
+   passes are the one negative flag, [--no-passes]. *)
+let axis_arg axis =
+  let open Cmdliner in
+  let setter names ~docv ~doc =
+    let parse s = Result.map_error (fun e -> `Msg e) (R.parse axis s) in
+    let print ppf set =
+      Format.pp_print_string ppf (R.axis_value (set R.default) axis)
+    in
+    Arg.(value & opt (conv (parse, print)) Fun.id & info names ~docv ~doc)
   in
-  let print ppf m =
-    Format.fprintf ppf "%s" (Strideprefetch.Options.mode_name m)
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let engine_conv =
-  let parse s =
-    match Vm.Interp.engine_of_string (String.lowercase_ascii s) with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected one of: closure, switch")
-  in
-  let print ppf e = Format.fprintf ppf "%s" (Vm.Interp.engine_name e) in
-  Cmdliner.Arg.conv (parse, print)
-
-let hw_prefetch_conv =
-  let parse s =
-    match Memsim.Config.hw_prefetch_of_string s with
-    | Ok hw -> Ok hw
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf hw =
-    Format.fprintf ppf "%s" (Memsim.Config.hw_prefetch_to_string hw)
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let prediction_conv =
-  let parse s =
-    match Strideprefetch.Options.prediction_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf p =
-    Format.fprintf ppf "%s" (Strideprefetch.Options.prediction_name p)
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let machine_arg =
-  Cmdliner.Arg.(
-    value
-    & opt machine_conv Memsim.Config.pentium4
-    & info [ "m"; "machine" ] ~docv:"MACHINE"
-        ~doc:"Simulated machine (pentium4 or athlonmp).")
-
-let mode_arg =
-  Cmdliner.Arg.(
-    value
-    & opt mode_conv Strideprefetch.Options.Inter_intra
-    & info [ "p"; "mode" ] ~docv:"MODE"
-        ~doc:"Prefetching mode: off, inter, or inter+intra.")
-
-let engine_arg =
-  Cmdliner.Arg.(
-    value
-    & opt engine_conv Vm.Interp.Closure
-    & info [ "engine" ] ~docv:"ENGINE"
+  match axis with
+  | R.Machine ->
+      setter [ "m"; "machine" ] ~docv:"MACHINE"
+        ~doc:"Simulated machine (pentium4 or athlonmp)."
+  | R.Mode ->
+      setter [ "p"; "mode" ] ~docv:"MODE"
+        ~doc:"Prefetching mode: off, inter, or inter+intra."
+  | R.Engine ->
+      setter [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine: $(b,closure) (method bodies pre-compiled to \
            direct-threaded closure arrays; the default) or $(b,switch) \
            (the reference fetch/decode loop). Simulated results are \
-           bit-identical either way; closure is faster on the host.")
-
-let hw_prefetch_arg =
-  Cmdliner.Arg.(
-    value
-    & opt (some hw_prefetch_conv) None
-    & info [ "hw-prefetch" ] ~docv:"SPEC"
+           bit-identical either way; closure is faster on the host."
+  | R.Hw ->
+      setter [ "hw-prefetch" ] ~docv:"SPEC"
         ~doc:
           "Override the machine's hardware prefetcher: $(b,none), \
            $(b,stream[:STREAMS]) (the default sequential stream unit), or \
            $(b,rpt[:TABLExDEGREE@DISTANCE]) (a Chen/Baer reference \
            prediction table doing per-PC stride prediction, e.g. \
            $(b,rpt:64x2@4)). The simulated program behaves identically \
-           under every model; only cycles and memory counters move.")
-
-let prediction_arg =
-  Cmdliner.Arg.(
-    value
-    & opt prediction_conv Strideprefetch.Options.Inspect
-    & info [ "prediction" ] ~docv:"TIER"
+           under every model; only cycles and memory counters move."
+  | R.Prediction ->
+      setter [ "prediction" ] ~docv:"TIER"
         ~doc:
           "Stride-prediction source: $(b,inspect) (the paper's dynamic \
            object inspection; the default), $(b,static) (the \
@@ -128,7 +63,26 @@ let prediction_arg =
            iterations, $(b,likely) shortens them, $(b,unknown) falls \
            back to full inspection). Program results are identical under \
            every tier; only compile-time work and the generated plans \
-           may differ.")
+           may differ."
+  | R.Threshold ->
+      setter [ "threshold" ] ~docv:"BYTES"
+        ~doc:
+          "Inter-stride profitability threshold override (default: the \
+           paper's half-line rule)."
+  | R.Passes ->
+      Term.(
+        const (fun off (c : R.t) ->
+            if off then { c with passes = false } else c)
+        $ Arg.(
+            value & flag
+            & info [ "no-passes" ] ~doc:"Disable the standard JIT passes."))
+
+(* The configuration term of a binary: exactly the axes it accepts, each
+   parsed by Run_config, over [Run_config.default]. *)
+let config_term axes =
+  List.fold_left
+    (fun acc axis -> Cmdliner.Term.(const ( |> ) $ acc $ axis_arg axis))
+    (Cmdliner.Term.const R.default) axes
 
 (* The one --inject term over the fault registry, restricted to the
    faults the tool can act on: any other name is a usage error (exit
@@ -154,8 +108,3 @@ let inject_arg ~doc accepted =
           (Printf.sprintf "%s $(docv) is %s." doc
              (String.concat " or "
                 (List.map (fun f -> "$(b," ^ Vm.Fault.name f ^ ")") accepted))))
-
-let apply_hw_prefetch hw (machine : Memsim.Config.machine) =
-  match hw with
-  | None -> machine
-  | Some hw -> { machine with Memsim.Config.hw_prefetch = hw }

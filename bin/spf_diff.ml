@@ -21,21 +21,15 @@
    replay; cmdliner codes for usage errors. *)
 
 module H = Workloads.Harness
-module O = Strideprefetch.Options
+module R = Workloads.Run_config
 module B = Diff.Bisect
 
-let opts_of (c : B.config) =
-  {
-    O.default with
-    O.prediction = c.prediction;
-    inter_stride_threshold = c.threshold;
-    check_invariants = true;
-  }
-
-let run_live ?(profile = false) ~workload (c : B.config) =
+let run_live ?(profile = false) ~workload (c : R.t) =
   try
-    H.run ~opts:(opts_of c) ~standard_passes:c.passes ~engine:c.engine
-      ~profile ~mode:c.mode ~machine:(B.machine_of c) workload
+    H.run
+      ~opts:{ (R.opts c) with check_invariants = true }
+      ~standard_passes:c.passes ~engine:c.engine ~profile ~mode:c.mode
+      ~machine:(R.machine c) workload
   with H.Invariant_violation msg ->
     Printf.eprintf "spf_diff: invariant violation in replay: %s\n" msg;
     exit 2
@@ -44,7 +38,7 @@ let rundata_of_live ~workload c =
   let r = run_live ~profile:true ~workload c in
   match
     Diff.Rundata.of_run
-      ~config:(B.config_strings ~workload:r.H.workload c)
+      ~config:(Diff.Rundata.config_strings ~workload:r.H.workload c)
       r
   with
   | Ok rd -> rd
@@ -90,21 +84,6 @@ let vs_arg =
            Keys: $(b,machine), $(b,mode), $(b,engine), $(b,hw), \
            $(b,prediction), $(b,threshold) (int or $(b,default)), \
            $(b,passes) (on/off).")
-
-let threshold_arg =
-  Cmdliner.Arg.(
-    value
-    & opt (some int) None
-    & info [ "threshold" ] ~docv:"BYTES"
-        ~doc:
-          "Inter-stride profitability threshold override for the base \
-           config (default: the paper's half-line rule).")
-
-let no_passes_arg =
-  Cmdliner.Arg.(
-    value & flag
-    & info [ "no-passes" ]
-        ~doc:"Disable the standard JIT passes in the base config.")
 
 let bisect_arg =
   Cmdliner.Arg.(
@@ -182,19 +161,8 @@ let emit_blame ~json ~top blame =
   | None -> ());
   conservation_gate blame
 
-let main workload machine hw mode engine prediction threshold no_passes vs
-    bisect expect_axis max_replays record a_file b_file json top faults =
-  let base =
-    {
-      B.machine;
-      mode;
-      engine;
-      passes = not no_passes;
-      hw;
-      prediction;
-      threshold;
-    }
-  in
+let main workload base vs bisect expect_axis max_replays record a_file b_file
+    json top faults =
   let fault_desync = List.mem Vm.Fault.Diff_desync faults in
   match (record, a_file, b_file) with
   | Some path, _, _ ->
@@ -242,7 +210,7 @@ let main workload machine hw mode engine prediction threshold no_passes vs
             exit 2
       in
       let b =
-        match B.apply_overrides base vs_spec with
+        match R.apply_overrides base vs_spec with
         | Ok c -> c
         | Error e ->
             Printf.eprintf "spf_diff: %s\n" e;
@@ -263,15 +231,13 @@ let main workload machine hw mode engine prediction threshold no_passes vs
         | None -> ()
         | Some name -> (
             match outcome.B.responsible with
-            | top_ax :: _ when B.axis_name top_ax = String.lowercase_ascii name
-              ->
-                ()
+            | top_ax :: _ when R.axis_of_name name = Some top_ax -> ()
             | axes ->
                 Printf.eprintf
                   "spf_diff: expected responsible axis %s, bisection found \
                    [%s]\n"
                   name
-                  (String.concat ", " (List.map B.axis_name axes));
+                  (String.concat ", " (List.map R.axis_name axes));
                 exit 1)
       end
       else
@@ -288,10 +254,10 @@ let () =
   in
   let term =
     Cmdliner.Term.(
-      const main $ workload_arg $ Cli_common.machine_arg
-      $ Cli_common.hw_prefetch_arg $ Cli_common.mode_arg
-      $ Cli_common.engine_arg $ Cli_common.prediction_arg $ threshold_arg
-      $ no_passes_arg $ vs_arg $ bisect_arg $ expect_axis_arg $ max_replays_arg
-      $ record_arg $ a_arg $ b_arg $ json_arg $ top_arg $ inject_arg)
+      const main $ workload_arg
+      $ Cli_common.config_term
+          R.[ Machine; Hw; Mode; Engine; Prediction; Threshold; Passes ]
+      $ vs_arg $ bisect_arg $ expect_axis_arg $ max_replays_arg $ record_arg
+      $ a_arg $ b_arg $ json_arg $ top_arg $ inject_arg)
   in
   exit (Cmdliner.Cmd.eval (Cmdliner.Cmd.v info term))

@@ -16,9 +16,7 @@ let all_workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all
 let all_modes =
   Strideprefetch.Options.[ Off; Inter; Inter_intra ]
 
-let hw_prefetch_arg = Cli_common.hw_prefetch_arg
-let apply_hw_prefetch = Cli_common.apply_hw_prefetch
-let prediction_arg = Cli_common.prediction_arg
+module R = Workloads.Run_config
 
 let predict_flag =
   Arg.(
@@ -228,8 +226,8 @@ let predict_run ~opts ~verbose ~min_agreement ~machines workloads =
       1
   | _ -> 0
 
-let run workload fuzz seed max_size verify_each_pass verbose faults hw
-    prediction predict min_agreement =
+let run workload fuzz seed max_size verify_each_pass verbose faults
+    (config : R.t) predict min_agreement =
   let workloads =
     match workload with
     | None -> all_workloads
@@ -248,8 +246,11 @@ let run workload fuzz seed max_size verify_each_pass verbose faults hw
   let workloads =
     workloads @ List.init fuzz (fuzz_workload ~seed ~max_size)
   in
-  let opts = { Strideprefetch.Options.default with prediction } in
-  let machines = List.map (apply_hw_prefetch hw) Memsim.Config.machines in
+  let opts = R.opts config in
+  let machines =
+    List.map (fun machine -> R.machine { config with machine })
+      Memsim.Config.machines
+  in
   if predict then
     exit (predict_run ~opts ~verbose ~min_agreement ~machines workloads);
   let runs = ref 0 and methods = ref 0 and findings = ref 0 in
@@ -298,6 +299,7 @@ let cmd =
     Term.(
       const run $ workload_arg $ fuzz_arg $ seed_arg $ max_size_arg
       $ verify_each_pass_arg $ verbose_arg $ inject_arg
-      $ hw_prefetch_arg $ prediction_arg $ predict_flag $ min_agreement_arg)
+      $ Cli_common.config_term R.[ Hw; Prediction ]
+      $ predict_flag $ min_agreement_arg)
 
 let () = exit (Cmd.eval' cmd)

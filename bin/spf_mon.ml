@@ -9,6 +9,8 @@
    [--max-latency], gated: exit code 2 when the monitor missed the shift
    or took too long. *)
 
+module R = Workloads.Run_config
+
 let find_workload = Cli_common.find_workload
 
 let workload_arg =
@@ -19,10 +21,6 @@ let workload_arg =
         ~doc:
           "Workload name (see $(b,spf_run list)); the $(b,PhaseShift) and \
            $(b,PhaseChurn) workloads carry a planted mid-run shift.")
-
-let machine_arg = Cli_common.machine_arg
-let mode_arg = Cli_common.mode_arg
-let engine_arg = Cli_common.engine_arg
 
 let window_arg =
   Cmdliner.Arg.(
@@ -69,8 +67,7 @@ let max_latency_arg =
 
 let latency_gate_exit = 2
 
-let run name machine hw mode engine prediction window jsonl trace top
-    max_latency =
+let run name (config : R.t) window jsonl trace top max_latency =
   match find_workload name with
   | None ->
       prerr_endline ("unknown workload: " ^ name);
@@ -80,16 +77,15 @@ let run name machine hw mode engine prediction window jsonl trace top
         prerr_endline "spf_mon: --window must be positive";
         exit 1
       end;
-      let machine = Cli_common.apply_hw_prefetch hw machine in
-      let opts = { Strideprefetch.Options.default with prediction } in
       let result =
-        Workloads.Harness.run ~opts ~engine ~monitor:window ~mode ~machine w
+        Workloads.Harness.run ~opts:(R.opts config) ~engine:config.engine
+          ~monitor:window ~mode:config.mode ~machine:(R.machine config) w
       in
       let rep = Option.get result.Workloads.Harness.monitor in
       Printf.printf "workload: %s  machine: %s  mode: %s  engine: %s\n"
         result.workload result.machine
         (Strideprefetch.Options.mode_name result.mode)
-        (Vm.Interp.engine_name engine);
+        (Vm.Interp.engine_name config.engine);
       Format.printf "%a" (Monitor.Report.pp_dashboard ~top) rep;
       (match jsonl with
       | Some path ->
@@ -144,6 +140,6 @@ let () =
     (Cmdliner.Cmd.eval
        (Cmdliner.Cmd.v info
           Cmdliner.Term.(
-            const run $ workload_arg $ machine_arg $ Cli_common.hw_prefetch_arg
-            $ mode_arg $ engine_arg $ Cli_common.prediction_arg $ window_arg
-            $ jsonl_arg $ trace_arg $ top_arg $ max_latency_arg)))
+            const run $ workload_arg
+            $ Cli_common.config_term R.[ Machine; Hw; Mode; Engine; Prediction ]
+            $ window_arg $ jsonl_arg $ trace_arg $ top_arg $ max_latency_arg)))

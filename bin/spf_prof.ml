@@ -6,6 +6,8 @@
    invocation, and --check-invariants promotes the check to a hard
    failure inside the harness). *)
 
+module R = Workloads.Run_config
+
 let find_workload = Cli_common.find_workload
 
 let workload_arg =
@@ -14,11 +16,6 @@ let workload_arg =
     & opt (some string) None
     & info [ "w"; "workload" ] ~docv:"WORKLOAD"
         ~doc:"Workload name (see $(b,spf_run list)).")
-
-let machine_arg = Cli_common.machine_arg
-let hw_prefetch_arg = Cli_common.hw_prefetch_arg
-let apply_hw_prefetch = Cli_common.apply_hw_prefetch
-let mode_arg = Cli_common.mode_arg
 
 let topdown_arg =
   Cmdliner.Arg.(
@@ -87,9 +84,8 @@ let phased_arg =
     & info [ "phased" ]
         ~doc:"Enable Wu-style phased multiple-stride prefetching.")
 
-let run name machine hw mode engine prediction topdown objects loops loop
-    folded json top check phased =
-  let machine = apply_hw_prefetch hw machine in
+let run name (config : R.t) topdown objects loops loop folded json top check
+    phased =
   match find_workload name with
   | None ->
       prerr_endline ("unknown workload: " ^ name);
@@ -97,14 +93,15 @@ let run name machine hw mode engine prediction topdown objects loops loop
   | Some w ->
       let opts =
         {
-          Strideprefetch.Options.default with
+          (R.opts config) with
           enable_phased = phased;
           check_invariants = check;
-          prediction;
         }
       in
       let result =
-        try Workloads.Harness.run ~opts ~profile:true ~engine ~mode ~machine w
+        try
+          Workloads.Harness.run ~opts ~profile:true ~engine:config.engine
+            ~mode:config.mode ~machine:(R.machine config) w
         with Workloads.Harness.Invariant_violation msg ->
           prerr_endline ("invariant violation: " ^ msg);
           exit 2
@@ -159,7 +156,7 @@ let () =
     (Cmdliner.Cmd.eval
        (Cmdliner.Cmd.v info
           Cmdliner.Term.(
-            const run $ workload_arg $ machine_arg $ hw_prefetch_arg
-            $ mode_arg $ Cli_common.engine_arg $ Cli_common.prediction_arg
+            const run $ workload_arg
+            $ Cli_common.config_term R.[ Machine; Hw; Mode; Engine; Prediction ]
             $ topdown_arg $ objects_arg $ loops_arg $ loop_arg
             $ folded_arg $ json_arg $ top_arg $ check_arg $ phased_arg)))

@@ -1,14 +1,12 @@
 (* Command-line driver: run workloads or MiniJava source files through the
    mini-JVM with stride prefetching, and compare configurations. *)
 
-(* Option axes (workload lookup, machine/mode/engine/hw/prediction
-   converters and args) are shared across all spf_* drivers. *)
+(* Workload lookup and the configuration axes are shared across all
+   spf_* drivers. *)
+module R = Workloads.Run_config
+
 let workloads = Cli_common.workloads
 let find_workload = Cli_common.find_workload
-let machine_arg = Cli_common.machine_arg
-let hw_prefetch_arg = Cli_common.hw_prefetch_arg
-let apply_hw_prefetch = Cli_common.apply_hw_prefetch
-let engine_arg = Cli_common.engine_arg
 
 let max_steps_arg =
   Cmdliner.Arg.(
@@ -34,8 +32,6 @@ let tweak_max_steps max_steps o =
   match max_steps with
   | Some n -> { o with Vm.Interp.max_steps = n }
   | None -> o
-
-let mode_arg = Cli_common.mode_arg
 
 let verbose_arg =
   Cmdliner.Arg.(
@@ -98,15 +94,23 @@ let monitor_arg =
            the window size in simulated cycles (default 262144). See \
            $(b,spf_mon) for the full time-series tooling.")
 
-let prediction_arg = Cli_common.prediction_arg
+let config_arg =
+  Cli_common.config_term R.[ Machine; Hw; Mode; Prediction; Engine ]
 
-let opts_of ~interproc ~phased ~prediction =
+let opts_of ~interproc ~phased config =
   {
-    Strideprefetch.Options.default with
+    (R.opts config) with
     Strideprefetch.Options.inspect_calls = interproc;
     enable_phased = phased;
-    prediction;
   }
+
+(* One configured run, with the driver's budget and observers. *)
+let run_config ~opts ~trace ~profile ~monitor ~max_steps (c : R.t) w =
+  with_budget_exit (fun () ->
+      Workloads.Harness.run ~opts ~telemetry:(trace <> None) ~profile
+        ?monitor ~engine:c.engine
+        ~tweak_options:(tweak_max_steps max_steps)
+        ~mode:c.mode ~machine:(R.machine c) w)
 
 let print_result ~verbose (r : Workloads.Harness.run_result) =
   Printf.printf "workload: %s  machine: %s  mode: %s\n" r.workload r.machine
@@ -180,22 +184,16 @@ let run_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,list)).")
   in
-  let run name machine hw mode verbose interproc phased prediction trace
-      explain profile monitor engine max_steps =
+  let run name config verbose interproc phased trace explain profile monitor
+      max_steps =
     match find_workload name with
     | None ->
         prerr_endline ("unknown workload: " ^ name);
         exit 1
     | Some w ->
-        let machine = apply_hw_prefetch hw machine in
-        let opts = opts_of ~interproc ~phased ~prediction in
+        let opts = opts_of ~interproc ~phased config in
         let result =
-          with_budget_exit (fun () ->
-              Workloads.Harness.run ~opts
-                ~telemetry:(trace <> None)
-                ~profile ?monitor ~engine
-                ~tweak_options:(tweak_max_steps max_steps)
-                ~mode ~machine w)
+          run_config ~opts ~trace ~profile ~monitor ~max_steps config w
         in
         print_result ~verbose:(verbose || explain) result;
         export_trace ~trace result
@@ -203,9 +201,8 @@ let run_cmd =
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "run" ~doc:"Run one workload under one configuration.")
     Cmdliner.Term.(
-      const run $ workload_arg $ machine_arg $ hw_prefetch_arg $ mode_arg
-      $ verbose_arg $ interproc_arg $ phased_arg $ prediction_arg
-      $ trace_arg $ explain_arg $ profile_arg $ monitor_arg $ engine_arg
+      const run $ workload_arg $ config_arg $ verbose_arg $ interproc_arg
+      $ phased_arg $ trace_arg $ explain_arg $ profile_arg $ monitor_arg
       $ max_steps_arg)
 
 let compare_cmd =
@@ -215,16 +212,16 @@ let compare_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,list)).")
   in
-  let run name machine hw engine max_steps =
+  let run name (config : R.t) max_steps =
     match find_workload name with
     | None ->
         prerr_endline ("unknown workload: " ^ name);
         exit 1
     | Some w ->
-        let machine = apply_hw_prefetch hw machine in
+        let machine = R.machine config in
         let one mode =
           with_budget_exit (fun () ->
-              Workloads.Harness.run ~engine
+              Workloads.Harness.run ~engine:config.engine
                 ~tweak_options:(tweak_max_steps max_steps)
                 ~mode ~machine w)
         in
@@ -242,7 +239,8 @@ let compare_cmd =
     (Cmdliner.Cmd.info "compare"
        ~doc:"Run BASELINE / INTER / INTER+INTRA and print speedups.")
     Cmdliner.Term.(
-      const run $ workload_arg $ machine_arg $ hw_prefetch_arg $ engine_arg
+      const run $ workload_arg
+      $ Cli_common.config_term R.[ Machine; Hw; Engine ]
       $ max_steps_arg)
 
 let file_cmd =
@@ -252,9 +250,8 @@ let file_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE.mj" ~doc:"MiniJava source file.")
   in
-  let run path machine hw mode verbose interproc phased prediction trace
-      explain profile monitor engine max_steps =
-    let machine = apply_hw_prefetch hw machine in
+  let run path config verbose interproc phased trace explain profile monitor
+      max_steps =
     let source = In_channel.with_open_text path In_channel.input_all in
     match Minijava.Compile.program_of_source source with
     | Error e ->
@@ -271,14 +268,9 @@ let file_cmd =
             heap_limit_bytes = 64 * 1024 * 1024;
           }
         in
-        let opts = opts_of ~interproc ~phased ~prediction in
+        let opts = opts_of ~interproc ~phased config in
         let result =
-          with_budget_exit (fun () ->
-              Workloads.Harness.run ~opts
-                ~telemetry:(trace <> None)
-                ~profile ?monitor ~engine
-                ~tweak_options:(tweak_max_steps max_steps)
-                ~mode ~machine w)
+          run_config ~opts ~trace ~profile ~monitor ~max_steps config w
         in
         print_result ~verbose:(verbose || explain) result;
         export_trace ~trace result
@@ -286,9 +278,8 @@ let file_cmd =
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "file" ~doc:"Compile and run a MiniJava source file.")
     Cmdliner.Term.(
-      const run $ path_arg $ machine_arg $ hw_prefetch_arg $ mode_arg
-      $ verbose_arg $ interproc_arg $ phased_arg $ prediction_arg
-      $ trace_arg $ explain_arg $ profile_arg $ monitor_arg $ engine_arg
+      const run $ path_arg $ config_arg $ verbose_arg $ interproc_arg
+      $ phased_arg $ trace_arg $ explain_arg $ profile_arg $ monitor_arg
       $ max_steps_arg)
 
 let () =

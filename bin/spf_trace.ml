@@ -3,6 +3,8 @@
    provenance, and the event-span pipeline — then render the per-site
    coverage/accuracy table and export Chrome-trace / JSONL files. *)
 
+module R = Workloads.Run_config
+
 let find_workload = Cli_common.find_workload
 
 let workload_arg =
@@ -11,10 +13,6 @@ let workload_arg =
     & opt (some string) None
     & info [ "w"; "workload" ] ~docv:"WORKLOAD"
         ~doc:"Workload name (see $(b,spf_run list)).")
-
-let machine_arg = Cli_common.machine_arg
-let mode_arg = Cli_common.mode_arg
-let hw_prefetch_arg = Cli_common.hw_prefetch_arg
 
 let trace_arg =
   Cmdliner.Arg.(
@@ -62,20 +60,14 @@ let extra_of ~(w : Workloads.Workload.t) ~machine ~mode =
     ("mode", Telemetry.Json.Str (Strideprefetch.Options.mode_name mode));
   ]
 
-let run name machine hw mode trace metrics explain phased capacity =
+let run name (config : R.t) trace metrics explain phased capacity =
   match find_workload name with
   | None ->
       prerr_endline ("unknown workload: " ^ name);
       exit 1
   | Some w ->
-      let machine =
-        match hw with
-        | None -> machine
-        | Some hw -> { machine with Memsim.Config.hw_prefetch = hw }
-      in
-      let opts =
-        { Strideprefetch.Options.default with enable_phased = phased }
-      in
+      let machine = R.machine config and mode = config.mode in
+      let opts = { (R.opts config) with enable_phased = phased } in
       let result =
         Workloads.Harness.run ~opts ~telemetry:true ~sink_capacity:capacity
           ~mode ~machine w
@@ -128,6 +120,7 @@ let () =
     (Cmdliner.Cmd.eval
        (Cmdliner.Cmd.v info
           Cmdliner.Term.(
-            const run $ workload_arg $ machine_arg $ hw_prefetch_arg
-            $ mode_arg $ trace_arg $ metrics_arg $ explain_arg $ phased_arg
+            const run $ workload_arg
+            $ Cli_common.config_term R.[ Machine; Hw; Mode ]
+            $ trace_arg $ metrics_arg $ explain_arg $ phased_arg
             $ capacity_arg)))

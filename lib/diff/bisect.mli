@@ -13,68 +13,34 @@
     which the canonical order arranges by putting cycle-moving axes
     (mode, machine, hw, threshold, prediction, passes) before the
     cycle-neutral engine axis. When no single flip explains the delta,
-    the axes that individually moved cycles are verified jointly. *)
-
-type config = {
-  machine : Memsim.Config.machine;
-  mode : Strideprefetch.Options.mode;
-  engine : Vm.Interp.engine;
-  passes : bool;  (** standard JIT passes *)
-  hw : Memsim.Config.hw_prefetch_model option;
-      (** [None]: the machine's own model *)
-  prediction : Strideprefetch.Options.prediction_tier;
-  threshold : int option;  (** inter-stride threshold override *)
-}
-
-val default_config : config
-(** pentium4, inter+intra, closure, passes on, machine-default hardware
-    prefetcher, inspect tier, paper-default threshold. *)
-
-val machine_of : config -> Memsim.Config.machine
-(** The machine with the [hw] override applied — what a replay runs on. *)
-
-type axis = Mode | Machine | Hw | Threshold | Prediction | Passes | Engine
-
-val all_axes : axis list
-(** Canonical probe order (cycle-moving first, engine last). *)
-
-val axis_name : axis -> string
-val axis_of_name : string -> axis option
-
-val axis_value : config -> axis -> string
-(** Display value of one axis, e.g. [axis_value c Hw = "stream:8"]
-    (resolved against the machine when [hw = None]). *)
-
-val differing : a:config -> b:config -> axis list
-(** The axes on which the two configs disagree, in canonical order.
-    The hardware axis compares resolved specs, so [hw = None] equals an
-    explicit spec naming the machine default. *)
-
-val apply_overrides : config -> string -> (config, string) result
-(** Parse a [--vs] override list — comma-separated [key=value] with keys
-    [machine]/[mode]/[engine]/[hw]/[prediction]/[threshold]/[passes] —
-    onto a base config. [threshold] accepts an integer or [default];
-    [passes] accepts [on]/[off]. *)
-
-val config_strings : workload:string -> config -> Rundata.config
-(** The {!Rundata.config} stamp of a snapshot made under this config. *)
+    the axes that individually moved cycles are verified jointly.
+    Configurations, their axes and the canonical order are
+    {!Workloads.Run_config}'s. *)
 
 type outcome = {
   cycles_a : int;
   cycles_b : int;
   delta : int;
-  candidates : axis list;  (** axes that differed at all *)
-  probes : (axis * int) list;  (** single-flip cycles, in probe order *)
-  responsible : axis list;  (** minimal responsible set; [] iff delta = 0 *)
+  candidates : Workloads.Run_config.axis list;
+      (** axes that differed at all *)
+  probes : (Workloads.Run_config.axis * int) list;
+      (** single-flip cycles, in probe order *)
+  responsible : Workloads.Run_config.axis list;
+      (** minimal responsible set; [] iff delta = 0 *)
   exact : bool;
       (** flipping [responsible] alone reproduces B's cycles exactly *)
   replays : int;  (** total replays spent, A and B included *)
 }
 
-val run : replay:(config -> int) -> a:config -> b:config -> outcome
+val run :
+  replay:(Workloads.Run_config.t -> int) ->
+  a:Workloads.Run_config.t ->
+  b:Workloads.Run_config.t ->
+  outcome
 (** Bisect. [replay] runs one configuration to completion and returns
     its simulated cycles; it is called [outcome.replays] times. *)
 
-val render : a:config -> b:config -> outcome -> string
+val render :
+  a:Workloads.Run_config.t -> b:Workloads.Run_config.t -> outcome -> string
 (** Human-readable verdict: the differing axes with their values, each
     probe's result, and the responsible set. Deterministic. *)

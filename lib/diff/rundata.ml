@@ -24,6 +24,19 @@ let unknown_config =
     c_passes = true;
   }
 
+let config_strings ~workload (c : Workloads.Run_config.t) =
+  let module R = Workloads.Run_config in
+  {
+    c_workload = workload;
+    c_machine = R.axis_value c R.Machine;
+    c_mode = R.axis_value c R.Mode;
+    c_engine = R.axis_value c R.Engine;
+    c_hw = R.axis_value c R.Hw;
+    c_prediction = R.axis_value c R.Prediction;
+    c_threshold = c.threshold;
+    c_passes = c.passes;
+  }
+
 type loop = {
   lr_method : string;
   lr_loop : int;

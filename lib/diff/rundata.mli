@@ -25,6 +25,9 @@ val unknown_config : config
 (** All-["?"] placeholder used for ["spf_prof/v1"] inputs, which record
     no configuration. *)
 
+val config_strings : workload:string -> Workloads.Run_config.t -> config
+(** The stamp of a snapshot made under this configuration. *)
+
 type loop = {
   lr_method : string;
   lr_loop : int;  (** [-1]: the method's straight-line remainder *)

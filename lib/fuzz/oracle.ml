@@ -254,7 +254,7 @@ let plain cell =
   { cell; engine; prediction; observed = false; monitored = false }
 
 (* The headline configuration every row's variants are derived from;
-   [Diff.Bisect.default_config] names the same point. *)
+   [Workloads.Run_config.default] names the same point. *)
 let headline =
   let machine = Memsim.Config.pentium4 in
   plain { mode = O.Inter_intra; standard_passes = true; machine }
@@ -339,7 +339,8 @@ let observer_books (r : H.run_result) =
    itself blames nothing, and the blame conservation check is exact. *)
 let self_diff ~faults (r : H.run_result) =
   let config =
-    Diff.Bisect.config_strings ~workload:r.workload Diff.Bisect.default_config
+    Diff.Rundata.config_strings ~workload:r.workload
+      Workloads.Run_config.default
   in
   match Diff.Rundata.of_run ~config r with
   | Error msg -> Some ("snapshot of a profiled run failed: " ^ msg)

@@ -99,6 +99,16 @@ let mode_name = function
   | Inter -> "INTER"
   | Inter_intra -> "INTER+INTRA"
 
+let mode_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "off" | "baseline" -> Ok Off
+  | "inter" -> Ok Inter
+  | "inter+intra" | "inter_intra" | "interintra" -> Ok Inter_intra
+  | _ ->
+      Error
+        (Printf.sprintf "unknown mode %S (expected off, inter or inter+intra)"
+           s)
+
 let prediction_name = function
   | Inspect -> "inspect"
   | Static -> "static"

@@ -31,9 +31,10 @@ type t = {
       (** profitability condition (3): emit an inter-iteration prefetch
           only when |stride| {e exceeds} this many bytes. [None] = the
           paper's half-line rule, which assumes the next-line stream
-          hardware prefetcher; the SW/HW arbitration sweep
-          ([spf_bench --sweep-arbitration]) retunes it per machine and
-          HW model. *)
+          hardware prefetcher. It is the [threshold] axis of
+          [Workloads.Run_config]; the SW/HW arbitration sweep
+          ([spf_bench --sweep threshold=0,16,32,64 --sweep hw=...])
+          retunes it per machine and HW model. *)
   small_trip_count : int;
       (** nested loops observed to iterate fewer times than this are
           promoted into their parent *)
@@ -73,6 +74,11 @@ val default : t
 
 val with_mode : mode -> t -> t
 val mode_name : mode -> string
+(** "BASELINE" / "INTER" / "INTER+INTRA" — the report spelling. *)
+
+val mode_of_string : string -> (mode, string) result
+(** Case-insensitive: [off]/[baseline], [inter], [inter+intra] (also
+    [inter_intra], [interintra]); accepts every {!mode_name}. *)
 
 val prediction_name : prediction_tier -> string
 (** "inspect" / "static" / "hybrid" — the CLI and report spelling. *)

@@ -6,8 +6,8 @@
 module R = Bench_runner.Runner
 module Report = Bench_runner.Report
 module Gate = Bench_runner.Gate
+module RC = Workloads.Run_config
 module W = Workloads.Workload
-module SP = Strideprefetch
 
 let fixture =
   {
@@ -47,10 +47,8 @@ let contains ~affix s =
 let record () =
   let timed =
     [
-      R.run_cell (R.cell fixture Memsim.Config.pentium4 SP.Options.Inter_intra);
-      R.run_cell
-        (R.cell ~profile:true fixture Memsim.Config.pentium4
-           SP.Options.Inter_intra);
+      R.run_cell (R.cell fixture RC.default);
+      R.run_cell (R.cell ~profile:true fixture RC.default);
     ]
   in
   ok
@@ -59,7 +57,7 @@ let record () =
 
 let test_roundtrip () =
   let run = record () in
-  Alcotest.(check string) "schema" Report.schema run.Gate.schema;
+  Alcotest.(check string) "schema" Gate.schema run.Gate.schema;
   Alcotest.(check int) "two cells" 2 (List.length run.Gate.cells);
   let plain, prof =
     match run.Gate.cells with
@@ -120,13 +118,13 @@ let test_schema_refusal () =
       Alcotest.(check bool) "names the old schema" true
         (contains ~affix:"bench_hotpath/v1" e);
       Alcotest.(check bool) "names the expected schema" true
-        (contains ~affix:Report.schema e));
+        (contains ~affix:Gate.schema e));
   match Gate.compare_runs ~a ~b:v1 () with
   | Ok _ -> Alcotest.fail "v1 candidate accepted"
   | Error _ -> ()
 
 (* Synthetic runs let us pin the statistics without wall-clock noise. *)
-let synth_run ?(schema = Report.schema) cells =
+let synth_run ?(schema = Gate.schema) cells =
   {
     Gate.schema;
     jobs = 1;
@@ -136,15 +134,10 @@ let synth_run ?(schema = Report.schema) cells =
         (fun i (seconds, cycles) ->
           {
             Gate.workload = Printf.sprintf "w%d" i;
-            machine = "Pentium4";
-            mode = "INTER+INTRA";
-            engine = "closure";
+            config = RC.default;
             telemetry = false;
             profile = false;
             monitor = false;
-            hw = Gate.default_hw;
-            sw_threshold = None;
-            prediction = None;
             blame = None;
             seconds;
             cycles;
@@ -210,12 +203,49 @@ let test_bad_reports () =
   (match Gate.of_string ~label:"x" "{\"cells\": []}" with
   | Ok _ -> Alcotest.fail "schema-less report accepted"
   | Error _ -> ());
-  match
-    Gate.of_string ~label:"x"
-      "{\"schema\": \"bench_hotpath/v2\", \"cells\": [{\"workload\": \"w\"}]}"
-  with
+  (match
+     Gate.of_string ~label:"x"
+       "{\"schema\": \"bench_hotpath/v2\", \"cells\": [{\"workload\": \"w\"}]}"
+   with
   | Ok _ -> Alcotest.fail "cell without cycles accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* A cell's configuration is parsed by Run_config: an unknown machine
+     or a malformed hardware spec is an error naming the cell, not a
+     cell that loads and never matches. *)
+  let report cell =
+    Printf.sprintf
+      "{\"schema\": \"bench_hotpath/v2\", \"cells\": [{\"workload\": \"w\", \
+       \"machine\": \"Pentium4\", \"mode\": \"INTER\", \"seconds\": 1.0, \
+       \"cycles\": 5}, {\"workload\": \"w\", \"mode\": \"INTER\", \"seconds\": \
+       1.0, \"cycles\": 5, %s}]}"
+      cell
+  in
+  List.iter
+    (fun (cell, what) ->
+      match Gate.of_string ~label:"x" (report cell) with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e ->
+          Alcotest.(check bool) (what ^ ": names cells[1]") true
+            (contains ~affix:"cells[1]" e))
+    [
+      ("\"machine\": \"Pentium3\"", "unknown machine");
+      ( "\"machine\": \"Pentium4\", \"hw_prefetch\": \"rpt:banana\"",
+        "malformed hw spec" );
+    ]
+
+(* The canonical matrix is pinned to the committed baseline: the keys
+   [Report.default_cells] produces are exactly the keys the baseline's
+   cells read back to, so @bench-gate matches every cell. *)
+let test_default_keys_pinned () =
+  let keys = List.map R.cell_key (Report.default_cells ()) in
+  Alcotest.(check int) "110 cells" 110 (List.length keys);
+  Alcotest.(check int) "distinct keys" 110
+    (List.length (List.sort_uniq compare keys));
+  let baseline = ok (Gate.load "../BENCH_hotpath.json") in
+  Alcotest.(check (list string))
+    "key set of the committed baseline"
+    (List.sort compare (List.map Gate.cell_key baseline.Gate.cells))
+    (List.sort compare keys)
 
 let suite =
   [
@@ -235,4 +265,6 @@ let suite =
       test_unmatched_cells;
     Alcotest.test_case "ill-formed reports are rejected" `Quick
       test_bad_reports;
+    Alcotest.test_case "default matrix keys equal the committed baseline's"
+      `Quick test_default_keys_pinned;
   ]

@@ -5,6 +5,8 @@
    pre-overhaul simulator. *)
 
 module R = Bench_runner.Runner
+module Report = Bench_runner.Report
+module RC = Workloads.Run_config
 module W = Workloads.Workload
 module H = Workloads.Harness
 module SP = Strideprefetch
@@ -75,15 +77,14 @@ let stats_fields (s : S.t) =
   ]
 
 let test_cells () =
-  let p4 = Memsim.Config.pentium4 and amp = Memsim.Config.athlon_mp in
+  let amp = { RC.default with machine = Memsim.Config.athlon_mp } in
   [
-    R.cell small_chase p4 SP.Options.Off;
-    R.cell small_chase p4 SP.Options.Inter_intra;
-    R.cell small_walk amp SP.Options.Off;
-    R.cell small_walk amp SP.Options.Inter_intra;
-    R.cell
-      ~opts:{ SP.Options.default with SP.Options.scheduling_distance = 2 }
-      small_chase p4 SP.Options.Inter;
+    R.cell small_chase { RC.default with mode = SP.Options.Off };
+    R.cell small_chase RC.default;
+    R.cell small_walk { amp with mode = SP.Options.Off };
+    R.cell small_walk amp;
+    R.cell small_chase
+      { RC.default with mode = SP.Options.Inter; threshold = Some 64 };
   ]
 
 let test_parallel_matches_serial () =
@@ -94,9 +95,9 @@ let test_parallel_matches_serial () =
     (List.length parallel);
   List.iter2
     (fun (a : R.timed) (b : R.timed) ->
-      let label = R.cell_label a.cell in
+      let label = R.cell_key a.cell in
       Alcotest.(check string) (label ^ ": input order preserved") label
-        (R.cell_label b.cell);
+        (R.cell_key b.cell);
       Alcotest.(check int)
         (label ^ ": cycles identical")
         a.result.H.cycles b.result.H.cycles;
@@ -110,7 +111,7 @@ let test_parallel_matches_serial () =
     serial parallel
 
 let test_progress_and_clamping () =
-  let cells = [ R.cell small_walk Memsim.Config.pentium4 SP.Options.Off ] in
+  let cells = [ R.cell small_walk { RC.default with mode = SP.Options.Off } ] in
   let seen = ref 0 in
   (* jobs beyond the cell count must clamp, not spawn idle domains *)
   let r = R.run_matrix ~progress:(fun _ -> incr seen) ~jobs:64 cells in
@@ -177,6 +178,28 @@ let test_golden_search () =
       53346220; 6296151;
     ]
 
+(* The prediction lane's law, through the generic sweep: on MonteCarlo x
+   Pentium4 the hybrid tier begins strictly fewer inspection iterations
+   than full inspection, at equal-or-better simulated cycles. *)
+let test_hybrid_sweep_law () =
+  let dims =
+    List.map
+      (fun s -> Result.get_ok (Report.dim s))
+      [ "workload=MonteCarlo"; "machine=pentium4"; "prediction=inspect,hybrid" ]
+  in
+  let sw = Report.sweep dims (R.run_matrix ~jobs:1 (Report.grid dims)) in
+  match sw.Report.rows with
+  | [ inspect; hybrid ] ->
+      Alcotest.(check string) "inspect row" "inspect"
+        (RC.axis_value inspect.Report.config RC.Prediction);
+      Alcotest.(check string) "hybrid row" "hybrid"
+        (RC.axis_value hybrid.Report.config RC.Prediction);
+      Alcotest.(check bool) "hybrid begins fewer inspection iterations" true
+        (hybrid.Report.iterations < inspect.Report.iterations);
+      Alcotest.(check bool) "hybrid cycles delta <= 0" true
+        (hybrid.Report.cycles - inspect.Report.cycles <= 0)
+  | rows -> Alcotest.failf "expected 2 sweep rows, got %d" (List.length rows)
+
 let suite =
   [
     ("2-domain matrix byte-identical to serial", `Quick,
@@ -184,4 +207,6 @@ let suite =
     ("progress callback + jobs clamping", `Quick, test_progress_and_clamping);
     ("golden seed counters: db (3 cells)", `Slow, test_golden_db);
     ("golden seed counters: Search (2 cells)", `Slow, test_golden_search);
+    ("sweep: hybrid saves inspection at no cycle cost", `Slow,
+     test_hybrid_sweep_law);
   ]

@@ -9,6 +9,7 @@ module J = Telemetry.Json
 module RD = Diff.Rundata
 module B = Diff.Blame
 module Bi = Diff.Bisect
+module RC = Workloads.Run_config
 module O = Strideprefetch.Options
 
 let all_workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all
@@ -22,10 +23,10 @@ let profiled_run ?(opts = O.default) ?(mode = O.Inter_intra) name =
 
 let snapshot ?opts ?mode name =
   let config =
-    Bi.config_strings ~workload:name
+    RD.config_strings ~workload:name
       (match mode with
-      | Some O.Off -> { Bi.default_config with Bi.mode = O.Off }
-      | _ -> Bi.default_config)
+      | Some O.Off -> { RC.default with mode = O.Off }
+      | _ -> RC.default)
   in
   match RD.of_run ~config (profiled_run ?opts ?mode name) with
   | Ok rd -> rd
@@ -195,53 +196,53 @@ let test_bench_blame_ingest () =
 (* ------------------------------------------------------------------ *)
 (* The axis bisector, on synthetic replay functions (pure, no VM).     *)
 
-let axis = Alcotest.testable (Fmt.of_to_string Bi.axis_name) ( = )
+let axis = Alcotest.testable (Fmt.of_to_string RC.axis_name) ( = )
 
 let test_bisect_single_axis () =
-  let a = Bi.default_config in
-  let b = { a with Bi.mode = O.Off } in
-  let replay (c : Bi.config) = if c.Bi.mode = O.Off then 2000 else 1000 in
+  let a = RC.default in
+  let b = { a with RC.mode = O.Off } in
+  let replay (c : RC.t) = if c.RC.mode = O.Off then 2000 else 1000 in
   let o = Bi.run ~replay ~a ~b in
-  Alcotest.(check (list axis)) "responsible" [ Bi.Mode ] o.Bi.responsible;
+  Alcotest.(check (list axis)) "responsible" [ RC.Mode ] o.Bi.responsible;
   Alcotest.(check bool) "exact" true o.Bi.exact;
   Alcotest.(check int) "a single differing axis needs no probe" 2 o.Bi.replays
 
 let test_bisect_planted_among_neutral () =
-  let a = Bi.default_config in
-  let b = { a with Bi.mode = O.Off; engine = Vm.Interp.Switch } in
+  let a = RC.default in
+  let b = { a with RC.mode = O.Off; engine = Vm.Interp.Switch } in
   (* The engine axis is cycle-neutral (the engines' contract); only the
      mode moves cycles. *)
-  let replay (c : Bi.config) = if c.Bi.mode = O.Off then 2000 else 1000 in
+  let replay (c : RC.t) = if c.RC.mode = O.Off then 2000 else 1000 in
   let o = Bi.run ~replay ~a ~b in
   Alcotest.(check (list axis))
-    "candidates in canonical order" [ Bi.Mode; Bi.Engine ] o.Bi.candidates;
-  Alcotest.(check (list axis)) "mode blamed" [ Bi.Mode ] o.Bi.responsible;
+    "candidates in canonical order" [ RC.Mode; RC.Engine ] o.Bi.candidates;
+  Alcotest.(check (list axis)) "mode blamed" [ RC.Mode ] o.Bi.responsible;
   Alcotest.(check bool) "exact" true o.Bi.exact;
   Alcotest.(check int) "early stop: 3 replays" 3 o.Bi.replays
 
 let test_bisect_pure_interaction () =
-  let a = Bi.default_config in
-  let b = { a with Bi.mode = O.Off; prediction = O.Hybrid } in
-  let replay (c : Bi.config) =
-    if c.Bi.mode = O.Off && c.Bi.prediction = O.Hybrid then 1500 else 1000
+  let a = RC.default in
+  let b = { a with RC.mode = O.Off; prediction = O.Hybrid } in
+  let replay (c : RC.t) =
+    if c.RC.mode = O.Off && c.RC.prediction = O.Hybrid then 1500 else 1000
   in
   let o = Bi.run ~replay ~a ~b in
   Alcotest.(check (list axis))
     "no single flip moves: whole candidate set"
-    [ Bi.Mode; Bi.Prediction ] o.Bi.responsible;
+    [ RC.Mode; RC.Prediction ] o.Bi.responsible;
   Alcotest.(check bool) "exact (flipping all is B)" true o.Bi.exact
 
 let test_bisect_joint_verification () =
-  let a = Bi.default_config in
-  let b = { a with Bi.mode = O.Off; threshold = Some 64 } in
-  let replay (c : Bi.config) =
+  let a = RC.default in
+  let b = { a with RC.mode = O.Off; threshold = Some 64 } in
+  let replay (c : RC.t) =
     1000
-    + (if c.Bi.mode = O.Off then 300 else 0)
-    + if c.Bi.threshold = Some 64 then 200 else 0
+    + (if c.RC.mode = O.Off then 300 else 0)
+    + if c.RC.threshold = Some 64 then 200 else 0
   in
   let o = Bi.run ~replay ~a ~b in
   Alcotest.(check (list axis))
-    "both movers blamed" [ Bi.Mode; Bi.Threshold ] o.Bi.responsible;
+    "both movers blamed" [ RC.Mode; RC.Threshold ] o.Bi.responsible;
   Alcotest.(check bool) "joint flip verified against B" true o.Bi.exact;
   (* A, B, two single-axis probes, one joint verification. *)
   Alcotest.(check int) "replays" 5 o.Bi.replays
@@ -249,15 +250,15 @@ let test_bisect_joint_verification () =
 let test_bisect_axis_names () =
   List.iter
     (fun ax ->
-      match Bi.axis_of_name (Bi.axis_name ax) with
+      match RC.axis_of_name (RC.axis_name ax) with
       | Some ax' -> Alcotest.check axis "name round trip" ax ax'
-      | None -> Alcotest.failf "axis %s unparsed" (Bi.axis_name ax))
-    Bi.all_axes;
+      | None -> Alcotest.failf "axis %s unparsed" (RC.axis_name ax))
+    RC.all_axes;
   (* The hw axis compares resolved specs: [None] (machine default) and
      the machine's own model spelled explicitly do not differ. *)
-  let a = Bi.default_config in
-  let b = { a with Bi.hw = Some Memsim.Config.default_stream } in
-  Alcotest.(check (list axis)) "resolved hw equal" [] (Bi.differing ~a ~b)
+  let a = RC.default in
+  let b = { a with RC.hw = Some Memsim.Config.default_stream } in
+  Alcotest.(check (list axis)) "resolved hw equal" [] (RC.differing ~a ~b)
 
 let suite =
   [

@@ -18,4 +18,5 @@ let () =
       ("bench-gate", Test_bench_gate.suite);
       ("monitor", Test_monitor.suite);
       ("diff", Test_diff.suite);
+      ("run-config", Test_run_config.suite);
     ]

@@ -170,8 +170,13 @@ let test_determinism_two_runs () =
 let test_determinism_jobs () =
   let cells =
     [
-      R.cell ~profile:true chase Memsim.Config.pentium4 SP.Options.Inter_intra;
-      R.cell ~profile:true chase Memsim.Config.athlon_mp SP.Options.Inter;
+      R.cell ~profile:true chase Workloads.Run_config.default;
+      R.cell ~profile:true chase
+        {
+          Workloads.Run_config.default with
+          machine = Memsim.Config.athlon_mp;
+          mode = SP.Options.Inter;
+        };
     ]
   in
   let exports timed =
