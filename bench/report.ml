@@ -106,7 +106,10 @@ let default_cells () =
      observer overheads of the object-centric profiler and the live
      monitor over time, next to the monitor's zero-cost cycle claim (its
      twin's cycles must equal the plain cell's exactly, which the gate's
-     exact-equality law then pins across history)... *)
+     exact-equality law then pins across history). Like the telemetry
+     twins, they execute on the reference loop although their config
+     names the closure engine, so their seconds include switch
+     dispatch... *)
   @ [
       Runner.cell ~profile:true db R.default;
       Runner.cell ~monitor:true db R.default;

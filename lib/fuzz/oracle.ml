@@ -425,10 +425,24 @@ type row = {
 }
 
 (* Row order is report order: the first failing row is the verdict. The
-   fault each row's self-test injects is named beside it. *)
+   fault each row's self-test injects is named beside it.
+
+   The engine row comes first. An observed run (telemetry, profile or
+   monitor) executes on the reference loop whichever engine it names,
+   so the observer rows compare the closure-engine headline against a
+   reference-loop run too: they cross engines as well. A desync between
+   the engines must be reported as what it is, before an observer row
+   sees the same divergence and claims it. *)
 let rows ~faults =
   let observed = { headline with observed = true } in
   [
+    (* engine-desync *)
+    {
+      variants = [ ("switch", { headline with engine = Vm.Interp.Switch }) ];
+      relation = bit_identical;
+      law = no_law;
+      fail = (fun cell _ message -> Engine_divergence { cell; message });
+    };
     (* telemetry: no proving fault *)
     {
       variants = [ ("telemetry+profile", observed) ];
@@ -442,13 +456,6 @@ let rows ~faults =
       relation = bit_identical;
       law = self_diff ~faults;
       fail = (fun cell _ message -> Diff_divergence { cell; message });
-    };
-    (* engine-desync *)
-    {
-      variants = [ ("switch", { headline with engine = Vm.Interp.Switch }) ];
-      relation = bit_identical;
-      law = no_law;
-      fail = (fun cell _ message -> Engine_divergence { cell; message });
     };
     (* hw-desync *)
     {

@@ -73,19 +73,22 @@ let create () =
 
 let key ~method_id ~pc = (method_id lsl 16) lor (pc land 0xffff)
 
+(* Every charge and stall of a profiled run goes through these two
+   lookups, so a hit must allocate nothing: [Hashtbl.find] with a
+   [Not_found] handler, not [find_opt]'s [Some] box. *)
 let pc_bins t ~method_id ~pc =
   let k = key ~method_id ~pc in
-  match Hashtbl.find_opt t.pcs k with
-  | Some b -> b
-  | None ->
+  match Hashtbl.find t.pcs k with
+  | b -> b
+  | exception Not_found ->
       let b = zero_bins () in
       Hashtbl.add t.pcs k b;
       b
 
 let obj_cell t site =
-  match Hashtbl.find_opt t.obj_sites site with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.obj_sites site with
+  | c -> c
+  | exception Not_found ->
       let c = zero_obj () in
       Hashtbl.add t.obj_sites site c;
       c

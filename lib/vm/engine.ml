@@ -11,13 +11,18 @@
    ([Array.unsafe_get handlers target] — safe: every baked target was
    bounds-checked at compile time).
 
+   The engine runs unobserved activations only: while telemetry,
+   profiling, a load observer or a monitor is installed
+   ([State.instrumented]), [Interp.create]'s dispatcher sends every
+   activation to the reference loop instead, so each observer call lives
+   in [State]'s helpers and [Interp.exec_switch] alone.
+
    Bit-identity with the switch engine is the hard contract (enforced by
    test/test_engine.ml and the fuzz oracle's engine axis). The exact
    reference sequence per instruction is:
 
      bounds-check pc -> steps++ -> budget check -> fetch -> pc++ ->
-     retire 1 -> charge base_cost -> profiler base-slot report ->
-     instruction body
+     retire 1 -> charge base_cost -> instruction body
 
    and the compiled handlers replay it with three compile-time
    transformations, each individually cycle-neutral:
@@ -30,20 +35,12 @@
      sentinel.
    - Charges that precede the next observation point are folded: the
      memory hierarchy only observes [t.stats.cycles] at access time
-     ([~now]), so a prefetch op's base slot + incremental cost, or an
-     array op's two base slots, become one charge for the same total —
-     and in the uninstrumented variant the folding extends to whole
-     basic blocks (see the superinstruction commentary below). Charges
-     on either side of an access are never folded.
-   - Observer specialization: when telemetry, profiling and the load
-     observer are all off ([State.instrumented] false), the {e plain}
-     handler variant is compiled — no per-step option tests, no
-     [frame.pc] stores (nothing can observe pc without an observer
-     installed), direct calls into the hierarchy. Otherwise the
-     {e instrumented} variant mirrors the switch engine's attributed path
-     verbatim, maintaining the [frame.pc = executing pc + 1] invariant
-     that stall/alloc attribution reads. The artifact records which
-     variant it is and is recompiled if the observer set changes.
+     ([~now]), so the base slots of a whole basic block become one
+     charge per segment between accesses (see the superinstruction
+     commentary below). Charges on either side of an access are never
+     folded.
+   - Nothing observes the run, so handlers carry no per-step option
+     tests and no [frame.pc] stores, and call the hierarchy directly.
 
    Compiled/interpreted cycle attribution reads [m.compiled] dynamically
    in [pre] (not the baked entry value) because the switch engine's
@@ -53,23 +50,11 @@
 
    Artifacts are cached per method in [t.closure_cache] keyed on the
    physical identity of [m.code] (every JIT pass swaps in a fresh array;
-   see Jit.Pipeline), the compiled flag, and the observer fingerprint —
-   validated on every method entry, refreshed eagerly by the pipeline's
-   [on_mutate] hook between passes. *)
+   see Jit.Pipeline) and the compiled flag — validated on every method
+   entry, refreshed eagerly by the pipeline's [on_mutate] hook between
+   passes. *)
 
 open State
-
-(* Int-specialized twin of [State.compare_int]: the shared helper is
-   polymorphic (generic-compare C call); here the operands are always
-   ints. *)
-let[@inline] icompare (c : Bytecode.cmp) (a : int) (b : int) =
-  match c with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Ge -> a >= b
-  | Gt -> a > b
-  | Le -> a <= b
 
 (* Hand-inlined operand-stack primitives. [Frame.push]/[pop] carry their
    error paths (string building) inline, which makes them too big for the
@@ -143,25 +128,9 @@ let[@inline] pre (t : t) (m : Classfile.method_info) ~max_steps ~retired ~cost
   if m.compiled then t.compiled_cycles <- t.compiled_cycles + cost
   else t.interpreted_cycles <- t.interpreted_cycles + cost
 
-(* Instrumented prologue: additionally maintains [frame.pc] (attribution
-   reads [frame.pc - 1] as the executing pc) and reports the base slot to
-   the profiler under the instruction's pre-classified bin. *)
-let[@inline] pre_i (t : t) (m : Classfile.method_info) (frame : Frame.t) ~pc
-    ~max_steps ~base_cost ~bin =
-  let steps = t.steps + 1 in
-  t.steps <- steps;
-  if steps > max_steps then raise (Budget_exhausted max_steps);
-  frame.pc <- pc + 1;
-  retire t 1;
-  charge t frame base_cost;
-  match t.prof with
-  | Some p -> p.on_cycles ~method_id:m.method_id ~pc ~bin ~cycles:base_cost
-  | None -> ()
-
 let compile (t : t) (m : Classfile.method_info) : compiled_method =
   let code = m.code in
   let n = Array.length code in
-  let cm_instrumented = instrumented t in
   let cm_compiled = m.compiled in
   let machine = t.opts.machine in
   let base_cost =
@@ -200,9 +169,9 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
      in the full-stats cross-engine diff. *)
   let goto_retired = if t.engine_desync then 2 else 1 in
 
-  (* ---- plain variant: all observers off at compile time ----
+  (* ---- basic-block superinstructions ----
 
-     Uninstrumented bodies are compiled as basic-block superinstructions.
+     Bodies are compiled as basic-block superinstructions.
      The method is partitioned at block leaders (entry, branch targets,
      and the instruction after any control transfer); within a block, the
      per-instruction prologues are folded into one batched prologue at
@@ -916,8 +885,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
     | If_icmp (c, target) -> (
         (* Specialized per comparison (like the empty-cache path): the
            cached back-edge compare is the hottest vhandler of all, and
-           the generic [compare_int] helper goes through the polymorphic
-           compare C call. *)
+           baking the comparison saves [compare_int]'s dispatch on it. *)
         let taken = taken_of ~pc target in
         let next = kh kont in
         match c with
@@ -1113,566 +1081,154 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
     | _ -> None
   in
 
-  (* ---- instrumented variant: mirrors the switch engine's attributed
-     path verbatim through the shared State helpers ---- *)
-  let instr pc (instr_ : Bytecode.instr) : handler =
-    let next = handlers.(pc + 1) in
-    let bin = bin_of_instr instr_ in
-    let method_id = m.method_id in
-    match instr_ with
-    | Iconst k ->
-        let v = Value.of_int k in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          push frame v;
-          next frame
-    | Aconst_null ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          push frame Value.Null;
-          next frame
-    | Iload i | Aload i ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          push frame frame.locals.(i);
-          next frame
-    | Istore i | Astore i ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          frame.locals.(i) <- pop frame;
-          next frame
-    | Dup ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          push frame (peek frame);
-          next frame
-    | Pop ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          ignore (pop frame);
-          next frame
-    | Iadd ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a + b));
-          next frame
-    | Isub ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a - b));
-          next frame
-    | Imul ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a * b));
-          next frame
-    | Idiv ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          if b = 0 then vm_error "division by zero in %s" method_name;
-          push frame (Value.of_int (a / b));
-          next frame
-    | Irem ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          if b = 0 then vm_error "division by zero in %s" method_name;
-          push frame (Value.of_int (a mod b));
-          next frame
-    | Ineg ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          push frame (Value.of_int (-pop_int frame));
-          next frame
-    | Iand ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a land b));
-          next frame
-    | Ior ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a lor b));
-          next frame
-    | Ixor ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a lxor b));
-          next frame
-    | Ishl ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a lsl (b land 63)));
-          next frame
-    | Ishr ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a asr (b land 63)));
-          next frame
-    | Goto target ->
-        let taken = taken_of ~pc target in
-        if goto_retired = 1 then
-          fun frame ->
-            pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-            taken frame
-        else
-          fun frame ->
-            pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-            retire t 1;
-            taken frame
-    | If_icmp (c, target) ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop_int frame in
-          let a = pop_int frame in
-          if icompare c a b then taken frame else next frame
-    | If (c, target) ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          if icompare c (pop_int frame) 0 then taken frame else next frame
-    | If_acmpeq target ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop frame in
-          let a = pop frame in
-          if Value.equal a b then taken frame else next frame
-    | If_acmpne target ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let b = pop frame in
-          let a = pop frame in
-          if not (Value.equal a b) then taken frame else next frame
-    | Ifnull target ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          (match pop frame with
-          | Value.Null -> taken frame
-          | _ -> next frame)
+  (* Block leaders: entry, every in-range branch target, and the
+     instruction after any control transfer. *)
+  let leaders = Array.make (n + 1) false in
+  if n > 0 then leaders.(0) <- true;
+  for pc = 0 to n - 1 do
+    (match code.(pc) with
+    | Goto target
+    | If_icmp (_, target)
+    | If (_, target)
+    | If_acmpeq target
+    | If_acmpne target
+    | Ifnull target
     | Ifnonnull target ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          (match pop frame with
-          | Value.Null -> next frame
-          | _ -> taken frame)
-    | Getfield { site; offset; name = _; is_ref = _ } ->
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let id = as_ref frame (pop frame) in
-          let addr = Heap.base_of heap id + offset in
-          demand_load t frame ~pc ~obj:id ~addr ~site;
-          observe_load t frame ~site ~addr;
-          push frame (Heap.get_field heap id slot);
-          next frame
-    | Putfield { offset; name = _ } ->
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let v = pop frame in
-          let id = as_ref frame (pop frame) in
-          let addr = Heap.base_of heap id + offset in
-          demand t frame ~pc ~obj:id ~addr ~kind:`Store;
-          Heap.set_field heap id slot v;
-          next frame
-    | Getstatic { site; index; name = _; is_ref = _ } ->
-        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          demand_load t frame ~pc ~obj:(-1) ~addr ~site;
-          observe_load t frame ~site ~addr;
-          push frame t.globals.(index);
-          next frame
-    | Putstatic { index; name = _ } ->
-        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          demand t frame ~pc ~obj:(-1) ~addr ~kind:`Store;
-          t.globals.(index) <- pop frame;
-          next frame
-    | Aaload { len_site; elem_site } | Iaload { len_site; elem_site } ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          retire t 1;
-          charge t frame base_cost;
-          prof_cycles t ~method_id ~pc ~bin:Prof_retire ~cycles:base_cost;
-          let index = pop_int frame in
-          let id = as_ref frame (pop frame) in
-          let addr = array_access t frame ~pc ~len_site ~id ~index in
-          demand_load t frame ~pc ~obj:id ~addr ~site:elem_site;
-          observe_load t frame ~site:elem_site ~addr;
-          push frame (Heap.get_elem heap id index);
-          next frame
-    | Aastore { len_site } | Iastore { len_site } ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          retire t 1;
-          charge t frame base_cost;
-          prof_cycles t ~method_id ~pc ~bin:Prof_retire ~cycles:base_cost;
-          let v = pop frame in
-          let index = pop_int frame in
-          let id = as_ref frame (pop frame) in
-          let addr = array_access t frame ~pc ~len_site ~id ~index in
-          demand t frame ~pc ~obj:id ~addr ~kind:`Store;
-          Heap.set_elem heap id index v;
-          next frame
-    | Arraylength { site } ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let id = as_ref frame (pop frame) in
-          let addr = Heap.length_addr heap id in
-          demand_load t frame ~pc ~obj:id ~addr ~site;
-          observe_load t frame ~site ~addr;
-          push frame (Value.of_int (Heap.array_length heap id));
-          next frame
-    | New class_id ->
-        let ci = Classfile.class_of_id t.program class_id in
-        let alloc () = Heap.alloc_object heap ci in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let id = allocate t frame ~pc alloc in
-          push frame (Value.Ref id);
-          next frame
-    | Newarray kind ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let len = pop_int frame in
-          if len < 0 then vm_error "negative array size in %s" method_name;
-          let alloc () =
-            match kind with
-            | Bytecode.Int_array -> Heap.alloc_int_array heap len
-            | Bytecode.Ref_array -> Heap.alloc_ref_array heap len
-          in
-          push frame (Value.Ref (allocate t frame ~pc alloc));
-          next frame
-    | Invoke callee_id ->
-        let callee = Classfile.method_of_id t.program callee_id in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let args = scratch_args t callee.arity in
-          for i = callee.arity - 1 downto 0 do
-            args.(i) <- pop frame
-          done;
-          (match call t callee args with
-          | Some v -> push frame v
-          | None -> ());
-          next frame
-    | Return ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          None
-    | Ireturn | Areturn ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          Some (pop frame)
-    | Print ->
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          let v = pop_int frame in
-          Buffer.add_string t.out (string_of_int v);
-          Buffer.add_char t.out '\n';
-          next frame
-    | Prefetch_inter { site; distance } ->
-        let extra = max 0 (machine.prefetch_cost - base_cost) in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          charge t frame extra;
-          if extra > 0 then
-            prof_cycles t ~method_id ~pc ~bin:Prof_pf_overhead ~cycles:extra;
-          let anchor = frame.site_addr.(site) in
-          if anchor >= 0 then begin
-            let addr = anchor + distance in
-            audit_prefetch_addr t addr;
-            match t.telem with
-            | None -> Memsim.Hierarchy.sw_prefetch mem ~addr ~now:(now t)
-            | Some tl ->
-                let sid =
-                  Telemetry.Attrib.site_id tl.registry
-                    (Telemetry.Attrib.Inter_site { method_id; site })
-                in
-                Memsim.Hierarchy.sw_prefetch_attr mem ~attrib:tl.attrib ~addr
-                  ~now:(now t) ~site:sid
-          end;
-          next frame
-    | Spec_load { site; distance; reg } ->
-        let extra = max 0 (machine.guarded_load_cost - base_cost) in
-        let unguarded = t.unguarded_spec_loads in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          charge t frame extra;
-          if extra > 0 then
-            prof_cycles t ~method_id ~pc ~bin:Prof_guard_overhead
-              ~cycles:extra;
-          let anchor = frame.site_addr.(site) in
-          if anchor >= 0 then begin
-            let addr = anchor + distance in
-            audit_prefetch_addr t addr;
-            (match t.telem with
-            | None -> Memsim.Hierarchy.guarded_load mem ~addr ~now:(now t)
-            | Some tl ->
-                let sid =
-                  Telemetry.Attrib.site_id tl.registry
-                    (Telemetry.Attrib.Spec_site { method_id; site; reg })
-                in
-                Memsim.Hierarchy.guarded_load_attr mem ~attrib:tl.attrib
-                  ~addr ~now:(now t) ~site:sid);
-            let v =
-              match Heap.value_at heap addr with
-              | Some v -> v
-              | None ->
-                  t.spec_guard_trips <- t.spec_guard_trips + 1;
-                  if unguarded then begin
-                    t.faulting_prefetches <- t.faulting_prefetches + 1;
-                    vm_error
-                      "unguarded spec_load faulted at address 0x%x in %s" addr
-                      method_name
-                  end;
-                  Value.Null
-            in
-            frame.pref_regs.(reg) <- v
-          end
-          else frame.pref_regs.(reg) <- Value.Null;
-          next frame
-    | Prefetch_dynamic { site; times } ->
-        let extra = max 0 (machine.prefetch_cost - base_cost) in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          charge t frame extra;
-          if extra > 0 then
-            prof_cycles t ~method_id ~pc ~bin:Prof_pf_overhead ~cycles:extra;
-          let addr = frame.site_addr.(site) in
-          let prev = frame.site_prev.(site) in
-          if addr >= 0 && prev >= 0 && addr <> prev then begin
-            let target = addr + ((addr - prev) * times) in
-            audit_prefetch_addr t target;
-            match t.telem with
-            | None ->
-                Memsim.Hierarchy.sw_prefetch mem ~addr:target ~now:(now t)
-            | Some tl ->
-                let sid =
-                  Telemetry.Attrib.site_id tl.registry
-                    (Telemetry.Attrib.Dynamic_site { method_id; site })
-                in
-                Memsim.Hierarchy.sw_prefetch_attr mem ~attrib:tl.attrib
-                  ~addr:target ~now:(now t) ~site:sid
-          end;
-          next frame
-    | Prefetch_indirect { reg; offset; guarded } ->
-        let full =
-          if guarded then machine.guarded_load_cost else machine.prefetch_cost
-        in
-        let extra = max 0 (full - base_cost) in
-        fun frame ->
-          pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
-          charge t frame extra;
-          if extra > 0 then prof_cycles t ~method_id ~pc ~bin ~cycles:extra;
-          (match frame.pref_regs.(reg) with
-          | Value.Ref id when Heap.exists heap id -> (
-              let addr = Heap.base_of heap id + offset in
-              audit_prefetch_addr t addr;
-              match t.telem with
-              | None ->
-                  if guarded then
-                    Memsim.Hierarchy.guarded_load mem ~addr ~now:(now t)
-                  else Memsim.Hierarchy.sw_prefetch mem ~addr ~now:(now t)
-              | Some tl ->
-                  let sid =
-                    Telemetry.Attrib.site_id tl.registry
-                      (Telemetry.Attrib.Indirect_site { method_id; reg; offset })
-                  in
-                  if guarded then
-                    Memsim.Hierarchy.guarded_load_attr mem ~attrib:tl.attrib
-                      ~addr ~now:(now t) ~site:sid
-                  else
-                    Memsim.Hierarchy.sw_prefetch_attr mem ~attrib:tl.attrib
-                      ~addr ~now:(now t) ~site:sid)
-          | Value.Ref _ | Value.Int _ | Value.Null -> ());
-          next frame
+        if target >= 0 && target < n then leaders.(target) <- true
+    | _ -> ());
+    if is_terminator code.(pc) then leaders.(pc + 1) <- true
+  done;
+  (* Last pc of the block led by [s]: extends through straight-line
+     instructions (memory accesses included — they only end a charge
+     segment) and includes its control transfer; a straight-line run is
+     also cut where the next pc is a leader (someone jumps there) or
+     the code ends. *)
+  let rec block_end j =
+    if j >= n then n - 1
+    else if is_terminator code.(j) then j
+    else if leaders.(j + 1) then j
+    else block_end (j + 1)
   in
-
   (* Backward fill: at pc, every handler above pc is already compiled, so
      fall-through captures its successor directly and forward branches
      bind their target handler without indirection. *)
-  if cm_instrumented then
-    for pc = n - 1 downto 0 do
-      handlers.(pc) <- instr pc code.(pc)
-    done
-  else begin
-    (* Block leaders: entry, every in-range branch target, and the
-       instruction after any control transfer. *)
-    let leaders = Array.make (n + 1) false in
-    if n > 0 then leaders.(0) <- true;
-    for pc = 0 to n - 1 do
-      (match code.(pc) with
-      | Goto target
-      | If_icmp (_, target)
-      | If (_, target)
-      | If_acmpeq target
-      | If_acmpne target
-      | Ifnull target
-      | Ifnonnull target ->
-          if target >= 0 && target < n then leaders.(target) <- true
-      | _ -> ());
-      if is_terminator code.(pc) then leaders.(pc + 1) <- true
-    done;
-    (* Last pc of the block led by [s]: extends through straight-line
-       instructions (memory accesses included — they only end a charge
-       segment) and includes its control transfer; a straight-line run is
-       also cut where the next pc is a leader (someone jumps there) or
-       the code ends. *)
-    let rec block_end j =
-      if j >= n then n - 1
-      else if is_terminator code.(j) then j
-      else if leaders.(j + 1) then j
-      else block_end (j + 1)
+  for pc = n - 1 downto 0 do
+    (* The per-instruction handler: prologue fused with the body. Used
+       directly for single-instruction blocks, and as the exact
+       fallback chain when a batched budget test fires. *)
+    let standalone =
+      let b = body ~next:handlers.(pc + 1) pc code.(pc) in
+      let retired = retired_of code.(pc) and cost = cost_of code.(pc) in
+      fun frame ->
+        pre t m ~max_steps ~retired ~cost;
+        b frame
     in
-    for pc = n - 1 downto 0 do
-      (* The per-instruction handler: prologue fused with the body. Used
-         directly for single-instruction blocks, and as the exact
-         fallback chain when a batched budget test fires. *)
-      let standalone =
-        let b = body ~next:handlers.(pc + 1) pc code.(pc) in
-        let retired = retired_of code.(pc) and cost = cost_of code.(pc) in
-        fun frame ->
-          pre t m ~max_steps ~retired ~cost;
-          b frame
-      in
-      handlers.(pc) <- standalone;
-      if leaders.(pc) then begin
-        let e = block_end pc in
-        if e > pc then begin
-          let k = e - pc + 1 in
-          let retired_k = ref 0 in
-          for j = pc to e do
-            retired_k := !retired_k + retired_of code.(j)
-          done;
-          let retired_k = !retired_k in
-          (* Cost of the charge segment starting at [j]: every
-             instruction up to and including the first cycle observer
-             (or the block's end). *)
-          let rec seg_cost j =
-            let c = cost_of code.(j) in
-            if j >= e || observes_cycles code.(j) then c
-            else c + seg_cost (j + 1)
-          in
-          (* Commit one segment's cycles, preserving the cache state.
-             Reads [m.compiled] at run time like the head does; every
-             segment charge in a block runs before the block's only
-             possible call (its terminator), so all of them see the
-             value the head saw. *)
-          let charged cost (kont : kont) : kont =
-            match kont with
-            | KH h ->
-                KH
-                  (fun frame ->
-                    let stats = t.stats in
-                    stats.cycles <- stats.cycles + cost;
-                    if m.compiled then
-                      t.compiled_cycles <- t.compiled_cycles + cost
-                    else t.interpreted_cycles <- t.interpreted_cycles + cost;
-                    h frame)
-            | KV vh ->
-                KV
-                  (fun frame v ->
-                    let stats = t.stats in
-                    stats.cycles <- stats.cycles + cost;
-                    if m.compiled then
-                      t.compiled_cycles <- t.compiled_cycles + cost
-                    else t.interpreted_cycles <- t.interpreted_cycles + cost;
-                    vh frame v)
-          in
-          (* Compile the chain against the statically-tracked cache
-             state: blocks are entered with the cache empty; a full exit
-             state at the block's end (or an instruction with no
-             full-cache form) gets the spill adapter. *)
-          let rec build j ~full : kont =
-            if j > e then
-              if full then
-                let succ = handlers.(e + 1) in
-                KV
-                  (fun frame v ->
-                    spill frame v;
-                    succ frame)
-              else KH handlers.(e + 1)
-            else
-              let instr_ = code.(j) in
-              let kont = build (j + 1) ~full:(exits_full instr_) in
-              let kont =
-                if j < e && observes_cycles instr_ then
-                  charged (seg_cost (j + 1)) kont
-                else kont
-              in
-              if full then
-                KV
-                  (match body_full kont j instr_ with
-                  | Some vh -> vh
-                  | None ->
-                      let h = body_empty kont j instr_ in
-                      fun frame v ->
-                        spill frame v;
-                        h frame)
-              else KH (body_empty kont j instr_)
-          in
-          let first = kh (build pc ~full:false) in
-          let cost_1 = seg_cost pc in
-          handlers.(pc) <-
-            (fun frame ->
-              let steps = t.steps + k in
-              if steps > max_steps then standalone frame
-              else begin
-                t.steps <- steps;
-                let stats = t.stats in
-                stats.retired_instructions <-
-                  stats.retired_instructions + retired_k;
-                stats.cycles <- stats.cycles + cost_1;
-                if m.compiled then
-                  t.compiled_cycles <- t.compiled_cycles + cost_1
-                else t.interpreted_cycles <- t.interpreted_cycles + cost_1;
-                first frame
-              end)
-        end
+    handlers.(pc) <- standalone;
+    if leaders.(pc) then begin
+      let e = block_end pc in
+      if e > pc then begin
+        let k = e - pc + 1 in
+        let retired_k = ref 0 in
+        for j = pc to e do
+          retired_k := !retired_k + retired_of code.(j)
+        done;
+        let retired_k = !retired_k in
+        (* Cost of the charge segment starting at [j]: every
+           instruction up to and including the first cycle observer
+           (or the block's end). *)
+        let rec seg_cost j =
+          let c = cost_of code.(j) in
+          if j >= e || observes_cycles code.(j) then c
+          else c + seg_cost (j + 1)
+        in
+        (* Commit one segment's cycles, preserving the cache state.
+           Reads [m.compiled] at run time like the head does; every
+           segment charge in a block runs before the block's only
+           possible call (its terminator), so all of them see the
+           value the head saw. *)
+        let charged cost (kont : kont) : kont =
+          match kont with
+          | KH h ->
+              KH
+                (fun frame ->
+                  let stats = t.stats in
+                  stats.cycles <- stats.cycles + cost;
+                  if m.compiled then
+                    t.compiled_cycles <- t.compiled_cycles + cost
+                  else t.interpreted_cycles <- t.interpreted_cycles + cost;
+                  h frame)
+          | KV vh ->
+              KV
+                (fun frame v ->
+                  let stats = t.stats in
+                  stats.cycles <- stats.cycles + cost;
+                  if m.compiled then
+                    t.compiled_cycles <- t.compiled_cycles + cost
+                  else t.interpreted_cycles <- t.interpreted_cycles + cost;
+                  vh frame v)
+        in
+        (* Compile the chain against the statically-tracked cache
+           state: blocks are entered with the cache empty; a full exit
+           state at the block's end (or an instruction with no
+           full-cache form) gets the spill adapter. *)
+        let rec build j ~full : kont =
+          if j > e then
+            if full then
+              let succ = handlers.(e + 1) in
+              KV
+                (fun frame v ->
+                  spill frame v;
+                  succ frame)
+            else KH handlers.(e + 1)
+          else
+            let instr_ = code.(j) in
+            let kont = build (j + 1) ~full:(exits_full instr_) in
+            let kont =
+              if j < e && observes_cycles instr_ then
+                charged (seg_cost (j + 1)) kont
+              else kont
+            in
+            if full then
+              KV
+                (match body_full kont j instr_ with
+                | Some vh -> vh
+                | None ->
+                    let h = body_empty kont j instr_ in
+                    fun frame v ->
+                      spill frame v;
+                      h frame)
+            else KH (body_empty kont j instr_)
+        in
+        let first = kh (build pc ~full:false) in
+        let cost_1 = seg_cost pc in
+        handlers.(pc) <-
+          (fun frame ->
+            let steps = t.steps + k in
+            if steps > max_steps then standalone frame
+            else begin
+              t.steps <- steps;
+              let stats = t.stats in
+              stats.retired_instructions <-
+                stats.retired_instructions + retired_k;
+              stats.cycles <- stats.cycles + cost_1;
+              if m.compiled then
+                t.compiled_cycles <- t.compiled_cycles + cost_1
+              else t.interpreted_cycles <- t.interpreted_cycles + cost_1;
+              first frame
+            end)
       end
-    done
-  end;
-  { cm_code = code; cm_compiled; cm_instrumented; cm_handlers = handlers }
+    end
+  done;
+  { cm_code = code; cm_compiled; cm_handlers = handlers }
 
 (* Fetch (compiling or recompiling as needed) the method's artifact. The
-   three-way validation catches every way an artifact can go stale: the
-   JIT swapped the body (fresh code array), the method's compiled flag
-   flipped (different baked base cost), or the observer set changed
-   (different specialization). *)
+   two-way validation catches every way an artifact can go stale: the
+   JIT swapped the body (fresh code array), or the method's compiled
+   flag flipped (different baked base cost). *)
 let get (t : t) (m : Classfile.method_info) =
   let id = m.method_id in
   match t.closure_cache.(id) with
-  | Some cm
-    when cm.cm_code == m.code
-         && cm.cm_compiled = m.compiled
-         && cm.cm_instrumented = instrumented t ->
-      cm
+  | Some cm when cm.cm_code == m.code && cm.cm_compiled = m.compiled -> cm
   | _ ->
       let cm = compile t m in
       t.closure_cache.(id) <- Some cm;

@@ -21,7 +21,8 @@ type t =
   | Engine_desync
       (** the closure engine retires one extra instruction per executed
           [Goto]: output, cycles and heap are unchanged, so only a
-          full-stats diff against the switch engine sees it *)
+          full-stats diff against the switch engine sees it. Unobserved
+          runs only: an observed run executes on the reference loop *)
   | Hw_desync
       (** a run on a machine shipping the RPT hardware prefetcher appends a
           sentinel line to program output — a hardware model leaking into

@@ -10,7 +10,9 @@
    match it bit-for-bit on output, heap, and every stats counter
    (test/test_engine.ml; the fuzz oracle's engine axis). Keep the two in
    lockstep — any change to the loop below needs the mirrored change in
-   [Engine.compile]. *)
+   [Engine.compile]. The loop is also the only engine that runs
+   observed: while any observer is installed every activation lands
+   here, whichever engine [options.engine] names. *)
 
 open State
 
@@ -90,7 +92,10 @@ let run = State.run
 
 (* The reference switch engine: one fetch/decode loop iteration per
    instruction. [Invoke] recurses through [State.call], which dispatches
-   the callee through whichever engine is wired — the engines compose. *)
+   the callee through whichever engine is wired — the engines compose.
+   Results are pushed through [Value.of_int] and arguments staged in
+   [State.scratch_args], as the closure handlers do; neither is
+   observable, since values are only compared structurally. *)
 let exec_switch (t : t) (frame : Frame.t) =
   let m = frame.method_info in
   let code = m.code in
@@ -123,7 +128,7 @@ let exec_switch (t : t) (frame : Frame.t) =
           ~cycles:base_cost
     | None -> ());
     (match instr with
-    | Iconst k -> Frame.push frame (Value.Int k)
+    | Iconst k -> Frame.push frame (Value.of_int k)
     | Aconst_null -> Frame.push frame Value.Null
     | Iload i | Aload i -> Frame.push frame frame.locals.(i)
     | Istore i | Astore i -> frame.locals.(i) <- Frame.pop frame
@@ -131,37 +136,37 @@ let exec_switch (t : t) (frame : Frame.t) =
     | Pop -> ignore (Frame.pop frame)
     | Iadd ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
-        Frame.push frame (Value.Int (a + b))
+        Frame.push frame (Value.of_int (a + b))
     | Isub ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
-        Frame.push frame (Value.Int (a - b))
+        Frame.push frame (Value.of_int (a - b))
     | Imul ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
-        Frame.push frame (Value.Int (a * b))
+        Frame.push frame (Value.of_int (a * b))
     | Idiv ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
         if b = 0 then vm_error "division by zero in %s" m.method_name;
-        Frame.push frame (Value.Int (a / b))
+        Frame.push frame (Value.of_int (a / b))
     | Irem ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
         if b = 0 then vm_error "division by zero in %s" m.method_name;
-        Frame.push frame (Value.Int (a mod b))
-    | Ineg -> Frame.push frame (Value.Int (-Frame.pop_int frame))
+        Frame.push frame (Value.of_int (a mod b))
+    | Ineg -> Frame.push frame (Value.of_int (-Frame.pop_int frame))
     | Iand ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
-        Frame.push frame (Value.Int (a land b))
+        Frame.push frame (Value.of_int (a land b))
     | Ior ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
-        Frame.push frame (Value.Int (a lor b))
+        Frame.push frame (Value.of_int (a lor b))
     | Ixor ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
-        Frame.push frame (Value.Int (a lxor b))
+        Frame.push frame (Value.of_int (a lxor b))
     | Ishl ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
-        Frame.push frame (Value.Int (a lsl (b land 63)))
+        Frame.push frame (Value.of_int (a lsl (b land 63)))
     | Ishr ->
         let b = Frame.pop_int frame and a = Frame.pop_int frame in
-        Frame.push frame (Value.Int (a asr (b land 63)))
+        Frame.push frame (Value.of_int (a asr (b land 63)))
     | Goto target ->
         if target <= pc then m.backedges <- m.backedges + 1;
         frame.pc <- target
@@ -189,16 +194,18 @@ let exec_switch (t : t) (frame : Frame.t) =
           if target <= pc then m.backedges <- m.backedges + 1;
           frame.pc <- target
         end
-    | Ifnull target ->
-        if Frame.pop frame = Value.Null then begin
-          if target <= pc then m.backedges <- m.backedges + 1;
-          frame.pc <- target
-        end
-    | Ifnonnull target ->
-        if Frame.pop frame <> Value.Null then begin
-          if target <= pc then m.backedges <- m.backedges + 1;
-          frame.pc <- target
-        end
+    | Ifnull target -> (
+        match Frame.pop frame with
+        | Value.Null ->
+            if target <= pc then m.backedges <- m.backedges + 1;
+            frame.pc <- target
+        | Value.Int _ | Value.Ref _ -> ())
+    | Ifnonnull target -> (
+        match Frame.pop frame with
+        | Value.Null -> ()
+        | Value.Int _ | Value.Ref _ ->
+            if target <= pc then m.backedges <- m.backedges + 1;
+            frame.pc <- target)
     | Getfield { site; offset; name = _; is_ref = _ } ->
         let id = as_ref frame (Frame.pop frame) in
         let addr = Heap.base_of t.heap id + offset in
@@ -249,7 +256,7 @@ let exec_switch (t : t) (frame : Frame.t) =
         let addr = Heap.length_addr t.heap id in
         demand_load t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~site;
         observe_load t frame ~site ~addr;
-        Frame.push frame (Value.Int (Heap.array_length t.heap id))
+        Frame.push frame (Value.of_int (Heap.array_length t.heap id))
     | New class_id ->
         let ci = Classfile.class_of_id t.program class_id in
         let id = allocate t frame ~pc:(frame.pc - 1) (fun () -> Heap.alloc_object t.heap ci) in
@@ -265,7 +272,7 @@ let exec_switch (t : t) (frame : Frame.t) =
         Frame.push frame (Value.Ref (allocate t frame ~pc:(frame.pc - 1) alloc))
     | Invoke callee_id ->
         let callee = Classfile.method_of_id t.program callee_id in
-        let args = Array.make callee.arity Value.Null in
+        let args = scratch_args t callee.arity in
         for i = callee.arity - 1 downto 0 do
           args.(i) <- Frame.pop frame
         done;
@@ -401,15 +408,22 @@ let exec_switch (t : t) (frame : Frame.t) =
   done;
   !result
 
+(* Observed activations run on the reference loop: the closure engine
+   compiles only the unobserved fast path. The test runs on every method
+   entry, so an observer installed between calls takes effect at the
+   next activation. *)
+let exec_closure (t : t) frame =
+  if instrumented t then exec_switch t frame else Engine.exec t frame
+
 let create ?options machine program =
   let t = State.make ?options machine program in
   (t.engine_exec <-
      (match t.opts.engine with
      | Switch -> exec_switch
-     | Closure -> Engine.exec));
+     | Closure -> exec_closure));
   t
 
 let precompile_method (t : t) (m : Classfile.method_info) =
   match t.opts.engine with
-  | Closure -> Engine.precompile t m
-  | Switch -> ()
+  | Closure when not (instrumented t) -> Engine.precompile t m
+  | Closure | Switch -> ()

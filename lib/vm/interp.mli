@@ -21,7 +21,9 @@
     a pc-indexed array of direct-threaded OCaml closures. They are
     bit-identical in every observable — output, heap, cycles, all stats
     counters — which test/test_engine.ml and the fuzz oracle's engine
-    axis enforce; the closure engine is simply faster on the host. *)
+    axis enforce; the closure engine is simply faster on the host. An
+    observed run (telemetry, profiling, a load observer or a monitor
+    installed) executes on the reference loop under either engine. *)
 
 type engine =
   | Switch  (** the reference fetch/decode loop *)
@@ -62,6 +64,10 @@ exception Budget_exhausted of int
     step. A printer is registered: ["step budget exceeded (max_steps=N)"]. *)
 
 val create : ?options:options -> Memsim.Config.machine -> Classfile.program -> t
+(** Wire the engine [options.engine] names. Under [Closure], each
+    activation tests for installed observers first and runs on the
+    reference loop while any is installed; the closure engine only ever
+    executes unobserved code. *)
 
 val program : t -> Classfile.program
 val heap : t -> Heap.t
@@ -181,12 +187,11 @@ val set_monitor :
     fine; executing code or touching simulated state is not. Boundaries
     are a pure function of the cycle stream, so they land at identical
     simulated cycles on both execution engines (their bit-identity
-    contract covers the charge sequence). Monitoring joins the observer
-    fingerprint: the closure engine compiles the instrumented handler
-    variant while a monitor is armed, and a monitored run remains
-    bit-identical in every simulated observable to an unmonitored one
-    (golden- and fuzz-checked). Raises [Invalid_argument] when
-    [window_cycles <= 0]. *)
+    contract covers the charge sequence). Like every observer, an armed
+    monitor sends each activation to the reference loop, and a monitored
+    run remains bit-identical in every simulated observable to an
+    unmonitored one (golden- and fuzz-checked). Raises
+    [Invalid_argument] when [window_cycles <= 0]. *)
 
 val finalize_telemetry : t -> unit
 (** Settle the attribution books at end of run: still-untouched prefetch
@@ -206,8 +211,10 @@ val precompile_method : t -> Classfile.method_info -> unit
 (** Under the closure engine: (re)compile the method's closure artifact
     now if it is stale — the JIT pipeline calls this after each pass
     mutation so a freshly optimized body re-enters execution already
-    compiled. A no-op under the switch engine. Purely an eagerness hint:
-    the artifact is validated on every method entry regardless. *)
+    compiled. A no-op under the switch engine, and while any observer is
+    installed (an observed run never executes the artifact). Purely an
+    eagerness hint: the artifact is validated on every method entry
+    regardless. *)
 
 val call : t -> Classfile.method_info -> Value.t array -> Value.t option
 (** Execute one method to completion (recursively executing its callees)

@@ -15,10 +15,15 @@
    state transition goes through these helpers; the differential fuzz
    oracle's engine axis (lib/fuzz/oracle.ml) asserts it empirically.
 
+   Observers (telemetry, profiler, load observer, monitor) are called
+   from these helpers and the reference loop only: while any is
+   installed ([instrumented]), every activation runs on the switch
+   engine, whichever engine [options.engine] names.
+
    [engine_exec] is the indirection that breaks the module cycle: [call]
    dispatches a method body through it, [Interp.create] wires it to the
-   engine selected by [options.engine], and both engines' [Invoke]
-   handlers recurse through [call]. *)
+   engine selected by [options.engine] (and the observer test above), and
+   both engines' [Invoke] handlers recurse through [call]. *)
 
 type engine = Switch | Closure
 
@@ -80,12 +85,12 @@ type profile_hooks = {
 }
 
 (* Monitor wiring: fixed simulated-cycle window boundaries, polled on the
-   one chokepoint every instrumented cycle charge flows through
-   ([charge], plus GC's direct add). The callback observes only — it must
-   never touch simulated state. Window boundaries are a pure function of
-   the cycle stream, and the two engines charge identical cycle sequences
-   when instrumented (their bit-identity contract), so boundaries land at
-   identical cycles on both engines by construction. *)
+   one chokepoint every observed cycle charge flows through ([charge],
+   plus GC's direct add). The callback observes only — it must never
+   touch simulated state. Window boundaries are a pure function of the
+   cycle stream, and a monitored run executes on the reference loop
+   whichever engine is selected, so boundaries land at identical cycles
+   on both engines by construction. *)
 type monitor = {
   window_cycles : int;
   mutable next_boundary : int;
@@ -127,18 +132,16 @@ type t = {
           invocation and the cons cells dominated minor-GC pressure *)
   pool_len : int array;  (** live prefix length of [pool_frames.(id)] *)
   scratch_args : Value.t array array;
-      (** per-arity reusable argument buffers for the closure engine's
-          [Invoke] handlers (slot [a] holds an [a]-length array, lazily
-          created). Safe to reuse across calls: [call] consumes the
-          buffer into the callee frame's locals before any bytecode
-          executes, and the (cold, once-per-method) compile hook gets a
-          defensive copy — nothing retains the buffer itself. The switch
-          engine, byte-faithful to the seed interpreter, keeps
-          allocating fresh argument arrays. *)
+      (** per-arity reusable argument buffers for both engines' [Invoke]
+          (slot [a] holds an [a]-length array, lazily created). Safe to
+          reuse across calls: [call] consumes the buffer into the callee
+          frame's locals before any bytecode executes, and the (cold,
+          once-per-method) compile hook gets a defensive copy — nothing
+          retains the buffer itself. *)
   closure_cache : compiled_method option array;
       (** per-method closure-engine artifact, lazily (re)compiled by
-          [Engine]; invalidated when the code array identity, the
-          compiled flag or the observer fingerprint changes *)
+          [Engine]; invalidated when the code array identity or the
+          compiled flag changes. Observed activations never build one. *)
   mutable frame_stack : Frame.t array;
       (** activation stack, replacing the former [Frame.t list]: pushed
           at [call] entry, popped on exit; only the [frame_depth]-prefix
@@ -169,9 +172,9 @@ type t = {
   mutable mon : monitor option;
       (** [None] (the default) disables windowed monitoring: off costs
           one immediate-constant test per [charge] — and none at all on
-          the closure engine's uninstrumented fast path, which batches
-          its base costs past [charge] entirely (monitoring is part of
-          the observer fingerprint, so that path never runs monitored) *)
+          the closure engine, which batches its base costs past [charge]
+          entirely (an armed monitor counts as [instrumented], so the
+          closure engine never runs monitored) *)
   mutable engine_exec : t -> Frame.t -> Value.t option;
       (** the selected engine's method-body executor; wired by
           [Interp.create], dispatched through by [call] *)
@@ -183,9 +186,6 @@ and compiled_method = {
           a JIT pass swapping [method_info.code] invalidates it *)
   cm_compiled : bool;
       (** the [compiled] flag baked into the handlers' base cost *)
-  cm_instrumented : bool;
-      (** observer fingerprint: [true] iff telemetry, profiling or a
-          load observer was installed at compile time *)
   cm_handlers : handler array;
       (** length [n+1]: one handler per pc plus the out-of-bounds
           sentinel at index [n] *)
@@ -242,12 +242,11 @@ let make ?options machine program =
       (fun _ _ -> invalid_arg "Vm.State: no execution engine wired");
   }
 
-(* The observer fingerprint: when every observer is off, the closure
-   engine compiles the plain handler variant, with no per-step option
-   tests at all — the zero-cost-when-off guarantee held structurally.
-   Observers must therefore be installed before the run starts (the
-   harness always does); the artifact is re-validated at every method
-   entry, so an observer installed between calls takes effect at the
+(* Whether any observer is installed. The engine dispatcher
+   ([Interp.create]) tests it on every activation: observed activations
+   run on the reference loop, so the closure engine's handlers carry no
+   observer tests at all — the zero-cost-when-off guarantee held
+   structurally. An observer installed between calls takes effect at the
    next activation. *)
 let instrumented t =
   match (t.telem, t.prof, t.load_observer) with
@@ -258,8 +257,7 @@ let instrumented t =
    slot of a prefetch-type instruction is itself overhead the
    optimization added — it bins as pf/guard overhead, not retire, so the
    profiler's overhead bins carry the full cost of the pass's inserted
-   code (see lib/strideprefetch/codegen.ml for the emitting side). Both
-   engines classify through this one function. *)
+   code (see lib/strideprefetch/codegen.ml for the emitting side). *)
 let bin_of_instr (instr : Bytecode.instr) =
   match instr with
   | Prefetch_inter _ | Prefetch_dynamic _ -> Prof_pf_overhead
@@ -377,8 +375,7 @@ let observe_load t (frame : Frame.t) ~site ~addr =
 (* Report a stalled demand access to the profiler. The attributing pc is
    [frame.pc - 1]: every memory-access handler runs after [frame.pc] was
    advanced past the instruction and none of them branches first, so this
-   is the pc of the instruction being executed (the closure engine's
-   instrumented handlers maintain the same invariant). The four
+   is the pc of the instruction being executed. The four
    components are read back from the hierarchy's breakdown of the access
    that just returned [stall]; they sum to it exactly. *)
 let[@inline never] prof_stall t p (frame : Frame.t) ~obj ~stall:_ =
@@ -400,8 +397,8 @@ let[@inline] prof_cycles t ~method_id ~pc ~bin ~cycles =
    hardware prefetcher indexes by, so it must be engine-invariant: the
    switch engine passes [frame.pc - 1] (the executing pc — see
    [prof_stall] above for the invariant), the closure engine bakes the
-   same compile-time pc into each handler (its uninstrumented variant
-   does not maintain [frame.pc] at run time). *)
+   same compile-time pc into each handler (its handlers do not maintain
+   [frame.pc] at run time). *)
 let[@inline] pack_pc (frame : Frame.t) ~pc =
   (frame.method_info.method_id lsl 16) lor (pc land 0xffff)
 
@@ -448,8 +445,8 @@ let demand_load t (frame : Frame.t) ~pc ~obj ~addr ~site =
   in
   if stall > 0 then charge_stall t frame stall
 
-(* Plain-variant demand access: the closure engine's uninstrumented
-   handlers go straight to the hierarchy, with no telemetry/profiler
+(* Plain demand access: the closure engine's handlers, which only run
+   unobserved, go straight to the hierarchy with no telemetry/profiler
    option tests — byte-for-byte the [None] branch of [demand] above. *)
 let[@inline] demand_plain t (frame : Frame.t) ~pc ~addr ~kind =
   let stall =
@@ -547,7 +544,7 @@ let as_ref frame v =
       vm_error "integer used as reference in %s"
         frame.Frame.method_info.method_name
 
-let[@inline] compare_int (c : Bytecode.cmp) a b =
+let[@inline] compare_int (c : Bytecode.cmp) (a : int) (b : int) =
   match c with
   | Eq -> a = b
   | Ne -> a <> b
@@ -568,9 +565,9 @@ let array_access t frame ~pc ~len_site ~id ~index =
       frame.Frame.method_info.method_name;
   Heap.elem_addr t.heap id index
 
-(* Plain-variant twin of [array_access] for the closure engine's
-   uninstrumented handlers: direct demand access, inline site-register
-   update, no observer dispatch. *)
+(* Plain twin of [array_access] for the closure engine's handlers:
+   direct demand access, inline site-register update, no observer
+   dispatch. *)
 let array_access_plain t (frame : Frame.t) ~pc ~len_site ~id ~index =
   let base, len = Heap.array_view t.heap id in
   let len_addr = base + Classfile.array_length_offset in
@@ -588,8 +585,8 @@ let maybe_compile t (m : Classfile.method_info) args =
     | Some hook ->
         (* Mark first: the hook may recursively execute nothing, but a
            failed compilation should not retrigger on every call. The
-           copy isolates the hook from the closure engine's reusable
-           scratch buffer (cold path: once per method). *)
+           copy isolates the hook from [Invoke]'s reusable scratch
+           buffer (cold path: once per method). *)
         m.compiled <- true;
         hook t m (Array.copy args)
     | None -> ()
@@ -648,7 +645,7 @@ let push_frame t (frame : Frame.t) =
   end;
   t.frame_depth <- d + 1
 
-(* Reusable per-arity argument buffer for the closure engine (see the
+(* Reusable per-arity argument buffer for [Invoke] (see the
    [scratch_args] field doc for the safety argument). *)
 let scratch_args t arity =
   let pool = t.scratch_args in

@@ -6,10 +6,11 @@
    count, the full core stats vector, the interpreted/compiled split, GC
    activity. The closure engine batches step/cycle commits per basic
    block and caches the top of stack in a register, so these tests pin
-   exactly the places where such batching could drift: observer
-   specialization, GC compaction in mid-loop, and budget exhaustion
-   (where the batched prologue must fall back to per-instruction
-   accounting to die on precisely the same step). *)
+   exactly the places where such batching could drift: the hand-off to
+   the reference loop when an observer is installed, GC compaction in
+   mid-loop, and budget exhaustion (where the batched prologue must fall
+   back to per-instruction accounting to die on precisely the same
+   step). *)
 
 module W = Workloads.Workload
 module H = Workloads.Harness
@@ -21,28 +22,36 @@ let workload name =
   | Some w -> w
   | None -> Alcotest.failf "no workload named %s" name
 
-let check_same_run ~ctx (sw : H.run_result) (cl : H.run_result) =
-  Alcotest.(check string) (ctx ^ ": output") sw.output cl.output;
-  Alcotest.(check int) (ctx ^ ": cycles") sw.cycles cl.cycles;
-  Alcotest.(check int)
-    (ctx ^ ": interpreted_cycles")
-    sw.interpreted_cycles cl.interpreted_cycles;
-  Alcotest.(check int) (ctx ^ ": compiled_cycles") sw.compiled_cycles
-    cl.compiled_cycles;
-  Alcotest.(check int) (ctx ^ ": gc_count") sw.gc_count cl.gc_count;
-  Alcotest.(check int) (ctx ^ ": methods_compiled") sw.methods_compiled
-    cl.methods_compiled;
-  Alcotest.(check int)
-    (ctx ^ ": faulting_prefetches")
-    sw.faulting_prefetches cl.faulting_prefetches;
-  Alcotest.(check int) (ctx ^ ": spec_guard_trips") sw.spec_guard_trips
-    cl.spec_guard_trips;
+(* What bit-identity compares: the program output, then every counter a
+   run reports, VM-side books first. *)
+let books ~output ~interpreted ~compiled ~gc_count ~methods_compiled
+    ~faulting ~guard_trips (stats : Memsim.Stats.t) =
+  ( output,
+    ("cycles", stats.cycles)
+    :: ("interpreted_cycles", interpreted)
+    :: ("compiled_cycles", compiled)
+    :: ("gc_count", gc_count)
+    :: ("methods_compiled", methods_compiled)
+    :: ("faulting_prefetches", faulting)
+    :: ("spec_guard_trips", guard_trips)
+    :: Memsim.Stats.core_alist stats )
+
+let books_of_run (r : H.run_result) =
+  books ~output:r.output ~interpreted:r.interpreted_cycles
+    ~compiled:r.compiled_cycles ~gc_count:r.gc_count
+    ~methods_compiled:r.methods_compiled ~faulting:r.faulting_prefetches
+    ~guard_trips:r.spec_guard_trips r.stats
+
+let check_same_books ~ctx (out_a, a) (out_b, b) =
+  Alcotest.(check string) (ctx ^ ": output") out_a out_b;
   List.iter2
-    (fun (name_a, a) (name_b, b) ->
-      Alcotest.(check string) (ctx ^ ": stats key order") name_a name_b;
-      Alcotest.(check int) (ctx ^ ": stats " ^ name_a) a b)
-    (Memsim.Stats.core_alist sw.stats)
-    (Memsim.Stats.core_alist cl.stats)
+    (fun (name_a, x) (name_b, y) ->
+      Alcotest.(check string) (ctx ^ ": key order") name_a name_b;
+      Alcotest.(check int) (ctx ^ ": " ^ name_a) x y)
+    a b
+
+let check_same_run ~ctx a b =
+  check_same_books ~ctx (books_of_run a) (books_of_run b)
 
 (* Full matrix over two representative workloads (MonteCarlo exercises
    the JIT + prefetch path heavily, Euler is array/loop dense), both
@@ -65,20 +74,88 @@ let test_bit_identity_matrix () =
         [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ])
     [ "MonteCarlo"; "Euler" ]
 
-(* The closure engine specializes its artifact on the observer
-   fingerprint: with telemetry + profiling installed it compiles the
-   instrumented per-instruction variant, without them the batched plain
-   variant. Both must charge identical cycles — observation is free. *)
-let test_observer_specialization_twins () =
+(* [Harness.run] has no load-observer flag, so this run repeats its
+   plain wiring (standard passes, then the prefetch pass at [mode]) and
+   installs [Interp.set_load_observer]. It returns the run's books and
+   the observed (method, site, addr) stream as a count and a hash. *)
+let run_observing_loads ~engine ~mode ~machine (w : W.t) =
+  let program = W.compile w in
+  let options =
+    {
+      (Vm.Interp.default_options machine) with
+      Vm.Interp.heap_limit_bytes = w.heap_limit_bytes;
+      engine;
+    }
+  in
+  let interp = Vm.Interp.create ~options machine program in
+  let opts = Strideprefetch.Options.(with_mode mode default) in
+  let pipeline =
+    Jit.Pipeline.create ~on_mutate:(Vm.Interp.precompile_method interp)
+      (Jit.Pipeline.standard_passes ()
+      @ [ Strideprefetch.Pass.make_pass ~opts ~interp () ])
+  in
+  Vm.Interp.set_compile_hook interp (fun _ m args ->
+      Jit.Pipeline.compile pipeline m args);
+  let count = ref 0 and hash = ref 0 in
+  let mix h x = (h * 1_000_003) lxor x in
+  Vm.Interp.set_load_observer interp (fun ~method_id ~site ~addr ->
+      incr count;
+      hash := mix (mix (mix !hash method_id) site) addr);
+  ignore (Vm.Interp.run interp);
+  ( books ~output:(Vm.Interp.output interp)
+      ~interpreted:(Vm.Interp.interpreted_cycles interp)
+      ~compiled:(Vm.Interp.compiled_cycles interp)
+      ~gc_count:(Vm.Interp.gc_count interp)
+      ~methods_compiled:(Jit.Pipeline.methods_compiled pipeline)
+      ~faulting:(Vm.Interp.faulting_prefetches interp)
+      ~guard_trips:(Vm.Interp.spec_guard_trips interp)
+      (Vm.Interp.stats interp),
+    (!count, !hash) )
+
+(* Every observation entry point, on both engines: an observed run
+   executes on the reference loop whichever engine it names, and must
+   charge exactly what the plain closure run charges — observation is
+   free. Profile+monitor is the benchmark's observed unit. The load
+   observer must also be handed the same stream by both engines. *)
+let test_observer_twins () =
   let w = workload "MonteCarlo" in
   let machine = Memsim.Config.athlon_mp in
   let mode = Strideprefetch.Options.Inter_intra in
-  let plain = H.run ~engine:Vm.Interp.Closure ~mode ~machine w in
-  let instrumented =
-    H.run ~engine:Vm.Interp.Closure ~telemetry:true ~profile:true ~mode
-      ~machine w
+  let window = Monitor.Collector.default_window_cycles in
+  let harness ?telemetry ?profile ?monitor engine =
+    books_of_run (H.run ~engine ?telemetry ?profile ?monitor ~mode ~machine w)
   in
-  check_same_run ~ctx:"observer twins" plain instrumented
+  let plain = harness Vm.Interp.Closure in
+  let streams = ref [] in
+  let rows =
+    [
+      ("telemetry", fun e -> harness ~telemetry:true e);
+      ("telemetry+profile", fun e -> harness ~telemetry:true ~profile:true e);
+      ("monitor", fun e -> harness ~monitor:window e);
+      ("profile+monitor", fun e -> harness ~profile:true ~monitor:window e);
+      ( "load observer",
+        fun engine ->
+          let books, stream = run_observing_loads ~engine ~mode ~machine w in
+          streams := stream :: !streams;
+          books );
+    ]
+  in
+  List.iter
+    (fun (label, run) ->
+      List.iter
+        (fun engine ->
+          let ctx =
+            Printf.sprintf "%s on %s" label (Vm.Interp.engine_name engine)
+          in
+          check_same_books ~ctx plain (run engine))
+        [ Vm.Interp.Closure; Vm.Interp.Switch ])
+    rows;
+  match !streams with
+  | [ (count_sw, hash_sw); (count_cl, hash_cl) ] ->
+      Alcotest.(check bool) "loads observed" true (count_cl > 0);
+      Alcotest.(check int) "load stream length" count_cl count_sw;
+      Alcotest.(check int) "load stream hash" hash_cl hash_sw
+  | l -> Alcotest.failf "expected 2 load streams, got %d" (List.length l)
 
 (* A workload sized to overflow its heap limit repeatedly while the hot
    loop is executing: compaction rewrites every simulated address (and
@@ -188,8 +265,8 @@ let suite =
   [
     Alcotest.test_case "bit-identity: workload x machine x mode" `Slow
       test_bit_identity_matrix;
-    Alcotest.test_case "observer specialization twins" `Slow
-      test_observer_specialization_twins;
+    Alcotest.test_case "observer twins on both engines" `Slow
+      test_observer_twins;
     Alcotest.test_case "GC compaction mid-loop" `Quick
       test_gc_compaction_mid_loop;
     Alcotest.test_case "budget exhaustion is engine-invariant" `Quick

@@ -3,7 +3,7 @@
    profiled run is bit-identical to a plain one), sane bin and
    allocation-site attribution, and byte-identical determinism of the
    folded-stack / JSON exports — across repeated runs and across Domain
-   pool sizes. *)
+   pool sizes — and allocation-free table hits. *)
 
 module H = Workloads.Harness
 module W = Workloads.Workload
@@ -213,6 +213,25 @@ let test_folded_format () =
              | Some n when n > 0 -> ()
              | _ -> Alcotest.failf "bad count in %S" line))
 
+(* Every charge and stall of a profiled run hits the collector's tables,
+   so once a key exists, reporting to it must allocate nothing. *)
+let test_hit_allocates_nothing () =
+  let h = Profile.Collector.hooks (Profile.Collector.create ()) in
+  let on_cycles () =
+    h.on_cycles ~method_id:3 ~pc:7 ~bin:Vm.Interp.Prof_retire ~cycles:1
+  and on_stall () =
+    h.on_stall ~method_id:3 ~pc:7 ~obj:(-1) ~tlb:1 ~l1:2 ~l2:0 ~mem:4
+  in
+  on_cycles ();
+  on_stall ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    on_cycles ();
+    on_stall ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10,000 hits" 0. words
+
 let suite =
   [
     Alcotest.test_case "conservation law across machine x mode" `Slow
@@ -232,4 +251,6 @@ let suite =
       test_determinism_jobs;
     Alcotest.test_case "folded stacks are well-formed" `Quick
       test_folded_format;
+    Alcotest.test_case "table hits allocate nothing" `Quick
+      test_hit_allocates_nothing;
   ]
