@@ -54,24 +54,39 @@ let zero_counters () =
 
 type entry = { site : int; mutable touched : bool }
 
+(* The shadow tables are keyed by line indices and demand keys, so they
+   compare with int equality and hash with a multiply-shift (Fibonacci)
+   hash instead of the polymorphic [Hashtbl.hash]. The hash must mix:
+   the table picks a bucket from the hash's low bits, and page-strided
+   line indices share theirs — an identity hash puts 4,096 lines at a
+   stride of 64 into buckets 128 deep. The multiply carries every key
+   bit upward, and the shift brings the well-mixed high bits of the
+   product down to where the bucket index is taken. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = (x * 0x2545F4914F6CDD1D) lsr 32
+end)
+
 type t = {
   mutable sites : site_counters array;
   mutable n_sites : int;
-  l1_lines : (int, entry) Hashtbl.t;  (** L1 line index -> issuing site *)
-  l2_lines : (int, entry) Hashtbl.t;  (** L2 line index -> issuing site *)
-  hw_lines : (int, bool ref) Hashtbl.t;
+  l1_lines : entry Int_tbl.t;  (** L1 line index -> issuing site *)
+  l2_lines : entry Int_tbl.t;  (** L2 line index -> issuing site *)
+  hw_lines : bool ref Int_tbl.t;
       (** L2 line index -> touched, for lines the HW prefetcher filled *)
-  demand_misses : (int, int ref) Hashtbl.t;  (** demand key -> memory misses *)
+  demand_misses : int ref Int_tbl.t;  (** demand key -> memory misses *)
 }
 
 let create () =
   {
     sites = Array.init 16 (fun _ -> zero_counters ());
     n_sites = 0;
-    l1_lines = Hashtbl.create 1024;
-    l2_lines = Hashtbl.create 1024;
-    hw_lines = Hashtbl.create 1024;
-    demand_misses = Hashtbl.create 64;
+    l1_lines = Int_tbl.create 1024;
+    l2_lines = Int_tbl.create 1024;
+    hw_lines = Int_tbl.create 1024;
+    demand_misses = Int_tbl.create 64;
   }
 
 let site t id =
@@ -123,21 +138,29 @@ let note_redundant_hw t ~site:id =
    telemetry-only [hw_prefetch_useful] counter on first demand touch.
    Hardware fills are not part of the SW conservation law. *)
 
-let note_hw_fill t ~line = Hashtbl.replace t.hw_lines line (ref false)
-let hw_tracked t ~line = Hashtbl.mem t.hw_lines line
+let note_hw_fill t ~line = Int_tbl.replace t.hw_lines line (ref false)
+let hw_tracked t ~line = Int_tbl.mem t.hw_lines line
+
+(* The demand path probes the shadow tables on every access, and almost
+   every probe misses: most demand lines were never prefetched. So its
+   lookups test [mem] before [find] — a miss costs one probe and no
+   raised [Not_found], a hit allocates nothing (no [find_opt] box). *)
 
 (* A demand access found [line] present in the L2: first touch of a
    HW-filled line reports true (the HW prefetch covered a demand miss). *)
 let hw_demand_resolve t ~line =
-  match Hashtbl.find_opt t.hw_lines line with
-  | Some touched when not !touched ->
+  if not (Int_tbl.mem t.hw_lines line) then false
+  else
+    let touched = Int_tbl.find t.hw_lines line in
+    if !touched then false
+    else begin
       touched := true;
       true
-  | Some _ | None -> false
+    end
 
 (* A demand access missed [line] in the L2: any HW entry there was
    evicted. *)
-let hw_demand_evict t ~line = Hashtbl.remove t.hw_lines line
+let hw_demand_evict t ~line = Int_tbl.remove t.hw_lines line
 
 let table t = function `L1 -> t.l1_lines | `L2 -> t.l2_lines
 
@@ -147,12 +170,12 @@ let table t = function `L1 -> t.l1_lines | `L2 -> t.l2_lines
    useless here. *)
 let note_fill t ~level ~line ~site:id =
   let tbl = table t level in
-  (match Hashtbl.find_opt tbl line with
+  (match Int_tbl.find_opt tbl line with
   | Some old when not old.touched ->
       let c = site t old.site in
       c.useless <- c.useless + 1
   | Some _ | None -> ());
-  Hashtbl.replace tbl line { site = id; touched = false }
+  Int_tbl.replace tbl line { site = id; touched = false }
 
 type outcome = Useful | Late | Untracked
 
@@ -161,8 +184,11 @@ type outcome = Useful | Late | Untracked
    classifies its prefetch; later demands are untracked hits. *)
 let demand_resolve t ~level ~line ~ready =
   let tbl = table t level in
-  match Hashtbl.find_opt tbl line with
-  | Some e when not e.touched ->
+  if not (Int_tbl.mem tbl line) then Untracked
+  else
+    let e = Int_tbl.find tbl line in
+    if e.touched then Untracked
+    else begin
       e.touched <- true;
       let c = site t e.site in
       if ready then begin
@@ -173,31 +199,34 @@ let demand_resolve t ~level ~line ~ready =
         c.late <- c.late + 1;
         Late
       end
-  | Some _ | None -> Untracked
+    end
 
 (* A demand access missed [line] at [level]: any untouched tracked entry
    was evicted before use. *)
 let demand_evict t ~level ~line =
   let tbl = table t level in
-  match Hashtbl.find_opt tbl line with
-  | Some e ->
-      if not e.touched then begin
-        let c = site t e.site in
-        c.useless <- c.useless + 1
-      end;
-      Hashtbl.remove tbl line
-  | None -> ()
+  if Int_tbl.mem tbl line then begin
+    let e = Int_tbl.find tbl line in
+    if not e.touched then begin
+      let c = site t e.site in
+      c.useless <- c.useless + 1
+    end;
+    Int_tbl.remove tbl line
+  end
 
+(* Unlike the line probes, a demand key is nearly always present (a
+   site misses many times), so [find] with a [Not_found] handler: one
+   probe per hit, the exception only on a key's first miss. *)
 let note_demand_miss t ~key =
-  match Hashtbl.find_opt t.demand_misses key with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.demand_misses key (ref 1)
+  match Int_tbl.find t.demand_misses key with
+  | r -> incr r
+  | exception Not_found -> Int_tbl.add t.demand_misses key (ref 1)
 
 let demand_misses_for t ~key =
-  match Hashtbl.find_opt t.demand_misses key with Some r -> !r | None -> 0
+  match Int_tbl.find_opt t.demand_misses key with Some r -> !r | None -> 0
 
 let demand_miss_buckets t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.demand_misses []
+  Int_tbl.fold (fun k r acc -> (k, !r) :: acc) t.demand_misses []
   |> List.sort compare
 
 (* The shadow tables speak raw line indices, so they must be emptied
@@ -206,20 +235,31 @@ let demand_miss_buckets t =
    definition. Also called once at end of run to settle the books. *)
 let flush t =
   let settle tbl =
-    Hashtbl.iter
+    Int_tbl.iter
       (fun _ e ->
         if not e.touched then begin
           let c = site t e.site in
           c.useless <- c.useless + 1
         end)
       tbl;
-    Hashtbl.reset tbl
+    Int_tbl.reset tbl
   in
   settle t.l1_lines;
   settle t.l2_lines;
-  Hashtbl.reset t.hw_lines
+  Int_tbl.reset t.hw_lines
 
-let tracked_lines t = Hashtbl.length t.l1_lines + Hashtbl.length t.l2_lines
+let tracked_lines t = Int_tbl.length t.l1_lines + Int_tbl.length t.l2_lines
+
+let longest_bucket t =
+  List.fold_left
+    (fun acc (s : Hashtbl.statistics) -> max acc s.max_bucket_length)
+    0
+    [
+      Int_tbl.stats t.l1_lines;
+      Int_tbl.stats t.l2_lines;
+      Int_tbl.stats t.hw_lines;
+      Int_tbl.stats t.demand_misses;
+    ]
 
 (* Allocation-free windowed tap: the monitor samples totals at every
    window boundary, so the accumulator is caller-owned and overwritten in

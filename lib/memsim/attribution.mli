@@ -102,6 +102,10 @@ val flush : t -> unit
 val tracked_lines : t -> int
 (** Entries currently in the shadow tables (tests / occupancy). *)
 
+val longest_bucket : t -> int
+(** The longest hash bucket over the shadow and demand-miss tables
+    (tests: strided line indices must spread across buckets). *)
+
 val conservation_error : t -> string option
 (** Check the outcome conservation law
     [issued = cancelled + redundant + redundant_hw + useful + late +

@@ -1,21 +1,30 @@
-(* The closure-compiled execution engine (DESIGN.md section 10).
+(* Both execution engines (DESIGN.md section 10): the closure-compiled
+   engine and, at the end of this file, the reference switch engine
+   ([exec_switch], the classic fetch/decode loop).
+
+   They share one compilation unit on purpose. Dev builds pass
+   [-opaque], so nothing inlines across modules: the hand-inlined stack
+   primitives and the [pre] prologue below would be real calls from any
+   other module. Both loops use these one copies, and the switch loop —
+   the one every observed run executes — pays no call per push, pop or
+   step.
 
    [compile] translates a method body, at JIT time, into a flat array of
    OCaml closures — one handler per pc, plus an out-of-bounds sentinel at
    index [n]. Each handler performs exactly the observable state
    transitions of one iteration of the switch engine's fetch/decode loop
-   (Interp.exec_switch), then tail-calls the next handler directly:
+   ([exec_switch]), then tail-calls the next handler directly:
    straight-line code threads through captured [next] closures and never
    touches the dispatch [match] again, which is where the speedup comes
    from. Branch handlers jump through the handler array
    ([Array.unsafe_get handlers target] — safe: every baked target was
    bounds-checked at compile time).
 
-   The engine runs unobserved activations only: while telemetry,
+   The closure engine runs unobserved activations only: while telemetry,
    profiling, a load observer or a monitor is installed
    ([State.instrumented]), [Interp.create]'s dispatcher sends every
    activation to the reference loop instead, so each observer call lives
-   in [State]'s helpers and [Interp.exec_switch] alone.
+   in [State]'s helpers and [exec_switch] alone.
 
    Bit-identity with the switch engine is the hard contract (enforced by
    test/test_engine.ml and the fuzz oracle's engine axis). The exact
@@ -56,11 +65,9 @@
 
 open State
 
-(* Hand-inlined operand-stack primitives. [Frame.push]/[pop] carry their
-   error paths (string building) inline, which makes them too big for the
-   Closure middle-end to inline cross-module; these twins keep the happy
-   path to a bounds test + array move and push the raising code out of
-   line. Messages are byte-identical to Frame's. *)
+(* The operand-stack primitives of both loops. The happy path is a
+   bounds test + array move; the raising code (string building) stays out
+   of line, so each primitive is small enough to inline at every use. *)
 
 let[@inline never] stack_overflow (frame : Frame.t) =
   raise
@@ -1238,3 +1245,368 @@ let exec (t : t) (frame : Frame.t) =
   (get t frame.method_info).cm_handlers.(0) frame
 
 let precompile (t : t) (m : Classfile.method_info) = ignore (get t m)
+
+(* ---- the reference switch engine ---- *)
+
+(* [State.mon_poll]'s twin, so the loop's per-instruction poll is not a
+   cross-module call. *)
+let[@inline] mon_poll t =
+  match t.mon with
+  | None -> ()
+  | Some mo -> if t.stats.cycles >= mo.next_boundary then mon_fire t mo
+
+(* The profiler bin of an instruction's base execution slot (the loop
+   says why; lib/strideprefetch/codegen.ml is the emitting side). *)
+let[@inline] bin_of_instr (instr : Bytecode.instr) =
+  match instr with
+  | Prefetch_inter _ | Prefetch_dynamic _ -> Prof_pf_overhead
+  | Spec_load _ -> Prof_guard_overhead
+  | Prefetch_indirect { guarded; _ } ->
+      if guarded then Prof_guard_overhead else Prof_pf_overhead
+  | _ -> Prof_retire
+
+let[@inline] compare_int (c : Bytecode.cmp) (a : int) (b : int) =
+  match c with
+  | Eq -> a = b
+  | Ne -> a <> b
+  | Lt -> a < b
+  | Ge -> a >= b
+  | Gt -> a > b
+  | Le -> a <= b
+
+(* The reference switch engine: one fetch/decode loop iteration per
+   instruction. Keep it in lockstep with [compile]: any change to this
+   loop needs the mirrored change there. [Invoke] recurses through
+   [State.call], which dispatches the callee through whichever engine is
+   wired — the engines compose. Results are pushed through
+   [Value.of_int] and arguments staged in [State.scratch_args], as the
+   closure handlers do; neither is observable, since values are only
+   compared structurally.
+
+   Its prologue is the closure handlers' [pre] (steps, budget, retire,
+   charge) followed by [mon_poll], where [State.charge] polls. The fetch
+   and the [frame.pc] advance run between the two: they read and write
+   nothing [pre] touches, so every observable keeps the reference order
+   in the header. *)
+let exec_switch (t : t) (frame : Frame.t) =
+  let m = frame.method_info in
+  let code = m.code in
+  let n = Array.length code in
+  let base_cost =
+    if m.compiled then t.opts.machine.compiled_cost
+    else t.opts.machine.interp_cost
+  in
+  let max_steps = t.opts.max_steps in
+  let result = ref None in
+  let running = ref true in
+  while !running do
+    let pc = frame.pc in
+    if pc < 0 || pc >= n then
+      vm_error "pc %d out of bounds in %s" pc m.method_name;
+    pre t m ~max_steps ~retired:1 ~cost:base_cost;
+    let instr = Array.unsafe_get code pc in
+    frame.pc <- pc + 1;
+    mon_poll t;
+    (* The base slot of a prefetch-type instruction is itself overhead
+       the optimization added — it bins as pf/guard overhead, not
+       retire, so the profiler's overhead bins carry the full cost of
+       the pass's inserted code. The classifying match only runs when a
+       profiler is installed. *)
+    (match t.prof with
+    | Some p ->
+        p.on_cycles ~method_id:m.method_id ~pc ~bin:(bin_of_instr instr)
+          ~cycles:base_cost
+    | None -> ());
+    (match instr with
+    | Iconst k -> push frame (Value.of_int k)
+    | Aconst_null -> push frame Value.Null
+    | Iload i | Aload i -> push frame frame.locals.(i)
+    | Istore i | Astore i -> frame.locals.(i) <- pop frame
+    | Dup -> push frame (peek frame)
+    | Pop -> ignore (pop frame)
+    | Iadd ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        push frame (Value.of_int (a + b))
+    | Isub ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        push frame (Value.of_int (a - b))
+    | Imul ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        push frame (Value.of_int (a * b))
+    | Idiv ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        if b = 0 then vm_error "division by zero in %s" m.method_name;
+        push frame (Value.of_int (a / b))
+    | Irem ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        if b = 0 then vm_error "division by zero in %s" m.method_name;
+        push frame (Value.of_int (a mod b))
+    | Ineg -> push frame (Value.of_int (-pop_int frame))
+    | Iand ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        push frame (Value.of_int (a land b))
+    | Ior ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        push frame (Value.of_int (a lor b))
+    | Ixor ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        push frame (Value.of_int (a lxor b))
+    | Ishl ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        push frame (Value.of_int (a lsl (b land 63)))
+    | Ishr ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        push frame (Value.of_int (a asr (b land 63)))
+    | Goto target ->
+        if target <= pc then m.backedges <- m.backedges + 1;
+        frame.pc <- target
+    | If_icmp (c, target) ->
+        let b = pop_int frame in
+        let a = pop_int frame in
+        if compare_int c a b then begin
+          if target <= pc then m.backedges <- m.backedges + 1;
+          frame.pc <- target
+        end
+    | If (c, target) ->
+        let a = pop_int frame in
+        if compare_int c a 0 then begin
+          if target <= pc then m.backedges <- m.backedges + 1;
+          frame.pc <- target
+        end
+    | If_acmpeq target ->
+        let b = pop frame in
+        let a = pop frame in
+        if Value.equal a b then begin
+          if target <= pc then m.backedges <- m.backedges + 1;
+          frame.pc <- target
+        end
+    | If_acmpne target ->
+        let b = pop frame in
+        let a = pop frame in
+        if not (Value.equal a b) then begin
+          if target <= pc then m.backedges <- m.backedges + 1;
+          frame.pc <- target
+        end
+    | Ifnull target -> (
+        match pop frame with
+        | Value.Null ->
+            if target <= pc then m.backedges <- m.backedges + 1;
+            frame.pc <- target
+        | Value.Int _ | Value.Ref _ -> ())
+    | Ifnonnull target -> (
+        match pop frame with
+        | Value.Null -> ()
+        | Value.Int _ | Value.Ref _ ->
+            if target <= pc then m.backedges <- m.backedges + 1;
+            frame.pc <- target)
+    | Getfield { site; offset; name = _; is_ref = _ } ->
+        let id = as_ref frame (pop frame) in
+        let addr = Heap.base_of t.heap id + offset in
+        demand_load t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~site;
+        observe_load t frame ~site ~addr;
+        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
+        push frame (Heap.get_field t.heap id slot)
+    | Putfield { offset; name = _ } ->
+        let v = pop frame in
+        let id = as_ref frame (pop frame) in
+        let addr = Heap.base_of t.heap id + offset in
+        demand t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~kind:`Store;
+        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
+        Heap.set_field t.heap id slot v
+    | Getstatic { site; index; name = _; is_ref = _ } ->
+        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
+        demand_load t frame ~pc:(frame.pc - 1) ~obj:(-1) ~addr ~site;
+        observe_load t frame ~site ~addr;
+        push frame t.globals.(index)
+    | Putstatic { index; name = _ } ->
+        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
+        demand t frame ~pc:(frame.pc - 1) ~obj:(-1) ~addr ~kind:`Store;
+        t.globals.(index) <- pop frame
+    | Aaload { len_site; elem_site } | Iaload { len_site; elem_site } ->
+        retire t 1;
+        charge t frame base_cost;
+        prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_retire
+          ~cycles:base_cost;
+        let index = pop_int frame in
+        let id = as_ref frame (pop frame) in
+        let addr = array_access t frame ~pc:(frame.pc - 1) ~len_site ~id ~index in
+        demand_load t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~site:elem_site;
+        observe_load t frame ~site:elem_site ~addr;
+        push frame (Heap.get_elem t.heap id index)
+    | Aastore { len_site } | Iastore { len_site } ->
+        retire t 1;
+        charge t frame base_cost;
+        prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_retire
+          ~cycles:base_cost;
+        let v = pop frame in
+        let index = pop_int frame in
+        let id = as_ref frame (pop frame) in
+        let addr = array_access t frame ~pc:(frame.pc - 1) ~len_site ~id ~index in
+        demand t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~kind:`Store;
+        Heap.set_elem t.heap id index v
+    | Arraylength { site } ->
+        let id = as_ref frame (pop frame) in
+        let addr = Heap.length_addr t.heap id in
+        demand_load t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~site;
+        observe_load t frame ~site ~addr;
+        push frame (Value.of_int (Heap.array_length t.heap id))
+    | New class_id ->
+        let ci = Classfile.class_of_id t.program class_id in
+        let id = allocate t frame ~pc:(frame.pc - 1) (fun () -> Heap.alloc_object t.heap ci) in
+        push frame (Value.Ref id)
+    | Newarray kind ->
+        let len = pop_int frame in
+        if len < 0 then vm_error "negative array size in %s" m.method_name;
+        let alloc () =
+          match kind with
+          | Bytecode.Int_array -> Heap.alloc_int_array t.heap len
+          | Bytecode.Ref_array -> Heap.alloc_ref_array t.heap len
+        in
+        push frame (Value.Ref (allocate t frame ~pc:(frame.pc - 1) alloc))
+    | Invoke callee_id ->
+        let callee = Classfile.method_of_id t.program callee_id in
+        let args = scratch_args t callee.arity in
+        for i = callee.arity - 1 downto 0 do
+          args.(i) <- pop frame
+        done;
+        (match call t callee args with
+        | Some v -> push frame v
+        | None -> ())
+    | Return -> running := false
+    | Ireturn | Areturn ->
+        result := Some (pop frame);
+        running := false
+    | Print ->
+        let v = pop_int frame in
+        Buffer.add_string t.out (string_of_int v);
+        Buffer.add_char t.out '\n'
+    | Prefetch_inter { site; distance } ->
+        let extra = max 0 (t.opts.machine.prefetch_cost - base_cost) in
+        charge t frame extra;
+        if extra > 0 then
+          prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_pf_overhead
+            ~cycles:extra;
+        let anchor = frame.site_addr.(site) in
+        if anchor >= 0 then begin
+          let addr = anchor + distance in
+          audit_prefetch_addr t addr;
+          match t.telem with
+          | None -> Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:(now t)
+          | Some tl ->
+              let sid =
+                Telemetry.Attrib.site_id tl.registry
+                  (Telemetry.Attrib.Inter_site
+                     { method_id = m.method_id; site })
+              in
+              Memsim.Hierarchy.sw_prefetch_attr t.mem ~attrib:tl.attrib
+                ~addr ~now:(now t) ~site:sid
+        end
+    | Spec_load { site; distance; reg } ->
+        let extra = max 0 (t.opts.machine.guarded_load_cost - base_cost) in
+        charge t frame extra;
+        if extra > 0 then
+          prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_guard_overhead
+            ~cycles:extra;
+        let anchor = frame.site_addr.(site) in
+        if anchor >= 0 then begin
+          let addr = anchor + distance in
+          audit_prefetch_addr t addr;
+          (match t.telem with
+          | None -> Memsim.Hierarchy.guarded_load t.mem ~addr ~now:(now t)
+          | Some tl ->
+              let sid =
+                Telemetry.Attrib.site_id tl.registry
+                  (Telemetry.Attrib.Spec_site
+                     { method_id = m.method_id; site; reg })
+              in
+              Memsim.Hierarchy.guarded_load_attr t.mem ~attrib:tl.attrib
+                ~addr ~now:(now t) ~site:sid);
+          let v =
+            match Heap.value_at t.heap addr with
+            | Some v -> v
+            | None ->
+                (* The guard: a speculative load whose address fell outside
+                   every live object yields Null instead of faulting
+                   (Section 3.3's "loads guarded by software exception
+                   checks"). [Fault.Unguarded_spec_loads] disables the
+                   guard to let the fuzzing oracle prove it would catch
+                   the resulting fault. *)
+                t.spec_guard_trips <- t.spec_guard_trips + 1;
+                if t.unguarded_spec_loads then begin
+                  t.faulting_prefetches <- t.faulting_prefetches + 1;
+                  vm_error
+                    "unguarded spec_load faulted at address 0x%x in %s" addr
+                    frame.Frame.method_info.method_name
+                end;
+                Value.Null
+          in
+          frame.pref_regs.(reg) <- v
+        end
+        else frame.pref_regs.(reg) <- Value.Null
+    | Prefetch_dynamic { site; times } ->
+        let extra = max 0 (t.opts.machine.prefetch_cost - base_cost) in
+        charge t frame extra;
+        if extra > 0 then
+          prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_pf_overhead
+            ~cycles:extra;
+        let addr = frame.site_addr.(site) and prev = frame.site_prev.(site) in
+        if addr >= 0 && prev >= 0 && addr <> prev then begin
+          let target = addr + ((addr - prev) * times) in
+          audit_prefetch_addr t target;
+          match t.telem with
+          | None -> Memsim.Hierarchy.sw_prefetch t.mem ~addr:target ~now:(now t)
+          | Some tl ->
+              let sid =
+                Telemetry.Attrib.site_id tl.registry
+                  (Telemetry.Attrib.Dynamic_site
+                     { method_id = m.method_id; site })
+              in
+              Memsim.Hierarchy.sw_prefetch_attr t.mem ~attrib:tl.attrib
+                ~addr:target ~now:(now t) ~site:sid
+        end
+    | Prefetch_indirect { reg; offset; guarded } ->
+        let cost =
+          if guarded then t.opts.machine.guarded_load_cost
+          else t.opts.machine.prefetch_cost
+        in
+        let extra = max 0 (cost - base_cost) in
+        charge t frame extra;
+        if extra > 0 then
+          prof_cycles t ~method_id:m.method_id ~pc
+            ~bin:(if guarded then Prof_guard_overhead else Prof_pf_overhead)
+            ~cycles:extra;
+        (match frame.pref_regs.(reg) with
+        | Value.Ref id when Heap.exists t.heap id -> (
+            let addr = Heap.base_of t.heap id + offset in
+            audit_prefetch_addr t addr;
+            match t.telem with
+            | None ->
+                if guarded then
+                  Memsim.Hierarchy.guarded_load t.mem ~addr ~now:(now t)
+                else Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:(now t)
+            | Some tl ->
+                let sid =
+                  Telemetry.Attrib.site_id tl.registry
+                    (Telemetry.Attrib.Indirect_site
+                       { method_id = m.method_id; reg; offset })
+                in
+                if guarded then
+                  Memsim.Hierarchy.guarded_load_attr t.mem ~attrib:tl.attrib
+                    ~addr ~now:(now t) ~site:sid
+                else
+                  Memsim.Hierarchy.sw_prefetch_attr t.mem ~attrib:tl.attrib
+                    ~addr ~now:(now t) ~site:sid)
+        | Value.Ref _ | Value.Int _ | Value.Null -> ()));
+    ()
+  done;
+  !result

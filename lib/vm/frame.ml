@@ -72,32 +72,6 @@ let reset t ~args =
   Array.fill t.pref_regs 0 (Array.length t.pref_regs) Value.Null;
   t.pc <- 0
 
-let push t v =
-  if t.sp >= max_stack then
-    raise (Stack_error ("operand stack overflow in " ^ t.method_info.method_name));
-  t.stack.(t.sp) <- v;
-  t.sp <- t.sp + 1
-
-let pop t =
-  if t.sp <= 0 then
-    raise (Stack_error ("operand stack underflow in " ^ t.method_info.method_name));
-  t.sp <- t.sp - 1;
-  t.stack.(t.sp)
-
-let pop_int t =
-  match pop t with
-  | Value.Int n -> n
-  | v ->
-      raise
-        (Stack_error
-           (Printf.sprintf "expected int on stack in %s, got %s"
-              t.method_info.method_name (Value.to_string v)))
-
-let peek t =
-  if t.sp <= 0 then
-    raise (Stack_error ("operand stack underflow in " ^ t.method_info.method_name));
-  t.stack.(t.sp - 1)
-
 let iter_roots t f =
   Array.iter f t.locals;
   for i = 0 to t.sp - 1 do

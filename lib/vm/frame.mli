@@ -39,11 +39,6 @@ val reset : t -> args:Value.t array -> unit
     registers -1, prefetch registers null, pc 0. Raises [Invalid_argument]
     on an argument-count mismatch, like {!create}. *)
 
-val push : t -> Value.t -> unit
-val pop : t -> Value.t
-val pop_int : t -> int
-val peek : t -> Value.t
-
 val iter_roots : t -> (Value.t -> unit) -> unit
 (** Visit every value the collector must treat as live: locals, the live
     part of the operand stack, and the speculative prefetch registers. *)

@@ -2,15 +2,17 @@
 
    The mini-JVM has two execution engines (DESIGN.md section 10):
 
-   - [Interp]'s switch engine — the reference: a fetch/decode loop with a
-     per-instruction [match];
-   - [Engine]'s closure engine — each method body is pre-compiled into a
-     flat, pc-indexed array of OCaml closures with direct-threaded
-     fall-through, eliminating decode from the hot loop.
+   - the switch engine ([Engine.exec_switch]) — the reference: a
+     fetch/decode loop with a per-instruction [match];
+   - the closure engine ([Engine.exec]) — each method body is
+     pre-compiled into a flat, pc-indexed array of OCaml closures with
+     direct-threaded fall-through, eliminating decode from the hot loop.
 
-   Everything both engines share lives here: the interpreter state record
-   [t], the timing/charging helpers, the memory-access wrappers (plain and
-   attributed), GC, allocation, frame pooling, and [call]/[run]. The
+   Everything else both engines share lives here: the interpreter state
+   record [t], the timing/charging helpers, the memory-access wrappers
+   (plain and attributed), GC, allocation, frame pooling, and
+   [call]/[run]. (The operand-stack primitives and the step prologue
+   live in [Engine], beside both loops, so they inline.) The
    engines stay bit-identical by construction because every observable
    state transition goes through these helpers; the differential fuzz
    oracle's engine axis (lib/fuzz/oracle.ml) asserts it empirically.
@@ -252,19 +254,6 @@ let instrumented t =
   match (t.telem, t.prof, t.load_observer) with
   | None, None, None -> t.mon <> None
   | _ -> true
-
-(* The profiler bin of an instruction's base execution slot. The base
-   slot of a prefetch-type instruction is itself overhead the
-   optimization added — it bins as pf/guard overhead, not retire, so the
-   profiler's overhead bins carry the full cost of the pass's inserted
-   code (see lib/strideprefetch/codegen.ml for the emitting side). *)
-let bin_of_instr (instr : Bytecode.instr) =
-  match instr with
-  | Prefetch_inter _ | Prefetch_dynamic _ -> Prof_pf_overhead
-  | Spec_load _ -> Prof_guard_overhead
-  | Prefetch_indirect { guarded; _ } ->
-      if guarded then Prof_guard_overhead else Prof_pf_overhead
-  | _ -> Prof_retire
 
 let set_telemetry t ~registry ?sink () =
   let attrib = Memsim.Attribution.create () in
@@ -543,15 +532,6 @@ let as_ref frame v =
   | Value.Int _ ->
       vm_error "integer used as reference in %s"
         frame.Frame.method_info.method_name
-
-let[@inline] compare_int (c : Bytecode.cmp) (a : int) (b : int) =
-  match c with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Ge -> a >= b
-  | Gt -> a > b
-  | Le -> a <= b
 
 (* Load the array length (bounds-check load), verify the index, and return
    the element address. Charges the length-load access. *)

@@ -3,7 +3,8 @@
    profiled run is bit-identical to a plain one), sane bin and
    allocation-site attribution, and byte-identical determinism of the
    folded-stack / JSON exports — across repeated runs and across Domain
-   pool sizes — and allocation-free table hits. *)
+   pool sizes — allocation-free table hits, and the dense tables against
+   a hash-table model under a random hook stream. *)
 
 module H = Workloads.Harness
 module W = Workloads.Workload
@@ -232,6 +233,178 @@ let test_hit_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.)) "minor words over 10,000 hits" 0. words
 
+(* The reference model for [Profile.Collector]: the same contract kept
+   in hash tables — a packed (method, pc) table, an object id -> site
+   array, a site table. *)
+module Model = struct
+  module C = Profile.Collector
+
+  type t = {
+    pcs : (int, C.bins) Hashtbl.t;
+    mutable obj_site : int array;
+    obj_sites : (int, C.obj_cell) Hashtbl.t;
+    mutable gc : int;
+  }
+
+  let create () =
+    {
+      pcs = Hashtbl.create 16;
+      obj_site = Array.make 16 (-1);
+      obj_sites = Hashtbl.create 16;
+      gc = 0;
+    }
+
+  let find_or_add tbl k fresh =
+    match Hashtbl.find_opt tbl k with
+    | Some v -> v
+    | None ->
+        let v = fresh () in
+        Hashtbl.add tbl k v;
+        v
+
+  let zero_obj () : C.obj_cell =
+    { allocs = 0; alloc_bytes = 0; o_tlb = 0; o_l1 = 0; o_l2 = 0; o_mem = 0 }
+
+  let pc_bins t ~method_id ~pc =
+    find_or_add t.pcs (C.key ~method_id ~pc) C.zero_bins
+
+  let site_of_obj t obj =
+    if obj >= 0 && obj < Array.length t.obj_site then t.obj_site.(obj) else -1
+
+  let on_cycles t ~method_id ~pc ~bin ~cycles =
+    let b = pc_bins t ~method_id ~pc in
+    match (bin : Vm.Interp.prof_bin) with
+    | Prof_retire -> b.b_retire <- b.b_retire + cycles
+    | Prof_alloc -> b.b_alloc <- b.b_alloc + cycles
+    | Prof_pf_overhead -> b.b_pf <- b.b_pf + cycles
+    | Prof_guard_overhead -> b.b_guard <- b.b_guard + cycles
+
+  let on_stall t ~method_id ~pc ~obj ~tlb ~l1 ~l2 ~mem =
+    let b = pc_bins t ~method_id ~pc in
+    b.b_tlb <- b.b_tlb + tlb;
+    b.b_l1 <- b.b_l1 + l1;
+    b.b_l2 <- b.b_l2 + l2;
+    b.b_mem <- b.b_mem + mem;
+    let c = find_or_add t.obj_sites (site_of_obj t obj) zero_obj in
+    c.o_tlb <- c.o_tlb + tlb;
+    c.o_l1 <- c.o_l1 + l1;
+    c.o_l2 <- c.o_l2 + l2;
+    c.o_mem <- c.o_mem + mem
+
+  let on_alloc t ~obj ~method_id ~pc ~bytes =
+    let site = C.key ~method_id ~pc in
+    let n = Array.length t.obj_site in
+    if obj >= n then begin
+      let grown = Array.make (max (2 * n) (obj + 1)) (-1) in
+      Array.blit t.obj_site 0 grown 0 n;
+      t.obj_site <- grown
+    end;
+    t.obj_site.(obj) <- site;
+    let c = find_or_add t.obj_sites site zero_obj in
+    c.allocs <- c.allocs + 1;
+    c.alloc_bytes <- c.alloc_bytes + bytes
+
+  let pc_cells t = Hashtbl.fold (fun k b acc -> (k, b) :: acc) t.pcs []
+  let obj_cells t = Hashtbl.fold (fun k c acc -> (k, c) :: acc) t.obj_sites []
+
+  let total t =
+    Hashtbl.fold (fun _ b acc -> acc + C.bins_total b) t.pcs t.gc
+end
+
+(* A seeded random hook stream, driven into the collector and the model
+   alike. Method ids run past the first row table, pcs past the first
+   row and past the 16 bits a key keeps (on a few methods, to bound the
+   rows' size), object ids past the first object table with a gap
+   (1,500 to 2,499) never allocated; allocations reuse earlier ids.
+   With [~unattributed] stalls also name [-1] and ids never allocated;
+   without it they name allocated ids only, so no [-1] cell may
+   appear. *)
+let check_tables_match_model ~seed ~unattributed =
+  let module C = Profile.Collector in
+  let rng = Random.State.make [| seed |] in
+  let coll = C.create () and model = Model.create () in
+  let h = C.hooks coll in
+  let allocated = Array.make 30_000 0 and n_allocated = ref 0 in
+  let next_obj = ref 0 in
+  let method_pc () =
+    let method_id = Random.State.int rng 160 in
+    let pc =
+      if method_id < 3 && Random.State.int rng 8 = 0 then
+        65_000 + Random.State.int rng 2_000
+      else Random.State.int rng 300
+    in
+    (method_id, pc)
+  in
+  for _ = 1 to 30_000 do
+    let method_id, pc = method_pc () in
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+        let bin : Vm.Interp.prof_bin =
+          match Random.State.int rng 4 with
+          | 0 -> Prof_retire
+          | 1 -> Prof_alloc
+          | 2 -> Prof_pf_overhead
+          | _ -> Prof_guard_overhead
+        in
+        let cycles = Random.State.int rng 50 in
+        h.on_cycles ~method_id ~pc ~bin ~cycles;
+        Model.on_cycles model ~method_id ~pc ~bin ~cycles
+    | 4 | 5 | 6 ->
+        let obj =
+          match Random.State.int rng 4 with
+          | 0 when unattributed -> Some (-1)
+          | 1 when unattributed -> Some (1_500 + Random.State.int rng 6_000)
+          | _ when !n_allocated = 0 -> None
+          | _ -> Some allocated.(Random.State.int rng !n_allocated)
+        in
+        let r () = Random.State.int rng 20 in
+        let tlb = r () and l1 = r () and l2 = r () and mem = r () in
+        Option.iter
+          (fun obj ->
+            h.on_stall ~method_id ~pc ~obj ~tlb ~l1 ~l2 ~mem;
+            Model.on_stall model ~method_id ~pc ~obj ~tlb ~l1 ~l2 ~mem)
+          obj
+    | 7 | 8 ->
+        let obj =
+          if !next_obj > 0 && Random.State.int rng 4 = 0 then
+            Random.State.int rng !next_obj
+          else begin
+            incr next_obj;
+            !next_obj - 1 + (if !next_obj > 1_500 then 1_000 else 0)
+          end
+        in
+        let bytes = 8 + Random.State.int rng 64 in
+        allocated.(!n_allocated) <- obj;
+        incr n_allocated;
+        h.on_alloc ~obj ~method_id ~pc ~bytes;
+        Model.on_alloc model ~obj ~method_id ~pc ~bytes
+    | _ ->
+        let cycles = Random.State.int rng 1_000 in
+        h.on_gc ~cycles;
+        model.gc <- model.gc + cycles
+  done;
+  let bins_row (k, (b : C.bins)) =
+    Printf.sprintf "%d: %d %d %d %d %d %d %d %d" k b.b_retire b.b_tlb b.b_l1
+      b.b_l2 b.b_mem b.b_pf b.b_guard b.b_alloc
+  and obj_row (k, (c : C.obj_cell)) =
+    Printf.sprintf "%d: %d %d %d %d %d %d" k c.allocs c.alloc_bytes c.o_tlb
+      c.o_l1 c.o_l2 c.o_mem
+  in
+  let sorted rows cells = List.map rows (List.sort compare cells) in
+  Alcotest.(check (list string))
+    "pc_cells" (sorted bins_row (Model.pc_cells model))
+    (sorted bins_row (C.pc_cells coll));
+  Alcotest.(check (list string))
+    "obj_cells" (sorted obj_row (Model.obj_cells model))
+    (sorted obj_row (C.obj_cells coll));
+  Alcotest.(check int) "total" (Model.total model) (C.total coll);
+  Alcotest.(check bool) "unattributed cell present" unattributed
+    (List.mem_assoc (-1) (C.obj_cells coll))
+
+let test_tables_match_model () =
+  check_tables_match_model ~seed:17 ~unattributed:true;
+  check_tables_match_model ~seed:18 ~unattributed:false
+
 let suite =
   [
     Alcotest.test_case "conservation law across machine x mode" `Slow
@@ -253,4 +426,6 @@ let suite =
       test_folded_format;
     Alcotest.test_case "table hits allocate nothing" `Quick
       test_hit_allocates_nothing;
+    Alcotest.test_case "dense tables match the hash-table model" `Quick
+      test_tables_match_model;
   ]

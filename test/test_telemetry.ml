@@ -1,8 +1,9 @@
 (* Tests for the telemetry layer: the canonical stats field list, the
    JSON pipeline, the event ring, the site registry, the observer-effect
    golden (telemetry on/off bit-identical), deterministic
-   coverage/accuracy on handcrafted strided loops, and well-formedness
-   of the Chrome-trace / JSONL exports. *)
+   coverage/accuracy on handcrafted strided loops, allocation-free and
+   well-spread attribution shadow tables, and well-formedness of the
+   Chrome-trace / JSONL exports. *)
 
 module S = Memsim.Stats
 module J = Telemetry.Json
@@ -565,6 +566,52 @@ let test_jsonl_well_formed () =
             = Some (J.Int (Telemetry.Sink.dropped sink)))
       | _ -> Alcotest.fail "last line is not the summary object")
 
+(* ------------------------------------------------------------------ *)
+(* Attribution's shadow tables. *)
+
+module At = Memsim.Attribution
+
+(* Every attributed demand access probes the shadow tables, so once a
+   line is tracked, reporting to it must allocate nothing. *)
+let test_attribution_hits_allocate_nothing () =
+  let a = At.create () in
+  At.note_fill a ~level:`L1 ~line:7 ~site:0;
+  At.note_fill a ~level:`L2 ~line:9 ~site:1;
+  At.note_hw_fill a ~line:9;
+  let hits () =
+    ignore (At.demand_resolve a ~level:`L1 ~line:7 ~ready:true);
+    ignore (At.demand_resolve a ~level:`L2 ~line:9 ~ready:false);
+    ignore (At.hw_demand_resolve a ~line:9);
+    At.note_demand_miss a ~key:3
+  in
+  hits ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    hits ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10,000 hits" 0. words;
+  Alcotest.(check int) "one demand key counted every time" 10_001
+    (At.demand_misses_for a ~key:3)
+
+(* Page-strided line indices share their low bits; the shadow tables'
+   hash must still spread them across buckets. *)
+let test_attribution_strided_lines_spread () =
+  List.iter
+    (fun stride ->
+      let a = At.create () in
+      for i = 0 to 4095 do
+        let line = i * stride in
+        At.note_fill a ~level:`L1 ~line ~site:0;
+        At.note_fill a ~level:`L2 ~line ~site:0;
+        At.note_hw_fill a ~line;
+        At.note_demand_miss a ~key:line
+      done;
+      let longest = At.longest_bucket a in
+      if longest > 16 then
+        Alcotest.failf "stride %d: longest bucket %d > 16" stride longest)
+    [ 1; 64; 4096 ]
+
 let suite =
   [
     ("stats: canonical field list is complete", `Quick, test_stats_field_count);
@@ -574,6 +621,10 @@ let suite =
     ("table: ratio guards at the boundaries", `Quick, test_table_guards);
     ("sink: ring wraps and counts drops", `Quick, test_ring_wrap);
     ("attrib: dense site registry", `Quick, test_attrib_registry);
+    ("attribution: demand-path hits allocate nothing", `Quick,
+     test_attribution_hits_allocate_nothing);
+    ("attribution: strided lines spread across buckets", `Quick,
+     test_attribution_strided_lines_spread);
     ("golden: telemetry on/off bit-identical", `Slow, test_golden_bit_identical);
     ("effectiveness: strided array walk (inter)", `Slow,
      test_effectiveness_walk);

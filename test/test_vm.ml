@@ -168,18 +168,54 @@ let dummy_method code =
   C.make_method ~method_id:0 ~method_name:"T.m" ~arity:2 ~returns_value:false
     ~max_locals:4 ~code
 
+(* The operand-stack primitives live in [Engine], shared by both loops. *)
 let test_frame_push_pop () =
   let f =
     Vm.Frame.create (dummy_method [| B.Return |]) ~args:[| V.Int 1; V.Null |]
   in
-  Vm.Frame.push f (V.Int 5);
-  Vm.Frame.push f (V.Ref 0);
-  Alcotest.(check bool) "peek" true (Vm.Frame.peek f = V.Ref 0);
-  Alcotest.(check bool) "pop" true (Vm.Frame.pop f = V.Ref 0);
-  Alcotest.(check int) "pop_int" 5 (Vm.Frame.pop_int f);
+  Vm.Engine.push f (V.Int 5);
+  Vm.Engine.push f (V.Ref 0);
+  Alcotest.(check bool) "peek" true (Vm.Engine.peek f = V.Ref 0);
+  Alcotest.(check bool) "pop" true (Vm.Engine.pop f = V.Ref 0);
+  Alcotest.(check int) "pop_int" 5 (Vm.Engine.pop_int f);
   Alcotest.check_raises "underflow"
     (Vm.Frame.Stack_error "operand stack underflow in T.m") (fun () ->
-      ignore (Vm.Frame.pop f))
+      ignore (Vm.Engine.pop f))
+
+(* Each stack fault must raise the same [Stack_error] message on either
+   engine. *)
+let test_frame_stack_errors_agree () =
+  let stack_error engine code =
+    let program = Helpers.program_of_code code in
+    let machine = Memsim.Config.pentium4 in
+    let options = { (Vm.Interp.default_options machine) with engine } in
+    match Vm.Interp.run (Vm.Interp.create ~options machine program) with
+    | _ -> Alcotest.failf "%s: no stack error" (Vm.Interp.engine_name engine)
+    | exception Vm.Frame.Stack_error msg -> msg
+  in
+  let cases =
+    [
+      ("underflow on pop", [| B.Pop; B.Return |], "operand stack underflow in T.main");
+      ("underflow on dup", [| B.Dup; B.Return |], "operand stack underflow in T.main");
+      ( "ref where an int is expected",
+        [| B.Iconst 1; B.Newarray B.Int_array; B.Iconst 1; B.Iadd; B.Return |],
+        "expected int on stack in T.main, got " );
+      ( "push past max_stack",
+        Array.append
+          (Array.make (Vm.Frame.max_stack + 1) (B.Iconst 0))
+          [| B.Return |],
+        "operand stack overflow in T.main" );
+    ]
+  in
+  List.iter
+    (fun (label, code, prefix) ->
+      let switch = stack_error Vm.Interp.Switch code
+      and closure = stack_error Vm.Interp.Closure code in
+      Alcotest.(check bool)
+        (label ^ ": " ^ switch) true
+        (String.starts_with ~prefix switch);
+      Alcotest.(check string) (label ^ ": closure = switch") switch closure)
+    cases
 
 let test_frame_args_in_locals () =
   let f =
@@ -468,6 +504,8 @@ let suite =
     ("gc: collects cycles", `Quick, test_gc_handles_cycles);
     ("gc: compaction preserves strides", `Quick, test_gc_preserves_strides);
     ("frame: push/pop/underflow", `Quick, test_frame_push_pop);
+    ("frame: stack errors match on both engines", `Quick,
+      test_frame_stack_errors_agree);
     ("frame: arguments land in locals", `Quick, test_frame_args_in_locals);
     ("bytecode: load sites", `Quick, test_bytecode_sites);
     ("bytecode: branch helpers", `Quick, test_bytecode_branch_helpers);
