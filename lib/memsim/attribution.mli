@@ -1,10 +1,10 @@
 (** Per-site effectiveness attribution for software prefetches.
 
     Sites are small dense ints; what a site {e means} (method, loop,
-    strategy) is recorded outside memsim by the telemetry layer. The
-    hierarchy's [_attr] entry points drive this module; each prefetch
-    issue is classified into exactly one of seven outcomes, so after
-    {!flush}:
+    strategy) is recorded outside memsim by the telemetry layer. A
+    hierarchy drives the table installed in it
+    ({!Hierarchy.set_attribution}); each prefetch issue is classified
+    into exactly one of seven outcomes, so after {!flush}:
 
     {v issued = cancelled + redundant + redundant_hw + useful + late + useless v}
 
@@ -96,8 +96,8 @@ val demand_miss_buckets : t -> (int * int) list
 val flush : t -> unit
 (** Classify every still-untouched fill useless and empty the shadow
     tables. Must be called whenever the simulated address space is
-    rewritten (GC compaction) or the caches reset, and once at end of
-    run. *)
+    rewritten (GC compaction) or the caches reset ({!Hierarchy.reset}
+    flushes the table installed in it), and once at end of run. *)
 
 val tracked_lines : t -> int
 (** Entries currently in the shadow tables (tests / occupancy). *)

@@ -10,7 +10,15 @@
 
     All prefetch-type operations are non-blocking: they initiate fills that
     complete [latency] cycles later, and only a demand access arriving
-    before completion pays (the residual part of) the latency. *)
+    before completion pays (the residual part of) the latency.
+
+    Each operation has one body. While an {!Attribution.t} is installed
+    ({!set_attribution}), the same body also classifies what it does
+    against it and keeps the stall breakdown below: an attributed run
+    makes the identical state transitions and seed-counter updates as a
+    plain one, so cycles and core stats are bit-identical, and only the
+    [Stats.telemetry_only] counters differ. A plain run pays one immediate
+    test per branch. *)
 
 type t
 
@@ -18,63 +26,51 @@ val create : Config.machine -> t
 val machine : t -> Config.machine
 val stats : t -> Stats.t
 
+val set_attribution : t -> Attribution.t -> unit
+(** Install an attribution: from now on every operation classifies what
+    it does against it, replacing any installed before. *)
+
+val attribution : t -> Attribution.t option
+(** The installed attribution, if any. *)
+
 val demand_access :
   t -> pc:int -> addr:int -> kind:[ `Load | `Store ] -> now:int -> int
 (** Perform a demand access; returns the stall cycles to charge, and
     records miss events in {!stats}. [pc] is the packed program counter
     of the accessing instruction (see [Vm.State]); it indexes the RPT
     hardware prefetcher and must be engine-invariant — the stream model
-    ignores it. *)
+    ignores it. Attributed, its demand memory misses are bucketed under
+    key [-1]. *)
 
-val sw_prefetch : t -> addr:int -> now:int -> unit
-(** Execute a hardware prefetch instruction for [addr] (non-blocking). *)
+val demand_load : t -> pc:int -> addr:int -> now:int -> dkey:int -> int
+(** A demand load whose memory misses attribution buckets under [dkey];
+    otherwise {!demand_access} [~kind:`Load]. *)
 
-val guarded_load : t -> addr:int -> now:int -> unit
+val sw_prefetch : t -> addr:int -> now:int -> site:int -> unit
+(** Execute a hardware prefetch instruction for [addr] (non-blocking).
+    Attribution records the issue under [site], which is ignored while
+    none is installed. *)
+
+val guarded_load : t -> addr:int -> now:int -> site:int -> unit
 (** Execute a guarded prefetching load for [addr] (non-blocking,
-    TLB-priming). *)
+    TLB-priming); [site] as for {!sw_prefetch}. *)
 
 val line_bytes : t -> int
 (** Line size of the level software prefetches target — the value the
     profitability analysis compares strides against. *)
 
 val page_bytes : t -> int
+
 val reset : t -> unit
+(** Empty the caches, the DTLB and the hardware prefetcher, and flush the
+    installed attribution's shadow tables with them; every counter is
+    kept. GC compaction calls this when it rewrites the address space. *)
 
-(** {2 Attributed entry points}
+(** {2 Stall breakdown of the last demand access}
 
-    Near-copies of the plain operations that additionally classify each
-    access against an {!Attribution.t}. They perform identical state
-    transitions and identical seed-counter updates — a run through these
-    entry points is bit-identical (cycles and core stats) to a plain
-    run; the only extra counters they touch are [Stats.telemetry_only].
-    Drift between the copies is caught by the golden telemetry tests and
-    the fuzz oracle's on/off cross-check. *)
-
-val demand_access_attr :
-  t ->
-  attrib:Attribution.t ->
-  pc:int ->
-  addr:int ->
-  kind:[ `Load | `Store ] ->
-  now:int ->
-  dkey:int ->
-  int
-(** As {!demand_access}; resolves tracked lines (useful/late/useless)
-    and buckets demand memory misses under [dkey]. *)
-
-val sw_prefetch_attr :
-  t -> attrib:Attribution.t -> addr:int -> now:int -> site:int -> unit
-(** As {!sw_prefetch}; records the issue under [site]. *)
-
-val guarded_load_attr :
-  t -> attrib:Attribution.t -> addr:int -> now:int -> site:int -> unit
-(** As {!guarded_load}; records the issue under [site]. *)
-
-(** {2 Stall breakdown of the last attributed demand access}
-
-    The profiler's top-down cycle accounting: after a call to
-    {!demand_access_attr} returning stall [s], the four components below
-    satisfy the conservation law
+    The profiler's top-down cycle accounting: while an attribution is
+    installed, after a demand access returning stall [s], the four
+    components below satisfy the conservation law
 
     {v last_tlb + last_l1 + last_l2 + last_mem = s v}
 
@@ -85,8 +81,7 @@ val guarded_load_attr :
       that was still in flight (the data is on its way from below the
       level that hit, so residuals are accounted memory-bound).
 
-    Only the [_attr] demand path maintains these fields; after a plain
-    {!demand_access} they are stale. *)
+    Without an attribution they are not maintained. *)
 
 val last_tlb_stall : t -> int
 val last_l1_stall : t -> int

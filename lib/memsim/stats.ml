@@ -16,8 +16,9 @@ type t = {
   mutable retired_instructions : int;
   mutable cycles : int;
   mutable stall_cycles : int;
-  (* Telemetry-only classification counters: maintained only by the
-     [_attr] hierarchy entry points, so they are zero in a plain run.
+  (* Telemetry-only classification counters: maintained only while the
+     hierarchy has an attribution installed, so they are zero in a plain
+     run.
      They refine — never replace — the counters above:
      [in_flight_demand_hits + sw_prefetch_late <= in_flight_hits]. *)
   mutable in_flight_demand_hits : int;

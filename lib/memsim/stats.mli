@@ -58,8 +58,9 @@ val fields : (string * (t -> int) * (t -> int -> unit)) list
     added without extending it. *)
 
 val telemetry_only : string list
-(** Names of counters maintained only by the [_attr] hierarchy entry
-    points. Telemetry-on/off comparisons must ignore exactly these. *)
+(** Names of counters maintained only while the hierarchy has an
+    attribution installed. Telemetry-on/off comparisons must ignore
+    exactly these. *)
 
 val to_alist : t -> (string * int) list
 val core_alist : t -> (string * int) list
@@ -70,8 +71,8 @@ val copy : t -> t
 
 val copy_into : t -> into:t -> unit
 (** Overwrite every counter of [into] with the values of [t]. The single
-    canonical field list — callers that save/restore counters (e.g. across
-    a GC-time hierarchy flush) use this so that adding a counter cannot
+    canonical field list — callers that snapshot counters (e.g. the
+    monitor's window baseline) use this so that adding a counter cannot
     silently desynchronize them. *)
 
 val add : t -> t -> t

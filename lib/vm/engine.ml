@@ -551,6 +551,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             let addr = anchor + distance in
             audit_prefetch_addr t addr;
             Memsim.Hierarchy.sw_prefetch mem ~addr ~now:t.stats.cycles
+              ~site:(-1)
           end;
           next frame
     | Spec_load { site; distance; reg } ->
@@ -560,7 +561,8 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           if anchor >= 0 then begin
             let addr = anchor + distance in
             audit_prefetch_addr t addr;
-            Memsim.Hierarchy.guarded_load mem ~addr ~now:t.stats.cycles;
+            Memsim.Hierarchy.guarded_load mem ~addr ~now:t.stats.cycles
+              ~site:(-1);
             let v =
               match Heap.value_at heap addr with
               | Some v -> v
@@ -586,6 +588,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             let target = addr + ((addr - prev) * times) in
             audit_prefetch_addr t target;
             Memsim.Hierarchy.sw_prefetch mem ~addr:target ~now:t.stats.cycles
+              ~site:(-1)
           end;
           next frame
     | Prefetch_indirect { reg; offset; guarded } ->
@@ -596,7 +599,10 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
               audit_prefetch_addr t addr;
               if guarded then
                 Memsim.Hierarchy.guarded_load mem ~addr ~now:t.stats.cycles
-              else Memsim.Hierarchy.sw_prefetch mem ~addr ~now:t.stats.cycles
+                  ~site:(-1)
+              else
+                Memsim.Hierarchy.sw_prefetch mem ~addr ~now:t.stats.cycles
+                  ~site:(-1)
           | Value.Ref _ | Value.Int _ | Value.Null -> ());
           next frame
   in
@@ -1500,16 +1506,15 @@ let exec_switch (t : t) (frame : Frame.t) =
         if anchor >= 0 then begin
           let addr = anchor + distance in
           audit_prefetch_addr t addr;
-          match t.telem with
-          | None -> Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:(now t)
-          | Some tl ->
-              let sid =
+          let sid =
+            match t.telem with
+            | None -> -1
+            | Some tl ->
                 Telemetry.Attrib.site_id tl.registry
                   (Telemetry.Attrib.Inter_site
                      { method_id = m.method_id; site })
-              in
-              Memsim.Hierarchy.sw_prefetch_attr t.mem ~attrib:tl.attrib
-                ~addr ~now:(now t) ~site:sid
+          in
+          Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:(now t) ~site:sid
         end
     | Spec_load { site; distance; reg } ->
         let extra = max 0 (t.opts.machine.guarded_load_cost - base_cost) in
@@ -1521,16 +1526,15 @@ let exec_switch (t : t) (frame : Frame.t) =
         if anchor >= 0 then begin
           let addr = anchor + distance in
           audit_prefetch_addr t addr;
-          (match t.telem with
-          | None -> Memsim.Hierarchy.guarded_load t.mem ~addr ~now:(now t)
-          | Some tl ->
-              let sid =
+          let sid =
+            match t.telem with
+            | None -> -1
+            | Some tl ->
                 Telemetry.Attrib.site_id tl.registry
                   (Telemetry.Attrib.Spec_site
                      { method_id = m.method_id; site; reg })
-              in
-              Memsim.Hierarchy.guarded_load_attr t.mem ~attrib:tl.attrib
-                ~addr ~now:(now t) ~site:sid);
+          in
+          Memsim.Hierarchy.guarded_load t.mem ~addr ~now:(now t) ~site:sid;
           let v =
             match Heap.value_at t.heap addr with
             | Some v -> v
@@ -1563,16 +1567,16 @@ let exec_switch (t : t) (frame : Frame.t) =
         if addr >= 0 && prev >= 0 && addr <> prev then begin
           let target = addr + ((addr - prev) * times) in
           audit_prefetch_addr t target;
-          match t.telem with
-          | None -> Memsim.Hierarchy.sw_prefetch t.mem ~addr:target ~now:(now t)
-          | Some tl ->
-              let sid =
+          let sid =
+            match t.telem with
+            | None -> -1
+            | Some tl ->
                 Telemetry.Attrib.site_id tl.registry
                   (Telemetry.Attrib.Dynamic_site
                      { method_id = m.method_id; site })
-              in
-              Memsim.Hierarchy.sw_prefetch_attr t.mem ~attrib:tl.attrib
-                ~addr:target ~now:(now t) ~site:sid
+          in
+          Memsim.Hierarchy.sw_prefetch t.mem ~addr:target ~now:(now t)
+            ~site:sid
         end
     | Prefetch_indirect { reg; offset; guarded } ->
         let cost =
@@ -1589,23 +1593,17 @@ let exec_switch (t : t) (frame : Frame.t) =
         | Value.Ref id when Heap.exists t.heap id -> (
             let addr = Heap.base_of t.heap id + offset in
             audit_prefetch_addr t addr;
-            match t.telem with
-            | None ->
-                if guarded then
-                  Memsim.Hierarchy.guarded_load t.mem ~addr ~now:(now t)
-                else Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:(now t)
-            | Some tl ->
-                let sid =
+            let sid =
+              match t.telem with
+              | None -> -1
+              | Some tl ->
                   Telemetry.Attrib.site_id tl.registry
                     (Telemetry.Attrib.Indirect_site
                        { method_id = m.method_id; reg; offset })
-                in
-                if guarded then
-                  Memsim.Hierarchy.guarded_load_attr t.mem ~attrib:tl.attrib
-                    ~addr ~now:(now t) ~site:sid
-                else
-                  Memsim.Hierarchy.sw_prefetch_attr t.mem ~attrib:tl.attrib
-                    ~addr ~now:(now t) ~site:sid)
+            in
+            (if guarded then Memsim.Hierarchy.guarded_load
+             else Memsim.Hierarchy.sw_prefetch)
+              t.mem ~addr ~now:(now t) ~site:sid)
         | Value.Ref _ | Value.Int _ | Value.Null -> ()));
     ()
   done;

@@ -110,10 +110,10 @@ val faulting_prefetches : t -> int
     oracle asserts this stays zero in every configuration. *)
 
 val set_telemetry : t -> registry:Telemetry.Attrib.t -> ?sink:Telemetry.Sink.t -> unit -> unit
-(** Enable effectiveness attribution: all memory traffic is routed
-    through the hierarchy's [_attr] entry points, classifying every
-    software prefetch against a fresh {!Memsim.Attribution.t} (readable
-    via {!attribution}). Prefetch sites are resolved in [registry];
+(** Enable effectiveness attribution: a fresh {!Memsim.Attribution.t}
+    is installed in the hierarchy (readable via {!attribution}), whose
+    operations then classify every software prefetch against it.
+    Prefetch sites are resolved in [registry];
     demand-load misses are bucketed by (method, site). When [sink] is
     given its cycle source is installed and GC spans are recorded.
     Attribution changes no simulated state: cycles and all core stats
@@ -166,9 +166,9 @@ type profile_hooks = {
 
 val set_profile : t -> profile_hooks -> unit
 (** Install profiling hooks. Requires telemetry to be enabled first
-    ({!set_telemetry}) — the per-access stall breakdown is maintained
-    only by the hierarchy's attributed path; raises [Invalid_argument]
-    otherwise. *)
+    ({!set_telemetry}) — the hierarchy maintains the per-access stall
+    breakdown only while an attribution is installed; raises
+    [Invalid_argument] otherwise. *)
 
 val combine_profile_hooks : profile_hooks -> profile_hooks -> profile_hooks
 (** Fan out one charge stream to two observers ([a] fires before [b] on

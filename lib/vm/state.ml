@@ -9,8 +9,8 @@
      direct-threaded fall-through, eliminating decode from the hot loop.
 
    Everything else both engines share lives here: the interpreter state
-   record [t], the timing/charging helpers, the memory-access wrappers
-   (plain and attributed), GC, allocation, frame pooling, and
+   record [t], the timing/charging helpers, the memory-access wrappers,
+   GC, allocation, frame pooling, and
    [call]/[run]. (The operand-stack primitives and the step prologue
    live in [Engine], beside both loops, so they inline.) The
    engines stay bit-identical by construction because every observable
@@ -58,12 +58,12 @@ let default_options machine =
   }
 
 (* Telemetry wiring, bundled so the disabled state is a single [None]
-   test on the hot paths. [attrib] is memsim's int-keyed effectiveness
-   table; [registry] maps the interpreter's structural prefetch-site
-   keys to the dense ids [attrib] speaks; [tsink] (optional even when
-   attribution is on) receives GC spans. *)
+   test on the hot paths. Memsim's int-keyed effectiveness table lives in
+   the hierarchy ([Hierarchy.attribution]); [registry] maps the
+   interpreter's structural prefetch-site keys to the dense ids it
+   speaks; [tsink] (optional even when attribution is on) receives GC
+   spans. *)
 type telemetry = {
-  attrib : Memsim.Attribution.t;
   registry : Telemetry.Attrib.t;
   tsink : Telemetry.Sink.t option;
 }
@@ -74,7 +74,8 @@ type telemetry = {
    handed reconstructs [Stats.cycles] exactly — the profiler's
    conservation law. Hooks observe only: a profiled run is bit-identical
    to a plain one (fuzz-checked). Profiling requires telemetry (the
-   stall breakdown is maintained by the hierarchy's [_attr] path). *)
+   hierarchy maintains the stall breakdown only while an attribution is
+   installed). *)
 type prof_bin = Prof_retire | Prof_alloc | Prof_pf_overhead | Prof_guard_overhead
 
 type profile_hooks = {
@@ -166,8 +167,9 @@ type t = {
       (** spec_loads whose target fell outside every live object: the
           guard fired and [Null] was substituted (benign by design) *)
   mutable telem : telemetry option;
-      (** [None] (the default) selects the plain hierarchy entry points:
-          telemetry off costs one immediate-constant test per access *)
+      (** [None] (the default) disables telemetry: off costs one
+          immediate-constant test per prefetch-type instruction on the
+          reference loop, and the hierarchy tests its own attribution *)
   mutable prof : profile_hooks option;
       (** [None] (the default) disables profiling: off costs one
           immediate-constant test per charge site *)
@@ -256,17 +258,17 @@ let instrumented t =
   | _ -> true
 
 let set_telemetry t ~registry ?sink () =
-  let attrib = Memsim.Attribution.create () in
   (match sink with
   | Some s -> Telemetry.Sink.set_cycle_source s (fun () -> t.stats.cycles)
   | None -> ());
-  t.telem <- Some { attrib; registry; tsink = sink }
+  Memsim.Hierarchy.set_attribution t.mem (Memsim.Attribution.create ());
+  t.telem <- Some { registry; tsink = sink }
 
 let set_profile t hooks =
   if t.telem = None then
     invalid_arg
       "Interp.set_profile: profiling requires telemetry (call set_telemetry \
-       first; the stall breakdown lives on the attributed hierarchy path)";
+       first; the hierarchy keeps the stall breakdown only while attributing)";
   t.prof <- Some hooks
 
 (* Fan-out combinator: [set_profile] is single-consumer by design (the
@@ -295,13 +297,10 @@ let combine_profile_hooks a b =
         b.on_gc ~cycles);
   }
 
-let attribution t =
-  match t.telem with Some tl -> Some tl.attrib | None -> None
+let attribution t = Memsim.Hierarchy.attribution t.mem
 
 let finalize_telemetry t =
-  match t.telem with
-  | Some tl -> Memsim.Attribution.flush tl.attrib
-  | None -> ()
+  match attribution t with Some a -> Memsim.Attribution.flush a | None -> ()
 
 (* Every address a prefetch-type instruction computes flows through here;
    a negative address can only come from broken distance/offset arithmetic
@@ -391,52 +390,32 @@ let[@inline] prof_cycles t ~method_id ~pc ~bin ~cycles =
 let[@inline] pack_pc (frame : Frame.t) ~pc =
   (frame.method_info.method_id lsl 16) lor (pc land 0xffff)
 
+(* Charge a demand access's stall, reporting it to the profiler first. *)
+let[@inline] charge_demand t frame ~obj stall =
+  if stall > 0 then begin
+    (match t.prof with Some p -> prof_stall t p frame ~obj ~stall | None -> ());
+    charge_stall t frame stall
+  end
+
 let demand t frame ~pc ~obj ~addr ~kind =
-  let pc = pack_pc frame ~pc in
-  let stall =
-    match t.telem with
-    | None -> Memsim.Hierarchy.demand_access t.mem ~pc ~addr ~kind ~now:(now t)
-    | Some tl ->
-        let stall =
-          Memsim.Hierarchy.demand_access_attr t.mem ~attrib:tl.attrib ~pc
-            ~addr ~kind ~now:(now t) ~dkey:(-1)
-        in
-        (match t.prof with
-        | Some p when stall > 0 -> prof_stall t p frame ~obj ~stall
-        | Some _ | None -> ());
-        stall
-  in
-  if stall > 0 then charge_stall t frame stall
+  charge_demand t frame ~obj
+    (Memsim.Hierarchy.demand_access t.mem ~pc:(pack_pc frame ~pc) ~addr ~kind
+       ~now:(now t))
 
 (* A demand load at a numbered load site. Under telemetry its memory
    misses are bucketed by the packed (method, site) key — the coverage
    denominator for prefetches registered against that site. *)
 let demand_load t (frame : Frame.t) ~pc ~obj ~addr ~site =
-  let pc = pack_pc frame ~pc in
-  let stall =
-    match t.telem with
-    | None ->
-        Memsim.Hierarchy.demand_access t.mem ~pc ~addr ~kind:`Load
-          ~now:(now t)
-    | Some tl ->
-        let dkey =
-          Telemetry.Attrib.demand_key ~method_id:frame.method_info.method_id
-            ~site
-        in
-        let stall =
-          Memsim.Hierarchy.demand_access_attr t.mem ~attrib:tl.attrib ~pc
-            ~addr ~kind:`Load ~now:(now t) ~dkey
-        in
-        (match t.prof with
-        | Some p when stall > 0 -> prof_stall t p frame ~obj ~stall
-        | Some _ | None -> ());
-        stall
-  in
-  if stall > 0 then charge_stall t frame stall
+  charge_demand t frame ~obj
+    (Memsim.Hierarchy.demand_load t.mem ~pc:(pack_pc frame ~pc) ~addr
+       ~now:(now t)
+       ~dkey:
+         (Telemetry.Attrib.demand_key ~method_id:frame.method_info.method_id
+            ~site))
 
 (* Plain demand access: the closure engine's handlers, which only run
-   unobserved, go straight to the hierarchy with no telemetry/profiler
-   option tests — byte-for-byte the [None] branch of [demand] above. *)
+   unobserved, go straight to the hierarchy — [demand] without the
+   profiler test. *)
 let[@inline] demand_plain t (frame : Frame.t) ~pc ~addr ~kind =
   let stall =
     Memsim.Hierarchy.demand_access t.mem ~pc:(pack_pc frame ~pc) ~addr ~kind
@@ -474,31 +453,22 @@ let collect_garbage t =
      the bill by the time the window carrying it closes. *)
   mon_poll t;
   (* Compaction rewrites the simulated address space: flush the hierarchy
-     but keep the accumulated counters. [Stats.copy_into] owns the field
-     list, so a newly added counter cannot silently desync here. *)
-  let saved = Memsim.Stats.copy t.stats in
+     (and the attribution's shadow tables with it); its counters stay. *)
   Memsim.Hierarchy.reset t.mem;
-  Memsim.Stats.copy_into saved ~into:t.stats;
   match t.telem with
-  | None -> ()
-  | Some tl ->
-      (* The shadow tables speak pre-compaction line indices: any fill
-         still untracked is useless by definition now. *)
-      Memsim.Attribution.flush tl.attrib;
-      (match tl.tsink with
-      | Some s ->
-          Telemetry.Sink.add_span s ~cat:"gc" ~name:"gc"
-            ~args:
-              [
-                ("live", Telemetry.Json.Int result.live);
-                ("collected", Telemetry.Json.Int result.collected);
-                ("gc_count", Telemetry.Json.Int t.gc_count);
-                ("gc_cycles", Telemetry.Json.Int cycles);
-              ]
-            ~ts_us
-            ~dur_us:(Telemetry.Sink.now_us s -. ts_us)
-            ~cycles_begin ~cycles_end:t.stats.cycles ()
-      | None -> ())
+  | Some { tsink = Some s; _ } ->
+      Telemetry.Sink.add_span s ~cat:"gc" ~name:"gc"
+        ~args:
+          [
+            ("live", Telemetry.Json.Int result.live);
+            ("collected", Telemetry.Json.Int result.collected);
+            ("gc_count", Telemetry.Json.Int t.gc_count);
+            ("gc_cycles", Telemetry.Json.Int cycles);
+          ]
+        ~ts_us
+        ~dur_us:(Telemetry.Sink.now_us s -. ts_us)
+        ~cycles_begin ~cycles_end:t.stats.cycles ()
+  | _ -> ()
 
 let allocate t frame ~pc:alloc_pc alloc =
   let id =

@@ -54,12 +54,13 @@ let run ?opts ?(standard_passes = true) ?compile_observer ?tweak_options
   in
   let interp = Vm.Interp.create ~options:interp_options machine program in
   (* Telemetry wiring: one sink + one site registry per run. The sink's
-     cycle source is installed by [set_telemetry]; attribution rides the
-     hierarchy's [_attr] entry points and leaves the simulation
-     bit-identical (asserted by the golden tests). *)
-  (* Profiling rides the attributed hierarchy path, so it implies
-     telemetry; so does monitoring (the useful-rate stream is
-     attribution, and the stall-bin stream is the profile hooks). *)
+     cycle source is installed by [set_telemetry]; attribution is
+     installed in the hierarchy and leaves the simulation bit-identical
+     (asserted by the golden tests). *)
+  (* Profiling needs the stall breakdown the hierarchy keeps only while
+     attributing, so it implies telemetry; so does monitoring (the
+     useful-rate stream is attribution, and the stall-bin stream is the
+     profile hooks). *)
   let telemetry = telemetry || profile || monitor <> None in
   let sink =
     if telemetry then Some (Telemetry.Sink.create ?capacity:sink_capacity ())

@@ -94,8 +94,8 @@ val run :
     [telemetry] (default [false]) threads the full observability stack
     through the run — compile/pass/inspection/GC spans and per-loop
     explain records into a fresh sink ([sink_capacity] events, default
-    65536), prefetch-site attribution through the hierarchy's [_attr]
-    entry points — and fills [run_result.sink] and
+    65536), prefetch-site attribution installed in the hierarchy — and
+    fills [run_result.sink] and
     [run_result.effectiveness]. Telemetry observes the simulation and
     never participates: cycles and all core stats counters are
     bit-identical to a [~telemetry:false] run (golden-tested; only the

@@ -244,7 +244,7 @@ let test_demand_miss_cost () =
 
 let test_prefetch_cancelled_on_tlb_miss () =
   let h = fresh_p4 () in
-  Hier.sw_prefetch h ~addr:0x300000 ~now:0;
+  Hier.sw_prefetch h ~addr:0x300000 ~now:0 ~site:(-1);
   let stats = Hier.stats h in
   Alcotest.(check int) "cancelled" 1 stats.Stats.sw_prefetches_cancelled;
   (* the line was NOT fetched *)
@@ -256,7 +256,7 @@ let test_prefetch_after_tlb_warm () =
   let h = fresh_p4 () in
   (* warm the page with a demand access to another line *)
   ignore (Hier.demand_access h ~pc:0 ~addr:0x300000 ~kind:`Load ~now:0);
-  Hier.sw_prefetch h ~addr:0x300400 ~now:1000;
+  Hier.sw_prefetch h ~addr:0x300400 ~now:1000 ~site:(-1);
   (* P4 prefetches into the L2 only: after the fill completes, a demand
      access pays the L1-miss penalty but not the memory latency *)
   let stall = Hier.demand_access h ~pc:0 ~addr:0x300400 ~kind:`Load ~now:5000 in
@@ -266,14 +266,14 @@ let test_prefetch_after_tlb_warm () =
 let test_athlon_prefetch_fills_l1 () =
   let h = fresh_athlon () in
   ignore (Hier.demand_access h ~pc:0 ~addr:0x300000 ~kind:`Load ~now:0);
-  Hier.sw_prefetch h ~addr:0x300400 ~now:1000;
+  Hier.sw_prefetch h ~addr:0x300400 ~now:1000 ~site:(-1);
   let stall = Hier.demand_access h ~pc:0 ~addr:0x300400 ~kind:`Load ~now:5000 in
   Alcotest.(check int) "L1 hit after prefetch"
     Config.athlon_mp.l1.hit_extra stall
 
 let test_guarded_load_primes_tlb () =
   let h = fresh_p4 () in
-  Hier.guarded_load h ~addr:0x400000 ~now:0;
+  Hier.guarded_load h ~addr:0x400000 ~now:0 ~site:(-1);
   let stall = Hier.demand_access h ~pc:0 ~addr:0x400000 ~kind:`Load ~now:5000 in
   (* TLB primed and line in L1: only the L1 hit cost remains *)
   Alcotest.(check int) "hit after guarded load"
@@ -284,7 +284,7 @@ let test_guarded_load_primes_tlb () =
 let test_prefetch_too_late_residual () =
   let h = fresh_p4 () in
   ignore (Hier.demand_access h ~pc:0 ~addr:0x500000 ~kind:`Load ~now:0);
-  Hier.sw_prefetch h ~addr:0x500400 ~now:1000;
+  Hier.sw_prefetch h ~addr:0x500400 ~now:1000 ~site:(-1);
   (* demand arrives 20 cycles after issue: most of the fill remains *)
   let stall = Hier.demand_access h ~pc:0 ~addr:0x500400 ~kind:`Load ~now:1020 in
   let expected =
@@ -297,6 +297,149 @@ let test_line_bytes_by_target () =
     (Hier.line_bytes (fresh_p4 ()));
   Alcotest.(check int) "Athlon prefetch line = L1 line" 64
     (Hier.line_bytes (fresh_athlon ()))
+
+(* --- one path: plain and attributed in lockstep ------------------------ *)
+
+module At = Memsim.Attribution
+
+type op =
+  | Load of { pc : int; addr : int; dkey : int }  (** [dkey < 0]: unkeyed *)
+  | Store of { pc : int; addr : int }
+  | Prefetch of { addr : int; site : int }
+  | Guarded of { addr : int; site : int }
+  | Reset
+
+(* [Some stall] for a demand access. *)
+let apply h ~now = function
+  | Load { pc; addr; dkey } when dkey >= 0 ->
+      Some (Hier.demand_load h ~pc ~addr ~now ~dkey)
+  | Load { pc; addr; _ } ->
+      Some (Hier.demand_access h ~pc ~addr ~kind:`Load ~now)
+  | Store { pc; addr } ->
+      Some (Hier.demand_access h ~pc ~addr ~kind:`Store ~now)
+  | Prefetch { addr; site } ->
+      Hier.sw_prefetch h ~addr ~now ~site;
+      None
+  | Guarded { addr; site } ->
+      Hier.guarded_load h ~addr ~now ~site;
+      None
+  | Reset ->
+      Hier.reset h;
+      None
+
+(* Four strided streams walked by demand loads, with software prefetches
+   and guarded loads a few strides ahead (useful, late and cancelled
+   prefetches; HW-prefetcher training), plus scattered accesses over
+   4 MiB (L2, DTLB and shadow-table evictions) and a rare reset. *)
+let gen_op rng cursors =
+  let s = Random.State.int rng 4 in
+  let stride = [| 64; 128; 200; 24 |].(s) in
+  let base = (s + 1) lsl 21 in
+  let cur = cursors.(s) in
+  let ahead k = base + ((cur + (k * stride)) land 0xfffff) in
+  match Random.State.int rng 1000 with
+  | n when n < 3 -> Reset
+  | n when n < 150 -> Prefetch { addr = ahead (1 + (n land 7)); site = s }
+  | n when n < 250 -> Guarded { addr = ahead (1 + (n land 3)); site = 4 + s }
+  | n when n < 700 ->
+      cursors.(s) <- cur + stride;
+      Load { pc = 16 + s; addr = ahead 0; dkey = (if n < 500 then s else -1) }
+  | n when n < 800 -> Store { pc = 32 + s; addr = ahead 0 }
+  | n ->
+      let addr = Random.State.int rng (4 lsl 20) in
+      if n < 950 then Load { pc = 48; addr; dkey = 9 }
+      else Store { pc = 49; addr }
+
+let lockstep machine () =
+  let plain = Hier.create machine and attributed = Hier.create machine in
+  let attrib = At.create () in
+  Hier.set_attribution attributed attrib;
+  let rng = Random.State.make [| 2026 |] and cursors = Array.make 4 0 in
+  let now = ref 0 in
+  for i = 1 to 20_000 do
+    let op = gen_op rng cursors in
+    let before = Stats.to_alist (Hier.stats attributed) in
+    let s = apply plain ~now:!now op and s' = apply attributed ~now:!now op in
+    if s <> s' then Alcotest.failf "op %d: stalls differ" i;
+    (match s' with
+    | Some stall ->
+        let parts =
+          Hier.last_tlb_stall attributed + Hier.last_l1_stall attributed
+          + Hier.last_l2_stall attributed + Hier.last_mem_stall attributed
+        in
+        if parts <> stall then
+          Alcotest.failf "op %d: breakdown %d <> stall %d" i parts stall;
+        now := !now + stall
+    | None -> ());
+    if op = Reset then begin
+      if Stats.to_alist (Hier.stats attributed) <> before then
+        Alcotest.failf "op %d: reset changed the counters" i;
+      if At.tracked_lines attrib <> 0 then
+        Alcotest.failf "op %d: reset left tracked lines" i
+    end;
+    now := !now + 1 + Random.State.int rng 8
+  done;
+  Alcotest.(check (list (pair string int)))
+    "core stats identical"
+    (Stats.core_alist (Hier.stats plain))
+    (Stats.core_alist (Hier.stats attributed));
+  List.iter
+    (fun (name, n) ->
+      if List.mem name Stats.telemetry_only && n <> 0 then
+        Alcotest.failf "plain run moved telemetry-only %s" name)
+    (Stats.to_alist (Hier.stats plain));
+  if machine.hw_prefetch <> Config.Hw_none then
+    Alcotest.(check bool) "the HW prefetcher fired" true
+      ((Hier.stats plain).Stats.hw_prefetches > 0);
+  At.flush attrib;
+  Alcotest.(check (option string)) "conservation" None
+    (At.conservation_error attrib);
+  let t = At.totals attrib in
+  List.iter
+    (fun (what, n) ->
+      if n = 0 then Alcotest.failf "the stream produced no %s prefetch" what)
+    [
+      ("useful", t.At.useful);
+      ("late", t.late);
+      ("useless", t.useless);
+      ("cancelled", t.cancelled);
+      ("redundant", t.redundant);
+    ]
+
+let lockstep_cases =
+  List.concat_map
+    (fun (m : Config.machine) ->
+      List.map
+        (fun hw ->
+          ( Printf.sprintf "hierarchy: one path, %s hw=%s" m.name
+              (Config.hw_prefetch_to_string hw),
+            `Quick,
+            lockstep { m with hw_prefetch = hw } ))
+        [ Config.Hw_none; Config.default_stream; Config.default_rpt ])
+    Config.machines
+
+(* Without an attribution or a HW prefetcher, every operation of a warmed
+   hierarchy is allocation-free: the attributed arms cost a test only. *)
+let test_plain_path_allocates_nothing () =
+  List.iter
+    (fun (m : Config.machine) ->
+      let h = Hier.create { m with hw_prefetch = Config.Hw_none } in
+      let run start =
+        for i = 0 to 1_999 do
+          let addr = (i * 4160) land 0xfffff and now = start + (i * 50) in
+          ignore (Hier.demand_access h ~pc:1 ~addr ~kind:`Load ~now);
+          ignore (Hier.demand_load h ~pc:2 ~addr:(addr + 64) ~now ~dkey:3);
+          ignore (Hier.demand_access h ~pc:3 ~addr ~kind:`Store ~now);
+          Hier.sw_prefetch h ~addr:(addr + 8192) ~now ~site:(-1);
+          Hier.guarded_load h ~addr:(addr + 4096) ~now ~site:(-1)
+        done
+      in
+      run 0;
+      let before = Gc.minor_words () in
+      run 100_000;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.)) "minor words over 10,000 calls" 0. words)
+    Config.machines
 
 (* --- stats -------------------------------------------------------------- *)
 
@@ -353,6 +496,8 @@ let suite =
      test_prefetch_too_late_residual);
     ("hierarchy: prefetch line size per machine", `Quick,
      test_line_bytes_by_target);
+    ("hierarchy: plain path allocates nothing", `Quick,
+     test_plain_path_allocates_nothing);
     ("stats: MPI", `Quick, test_stats_mpi);
     ("stats: add", `Quick, test_stats_add);
   ]
@@ -415,4 +560,4 @@ let prop_cache_matches_reference =
         addrs)
 
 let suite =
-  suite @ [ Helpers.qtest prop_cache_matches_reference ]
+  suite @ lockstep_cases @ [ Helpers.qtest prop_cache_matches_reference ]
