@@ -59,8 +59,10 @@ let[@inline] set_of t line =
    A line occupies at most one way of its set ([fill] only installs a line
    it did not find), so scanning order does not change the answer; the
    common associativities (2/4/8) are unrolled into straight-line compares
-   with no recursion and no [option] allocation. *)
-let scan_ways tags line base last =
+   with no recursion and no [option] allocation. The loop (the AthlonMP's
+   16-way L2) is typed [int]: an untyped [<>] is the generic-compare C
+   call on every way. *)
+let scan_ways (tags : int array) (line : int) base last =
   let i = ref base in
   while !i <= last && Array.unsafe_get tags !i <> line do
     incr i

@@ -202,7 +202,7 @@ let[@inline] access t ~pc ~addr ~kind ~now ~dkey =
     tlb_stall + demand_l1_miss t ~pc ~addr ~kind ~now ~dkey
   end
 
-let demand_access t ~pc ~addr ~kind ~now =
+let[@inline] demand_access t ~pc ~addr ~kind ~now =
   access t ~pc ~addr ~kind ~now ~dkey:(-1)
 
 let demand_load t ~pc ~addr ~now ~dkey =

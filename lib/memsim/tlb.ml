@@ -73,11 +73,11 @@ let[@inline] find_idx t page =
     else find_idx_scan t page
   end
 
-let touch t i =
+let[@inline] touch t i =
   t.tick <- t.tick + 1;
   t.stamp.(i) <- t.tick
 
-let access t ~addr =
+let[@inline] access t ~addr =
   let i = find_idx t (page_of t addr) in
   if i >= 0 then begin
     touch t i;

@@ -2,12 +2,13 @@
    engine and, at the end of this file, the reference switch engine
    ([exec_switch], the classic fetch/decode loop).
 
-   They share one compilation unit on purpose. Dev builds pass
-   [-opaque], so nothing inlines across modules: the hand-inlined stack
-   primitives and the [pre] prologue below would be real calls from any
-   other module. Both loops use these one copies, and the switch loop —
-   the one every observed run executes — pays no call per push, pop or
-   step.
+   They share one compilation unit so that one copy of the operand-stack
+   primitives and of the [pre] step prologue below serves both loops.
+   The default build (release profile, no [-opaque]) also inlines the
+   small helpers the handlers call in other modules: [State]'s charging
+   and memory wrappers, [Heap]'s accessors, the hierarchy's demand path.
+   A [--profile dev] build turns those into calls, which costs host time
+   only.
 
    [compile] translates a method body, at JIT time, into a flat array of
    OCaml closures — one handler per pc, plus an out-of-bounds sentinel at
@@ -135,6 +136,12 @@ let[@inline] pre (t : t) (m : Classfile.method_info) ~max_steps ~retired ~cost
   if m.compiled then t.compiled_cycles <- t.compiled_cycles + cost
   else t.interpreted_cycles <- t.interpreted_cycles + cost
 
+(* A prefetch-type instruction's cost beyond its base slot. Int-typed:
+   [Stdlib.max] is the generic-compare C call, and the switch loop pays
+   this on every prefetch-type instruction. *)
+let[@inline] extra_cost ~base_cost cost =
+  if cost > base_cost then cost - base_cost else 0
+
 let compile (t : t) (m : Classfile.method_info) : compiled_method =
   let code = m.code in
   let n = Array.length code in
@@ -250,13 +257,13 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
     match instr with
     | Aaload _ | Iaload _ | Aastore _ | Iastore _ -> 2 * base_cost
     | Prefetch_inter _ | Prefetch_dynamic _ ->
-        base_cost + max 0 (machine.prefetch_cost - base_cost)
-    | Spec_load _ -> base_cost + max 0 (machine.guarded_load_cost - base_cost)
+        base_cost + extra_cost ~base_cost machine.prefetch_cost
+    | Spec_load _ -> base_cost + extra_cost ~base_cost machine.guarded_load_cost
     | Prefetch_indirect { guarded; _ } ->
         let full =
           if guarded then machine.guarded_load_cost else machine.prefetch_cost
         in
-        base_cost + max 0 (full - base_cost)
+        base_cost + extra_cost ~base_cost full
     | _ -> base_cost
   in
   let locals_len = max m.max_locals m.arity in
@@ -452,8 +459,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           let id = as_ref frame (pop frame) in
           let addr = Heap.base_of heap id + offset in
           demand_plain t frame ~pc ~addr ~kind:`Load;
-          frame.site_prev.(site) <- frame.site_addr.(site);
-          frame.site_addr.(site) <- addr;
+          Frame.record_site frame ~site ~addr;
           push frame (Heap.get_field heap id slot);
           next frame
     | Putfield { offset; name = _ } ->
@@ -469,8 +475,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
         let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
         fun frame ->
           demand_plain t frame ~pc ~addr ~kind:`Load;
-          frame.site_prev.(site) <- frame.site_addr.(site);
-          frame.site_addr.(site) <- addr;
+          Frame.record_site frame ~site ~addr;
           push frame t.globals.(index);
           next frame
     | Putstatic { index; name = _ } ->
@@ -485,8 +490,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           let id = as_ref frame (pop frame) in
           let addr = array_access_plain t frame ~pc ~len_site ~id ~index in
           demand_plain t frame ~pc ~addr ~kind:`Load;
-          frame.site_prev.(elem_site) <- frame.site_addr.(elem_site);
-          frame.site_addr.(elem_site) <- addr;
+          Frame.record_site frame ~site:elem_site ~addr;
           push frame (Heap.get_elem heap id index);
           next frame
     | Aastore { len_site } | Iastore { len_site } ->
@@ -503,8 +507,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           let id = as_ref frame (pop frame) in
           let addr = Heap.length_addr heap id in
           demand_plain t frame ~pc ~addr ~kind:`Load;
-          frame.site_prev.(site) <- frame.site_addr.(site);
-          frame.site_addr.(site) <- addr;
+          Frame.record_site frame ~site ~addr;
           push frame (Value.of_int (Heap.array_length heap id));
           next frame
     | New class_id ->
@@ -746,16 +749,14 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           let id = as_ref frame (pop frame) in
           let addr = Heap.base_of heap id + offset in
           demand_plain t frame ~pc ~addr ~kind:`Load;
-          frame.site_prev.(site) <- frame.site_addr.(site);
-          frame.site_addr.(site) <- addr;
+          Frame.record_site frame ~site ~addr;
           nv frame (Heap.get_field heap id slot)
     | Getstatic { site; index; name = _; is_ref = _ } ->
         let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
         let nv = kv kont in
         fun frame ->
           demand_plain t frame ~pc ~addr ~kind:`Load;
-          frame.site_prev.(site) <- frame.site_addr.(site);
-          frame.site_addr.(site) <- addr;
+          Frame.record_site frame ~site ~addr;
           let v = t.globals.(index) in
           if frame.sp >= Frame.max_stack then stack_overflow frame;
           nv frame v
@@ -766,8 +767,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           let id = as_ref frame (pop frame) in
           let addr = array_access_plain t frame ~pc ~len_site ~id ~index in
           demand_plain t frame ~pc ~addr ~kind:`Load;
-          frame.site_prev.(elem_site) <- frame.site_addr.(elem_site);
-          frame.site_addr.(elem_site) <- addr;
+          Frame.record_site frame ~site:elem_site ~addr;
           nv frame (Heap.get_elem heap id index)
     | Arraylength { site } ->
         let nv = kv kont in
@@ -775,8 +775,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           let id = as_ref frame (pop frame) in
           let addr = Heap.length_addr heap id in
           demand_plain t frame ~pc ~addr ~kind:`Load;
-          frame.site_prev.(site) <- frame.site_addr.(site);
-          frame.site_addr.(site) <- addr;
+          Frame.record_site frame ~site ~addr;
           nv frame (Value.of_int (Heap.array_length heap id))
     | New class_id ->
         let ci = Classfile.class_of_id t.program class_id in
@@ -1000,8 +999,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             let id = as_ref frame v in
             let addr = Heap.base_of heap id + offset in
             demand_plain t frame ~pc ~addr ~kind:`Load;
-            frame.site_prev.(site) <- frame.site_addr.(site);
-            frame.site_addr.(site) <- addr;
+            Frame.record_site frame ~site ~addr;
             nv frame (Heap.get_field heap id slot))
     | Putfield { offset; name = _ } ->
         let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
@@ -1029,8 +1027,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             let id = as_ref frame (pop frame) in
             let addr = array_access_plain t frame ~pc ~len_site ~id ~index in
             demand_plain t frame ~pc ~addr ~kind:`Load;
-            frame.site_prev.(elem_site) <- frame.site_addr.(elem_site);
-            frame.site_addr.(elem_site) <- addr;
+            Frame.record_site frame ~site:elem_site ~addr;
             nv frame (Heap.get_elem heap id index))
     | Aastore { len_site } | Iastore { len_site } ->
         let nh = kh kont in
@@ -1049,8 +1046,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             let id = as_ref frame v in
             let addr = Heap.length_addr heap id in
             demand_plain t frame ~pc ~addr ~kind:`Load;
-            frame.site_prev.(site) <- frame.site_addr.(site);
-            frame.site_addr.(site) <- addr;
+            Frame.record_site frame ~site ~addr;
             nv frame (Value.of_int (Heap.array_length heap id)))
     | Newarray kind ->
         let nv = kv kont in
@@ -1253,13 +1249,6 @@ let exec (t : t) (frame : Frame.t) =
 let precompile (t : t) (m : Classfile.method_info) = ignore (get t m)
 
 (* ---- the reference switch engine ---- *)
-
-(* [State.mon_poll]'s twin, so the loop's per-instruction poll is not a
-   cross-module call. *)
-let[@inline] mon_poll t =
-  match t.mon with
-  | None -> ()
-  | Some mo -> if t.stats.cycles >= mo.next_boundary then mon_fire t mo
 
 (* The profiler bin of an instruction's base execution slot (the loop
    says why; lib/strideprefetch/codegen.ml is the emitting side). *)
@@ -1497,7 +1486,7 @@ let exec_switch (t : t) (frame : Frame.t) =
         Buffer.add_string t.out (string_of_int v);
         Buffer.add_char t.out '\n'
     | Prefetch_inter { site; distance } ->
-        let extra = max 0 (t.opts.machine.prefetch_cost - base_cost) in
+        let extra = extra_cost ~base_cost t.opts.machine.prefetch_cost in
         charge t frame extra;
         if extra > 0 then
           prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_pf_overhead
@@ -1517,7 +1506,7 @@ let exec_switch (t : t) (frame : Frame.t) =
           Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:(now t) ~site:sid
         end
     | Spec_load { site; distance; reg } ->
-        let extra = max 0 (t.opts.machine.guarded_load_cost - base_cost) in
+        let extra = extra_cost ~base_cost t.opts.machine.guarded_load_cost in
         charge t frame extra;
         if extra > 0 then
           prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_guard_overhead
@@ -1558,7 +1547,7 @@ let exec_switch (t : t) (frame : Frame.t) =
         end
         else frame.pref_regs.(reg) <- Value.Null
     | Prefetch_dynamic { site; times } ->
-        let extra = max 0 (t.opts.machine.prefetch_cost - base_cost) in
+        let extra = extra_cost ~base_cost t.opts.machine.prefetch_cost in
         charge t frame extra;
         if extra > 0 then
           prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_pf_overhead
@@ -1583,7 +1572,7 @@ let exec_switch (t : t) (frame : Frame.t) =
           if guarded then t.opts.machine.guarded_load_cost
           else t.opts.machine.prefetch_cost
         in
-        let extra = max 0 (cost - base_cost) in
+        let extra = extra_cost ~base_cost cost in
         charge t frame extra;
         if extra > 0 then
           prof_cycles t ~method_id:m.method_id ~pc

@@ -72,6 +72,10 @@ let reset t ~args =
   Array.fill t.pref_regs 0 (Array.length t.pref_regs) Value.Null;
   t.pc <- 0
 
+let[@inline] record_site t ~site ~addr =
+  t.site_prev.(site) <- t.site_addr.(site);
+  t.site_addr.(site) <- addr
+
 let iter_roots t f =
   Array.iter f t.locals;
   for i = 0 to t.sp - 1 do

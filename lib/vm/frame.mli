@@ -39,6 +39,10 @@ val reset : t -> args:Value.t array -> unit
     registers -1, prefetch registers null, pc 0. Raises [Invalid_argument]
     on an argument-count mismatch, like {!create}. *)
 
+val record_site : t -> site:int -> addr:int -> unit
+(** Load site [site] just computed [addr]: [site_addr.(site)] takes it
+    and the address it held moves to [site_prev.(site)]. *)
+
 val iter_roots : t -> (Value.t -> unit) -> unit
 (** Visit every value the collector must treat as live: locals, the live
     part of the operand stack, and the speculative prefetch registers. *)

@@ -130,53 +130,47 @@ let class_id_of t id =
 let is_ref_array t id =
   match (get t id).contents with Ref_array _ -> true | _ -> false
 
-let fields_of obj =
+(* The accessors below inline into the engines' handlers; their raising
+   paths stay out of line so the inlined bodies are a lookup, a tag test
+   and a bounds-checked move. *)
+let[@inline never] invalid msg = invalid_arg msg
+
+let[@inline] fields_of obj =
   match obj.contents with
   | Object { fields; _ } -> fields
-  | Int_array _ | Ref_array _ -> invalid_arg "heap: array used as object"
+  | Int_array _ | Ref_array _ -> invalid "heap: array used as object"
 
-let get_field t id slot = (fields_of (get t id)).(slot)
-let set_field t id slot v = (fields_of (get t id)).(slot) <- v
+let[@inline] get_field t id slot = (fields_of (get t id)).(slot)
+let[@inline] set_field t id slot v = (fields_of (get t id)).(slot) <- v
 
 let field_addr t id slot =
   (get t id).base + Classfile.header_bytes + (slot * Classfile.slot_bytes)
 
-let array_length t id =
+let[@inline] array_length t id =
   match (get t id).contents with
   | Int_array a -> Array.length a
   | Ref_array a -> Array.length a
-  | Object _ -> invalid_arg "heap: object used as array"
+  | Object _ -> invalid "heap: object used as array"
 
-let length_addr t id = (get t id).base + Classfile.array_length_offset
+let[@inline] length_addr t id = (get t id).base + Classfile.array_length_offset
 
-let get_elem t id i =
+let[@inline] get_elem t id i =
   match (get t id).contents with
-  | Int_array a -> Value.Int a.(i)
+  | Int_array a -> Value.of_int a.(i)
   | Ref_array a -> a.(i)
-  | Object _ -> invalid_arg "heap: object used as array"
+  | Object _ -> invalid "heap: object used as array"
 
-let set_elem t id i v =
+let[@inline] set_elem t id i v =
   match ((get t id).contents, v) with
   | Int_array a, Value.Int n -> a.(i) <- n
   | Int_array _, (Value.Ref _ | Value.Null) ->
-      invalid_arg "heap: reference stored into int array"
+      invalid "heap: reference stored into int array"
   | Ref_array a, (Value.Ref _ | Value.Null) -> a.(i) <- v
-  | Ref_array _, Value.Int _ -> invalid_arg "heap: int stored into ref array"
-  | Object _, _ -> invalid_arg "heap: object used as array"
+  | Ref_array _, Value.Int _ -> invalid "heap: int stored into ref array"
+  | Object _, _ -> invalid "heap: object used as array"
 
 let elem_addr t id i =
   (get t id).base + Classfile.array_elems_offset + (i * Classfile.slot_bytes)
-
-(* One-fetch [(base, length)] view of an array object, for the closure
-   engine's array-access sequence: bounds-check-load address, bounds test
-   and element address all derive from a single table lookup instead of
-   three [get] round-trips. *)
-let[@inline] array_view t id =
-  let obj = get t id in
-  match obj.contents with
-  | Int_array a -> (obj.base, Array.length a)
-  | Ref_array a -> (obj.base, Array.length a)
-  | Object _ -> invalid_arg "heap: object used as array"
 
 (* Greatest object whose base is <= addr, by binary search over the
    address-ordered table; the last hit is memoized, which turns the

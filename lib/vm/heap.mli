@@ -51,12 +51,6 @@ val get_elem : t -> int -> int -> Value.t
 val set_elem : t -> int -> int -> Value.t -> unit
 val elem_addr : t -> int -> int -> int
 
-val array_view : t -> int -> int * int
-(** [(base, length)] of an array object in one table lookup — the
-    closure engine's array-access fast path derives the length-load
-    address, the bounds test and the element address from it without
-    repeated id resolution. *)
-
 val value_at : t -> int -> Value.t option
 (** The value stored at a simulated address, or [None] when the address
     falls outside any live object's data slots (header bytes included). *)

@@ -3,8 +3,8 @@
    The shared interpreter state and step helpers live in [State]; both
    engines live in [Engine] — the closure-compiled engine and the
    reference {e switch} engine ([Engine.exec_switch], the classic
-   fetch/decode loop), one unit so that dev builds' [-opaque] cannot
-   turn their shared stack primitives into calls. This module keeps the
+   fetch/decode loop), one unit so that one copy of their stack
+   primitives serves both. This module keeps the
    public API stable and wires whichever engine [options.engine]
    selects into [State.engine_exec] at [create] time.
 

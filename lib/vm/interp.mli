@@ -24,9 +24,8 @@
     axis enforce; the closure engine is simply faster on the host. An
     observed run (telemetry, profiling, a load observer or a monitor
     installed) executes on the reference loop under either engine. Both
-    engines live in one internal module, so the reference loop inlines
-    the closure engine's operand-stack primitives and step prologue even
-    in dev builds, which compile with [-opaque]. *)
+    engines live in one internal module, which holds the one copy of the
+    operand-stack primitives and step prologue they share. *)
 
 type engine =
   | Switch  (** the reference fetch/decode loop *)

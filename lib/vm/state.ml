@@ -12,7 +12,7 @@
    record [t], the timing/charging helpers, the memory-access wrappers,
    GC, allocation, frame pooling, and
    [call]/[run]. (The operand-stack primitives and the step prologue
-   live in [Engine], beside both loops, so they inline.) The
+   live in [Engine], where one copy serves both loops.) The
    engines stay bit-identical by construction because every observable
    state transition goes through these helpers; the differential fuzz
    oracle's engine axis (lib/fuzz/oracle.ml) asserts it empirically.
@@ -253,8 +253,8 @@ let make ?options machine program =
    structurally. An observer installed between calls takes effect at the
    next activation. *)
 let instrumented t =
-  match (t.telem, t.prof, t.load_observer) with
-  | None, None, None -> t.mon <> None
+  match (t.telem, t.prof, t.load_observer, t.mon) with
+  | None, None, None, None -> false
   | _ -> true
 
 let set_telemetry t ~registry ?sink () =
@@ -354,8 +354,7 @@ let[@inline] retire t n =
 let[@inline] now t = t.stats.cycles
 
 let observe_load t (frame : Frame.t) ~site ~addr =
-  frame.site_prev.(site) <- frame.site_addr.(site);
-  frame.site_addr.(site) <- addr;
+  Frame.record_site frame ~site ~addr;
   match t.load_observer with
   | Some f -> f ~method_id:frame.method_info.method_id ~site ~addr
   | None -> ()
@@ -493,15 +492,21 @@ let allocate t frame ~pc:alloc_pc alloc =
     ~kind:`Store;
   id
 
-let as_ref frame v =
+(* The engines' handlers inline [as_ref] and [array_access_plain]; the
+   error paths that build messages stay out of line. *)
+let[@inline never] bad_ref (frame : Frame.t) v =
   match v with
-  | Value.Ref id -> id
   | Value.Null ->
-      vm_error "null pointer dereference in %s"
-        frame.Frame.method_info.method_name
-  | Value.Int _ ->
-      vm_error "integer used as reference in %s"
-        frame.Frame.method_info.method_name
+      vm_error "null pointer dereference in %s" frame.method_info.method_name
+  | Value.Int _ | Value.Ref _ ->
+      vm_error "integer used as reference in %s" frame.method_info.method_name
+
+let[@inline] as_ref frame v =
+  match v with Value.Ref id -> id | Value.Int _ | Value.Null -> bad_ref frame v
+
+let[@inline never] index_out_of_bounds (frame : Frame.t) ~index ~len =
+  vm_error "array index %d out of bounds [0,%d) in %s" index len
+    frame.method_info.method_name
 
 (* Load the array length (bounds-check load), verify the index, and return
    the element address. Charges the length-load access. *)
@@ -510,23 +515,20 @@ let array_access t frame ~pc ~len_site ~id ~index =
   demand_load t frame ~pc ~obj:id ~addr:len_addr ~site:len_site;
   observe_load t frame ~site:len_site ~addr:len_addr;
   let len = Heap.array_length t.heap id in
-  if index < 0 || index >= len then
-    vm_error "array index %d out of bounds [0,%d) in %s" index len
-      frame.Frame.method_info.method_name;
+  if index < 0 || index >= len then index_out_of_bounds frame ~index ~len;
   Heap.elem_addr t.heap id index
 
 (* Plain twin of [array_access] for the closure engine's handlers:
-   direct demand access, inline site-register update, no observer
-   dispatch. *)
-let array_access_plain t (frame : Frame.t) ~pc ~len_site ~id ~index =
-  let base, len = Heap.array_view t.heap id in
+   direct demand access and site-register update, no observer
+   dispatch. The kind check ([Heap.array_length]) precedes the
+   length-load demand; the bounds check follows it. *)
+let[@inline] array_access_plain t (frame : Frame.t) ~pc ~len_site ~id ~index =
+  let len = Heap.array_length t.heap id in
+  let base = Heap.base_of t.heap id in
   let len_addr = base + Classfile.array_length_offset in
   demand_plain t frame ~pc ~addr:len_addr ~kind:`Load;
-  frame.site_prev.(len_site) <- frame.site_addr.(len_site);
-  frame.site_addr.(len_site) <- len_addr;
-  if index < 0 || index >= len then
-    vm_error "array index %d out of bounds [0,%d) in %s" index len
-      frame.Frame.method_info.method_name;
+  Frame.record_site frame ~site:len_site ~addr:len_addr;
+  if index < 0 || index >= len then index_out_of_bounds frame ~index ~len;
   base + Classfile.array_elems_offset + (index * Classfile.slot_bytes)
 
 let maybe_compile t (m : Classfile.method_info) args =

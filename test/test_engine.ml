@@ -261,6 +261,57 @@ let test_rerun_determinism () =
   let b = H.run ~engine:Vm.Interp.Closure ~mode ~machine w in
   check_same_run ~ctx:"rerun" a b
 
+(* The closure engine's array path allocates nothing on the host: an int
+   element loads as a shared small-int block, and neither the bounds-check
+   load nor the element access builds a tuple. Two trip counts on fresh
+   interpreters must then allocate exactly the same words. *)
+let array_loop_source n =
+  Printf.sprintf
+    {|
+class T {
+  static void main() {
+    int[] a = new int[64];
+    T[] r = new T[64];
+    int s = 0;
+    for (int i = 0; i < %d; i = i + 1) {
+      a[i %% 64] = s %% 100;
+      s = a[(i + 1) %% 64] + 1;
+      T t = r[i %% 64];
+    }
+    print(s);
+  }
+}
+|}
+    n
+
+let test_array_path_allocates_nothing () =
+  let run n =
+    let program = Helpers.compile (array_loop_source n) in
+    let machine = Memsim.Config.pentium4 in
+    let options =
+      { (Vm.Interp.default_options machine) with engine = Vm.Interp.Closure }
+    in
+    let interp = Vm.Interp.create ~options machine program in
+    let before = Gc.minor_words () in
+    ignore (Vm.Interp.run interp);
+    let words = Gc.minor_words () -. before in
+    (Vm.Interp.output interp, words)
+  in
+  let expected n =
+    let a = Array.make 64 0 and s = ref 0 in
+    for i = 0 to n - 1 do
+      a.(i mod 64) <- !s mod 100;
+      s := a.((i + 1) mod 64) + 1
+    done;
+    Printf.sprintf "%d\n" !s
+  in
+  let out_short, words_short = run 200 in
+  let out_long, words_long = run 900 in
+  Alcotest.(check string) "N=200 output" (expected 200) out_short;
+  Alcotest.(check string) "N=900 output" (expected 900) out_long;
+  Alcotest.(check (float 0.)) "minor words independent of N" words_short
+    words_long
+
 let suite =
   [
     Alcotest.test_case "bit-identity: workload x machine x mode" `Slow
@@ -272,4 +323,6 @@ let suite =
     Alcotest.test_case "budget exhaustion is engine-invariant" `Quick
       test_budget_exhaustion_is_engine_invariant;
     Alcotest.test_case "re-run determinism" `Quick test_rerun_determinism;
+    Alcotest.test_case "array path allocates nothing" `Quick
+      test_array_path_allocates_nothing;
   ]
