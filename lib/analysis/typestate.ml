@@ -2,9 +2,9 @@
    over {!Lattice.Avalue}, tracking the operand stack, the locals, and the
    spec-load (prefetch) registers at every pc.
 
-   Subsumes and extends Jit.Verify's depth-only model: besides structural
-   well-formedness (branch targets, local/site/register ranges, consistent
-   stack depth, no falling off the end) it tracks *what kind* of value
+   Besides structural well-formedness (branch targets, local/site/register
+   ranges, consistent stack depth, no falling off the end) it tracks *what
+   kind* of value
    occupies each slot, and reports definite misuse — integer arithmetic on
    a reference, dereference of a definite null, a prefetch register
    dereferenced on a path where no spec_load defined it.
@@ -61,8 +61,8 @@ module Flow = Dataflow.Make (struct
   let equal = equal_state
 end)
 
-(* --- structural prechecks (the Jit.Verify model, re-checked here so the
-   dataflow below can assume a well-formed body) --------------------------- *)
+(* --- structural prechecks (so the dataflow below can assume a
+   well-formed body) ------------------------------------------------------- *)
 
 let structural ~(program : Vm.Classfile.program)
     (m : Vm.Classfile.method_info) =

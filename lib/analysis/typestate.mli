@@ -2,10 +2,10 @@
 
     An abstract interpretation of one method body over {!Lattice.Avalue},
     tracking [Int]/[Ref]/[Null]/prefetch-register abstract values through
-    the operand stack and the locals at every pc. Subsumes and extends
-    {!Jit.Verify}'s depth-only model: structural well-formedness (branch
-    targets, local/site/register ranges, consistent stack depth at joins,
-    no falling off the end, stack under/overflow) {e plus} value-kind
+    the operand stack and the locals at every pc. It checks structural
+    well-formedness (branch targets, local/site/register ranges,
+    consistent stack depth at joins, no falling off the end, stack
+    under/overflow) {e plus} value-kind
     tracking — integer arithmetic on a reference, dereference of a
     definite null, array indexing with a reference, a value return in a
     void method, and a prefetch register dereferenced on a path where no

@@ -65,22 +65,16 @@ let fold_constants code =
     done;
     !ok
   in
-  let fold_of = function
-    | B.Iadd -> Some ( + )
-    | B.Isub -> Some ( - )
-    | B.Imul -> Some ( * )
-    | B.Iand -> Some ( land )
-    | B.Ior -> Some ( lor )
-    | B.Ixor -> Some ( lxor )
-    | _ -> None
+  let folds = function
+    | B.Iadd | B.Isub | B.Imul | B.Iand | B.Ior | B.Ixor -> true
+    | _ -> false
   in
   let pc = ref 0 in
   while !pc + 2 < n do
     (match (slots.(!pc), slots.(!pc + 1), slots.(!pc + 2)) with
     | Some (B.Iconst a), Some (B.Iconst b), Some op
-      when fold_of op <> None && interior_free !pc 3 ->
-        let f = Option.get (fold_of op) in
-        slots.(!pc) <- Some (B.Iconst (f a b));
+      when folds op && interior_free !pc 3 ->
+        slots.(!pc) <- Some (B.Iconst (B.int_op op a b));
         slots.(!pc + 1) <- None;
         slots.(!pc + 2) <- None
     | _ -> ());

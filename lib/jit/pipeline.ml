@@ -90,7 +90,3 @@ let seconds_of_pass t name =
 let total_seconds t = Hashtbl.fold (fun _ s acc -> acc +. s) t.timings 0.0
 let pass_names t = List.map (fun p -> p.pass_name) t.passes
 let methods_compiled t = t.compiled
-
-let reset_timings t =
-  Hashtbl.reset t.timings;
-  t.compiled <- 0

@@ -61,4 +61,3 @@ val seconds_of_pass : t -> string -> float
 val total_seconds : t -> float
 val pass_names : t -> string list
 val methods_compiled : t -> int
-val reset_timings : t -> unit

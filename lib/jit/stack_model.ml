@@ -74,10 +74,12 @@ let analyze code ~arity ~callee_arity ~callee_returns =
     (a, b, st)
   in
   let push v st = { st with stack = v :: st.stack } in
-  let binop_fold f st =
+  let binop_fold op st =
     let a, b, st = pop2 st in
     let result =
-      match (a, b) with Const x, Const y -> Const (f x y) | _ -> Unknown
+      match (a, b) with
+      | Const x, Const y -> Const (B.int_op op x y)
+      | _ -> Unknown
     in
     push result st
   in
@@ -96,9 +98,7 @@ let analyze code ~arity ~callee_arity ~callee_returns =
         | v :: _ -> push v st
         | [] -> invalid_arg "stack_model: dup on empty stack")
     | B.Pop -> snd (pop st)
-    | B.Iadd -> binop_fold ( + ) st
-    | B.Isub -> binop_fold ( - ) st
-    | B.Imul -> binop_fold ( * ) st
+    | (B.Iadd | B.Isub | B.Imul) as op -> binop_fold op st
     | B.Idiv | B.Irem | B.Iand | B.Ior | B.Ixor | B.Ishl | B.Ishr ->
         let _, _, st = pop2 st in
         push Unknown st

@@ -230,12 +230,6 @@ let reset t =
           e.state <- Initial)
         u.entries
 
-let active_streams t =
-  match t.model with
-  | Disabled | Rpt _ -> 0
-  | Stream u ->
-      Array.fold_left (fun acc s -> if s.live then acc + 1 else acc) 0 u.streams
-
 let rpt_state_name t ~pc =
   match t.model with
   | Disabled | Stream _ -> None

@@ -38,9 +38,6 @@ val observe_miss : t -> pc:int -> addr:int -> int list
 val reset : t -> unit
 (** Forget all trackers (GC compaction rewrites the address space). *)
 
-val active_streams : t -> int
-(** Live stream count ([0] for the other models; tests/debug). *)
-
 val rpt_state_name : t -> pc:int -> string option
 (** The RPT tracker state currently associated with [pc]
     ("initial"/"transient"/"steady"/"nopred"), [None] when no tracker

@@ -168,20 +168,6 @@ let mix_update ~slack ~cap ~warmup m (p : float array) =
 let mix_value m = m.mix_acc
 let mix_last m = m.mix_last
 
-(* The component of [p] deviating most from the running mean mix, with
-   its sample and baseline shares — the payload for a mix-shift reason.
-   Read {e before} [mix_update] folds [p] into the mean. *)
-let mix_top_deviation m (p : float array) =
-  let best = ref 0 and bestd = ref neg_infinity in
-  for i = 0 to Array.length m.mix_means - 1 do
-    let d = Float.abs (p.(i) -. m.mix_means.(i)) in
-    if d > !bestd then begin
-      best := i;
-      bestd := d
-    end
-  done;
-  (!best, p.(!best), m.mix_means.(!best))
-
 (* ---- one-sided drift (increase) with a learned baseline ---- *)
 
 (* Like Page–Hinkley but in the increase direction and with capped

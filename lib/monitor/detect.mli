@@ -75,11 +75,6 @@ val mix_value : mix -> float
 val mix_last : mix -> float
 (** Divergence of the most recent sample. *)
 
-val mix_top_deviation : mix -> float array -> int * float * float
-(** [(index, sample share, baseline share)] of the component deviating
-    most from the running mean — the payload for a mix-shift reason.
-    Call before {!mix_update} folds the sample in. *)
-
 (** {2 One-sided drift (increase) with a learned baseline} *)
 
 type drift

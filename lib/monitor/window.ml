@@ -65,9 +65,3 @@ let classified w = w.useful + w.late + w.useless
 let useful_rate w =
   let c = classified w in
   if c = 0 then 0.0 else float_of_int w.useful /. float_of_int c
-
-let stall_total w = w.tlb + w.l1 + w.l2 + w.mem
-
-let churn_fraction w =
-  if w.allocs = 0 then 0.0
-  else float_of_int w.fresh_site_allocs /. float_of_int w.allocs

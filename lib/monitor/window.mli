@@ -47,6 +47,3 @@ val classified : t -> int
 
 val useful_rate : t -> float
 (** [useful / classified]; 0.0 when nothing settled. *)
-
-val stall_total : t -> int
-val churn_fraction : t -> float

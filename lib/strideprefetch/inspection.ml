@@ -103,15 +103,6 @@ let ref_equal a b =
   | AReal _, APriv _ | APriv _, AReal _ -> Some false
   | (AUnknown | AInt _), _ | _, (AUnknown | AInt _) -> None
 
-let int_compare (c : B.cmp) a b =
-  match c with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Ge -> a >= b
-  | Gt -> a > b
-  | Le -> a <= b
-
 (* The innermost loop whose header is the block of [tpc] and whose body
    contains the block of [spc]; backward branches always target a loop
    header of a containing loop when they are back edges. *)
@@ -264,9 +255,15 @@ let rec step st =
   let pc = st.pc in
   let instr = st.code.(pc) in
   st.pc <- pc + 1;
-  let binop f =
+  (* A binary integer instruction on known operands; a zero divisor
+     yields an unknown value. *)
+  let binop op =
     let a, b = pop2 st in
-    push st (match (a, b) with AInt x, AInt y -> f x y | _ -> AUnknown)
+    push st
+      (match (op, a, b) with
+      | (B.Idiv | B.Irem), AInt _, AInt 0 -> AUnknown
+      | _, AInt x, AInt y -> AInt (B.int_op op x y)
+      | _ -> AUnknown)
   in
   let int_branch cond tpc =
     match cond with
@@ -286,19 +283,12 @@ let rec step st =
       | v :: _ -> push st v
       | [] -> st.running <- false)
   | B.Pop -> ignore (pop st)
-  | B.Iadd -> binop (fun a b -> AInt (a + b))
-  | B.Isub -> binop (fun a b -> AInt (a - b))
-  | B.Imul -> binop (fun a b -> AInt (a * b))
-  | B.Idiv -> binop (fun a b -> if b = 0 then AUnknown else AInt (a / b))
-  | B.Irem -> binop (fun a b -> if b = 0 then AUnknown else AInt (a mod b))
+  | ( B.Iadd | B.Isub | B.Imul | B.Idiv | B.Irem | B.Iand | B.Ior | B.Ixor
+    | B.Ishl | B.Ishr ) as op ->
+      binop op
   | B.Ineg ->
       let v = pop st in
       push st (match v with AInt x -> AInt (-x) | _ -> AUnknown)
-  | B.Iand -> binop (fun a b -> AInt (a land b))
-  | B.Ior -> binop (fun a b -> AInt (a lor b))
-  | B.Ixor -> binop (fun a b -> AInt (a lxor b))
-  | B.Ishl -> binop (fun a b -> AInt (a lsl (b land 63)))
-  | B.Ishr -> binop (fun a b -> AInt (a asr (b land 63)))
   | B.Goto tpc ->
       if not (take_branch st ~spc:pc ~tpc) then
         (* A capped loop is force-exited by falling through the goto. *)
@@ -307,13 +297,13 @@ let rec step st =
       let a, b = pop2 st in
       int_branch
         (match (a, b) with
-        | AInt x, AInt y -> Some (int_compare c x y)
+        | AInt x, AInt y -> Some (B.compare c x y)
         | _ -> None)
         tpc
   | B.If (c, tpc) ->
       let a = pop st in
       int_branch
-        (match a with AInt x -> Some (int_compare c x 0) | _ -> None)
+        (match a with AInt x -> Some (B.compare c x 0) | _ -> None)
         tpc
   | B.If_acmpeq tpc ->
       let a, b = pop2 st in

@@ -132,6 +132,35 @@ let is_terminator = function
   | Goto _ | Return | Ireturn | Areturn -> true
   | _ -> false
 
+(* The meaning of the binary integer instructions, shared by both
+   execution engines, object inspection and the JIT's constant folders.
+   A caller passes the instruction as a constant, so the match folds to
+   the operator. [Idiv] and [Irem] raise [Division_by_zero] on a zero
+   divisor: every caller checks it first and gives it its own meaning. *)
+let[@inline] int_op (op : instr) a b =
+  match op with
+  | Iadd -> a + b
+  | Isub -> a - b
+  | Imul -> a * b
+  | Idiv -> a / b
+  | Irem -> a mod b
+  | Iand -> a land b
+  | Ior -> a lor b
+  | Ixor -> a lxor b
+  | Ishl -> a lsl (b land 63)
+  | Ishr -> a asr (b land 63)
+  | _ -> invalid_arg "Bytecode.int_op: not a binary integer instruction"
+
+(* [a c b]: the test of [If_icmp (c, _)], and of [If (c, _)] with [b = 0]. *)
+let[@inline] compare (c : cmp) (a : int) b =
+  match c with
+  | Eq -> a = b
+  | Ne -> a <> b
+  | Lt -> a < b
+  | Ge -> a >= b
+  | Gt -> a > b
+  | Le -> a <= b
+
 let string_of_cmp = function
   | Eq -> "eq"
   | Ne -> "ne"

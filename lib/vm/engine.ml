@@ -3,12 +3,20 @@
    ([exec_switch], the classic fetch/decode loop).
 
    They share one compilation unit so that one copy of the operand-stack
-   primitives and of the [pre] step prologue below serves both loops.
-   The default build (release profile, no [-opaque]) also inlines the
-   small helpers the handlers call in other modules: [State]'s charging
-   and memory wrappers, [Heap]'s accessors, the hierarchy's demand path.
-   A [--profile dev] build turns those into calls, which costs host time
-   only.
+   primitives, of the [pre] step prologue and of every instruction's
+   effect serves both loops. Each effect (the memory, allocation, call,
+   print and prefetch instructions) is one [@inline] function of its
+   operands that returns its result. Its [~observed] argument is a
+   constant at every call site: the reference loop passes [true] and gets
+   the observer-aware [State] helpers, the closure handlers pass [false]
+   and inline a path straight to the hierarchy. The integer operators and
+   comparisons are [Bytecode.int_op] and [Bytecode.compare], named by a
+   constant constructor wherever a closure is built, so each folds to its
+   operator. The default build (release profile, no [-opaque]) inlines
+   all of these and the small helpers they call in other modules:
+   [State]'s charging and memory helpers, [Heap]'s accessors, the
+   hierarchy's demand path. A [--profile dev] build turns those into
+   calls, which costs host time only.
 
    [compile] translates a method body, at JIT time, into a flat array of
    OCaml closures — one handler per pc, plus an out-of-bounds sentinel at
@@ -25,11 +33,16 @@
    profiling, a load observer or a monitor is installed
    ([State.instrumented]), [Interp.create]'s dispatcher sends every
    activation to the reference loop instead, so each observer call lives
-   in [State]'s helpers and [exec_switch] alone.
+   in [State]'s helpers, the observed effects and [exec_switch] alone.
 
    Bit-identity with the switch engine is the hard contract (enforced by
-   test/test_engine.ml and the fuzz oracle's engine axis). The exact
-   reference sequence per instruction is:
+   test/test_engine.ml and the fuzz oracle's engine axis). Since the
+   effects are shared, the engine diff proves what the two engines do not
+   share: the operand plumbing, the batching, the segmented charges and
+   the cache adapters. A wrong effect moves both engines alike; the
+   pinned numbers catch it instead (benchmark/expected.json, @bench-gate's
+   cycles, bin/expected/). The exact reference sequence per instruction
+   is:
 
      bounds-check pc -> steps++ -> budget check -> fetch -> pc++ ->
      retire 1 -> charge base_cost -> instruction body
@@ -107,8 +120,8 @@ let[@inline] peek (frame : Frame.t) =
 (* Block-local top-of-stack caching (see the commentary in [compile]): a
    [vhandler] is a handler compiled against a {e full} cache — its second
    argument is the logical top of stack, which is {e not} present in
-   [frame.stack]. [kont] is a continuation of either kind, matched at
-   compile time against the statically-tracked cache state. *)
+   [frame.stack]. [kont] is a handler of either kind, matched at compile
+   time against the statically-tracked cache state. *)
 type vhandler = Frame.t -> Value.t -> Value.t option
 type kont = KH of handler | KV of vhandler
 
@@ -121,6 +134,13 @@ let[@inline] spill (frame : Frame.t) v =
 
 let[@inline] cached_int (frame : Frame.t) v =
   match v with Value.Int n -> n | v -> int_expected frame v
+
+(* A producer's hand-off to a full-cache continuation: the overflow test
+   [push] would make, after which the value stays cached (the invariant
+   [spill] relies on). *)
+let[@inline] pass nv (frame : Frame.t) v =
+  if frame.sp >= Frame.max_stack then stack_overflow frame;
+  nv frame v
 
 (* The shared step prologue: budget, retire, charge — with the retired
    count and cycle cost pre-folded by the compiler ([retired]/[cost] are
@@ -142,6 +162,212 @@ let[@inline] pre (t : t) (m : Classfile.method_info) ~max_steps ~retired ~cost
 let[@inline] extra_cost ~base_cost cost =
   if cost > base_cost then cost - base_cost else 0
 
+(* ---- instruction effects ----
+
+   One function per instruction effect, shared by both engines. Operands
+   arrive as arguments in the order the reference pops them; what a
+   closure computes at compile time (a field slot, a static's address)
+   stays an argument. An effect never builds a closure: the non-flambda
+   compiler would not inline it. *)
+
+let[@inline never] division_by_zero (frame : Frame.t) =
+  vm_error "division by zero in %s" frame.method_info.method_name
+
+let[@inline never] negative_array_size (frame : Frame.t) =
+  vm_error "negative array size in %s" frame.method_info.method_name
+
+(* A binary integer instruction [op], a constant at every closure: its
+   right operand [top] is already taken, the left one is popped. The
+   divisor test is written with [==] so that it folds for a constant
+   [op]; a [match] would compile to a range test on it. *)
+let[@inline] arith (frame : Frame.t) op top =
+  let b = cached_int frame top in
+  let a = pop_int frame in
+  if (op == Bytecode.Idiv || op == Bytecode.Irem) && b = 0 then
+    division_by_zero frame;
+  Value.of_int (Bytecode.int_op op a b)
+
+(* [If_icmp c]'s test, its right operand [top] already taken, and
+   [If c]'s test of [top] against zero. *)
+let[@inline] icmp (frame : Frame.t) c top =
+  let b = cached_int frame top in
+  Bytecode.compare c (pop_int frame) b
+
+let[@inline] ifz (frame : Frame.t) c top =
+  Bytecode.compare c (cached_int frame top) 0
+
+let[@inline] slot_of offset =
+  (offset - Classfile.header_bytes) / Classfile.slot_bytes
+
+let[@inline] static_addr index =
+  Classfile.statics_base + (index * Classfile.slot_bytes)
+
+let[@inline] getfield t frame ~observed ~pc ~site ~offset ~slot v =
+  let id = as_ref frame v in
+  let addr = Heap.base_of t.heap id + offset in
+  demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Load ~site;
+  Heap.get_field t.heap id slot
+
+let[@inline] putfield t frame ~observed ~pc ~offset ~slot obj v =
+  let id = as_ref frame obj in
+  let addr = Heap.base_of t.heap id + offset in
+  demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Store ~site:(-1);
+  Heap.set_field t.heap id slot v
+
+let[@inline] getstatic t frame ~observed ~pc ~site ~index ~addr =
+  demand t frame ~observed ~pc ~obj:(-1) ~addr ~kind:`Load ~site;
+  t.globals.(index)
+
+let[@inline] putstatic t frame ~observed ~pc ~index ~addr v =
+  demand t frame ~observed ~pc ~obj:(-1) ~addr ~kind:`Store ~site:(-1);
+  t.globals.(index) <- v
+
+(* [Aaload]/[Iaload]: the length load and bounds check, then the element
+   load. *)
+let[@inline] array_load t frame ~observed ~pc ~len_site ~elem_site arr index =
+  let id = as_ref frame arr in
+  let addr = array_addr t frame ~observed ~pc ~len_site ~id ~index in
+  demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Load ~site:elem_site;
+  Heap.get_elem t.heap id index
+
+let[@inline] array_store t frame ~observed ~pc ~len_site arr index v =
+  let id = as_ref frame arr in
+  let addr = array_addr t frame ~observed ~pc ~len_site ~id ~index in
+  demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Store ~site:(-1);
+  Heap.set_elem t.heap id index v
+
+let[@inline] arraylength t frame ~observed ~pc ~site arr =
+  let id = as_ref frame arr in
+  let addr = Heap.length_addr t.heap id in
+  demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Load ~site;
+  Value.of_int (Heap.array_length t.heap id)
+
+let[@inline] new_object t frame ~pc ci =
+  Value.Ref (allocate t frame ~pc Heap.alloc_object ci)
+
+let[@inline] newarray t frame ~pc (kind : Bytecode.array_kind) len =
+  if len < 0 then negative_array_size frame;
+  let alloc =
+    match kind with
+    | Int_array -> Heap.alloc_int_array
+    | Ref_array -> Heap.alloc_ref_array
+  in
+  Value.Ref (allocate t frame ~pc alloc len)
+
+(* Stage the [n] arguments below those already taken into [args]. *)
+let[@inline] pop_args frame (args : Value.t array) n =
+  for i = n - 1 downto 0 do
+    args.(i) <- pop frame
+  done
+
+(* [Invoke] with its arguments staged in [args] (a [State.scratch_args]
+   buffer): the call, then its result pushed. *)
+let[@inline] invoke t frame callee args =
+  match call t callee args with Some v -> push frame v | None -> ()
+
+let[@inline] print t n =
+  Buffer.add_string t.out (string_of_int n);
+  Buffer.add_char t.out '\n'
+
+(* The prefetch family. Observed, each registers its structural site key
+   for the hierarchy's attribution; unobserved no attribution is
+   installed, so the hierarchy is handed -1. *)
+let[@inline] prefetch_inter t (frame : Frame.t) ~observed ~site ~distance =
+  let anchor = frame.site_addr.(site) in
+  if anchor >= 0 then begin
+    let addr = anchor + distance in
+    audit_prefetch_addr t addr;
+    let sid =
+      if observed then
+        match t.telem with
+        | Some tl ->
+            Telemetry.Attrib.site_id tl.registry
+              (Telemetry.Attrib.Inter_site
+                 { method_id = frame.method_info.method_id; site })
+        | None -> -1
+      else -1
+    in
+    Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:t.stats.cycles ~site:sid
+  end
+
+(* The guard: a speculative load whose address fell outside every live
+   object yields Null instead of faulting (Section 3.3's "loads guarded by
+   software exception checks"). [Fault.Unguarded_spec_loads] disables
+   the guard to let the fuzzing oracle prove it would catch the resulting
+   fault. *)
+let[@inline never] spec_guard_trip t (frame : Frame.t) addr =
+  t.spec_guard_trips <- t.spec_guard_trips + 1;
+  if t.unguarded_spec_loads then begin
+    t.faulting_prefetches <- t.faulting_prefetches + 1;
+    vm_error "unguarded spec_load faulted at address 0x%x in %s" addr
+      frame.method_info.method_name
+  end;
+  Value.Null
+
+let[@inline] spec_load t (frame : Frame.t) ~observed ~site ~distance ~reg =
+  let anchor = frame.site_addr.(site) in
+  if anchor >= 0 then begin
+    let addr = anchor + distance in
+    audit_prefetch_addr t addr;
+    let sid =
+      if observed then
+        match t.telem with
+        | Some tl ->
+            Telemetry.Attrib.site_id tl.registry
+              (Telemetry.Attrib.Spec_site
+                 { method_id = frame.method_info.method_id; site; reg })
+        | None -> -1
+      else -1
+    in
+    Memsim.Hierarchy.guarded_load t.mem ~addr ~now:t.stats.cycles ~site:sid;
+    frame.pref_regs.(reg) <-
+      (match Heap.value_at t.heap addr with
+      | Some v -> v
+      | None -> spec_guard_trip t frame addr)
+  end
+  else frame.pref_regs.(reg) <- Value.Null
+
+let[@inline] prefetch_dynamic t (frame : Frame.t) ~observed ~site ~times =
+  let addr = frame.site_addr.(site) and prev = frame.site_prev.(site) in
+  if addr >= 0 && prev >= 0 && addr <> prev then begin
+    let target = addr + ((addr - prev) * times) in
+    audit_prefetch_addr t target;
+    let sid =
+      if observed then
+        match t.telem with
+        | Some tl ->
+            Telemetry.Attrib.site_id tl.registry
+              (Telemetry.Attrib.Dynamic_site
+                 { method_id = frame.method_info.method_id; site })
+        | None -> -1
+      else -1
+    in
+    Memsim.Hierarchy.sw_prefetch t.mem ~addr:target ~now:t.stats.cycles
+      ~site:sid
+  end
+
+let[@inline] prefetch_indirect t (frame : Frame.t) ~observed ~reg ~offset
+    ~guarded =
+  match frame.pref_regs.(reg) with
+  | Value.Ref id when Heap.exists t.heap id ->
+      let addr = Heap.base_of t.heap id + offset in
+      audit_prefetch_addr t addr;
+      let sid =
+        if observed then
+          match t.telem with
+          | Some tl ->
+              Telemetry.Attrib.site_id tl.registry
+                (Telemetry.Attrib.Indirect_site
+                   { method_id = frame.method_info.method_id; reg; offset })
+          | None -> -1
+        else -1
+      in
+      if guarded then
+        Memsim.Hierarchy.guarded_load t.mem ~addr ~now:t.stats.cycles ~site:sid
+      else
+        Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:t.stats.cycles ~site:sid
+  | Value.Ref _ | Value.Int _ | Value.Null -> ()
+
 let compile (t : t) (m : Classfile.method_info) : compiled_method =
   let code = m.code in
   let n = Array.length code in
@@ -151,8 +377,6 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
     if cm_compiled then machine.compiled_cost else machine.interp_cost
   in
   let max_steps = t.opts.max_steps in
-  let heap = t.heap in
-  let mem = t.mem in
   let method_name = m.method_name in
   let oob pc : handler =
    fun _ -> vm_error "pc %d out of bounds in %s" pc method_name
@@ -268,374 +492,38 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
   in
   let locals_len = max m.max_locals m.arity in
 
-  (* The prologue-free instruction body. [next] is the fall-through
-     continuation: inside a block, the next body; at the block's end, the
-     successor block's handler. *)
-  let body ~(next : handler) pc (instr : Bytecode.instr) : handler =
-    match instr with
-    | Iconst k ->
-        let v = Value.of_int k in
-        fun frame ->
-          push frame v;
-          next frame
-    | Aconst_null ->
-        fun frame ->
-          push frame Value.Null;
-          next frame
-    | Iload i | Aload i ->
-        (* Baked bounds check: the frame executing this artifact always
-           has [max max_locals arity] locals (Frame.reusable discards
-           stale pooled frames, and any pass growing max_locals swaps
-           [m.code], invalidating the artifact), so an in-range constant
-           index can skip the runtime check. Out-of-range indices keep
-           the checked access and its Invalid_argument. *)
-        if i >= 0 && i < locals_len then
-          fun frame ->
-            push frame (Array.unsafe_get frame.locals i);
-            next frame
-        else
-          fun frame ->
-            push frame frame.locals.(i);
-            next frame
-    | Istore i | Astore i ->
-        if i >= 0 && i < locals_len then
-          fun frame ->
-            Array.unsafe_set frame.locals i (pop frame);
-            next frame
-        else
-          fun frame ->
-            frame.locals.(i) <- pop frame;
-            next frame
-    | Dup ->
-        fun frame ->
-          push frame (peek frame);
-          next frame
-    | Pop ->
-        fun frame ->
-          ignore (pop frame);
-          next frame
-    | Iadd ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a + b));
-          next frame
-    | Isub ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a - b));
-          next frame
-    | Imul ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a * b));
-          next frame
-    | Idiv ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          if b = 0 then vm_error "division by zero in %s" method_name;
-          push frame (Value.of_int (a / b));
-          next frame
-    | Irem ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          if b = 0 then vm_error "division by zero in %s" method_name;
-          push frame (Value.of_int (a mod b));
-          next frame
-    | Ineg ->
-        fun frame ->
-          push frame (Value.of_int (-pop_int frame));
-          next frame
-    | Iand ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a land b));
-          next frame
-    | Ior ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a lor b));
-          next frame
-    | Ixor ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a lxor b));
-          next frame
-    | Ishl ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a lsl (b land 63)));
-          next frame
-    | Ishr ->
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          push frame (Value.of_int (a asr (b land 63)));
-          next frame
-    | Goto target -> taken_of ~pc target
-    | If_icmp (c, target) -> (
-        let taken = taken_of ~pc target in
-        match c with
-        | Eq ->
-            fun frame ->
-              let b = pop_int frame in
-              let a = pop_int frame in
-              if a = b then taken frame else next frame
-        | Ne ->
-            fun frame ->
-              let b = pop_int frame in
-              let a = pop_int frame in
-              if a <> b then taken frame else next frame
-        | Lt ->
-            fun frame ->
-              let b = pop_int frame in
-              let a = pop_int frame in
-              if a < b then taken frame else next frame
-        | Ge ->
-            fun frame ->
-              let b = pop_int frame in
-              let a = pop_int frame in
-              if a >= b then taken frame else next frame
-        | Gt ->
-            fun frame ->
-              let b = pop_int frame in
-              let a = pop_int frame in
-              if a > b then taken frame else next frame
-        | Le ->
-            fun frame ->
-              let b = pop_int frame in
-              let a = pop_int frame in
-              if a <= b then taken frame else next frame)
-    | If (c, target) -> (
-        let taken = taken_of ~pc target in
-        match c with
-        | Eq ->
-            fun frame -> if pop_int frame = 0 then taken frame else next frame
-        | Ne ->
-            fun frame -> if pop_int frame <> 0 then taken frame else next frame
-        | Lt ->
-            fun frame -> if pop_int frame < 0 then taken frame else next frame
-        | Ge ->
-            fun frame -> if pop_int frame >= 0 then taken frame else next frame
-        | Gt ->
-            fun frame -> if pop_int frame > 0 then taken frame else next frame
-        | Le ->
-            fun frame -> if pop_int frame <= 0 then taken frame else next frame)
-    | If_acmpeq target ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          let b = pop frame in
-          let a = pop frame in
-          if Value.equal a b then taken frame else next frame
-    | If_acmpne target ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          let b = pop frame in
-          let a = pop frame in
-          if not (Value.equal a b) then taken frame else next frame
-    | Ifnull target ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          (match pop frame with
-          | Value.Null -> taken frame
-          | _ -> next frame)
-    | Ifnonnull target ->
-        let taken = taken_of ~pc target in
-        fun frame ->
-          (match pop frame with
-          | Value.Null -> next frame
-          | _ -> taken frame)
-    | Getfield { site; offset; name = _; is_ref = _ } ->
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        fun frame ->
-          let id = as_ref frame (pop frame) in
-          let addr = Heap.base_of heap id + offset in
-          demand_plain t frame ~pc ~addr ~kind:`Load;
-          Frame.record_site frame ~site ~addr;
-          push frame (Heap.get_field heap id slot);
-          next frame
-    | Putfield { offset; name = _ } ->
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        fun frame ->
-          let v = pop frame in
-          let id = as_ref frame (pop frame) in
-          let addr = Heap.base_of heap id + offset in
-          demand_plain t frame ~pc ~addr ~kind:`Store;
-          Heap.set_field heap id slot v;
-          next frame
-    | Getstatic { site; index; name = _; is_ref = _ } ->
-        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
-        fun frame ->
-          demand_plain t frame ~pc ~addr ~kind:`Load;
-          Frame.record_site frame ~site ~addr;
-          push frame t.globals.(index);
-          next frame
-    | Putstatic { index; name = _ } ->
-        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
-        fun frame ->
-          demand_plain t frame ~pc ~addr ~kind:`Store;
-          t.globals.(index) <- pop frame;
-          next frame
-    | Aaload { len_site; elem_site } | Iaload { len_site; elem_site } ->
-        fun frame ->
-          let index = pop_int frame in
-          let id = as_ref frame (pop frame) in
-          let addr = array_access_plain t frame ~pc ~len_site ~id ~index in
-          demand_plain t frame ~pc ~addr ~kind:`Load;
-          Frame.record_site frame ~site:elem_site ~addr;
-          push frame (Heap.get_elem heap id index);
-          next frame
-    | Aastore { len_site } | Iastore { len_site } ->
-        fun frame ->
-          let v = pop frame in
-          let index = pop_int frame in
-          let id = as_ref frame (pop frame) in
-          let addr = array_access_plain t frame ~pc ~len_site ~id ~index in
-          demand_plain t frame ~pc ~addr ~kind:`Store;
-          Heap.set_elem heap id index v;
-          next frame
-    | Arraylength { site } ->
-        fun frame ->
-          let id = as_ref frame (pop frame) in
-          let addr = Heap.length_addr heap id in
-          demand_plain t frame ~pc ~addr ~kind:`Load;
-          Frame.record_site frame ~site ~addr;
-          push frame (Value.of_int (Heap.array_length heap id));
-          next frame
-    | New class_id ->
-        let ci = Classfile.class_of_id t.program class_id in
-        let alloc () = Heap.alloc_object heap ci in
-        fun frame ->
-          let id = allocate t frame ~pc alloc in
-          push frame (Value.Ref id);
-          next frame
-    | Newarray kind ->
-        fun frame ->
-          let len = pop_int frame in
-          if len < 0 then vm_error "negative array size in %s" method_name;
-          let alloc () =
-            match kind with
-            | Bytecode.Int_array -> Heap.alloc_int_array heap len
-            | Bytecode.Ref_array -> Heap.alloc_ref_array heap len
-          in
-          push frame (Value.Ref (allocate t frame ~pc alloc));
-          next frame
-    | Invoke callee_id ->
-        let callee = Classfile.method_of_id t.program callee_id in
-        fun frame ->
-          let args = scratch_args t callee.arity in
-          for i = callee.arity - 1 downto 0 do
-            args.(i) <- pop frame
-          done;
-          (match call t callee args with
-          | Some v -> push frame v
-          | None -> ());
-          next frame
-    | Return -> fun _frame -> None
-    | Ireturn | Areturn -> fun frame -> Some (pop frame)
-    | Print ->
-        fun frame ->
-          let v = pop_int frame in
-          Buffer.add_string t.out (string_of_int v);
-          Buffer.add_char t.out '\n';
-          next frame
-    | Prefetch_inter { site; distance } ->
-        fun frame ->
-          let anchor = frame.site_addr.(site) in
-          if anchor >= 0 then begin
-            let addr = anchor + distance in
-            audit_prefetch_addr t addr;
-            Memsim.Hierarchy.sw_prefetch mem ~addr ~now:t.stats.cycles
-              ~site:(-1)
-          end;
-          next frame
-    | Spec_load { site; distance; reg } ->
-        let unguarded = t.unguarded_spec_loads in
-        fun frame ->
-          let anchor = frame.site_addr.(site) in
-          if anchor >= 0 then begin
-            let addr = anchor + distance in
-            audit_prefetch_addr t addr;
-            Memsim.Hierarchy.guarded_load mem ~addr ~now:t.stats.cycles
-              ~site:(-1);
-            let v =
-              match Heap.value_at heap addr with
-              | Some v -> v
-              | None ->
-                  t.spec_guard_trips <- t.spec_guard_trips + 1;
-                  if unguarded then begin
-                    t.faulting_prefetches <- t.faulting_prefetches + 1;
-                    vm_error
-                      "unguarded spec_load faulted at address 0x%x in %s" addr
-                      method_name
-                  end;
-                  Value.Null
-            in
-            frame.pref_regs.(reg) <- v
-          end
-          else frame.pref_regs.(reg) <- Value.Null;
-          next frame
-    | Prefetch_dynamic { site; times } ->
-        fun frame ->
-          let addr = frame.site_addr.(site) in
-          let prev = frame.site_prev.(site) in
-          if addr >= 0 && prev >= 0 && addr <> prev then begin
-            let target = addr + ((addr - prev) * times) in
-            audit_prefetch_addr t target;
-            Memsim.Hierarchy.sw_prefetch mem ~addr:target ~now:t.stats.cycles
-              ~site:(-1)
-          end;
-          next frame
-    | Prefetch_indirect { reg; offset; guarded } ->
-        fun frame ->
-          (match frame.pref_regs.(reg) with
-          | Value.Ref id when Heap.exists heap id ->
-              let addr = Heap.base_of heap id + offset in
-              audit_prefetch_addr t addr;
-              if guarded then
-                Memsim.Hierarchy.guarded_load mem ~addr ~now:t.stats.cycles
-                  ~site:(-1)
-              else
-                Memsim.Hierarchy.sw_prefetch mem ~addr ~now:t.stats.cycles
-                  ~site:(-1)
-          | Value.Ref _ | Value.Int _ | Value.Null -> ());
-          next frame
-  in
-
   (* ---- top-of-stack caching within blocks ----
 
-     Block chains additionally thread the topmost operand through a
-     closure argument ([vhandler]) instead of the stack array whenever
-     its position is statically known: blocks and branch targets are
-     entered with the cache empty, each instruction is compiled against
-     the compile-time cache state, and a cached value is spilled back
-     exactly where the switch engine would have had it in the array —
-     when the next instruction cannot consume it directly, at block
-     exits, and before any allocation that does not consume it (the
-     collector enumerates roots from [frame.stack], so a reference must
-     never be cached across a GC point; [New] spills first, [Newarray]
-     and [Invoke] consume the cache before allocating, and a zero-arity
-     [Invoke] falls back to the spill adapter). Overflow and underflow
-     tests compare the same logical depths at the same program points as
-     the switch engine — a cached value counts one toward the logical
-     depth — so every Stack_error fires identically.
+     Chains additionally thread the topmost operand through a closure
+     argument ([vhandler]) instead of the stack array whenever its
+     position is statically known: blocks are entered with the cache
+     empty, and a cached value is spilled back exactly where the switch
+     engine would have had it in the array — when the next instruction
+     does not consume it, at block exits, and before any allocation that
+     does not consume it (the collector enumerates roots from
+     [frame.stack], so a reference must never be cached across a GC
+     point; [New] spills first, [Newarray] and [Invoke] consume the cache
+     before allocating, and a zero-arity [Invoke] spills). Overflow and
+     underflow tests compare the same logical depths at the same program
+     points as the switch engine — a cached value counts one toward the
+     logical depth — so every Stack_error fires identically.
 
-     [body_empty] compiles an instruction whose entry cache is empty; it
-     defers to [body] for every instruction that also exits empty.
-     [body_full] returns [None] for instructions with no profitable
-     full-cache form; [build] then inserts the spill adapter and
-     compiles the empty-entry form, which is exact for any instruction
-     (spilling merely materializes the logical stack). [exits_full] is
-     the single source of truth for the post-state, shared by both
-     paths. *)
+     [form] gives each instruction one closure. A consumer (any
+     instruction that pops) takes its top operand as the [vhandler]
+     argument; every other instruction is a plain [handler], and a
+     producer passes its result on through [pass]. [enter] fits a form
+     to the cache state it is entered in: a consumer entered empty gets
+     the pop adapter, whose underflow test and popped value are the ones
+     the reference's first pop sees ([cached_int] then makes the
+     reference's int test); a non-consumer entered full gets the spill
+     adapter. Over the 12 paper programs (Pentium4, INTER+INTRA) a
+     consumer is entered empty on 1.37% of its executions, so the pop
+     adapter's extra call lands on under 1% of retired instructions.
+     Behind it the pop comes first, so [Putstatic] pops before its store
+     demand, on the reference loop too; the order can only show in a
+     body that underflows there, which raises the same error either way.
+     Whether a form takes the top operand is the single source of truth
+     for the pre-state, [exits_full] for the post-state. *)
   let exits_full (instr_ : Bytecode.instr) =
     match instr_ with
     | Iconst _ | Aconst_null | Iload _ | Aload _ | Dup | Iadd | Isub | Imul
@@ -647,447 +535,257 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
   in
   let kh = function KH h -> h | KV _ -> assert false in
   let kv = function KV h -> h | KH _ -> assert false in
-  let body_empty kont pc (instr_ : Bytecode.instr) : handler =
+  let enter ~full (form : kont) : kont =
+    match (form, full) with
+    | KV vh, false -> KH (fun frame -> vh frame (pop frame))
+    | KH h, true ->
+        KV
+          (fun frame v ->
+            spill frame v;
+            h frame)
+    | (KV _ | KH _), _ -> form
+  in
+  let form kont pc (instr_ : Bytecode.instr) : kont =
     match instr_ with
     | Iconst k ->
-        let v = Value.of_int k in
-        let nv = kv kont in
-        fun frame ->
-          if frame.sp >= Frame.max_stack then stack_overflow frame;
-          nv frame v
+        let v = Value.of_int k and nv = kv kont in
+        KH (fun frame -> pass nv frame v)
     | Aconst_null ->
         let nv = kv kont in
-        fun frame ->
-          if frame.sp >= Frame.max_stack then stack_overflow frame;
-          nv frame Value.Null
+        KH (fun frame -> pass nv frame Value.Null)
     | Iload i | Aload i ->
+        (* Baked bounds check: the frame executing this artifact always
+           has [max max_locals arity] locals (Frame.reusable discards
+           stale pooled frames, and any pass growing max_locals swaps
+           [m.code], invalidating the artifact), so an in-range constant
+           index can skip the runtime check. Out-of-range indices keep
+           the checked access and its Invalid_argument. *)
         let nv = kv kont in
-        if i >= 0 && i < locals_len then
-          fun frame ->
-            if frame.sp >= Frame.max_stack then stack_overflow frame;
-            nv frame (Array.unsafe_get frame.locals i)
-        else
-          fun frame ->
-            let v = frame.locals.(i) in
-            if frame.sp >= Frame.max_stack then stack_overflow frame;
-            nv frame v
-    | Dup ->
-        let nv = kv kont in
-        fun frame ->
-          let v = peek frame in
-          if frame.sp >= Frame.max_stack then stack_overflow frame;
-          nv frame v
-    | Iadd ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          nv frame (Value.of_int (a + b))
-    | Isub ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          nv frame (Value.of_int (a - b))
-    | Imul ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          nv frame (Value.of_int (a * b))
-    | Idiv ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          if b = 0 then vm_error "division by zero in %s" method_name;
-          nv frame (Value.of_int (a / b))
-    | Irem ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          if b = 0 then vm_error "division by zero in %s" method_name;
-          nv frame (Value.of_int (a mod b))
-    | Ineg ->
-        let nv = kv kont in
-        fun frame -> nv frame (Value.of_int (-pop_int frame))
-    | Iand ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          nv frame (Value.of_int (a land b))
-    | Ior ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          nv frame (Value.of_int (a lor b))
-    | Ixor ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          nv frame (Value.of_int (a lxor b))
-    | Ishl ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          nv frame (Value.of_int (a lsl (b land 63)))
-    | Ishr ->
-        let nv = kv kont in
-        fun frame ->
-          let b = pop_int frame in
-          let a = pop_int frame in
-          nv frame (Value.of_int (a asr (b land 63)))
-    | Getfield { site; offset; name = _; is_ref = _ } ->
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        let nv = kv kont in
-        fun frame ->
-          let id = as_ref frame (pop frame) in
-          let addr = Heap.base_of heap id + offset in
-          demand_plain t frame ~pc ~addr ~kind:`Load;
-          Frame.record_site frame ~site ~addr;
-          nv frame (Heap.get_field heap id slot)
-    | Getstatic { site; index; name = _; is_ref = _ } ->
-        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
-        let nv = kv kont in
-        fun frame ->
-          demand_plain t frame ~pc ~addr ~kind:`Load;
-          Frame.record_site frame ~site ~addr;
-          let v = t.globals.(index) in
-          if frame.sp >= Frame.max_stack then stack_overflow frame;
-          nv frame v
-    | Aaload { len_site; elem_site } | Iaload { len_site; elem_site } ->
-        let nv = kv kont in
-        fun frame ->
-          let index = pop_int frame in
-          let id = as_ref frame (pop frame) in
-          let addr = array_access_plain t frame ~pc ~len_site ~id ~index in
-          demand_plain t frame ~pc ~addr ~kind:`Load;
-          Frame.record_site frame ~site:elem_site ~addr;
-          nv frame (Heap.get_elem heap id index)
-    | Arraylength { site } ->
-        let nv = kv kont in
-        fun frame ->
-          let id = as_ref frame (pop frame) in
-          let addr = Heap.length_addr heap id in
-          demand_plain t frame ~pc ~addr ~kind:`Load;
-          Frame.record_site frame ~site ~addr;
-          nv frame (Value.of_int (Heap.array_length heap id))
-    | New class_id ->
-        let ci = Classfile.class_of_id t.program class_id in
-        let alloc () = Heap.alloc_object heap ci in
-        let nv = kv kont in
-        fun frame ->
-          let id = allocate t frame ~pc alloc in
-          if frame.sp >= Frame.max_stack then stack_overflow frame;
-          nv frame (Value.Ref id)
-    | Newarray kind ->
-        let nv = kv kont in
-        fun frame ->
-          let len = pop_int frame in
-          if len < 0 then vm_error "negative array size in %s" method_name;
-          let alloc () =
-            match kind with
-            | Bytecode.Int_array -> Heap.alloc_int_array heap len
-            | Bytecode.Ref_array -> Heap.alloc_ref_array heap len
-          in
-          nv frame (Value.Ref (allocate t frame ~pc alloc))
-    | _ -> body ~next:(kh kont) pc instr_
-  in
-  let body_full kont pc (instr_ : Bytecode.instr) : vhandler option =
-    match instr_ with
+        KH
+          (if i >= 0 && i < locals_len then fun frame ->
+             pass nv frame (Array.unsafe_get frame.locals i)
+           else fun frame -> pass nv frame frame.locals.(i))
     | Istore i | Astore i ->
         let nh = kh kont in
-        Some
+        KV
           (if i >= 0 && i < locals_len then fun frame v ->
              Array.unsafe_set frame.locals i v;
              nh frame
            else fun frame v ->
              frame.locals.(i) <- v;
              nh frame)
-    | Pop ->
-        let nh = kh kont in
-        Some (fun frame _v -> nh frame)
     | Dup ->
         let nv = kv kont in
-        Some
+        KV
           (fun frame v ->
             if frame.sp >= Frame.max_stack - 1 then stack_overflow frame;
             spill frame v;
             nv frame v)
+    | Pop ->
+        let nh = kh kont in
+        KV (fun frame _v -> nh frame)
     | Iadd ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            nv frame (Value.of_int (a + b)))
+        KV (fun frame v -> nv frame (arith frame Iadd v))
     | Isub ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            nv frame (Value.of_int (a - b)))
+        KV (fun frame v -> nv frame (arith frame Isub v))
     | Imul ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            nv frame (Value.of_int (a * b)))
+        KV (fun frame v -> nv frame (arith frame Imul v))
     | Idiv ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            if b = 0 then vm_error "division by zero in %s" method_name;
-            nv frame (Value.of_int (a / b)))
+        KV (fun frame v -> nv frame (arith frame Idiv v))
     | Irem ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            if b = 0 then vm_error "division by zero in %s" method_name;
-            nv frame (Value.of_int (a mod b)))
-    | Ineg ->
-        let nv = kv kont in
-        Some (fun frame v -> nv frame (Value.of_int (-cached_int frame v)))
+        KV (fun frame v -> nv frame (arith frame Irem v))
     | Iand ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            nv frame (Value.of_int (a land b)))
+        KV (fun frame v -> nv frame (arith frame Iand v))
     | Ior ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            nv frame (Value.of_int (a lor b)))
+        KV (fun frame v -> nv frame (arith frame Ior v))
     | Ixor ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            nv frame (Value.of_int (a lxor b)))
+        KV (fun frame v -> nv frame (arith frame Ixor v))
     | Ishl ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            nv frame (Value.of_int (a lsl (b land 63))))
+        KV (fun frame v -> nv frame (arith frame Ishl v))
     | Ishr ->
         let nv = kv kont in
-        Some
-          (fun frame v ->
-            let b = cached_int frame v in
-            let a = pop_int frame in
-            nv frame (Value.of_int (a asr (b land 63))))
-    | If_icmp (c, target) -> (
-        (* Specialized per comparison (like the empty-cache path): the
-           cached back-edge compare is the hottest vhandler of all, and
-           baking the comparison saves [compare_int]'s dispatch on it. *)
-        let taken = taken_of ~pc target in
-        let next = kh kont in
-        match c with
-        | Eq ->
-            Some
-              (fun frame v ->
-                let b = cached_int frame v in
-                let a = pop_int frame in
-                if a = b then taken frame else next frame)
-        | Ne ->
-            Some
-              (fun frame v ->
-                let b = cached_int frame v in
-                let a = pop_int frame in
-                if a <> b then taken frame else next frame)
-        | Lt ->
-            Some
-              (fun frame v ->
-                let b = cached_int frame v in
-                let a = pop_int frame in
-                if a < b then taken frame else next frame)
-        | Ge ->
-            Some
-              (fun frame v ->
-                let b = cached_int frame v in
-                let a = pop_int frame in
-                if a >= b then taken frame else next frame)
-        | Gt ->
-            Some
-              (fun frame v ->
-                let b = cached_int frame v in
-                let a = pop_int frame in
-                if a > b then taken frame else next frame)
-        | Le ->
-            Some
-              (fun frame v ->
-                let b = cached_int frame v in
-                let a = pop_int frame in
-                if a <= b then taken frame else next frame))
-    | If (c, target) -> (
-        let taken = taken_of ~pc target in
-        let next = kh kont in
-        match c with
-        | Eq ->
-            Some
-              (fun frame v ->
-                if cached_int frame v = 0 then taken frame else next frame)
-        | Ne ->
-            Some
-              (fun frame v ->
-                if cached_int frame v <> 0 then taken frame else next frame)
-        | Lt ->
-            Some
-              (fun frame v ->
-                if cached_int frame v < 0 then taken frame else next frame)
-        | Ge ->
-            Some
-              (fun frame v ->
-                if cached_int frame v >= 0 then taken frame else next frame)
-        | Gt ->
-            Some
-              (fun frame v ->
-                if cached_int frame v > 0 then taken frame else next frame)
-        | Le ->
-            Some
-              (fun frame v ->
-                if cached_int frame v <= 0 then taken frame else next frame))
+        KV (fun frame v -> nv frame (arith frame Ishr v))
+    | Ineg ->
+        let nv = kv kont in
+        KV (fun frame v -> nv frame (Value.of_int (-cached_int frame v)))
+    | Goto target -> KH (taken_of ~pc target)
+    | If_icmp (c, target) ->
+        (* One closure per comparison: the cached back-edge compare is the
+           hottest handler of all, and a constant comparison saves
+           [Bytecode.compare]'s dispatch on it. *)
+        let taken = taken_of ~pc target and next = kh kont in
+        KV
+          (match c with
+          | Eq ->
+              fun frame v ->
+                if icmp frame Eq v then taken frame else next frame
+          | Ne ->
+              fun frame v ->
+                if icmp frame Ne v then taken frame else next frame
+          | Lt ->
+              fun frame v ->
+                if icmp frame Lt v then taken frame else next frame
+          | Ge ->
+              fun frame v ->
+                if icmp frame Ge v then taken frame else next frame
+          | Gt ->
+              fun frame v ->
+                if icmp frame Gt v then taken frame else next frame
+          | Le ->
+              fun frame v ->
+                if icmp frame Le v then taken frame else next frame)
+    | If (c, target) ->
+        let taken = taken_of ~pc target and next = kh kont in
+        KV
+          (match c with
+          | Eq ->
+              fun frame v ->
+                if ifz frame Eq v then taken frame else next frame
+          | Ne ->
+              fun frame v ->
+                if ifz frame Ne v then taken frame else next frame
+          | Lt ->
+              fun frame v ->
+                if ifz frame Lt v then taken frame else next frame
+          | Ge ->
+              fun frame v ->
+                if ifz frame Ge v then taken frame else next frame
+          | Gt ->
+              fun frame v ->
+                if ifz frame Gt v then taken frame else next frame
+          | Le ->
+              fun frame v ->
+                if ifz frame Le v then taken frame else next frame)
     | If_acmpeq target ->
-        let taken = taken_of ~pc target in
-        let next = kh kont in
-        Some
+        let taken = taken_of ~pc target and next = kh kont in
+        KV
           (fun frame v ->
-            let a = pop frame in
-            if Value.equal a v then taken frame else next frame)
+            if Value.equal (pop frame) v then taken frame else next frame)
     | If_acmpne target ->
-        let taken = taken_of ~pc target in
-        let next = kh kont in
-        Some
+        let taken = taken_of ~pc target and next = kh kont in
+        KV
           (fun frame v ->
-            let a = pop frame in
-            if not (Value.equal a v) then taken frame else next frame)
+            if Value.equal (pop frame) v then next frame else taken frame)
     | Ifnull target ->
-        let taken = taken_of ~pc target in
-        let next = kh kont in
-        Some
+        let taken = taken_of ~pc target and next = kh kont in
+        KV
           (fun frame v ->
             match v with Value.Null -> taken frame | _ -> next frame)
     | Ifnonnull target ->
-        let taken = taken_of ~pc target in
-        let next = kh kont in
-        Some
+        let taken = taken_of ~pc target and next = kh kont in
+        KV
           (fun frame v ->
             match v with Value.Null -> next frame | _ -> taken frame)
     | Getfield { site; offset; name = _; is_ref = _ } ->
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        let nv = kv kont in
-        Some
+        let slot = slot_of offset and nv = kv kont in
+        KV
           (fun frame v ->
-            let id = as_ref frame v in
-            let addr = Heap.base_of heap id + offset in
-            demand_plain t frame ~pc ~addr ~kind:`Load;
-            Frame.record_site frame ~site ~addr;
-            nv frame (Heap.get_field heap id slot))
+            nv frame
+              (getfield t frame ~observed:false ~pc ~site ~offset ~slot v))
     | Putfield { offset; name = _ } ->
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        let nh = kh kont in
-        Some
+        let slot = slot_of offset and nh = kh kont in
+        KV
           (fun frame v ->
-            let id = as_ref frame (pop frame) in
-            let addr = Heap.base_of heap id + offset in
-            demand_plain t frame ~pc ~addr ~kind:`Store;
-            Heap.set_field heap id slot v;
+            putfield t frame ~observed:false ~pc ~offset ~slot (pop frame) v;
             nh frame)
+    | Getstatic { site; index; name = _; is_ref = _ } ->
+        let addr = static_addr index and nv = kv kont in
+        KH
+          (fun frame ->
+            pass nv frame
+              (getstatic t frame ~observed:false ~pc ~site ~index ~addr))
     | Putstatic { index; name = _ } ->
-        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
-        let nh = kh kont in
-        Some
+        let addr = static_addr index and nh = kh kont in
+        KV
           (fun frame v ->
-            demand_plain t frame ~pc ~addr ~kind:`Store;
-            t.globals.(index) <- v;
+            putstatic t frame ~observed:false ~pc ~index ~addr v;
             nh frame)
     | Aaload { len_site; elem_site } | Iaload { len_site; elem_site } ->
         let nv = kv kont in
-        Some
+        KV
           (fun frame v ->
             let index = cached_int frame v in
-            let id = as_ref frame (pop frame) in
-            let addr = array_access_plain t frame ~pc ~len_site ~id ~index in
-            demand_plain t frame ~pc ~addr ~kind:`Load;
-            Frame.record_site frame ~site:elem_site ~addr;
-            nv frame (Heap.get_elem heap id index))
+            nv frame
+              (array_load t frame ~observed:false ~pc ~len_site ~elem_site
+                 (pop frame) index))
     | Aastore { len_site } | Iastore { len_site } ->
         let nh = kh kont in
-        Some
+        KV
           (fun frame v ->
             let index = pop_int frame in
-            let id = as_ref frame (pop frame) in
-            let addr = array_access_plain t frame ~pc ~len_site ~id ~index in
-            demand_plain t frame ~pc ~addr ~kind:`Store;
-            Heap.set_elem heap id index v;
+            array_store t frame ~observed:false ~pc ~len_site (pop frame) index
+              v;
             nh frame)
     | Arraylength { site } ->
         let nv = kv kont in
-        Some
+        KV
           (fun frame v ->
-            let id = as_ref frame v in
-            let addr = Heap.length_addr heap id in
-            demand_plain t frame ~pc ~addr ~kind:`Load;
-            Frame.record_site frame ~site ~addr;
-            nv frame (Value.of_int (Heap.array_length heap id)))
+            nv frame (arraylength t frame ~observed:false ~pc ~site v))
+    | New class_id ->
+        let ci = Classfile.class_of_id t.program class_id and nv = kv kont in
+        KH (fun frame -> pass nv frame (new_object t frame ~pc ci))
     | Newarray kind ->
         let nv = kv kont in
-        Some
+        KV
           (fun frame v ->
-            let len = cached_int frame v in
-            if len < 0 then vm_error "negative array size in %s" method_name;
-            let alloc () =
-              match kind with
-              | Bytecode.Int_array -> Heap.alloc_int_array heap len
-              | Bytecode.Ref_array -> Heap.alloc_ref_array heap len
-            in
-            nv frame (Value.Ref (allocate t frame ~pc alloc)))
+            nv frame (newarray t frame ~pc kind (cached_int frame v)))
     | Invoke callee_id ->
         let callee = Classfile.method_of_id t.program callee_id in
-        if callee.arity = 0 then None
+        let arity = callee.arity and nh = kh kont in
+        if arity = 0 then
+          KH
+            (fun frame ->
+              invoke t frame callee (scratch_args t 0);
+              nh frame)
         else
-          let arity = callee.arity in
-          let nh = kh kont in
-          Some
+          KV
             (fun frame v ->
               let args = scratch_args t arity in
               args.(arity - 1) <- v;
-              for i = arity - 2 downto 0 do
-                args.(i) <- pop frame
-              done;
-              (match call t callee args with
-              | Some r -> push frame r
-              | None -> ());
+              pop_args frame args (arity - 1);
+              invoke t frame callee args;
               nh frame)
-    | Ireturn | Areturn -> Some (fun _frame v -> Some v)
-    | Return -> Some (fun _frame _v -> None)
+    | Return -> KH (fun _frame -> None)
+    | Ireturn | Areturn -> KV (fun _frame v -> Some v)
     | Print ->
         let nh = kh kont in
-        Some
+        KV
           (fun frame v ->
-            let n = cached_int frame v in
-            Buffer.add_string t.out (string_of_int n);
-            Buffer.add_char t.out '\n';
+            print t (cached_int frame v);
             nh frame)
-    | _ -> None
+    | Prefetch_inter { site; distance } ->
+        let nh = kh kont in
+        KH
+          (fun frame ->
+            prefetch_inter t frame ~observed:false ~site ~distance;
+            nh frame)
+    | Spec_load { site; distance; reg } ->
+        let nh = kh kont in
+        KH
+          (fun frame ->
+            spec_load t frame ~observed:false ~site ~distance ~reg;
+            nh frame)
+    | Prefetch_dynamic { site; times } ->
+        let nh = kh kont in
+        KH
+          (fun frame ->
+            prefetch_dynamic t frame ~observed:false ~site ~times;
+            nh frame)
+    | Prefetch_indirect { reg; offset; guarded } ->
+        let nh = kh kont in
+        KH
+          (fun frame ->
+            prefetch_indirect t frame ~observed:false ~reg ~offset ~guarded;
+            nh frame)
   in
 
   (* Block leaders: entry, every in-range branch target, and the
@@ -1118,115 +816,97 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
     else if leaders.(j + 1) then j
     else block_end (j + 1)
   in
+  (* Cost of the charge segment of a block ending at [e] that starts at
+     [j]: every instruction up to and including the first cycle observer
+     (or the block's end). *)
+  let rec seg_cost ~e j =
+    let c = cost_of code.(j) in
+    if j >= e || observes_cycles code.(j) then c else c + seg_cost ~e (j + 1)
+  in
+  (* Commit one segment's cycles, preserving the cache state. Reads
+     [m.compiled] at run time like the head does; every segment charge in
+     a block runs before the block's only possible call (its terminator),
+     so all of them see the value the head saw. *)
+  let charged cost (kont : kont) : kont =
+    match kont with
+    | KH h ->
+        KH
+          (fun frame ->
+            let stats = t.stats in
+            stats.cycles <- stats.cycles + cost;
+            if m.compiled then t.compiled_cycles <- t.compiled_cycles + cost
+            else t.interpreted_cycles <- t.interpreted_cycles + cost;
+            h frame)
+    | KV vh ->
+        KV
+          (fun frame v ->
+            let stats = t.stats in
+            stats.cycles <- stats.cycles + cost;
+            if m.compiled then t.compiled_cycles <- t.compiled_cycles + cost
+            else t.interpreted_cycles <- t.interpreted_cycles + cost;
+            vh frame v)
+  in
+  (* The chain of forms for pcs [j..e], entered in cache state [full]: the
+     successor handler at [e + 1] is entered empty (through the spill
+     adapter when [e] leaves a value cached), and a charge step follows
+     every cycle observer but the last. *)
+  let rec chain j ~e ~full : kont =
+    if j > e then enter ~full (KH handlers.(e + 1))
+    else
+      let instr_ = code.(j) in
+      let kont = chain (j + 1) ~e ~full:(exits_full instr_) in
+      let kont =
+        if j < e && observes_cycles instr_ then
+          charged (seg_cost ~e (j + 1)) kont
+        else kont
+      in
+      enter ~full (form kont j instr_)
+  in
+  (* The per-instruction handler: the prologue, then a one-instruction
+     chain. It runs single-instruction blocks, and the fallback chain of
+     a block whose batched budget test fired. A fallback chain runs at
+     most once: the budget runs out inside its block, which ends the
+     run. So only a single-instruction block's handler is built up
+     front; the others are built when a fallback chain reaches them. *)
+  let standalone pc : handler =
+    let h = kh (chain pc ~e:pc ~full:false) in
+    let retired = retired_of code.(pc) and cost = cost_of code.(pc) in
+    fun frame ->
+      pre t m ~max_steps ~retired ~cost;
+      h frame
+  in
   (* Backward fill: at pc, every handler above pc is already compiled, so
      fall-through captures its successor directly and forward branches
-     bind their target handler without indirection. *)
+     bind their target handler without indirection. Only a fallback
+     chain enters a pc that is not a leader. *)
   for pc = n - 1 downto 0 do
-    (* The per-instruction handler: prologue fused with the body. Used
-       directly for single-instruction blocks, and as the exact
-       fallback chain when a batched budget test fires. *)
-    let standalone =
-      let b = body ~next:handlers.(pc + 1) pc code.(pc) in
-      let retired = retired_of code.(pc) and cost = cost_of code.(pc) in
-      fun frame ->
-        pre t m ~max_steps ~retired ~cost;
-        b frame
-    in
-    handlers.(pc) <- standalone;
-    if leaders.(pc) then begin
-      let e = block_end pc in
-      if e > pc then begin
-        let k = e - pc + 1 in
-        let retired_k = ref 0 in
-        for j = pc to e do
-          retired_k := !retired_k + retired_of code.(j)
-        done;
-        let retired_k = !retired_k in
-        (* Cost of the charge segment starting at [j]: every
-           instruction up to and including the first cycle observer
-           (or the block's end). *)
-        let rec seg_cost j =
-          let c = cost_of code.(j) in
-          if j >= e || observes_cycles code.(j) then c
-          else c + seg_cost (j + 1)
-        in
-        (* Commit one segment's cycles, preserving the cache state.
-           Reads [m.compiled] at run time like the head does; every
-           segment charge in a block runs before the block's only
-           possible call (its terminator), so all of them see the
-           value the head saw. *)
-        let charged cost (kont : kont) : kont =
-          match kont with
-          | KH h ->
-              KH
-                (fun frame ->
-                  let stats = t.stats in
-                  stats.cycles <- stats.cycles + cost;
-                  if m.compiled then
-                    t.compiled_cycles <- t.compiled_cycles + cost
-                  else t.interpreted_cycles <- t.interpreted_cycles + cost;
-                  h frame)
-          | KV vh ->
-              KV
-                (fun frame v ->
-                  let stats = t.stats in
-                  stats.cycles <- stats.cycles + cost;
-                  if m.compiled then
-                    t.compiled_cycles <- t.compiled_cycles + cost
-                  else t.interpreted_cycles <- t.interpreted_cycles + cost;
-                  vh frame v)
-        in
-        (* Compile the chain against the statically-tracked cache
-           state: blocks are entered with the cache empty; a full exit
-           state at the block's end (or an instruction with no
-           full-cache form) gets the spill adapter. *)
-        let rec build j ~full : kont =
-          if j > e then
-            if full then
-              let succ = handlers.(e + 1) in
-              KV
-                (fun frame v ->
-                  spill frame v;
-                  succ frame)
-            else KH handlers.(e + 1)
-          else
-            let instr_ = code.(j) in
-            let kont = build (j + 1) ~full:(exits_full instr_) in
-            let kont =
-              if j < e && observes_cycles instr_ then
-                charged (seg_cost (j + 1)) kont
-              else kont
-            in
-            if full then
-              KV
-                (match body_full kont j instr_ with
-                | Some vh -> vh
-                | None ->
-                    let h = body_empty kont j instr_ in
-                    fun frame v ->
-                      spill frame v;
-                      h frame)
-            else KH (body_empty kont j instr_)
-        in
-        let first = kh (build pc ~full:false) in
-        let cost_1 = seg_cost pc in
-        handlers.(pc) <-
-          (fun frame ->
-            let steps = t.steps + k in
-            if steps > max_steps then standalone frame
-            else begin
-              t.steps <- steps;
-              let stats = t.stats in
-              stats.retired_instructions <-
-                stats.retired_instructions + retired_k;
-              stats.cycles <- stats.cycles + cost_1;
-              if m.compiled then
-                t.compiled_cycles <- t.compiled_cycles + cost_1
-              else t.interpreted_cycles <- t.interpreted_cycles + cost_1;
-              first frame
-            end)
-      end
-    end
+    let e = if leaders.(pc) then block_end pc else pc in
+    handlers.(pc) <-
+      (if not leaders.(pc) then fun frame -> standalone pc frame
+       else if e = pc then standalone pc
+       else begin
+         let k = e - pc + 1 in
+         let retired_k = ref 0 in
+         for j = pc to e do
+           retired_k := !retired_k + retired_of code.(j)
+         done;
+         let retired_k = !retired_k in
+         let first = kh (chain pc ~e ~full:false) in
+         let cost_1 = seg_cost ~e pc in
+         fun frame ->
+           let steps = t.steps + k in
+           if steps > max_steps then standalone pc frame
+           else begin
+             t.steps <- steps;
+             let stats = t.stats in
+             stats.retired_instructions <-
+               stats.retired_instructions + retired_k;
+             stats.cycles <- stats.cycles + cost_1;
+             if m.compiled then t.compiled_cycles <- t.compiled_cycles + cost_1
+             else t.interpreted_cycles <- t.interpreted_cycles + cost_1;
+             first frame
+           end
+       end)
   done;
   { cm_code = code; cm_compiled; cm_handlers = handlers }
 
@@ -1260,20 +940,34 @@ let[@inline] bin_of_instr (instr : Bytecode.instr) =
       if guarded then Prof_guard_overhead else Prof_pf_overhead
   | _ -> Prof_retire
 
-let[@inline] compare_int (c : Bytecode.cmp) (a : int) (b : int) =
-  match c with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Ge -> a >= b
-  | Gt -> a > b
-  | Le -> a <= b
+(* A taken branch: count a backedge, then move the pc. *)
+let[@inline] jump (m : Classfile.method_info) (frame : Frame.t) ~pc target =
+  if target <= pc then m.backedges <- m.backedges + 1;
+  frame.pc <- target
+
+(* An array instruction's second base slot, charged and binned before its
+   accesses. *)
+let[@inline] second_slot t (frame : Frame.t) ~pc ~base_cost =
+  retire t 1;
+  charge t frame base_cost;
+  prof_cycles t ~method_id:frame.method_info.method_id ~pc ~bin:Prof_retire
+    ~cycles:base_cost
+
+(* A prefetch-type instruction's cost beyond its base slot, charged and
+   binned as the overhead the optimization added. *)
+let[@inline] overhead t (frame : Frame.t) ~pc ~base_cost ~bin cost =
+  let extra = extra_cost ~base_cost cost in
+  charge t frame extra;
+  if extra > 0 then
+    prof_cycles t ~method_id:frame.method_info.method_id ~pc ~bin
+      ~cycles:extra
 
 (* The reference switch engine: one fetch/decode loop iteration per
-   instruction. Keep it in lockstep with [compile]: any change to this
-   loop needs the mirrored change there. [Invoke] recurses through
-   [State.call], which dispatches the callee through whichever engine is
-   wired — the engines compose. Results are pushed through
+   instruction, one arm per instruction, each calling the effect the
+   closure handlers call. Keep it in lockstep with [compile]: any change
+   to this loop needs the mirrored change there. [Invoke] recurses
+   through [State.call], which dispatches the callee through whichever
+   engine is wired — the engines compose. Results are pushed through
    [Value.of_int] and arguments staged in [State.scratch_args], as the
    closure handlers do; neither is observable, since values are only
    compared structurally.
@@ -1287,9 +981,9 @@ let exec_switch (t : t) (frame : Frame.t) =
   let m = frame.method_info in
   let code = m.code in
   let n = Array.length code in
+  let machine = t.opts.machine in
   let base_cost =
-    if m.compiled then t.opts.machine.compiled_cost
-    else t.opts.machine.interp_cost
+    if m.compiled then machine.compiled_cost else machine.interp_cost
   in
   let max_steps = t.opts.max_steps in
   let result = ref None in
@@ -1312,288 +1006,103 @@ let exec_switch (t : t) (frame : Frame.t) =
         p.on_cycles ~method_id:m.method_id ~pc ~bin:(bin_of_instr instr)
           ~cycles:base_cost
     | None -> ());
-    (match instr with
+    match instr with
     | Iconst k -> push frame (Value.of_int k)
     | Aconst_null -> push frame Value.Null
     | Iload i | Aload i -> push frame frame.locals.(i)
     | Istore i | Astore i -> frame.locals.(i) <- pop frame
     | Dup -> push frame (peek frame)
     | Pop -> ignore (pop frame)
-    | Iadd ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        push frame (Value.of_int (a + b))
-    | Isub ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        push frame (Value.of_int (a - b))
-    | Imul ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        push frame (Value.of_int (a * b))
-    | Idiv ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        if b = 0 then vm_error "division by zero in %s" m.method_name;
-        push frame (Value.of_int (a / b))
-    | Irem ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        if b = 0 then vm_error "division by zero in %s" m.method_name;
-        push frame (Value.of_int (a mod b))
+    | Iadd -> push frame (arith frame Iadd (pop frame))
+    | Isub -> push frame (arith frame Isub (pop frame))
+    | Imul -> push frame (arith frame Imul (pop frame))
+    | Idiv -> push frame (arith frame Idiv (pop frame))
+    | Irem -> push frame (arith frame Irem (pop frame))
+    | Iand -> push frame (arith frame Iand (pop frame))
+    | Ior -> push frame (arith frame Ior (pop frame))
+    | Ixor -> push frame (arith frame Ixor (pop frame))
+    | Ishl -> push frame (arith frame Ishl (pop frame))
+    | Ishr -> push frame (arith frame Ishr (pop frame))
     | Ineg -> push frame (Value.of_int (-pop_int frame))
-    | Iand ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        push frame (Value.of_int (a land b))
-    | Ior ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        push frame (Value.of_int (a lor b))
-    | Ixor ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        push frame (Value.of_int (a lxor b))
-    | Ishl ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        push frame (Value.of_int (a lsl (b land 63)))
-    | Ishr ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        push frame (Value.of_int (a asr (b land 63)))
-    | Goto target ->
-        if target <= pc then m.backedges <- m.backedges + 1;
-        frame.pc <- target
+    | Goto target -> jump m frame ~pc target
     | If_icmp (c, target) ->
-        let b = pop_int frame in
-        let a = pop_int frame in
-        if compare_int c a b then begin
-          if target <= pc then m.backedges <- m.backedges + 1;
-          frame.pc <- target
-        end
-    | If (c, target) ->
-        let a = pop_int frame in
-        if compare_int c a 0 then begin
-          if target <= pc then m.backedges <- m.backedges + 1;
-          frame.pc <- target
-        end
+        if icmp frame c (pop frame) then jump m frame ~pc target
+    | If (c, target) -> if ifz frame c (pop frame) then jump m frame ~pc target
     | If_acmpeq target ->
         let b = pop frame in
-        let a = pop frame in
-        if Value.equal a b then begin
-          if target <= pc then m.backedges <- m.backedges + 1;
-          frame.pc <- target
-        end
+        if Value.equal (pop frame) b then jump m frame ~pc target
     | If_acmpne target ->
         let b = pop frame in
-        let a = pop frame in
-        if not (Value.equal a b) then begin
-          if target <= pc then m.backedges <- m.backedges + 1;
-          frame.pc <- target
-        end
+        if not (Value.equal (pop frame) b) then jump m frame ~pc target
     | Ifnull target -> (
         match pop frame with
-        | Value.Null ->
-            if target <= pc then m.backedges <- m.backedges + 1;
-            frame.pc <- target
+        | Value.Null -> jump m frame ~pc target
         | Value.Int _ | Value.Ref _ -> ())
     | Ifnonnull target -> (
         match pop frame with
         | Value.Null -> ()
-        | Value.Int _ | Value.Ref _ ->
-            if target <= pc then m.backedges <- m.backedges + 1;
-            frame.pc <- target)
+        | Value.Int _ | Value.Ref _ -> jump m frame ~pc target)
     | Getfield { site; offset; name = _; is_ref = _ } ->
-        let id = as_ref frame (pop frame) in
-        let addr = Heap.base_of t.heap id + offset in
-        demand_load t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~site;
-        observe_load t frame ~site ~addr;
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        push frame (Heap.get_field t.heap id slot)
+        push frame
+          (getfield t frame ~observed:true ~pc ~site ~offset
+             ~slot:(slot_of offset) (pop frame))
     | Putfield { offset; name = _ } ->
         let v = pop frame in
-        let id = as_ref frame (pop frame) in
-        let addr = Heap.base_of t.heap id + offset in
-        demand t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~kind:`Store;
-        let slot = (offset - Classfile.header_bytes) / Classfile.slot_bytes in
-        Heap.set_field t.heap id slot v
+        putfield t frame ~observed:true ~pc ~offset ~slot:(slot_of offset)
+          (pop frame) v
     | Getstatic { site; index; name = _; is_ref = _ } ->
-        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
-        demand_load t frame ~pc:(frame.pc - 1) ~obj:(-1) ~addr ~site;
-        observe_load t frame ~site ~addr;
-        push frame t.globals.(index)
+        push frame
+          (getstatic t frame ~observed:true ~pc ~site ~index
+             ~addr:(static_addr index))
     | Putstatic { index; name = _ } ->
-        let addr = Classfile.statics_base + (index * Classfile.slot_bytes) in
-        demand t frame ~pc:(frame.pc - 1) ~obj:(-1) ~addr ~kind:`Store;
-        t.globals.(index) <- pop frame
+        putstatic t frame ~observed:true ~pc ~index ~addr:(static_addr index)
+          (pop frame)
     | Aaload { len_site; elem_site } | Iaload { len_site; elem_site } ->
-        retire t 1;
-        charge t frame base_cost;
-        prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_retire
-          ~cycles:base_cost;
+        second_slot t frame ~pc ~base_cost;
         let index = pop_int frame in
-        let id = as_ref frame (pop frame) in
-        let addr = array_access t frame ~pc:(frame.pc - 1) ~len_site ~id ~index in
-        demand_load t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~site:elem_site;
-        observe_load t frame ~site:elem_site ~addr;
-        push frame (Heap.get_elem t.heap id index)
+        push frame
+          (array_load t frame ~observed:true ~pc ~len_site ~elem_site
+             (pop frame) index)
     | Aastore { len_site } | Iastore { len_site } ->
-        retire t 1;
-        charge t frame base_cost;
-        prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_retire
-          ~cycles:base_cost;
+        second_slot t frame ~pc ~base_cost;
         let v = pop frame in
         let index = pop_int frame in
-        let id = as_ref frame (pop frame) in
-        let addr = array_access t frame ~pc:(frame.pc - 1) ~len_site ~id ~index in
-        demand t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~kind:`Store;
-        Heap.set_elem t.heap id index v
+        array_store t frame ~observed:true ~pc ~len_site (pop frame) index v
     | Arraylength { site } ->
-        let id = as_ref frame (pop frame) in
-        let addr = Heap.length_addr t.heap id in
-        demand_load t frame ~pc:(frame.pc - 1) ~obj:id ~addr ~site;
-        observe_load t frame ~site ~addr;
-        push frame (Value.of_int (Heap.array_length t.heap id))
+        push frame (arraylength t frame ~observed:true ~pc ~site (pop frame))
     | New class_id ->
-        let ci = Classfile.class_of_id t.program class_id in
-        let id = allocate t frame ~pc:(frame.pc - 1) (fun () -> Heap.alloc_object t.heap ci) in
-        push frame (Value.Ref id)
-    | Newarray kind ->
-        let len = pop_int frame in
-        if len < 0 then vm_error "negative array size in %s" m.method_name;
-        let alloc () =
-          match kind with
-          | Bytecode.Int_array -> Heap.alloc_int_array t.heap len
-          | Bytecode.Ref_array -> Heap.alloc_ref_array t.heap len
-        in
-        push frame (Value.Ref (allocate t frame ~pc:(frame.pc - 1) alloc))
+        push frame
+          (new_object t frame ~pc (Classfile.class_of_id t.program class_id))
+    | Newarray kind -> push frame (newarray t frame ~pc kind (pop_int frame))
     | Invoke callee_id ->
         let callee = Classfile.method_of_id t.program callee_id in
         let args = scratch_args t callee.arity in
-        for i = callee.arity - 1 downto 0 do
-          args.(i) <- pop frame
-        done;
-        (match call t callee args with
-        | Some v -> push frame v
-        | None -> ())
+        pop_args frame args callee.arity;
+        invoke t frame callee args
     | Return -> running := false
     | Ireturn | Areturn ->
         result := Some (pop frame);
         running := false
-    | Print ->
-        let v = pop_int frame in
-        Buffer.add_string t.out (string_of_int v);
-        Buffer.add_char t.out '\n'
+    | Print -> print t (pop_int frame)
     | Prefetch_inter { site; distance } ->
-        let extra = extra_cost ~base_cost t.opts.machine.prefetch_cost in
-        charge t frame extra;
-        if extra > 0 then
-          prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_pf_overhead
-            ~cycles:extra;
-        let anchor = frame.site_addr.(site) in
-        if anchor >= 0 then begin
-          let addr = anchor + distance in
-          audit_prefetch_addr t addr;
-          let sid =
-            match t.telem with
-            | None -> -1
-            | Some tl ->
-                Telemetry.Attrib.site_id tl.registry
-                  (Telemetry.Attrib.Inter_site
-                     { method_id = m.method_id; site })
-          in
-          Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:(now t) ~site:sid
-        end
+        overhead t frame ~pc ~base_cost ~bin:Prof_pf_overhead
+          machine.prefetch_cost;
+        prefetch_inter t frame ~observed:true ~site ~distance
     | Spec_load { site; distance; reg } ->
-        let extra = extra_cost ~base_cost t.opts.machine.guarded_load_cost in
-        charge t frame extra;
-        if extra > 0 then
-          prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_guard_overhead
-            ~cycles:extra;
-        let anchor = frame.site_addr.(site) in
-        if anchor >= 0 then begin
-          let addr = anchor + distance in
-          audit_prefetch_addr t addr;
-          let sid =
-            match t.telem with
-            | None -> -1
-            | Some tl ->
-                Telemetry.Attrib.site_id tl.registry
-                  (Telemetry.Attrib.Spec_site
-                     { method_id = m.method_id; site; reg })
-          in
-          Memsim.Hierarchy.guarded_load t.mem ~addr ~now:(now t) ~site:sid;
-          let v =
-            match Heap.value_at t.heap addr with
-            | Some v -> v
-            | None ->
-                (* The guard: a speculative load whose address fell outside
-                   every live object yields Null instead of faulting
-                   (Section 3.3's "loads guarded by software exception
-                   checks"). [Fault.Unguarded_spec_loads] disables the
-                   guard to let the fuzzing oracle prove it would catch
-                   the resulting fault. *)
-                t.spec_guard_trips <- t.spec_guard_trips + 1;
-                if t.unguarded_spec_loads then begin
-                  t.faulting_prefetches <- t.faulting_prefetches + 1;
-                  vm_error
-                    "unguarded spec_load faulted at address 0x%x in %s" addr
-                    frame.Frame.method_info.method_name
-                end;
-                Value.Null
-          in
-          frame.pref_regs.(reg) <- v
-        end
-        else frame.pref_regs.(reg) <- Value.Null
+        overhead t frame ~pc ~base_cost ~bin:Prof_guard_overhead
+          machine.guarded_load_cost;
+        spec_load t frame ~observed:true ~site ~distance ~reg
     | Prefetch_dynamic { site; times } ->
-        let extra = extra_cost ~base_cost t.opts.machine.prefetch_cost in
-        charge t frame extra;
-        if extra > 0 then
-          prof_cycles t ~method_id:m.method_id ~pc ~bin:Prof_pf_overhead
-            ~cycles:extra;
-        let addr = frame.site_addr.(site) and prev = frame.site_prev.(site) in
-        if addr >= 0 && prev >= 0 && addr <> prev then begin
-          let target = addr + ((addr - prev) * times) in
-          audit_prefetch_addr t target;
-          let sid =
-            match t.telem with
-            | None -> -1
-            | Some tl ->
-                Telemetry.Attrib.site_id tl.registry
-                  (Telemetry.Attrib.Dynamic_site
-                     { method_id = m.method_id; site })
-          in
-          Memsim.Hierarchy.sw_prefetch t.mem ~addr:target ~now:(now t)
-            ~site:sid
-        end
+        overhead t frame ~pc ~base_cost ~bin:Prof_pf_overhead
+          machine.prefetch_cost;
+        prefetch_dynamic t frame ~observed:true ~site ~times
     | Prefetch_indirect { reg; offset; guarded } ->
-        let cost =
-          if guarded then t.opts.machine.guarded_load_cost
-          else t.opts.machine.prefetch_cost
-        in
-        let extra = extra_cost ~base_cost cost in
-        charge t frame extra;
-        if extra > 0 then
-          prof_cycles t ~method_id:m.method_id ~pc
-            ~bin:(if guarded then Prof_guard_overhead else Prof_pf_overhead)
-            ~cycles:extra;
-        (match frame.pref_regs.(reg) with
-        | Value.Ref id when Heap.exists t.heap id -> (
-            let addr = Heap.base_of t.heap id + offset in
-            audit_prefetch_addr t addr;
-            let sid =
-              match t.telem with
-              | None -> -1
-              | Some tl ->
-                  Telemetry.Attrib.site_id tl.registry
-                    (Telemetry.Attrib.Indirect_site
-                       { method_id = m.method_id; reg; offset })
-            in
-            (if guarded then Memsim.Hierarchy.guarded_load
-             else Memsim.Hierarchy.sw_prefetch)
-              t.mem ~addr ~now:(now t) ~site:sid)
-        | Value.Ref _ | Value.Int _ | Value.Null -> ()));
-    ()
+        if guarded then
+          overhead t frame ~pc ~base_cost ~bin:Prof_guard_overhead
+            machine.guarded_load_cost
+        else
+          overhead t frame ~pc ~base_cost ~bin:Prof_pf_overhead
+            machine.prefetch_cost;
+        prefetch_indirect t frame ~observed:true ~reg ~offset ~guarded
   done;
   !result

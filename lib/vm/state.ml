@@ -9,18 +9,22 @@
      direct-threaded fall-through, eliminating decode from the hot loop.
 
    Everything else both engines share lives here: the interpreter state
-   record [t], the timing/charging helpers, the memory-access wrappers,
-   GC, allocation, frame pooling, and
-   [call]/[run]. (The operand-stack primitives and the step prologue
-   live in [Engine], where one copy serves both loops.) The
-   engines stay bit-identical by construction because every observable
-   state transition goes through these helpers; the differential fuzz
-   oracle's engine axis (lib/fuzz/oracle.ml) asserts it empirically.
+   record [t], the timing/charging helpers, one helper per memory job
+   (the demand access [demand], the array bounds check [array_addr]),
+   GC, allocation, frame pooling, and [call]/[run]. (The operand-stack
+   primitives, the step prologue and each instruction's effect live in
+   [Engine], where one copy serves both loops.) The engines stay
+   bit-identical by construction because every observable state
+   transition goes through these helpers; the differential fuzz oracle's
+   engine axis (lib/fuzz/oracle.ml) asserts it empirically.
 
    Observers (telemetry, profiler, load observer, monitor) are called
    from these helpers and the reference loop only: while any is
    installed ([instrumented]), every activation runs on the switch
-   engine, whichever engine [options.engine] names.
+   engine, whichever engine [options.engine] names. The memory helpers
+   take [~observed], a constant at every call site: [true] on the
+   reference loop, which adds the observer calls; [false] on the closure
+   handlers, which inline a path straight to the hierarchy.
 
    [engine_exec] is the indirection that breaks the module cycle: [call]
    dispatches a method body through it, [Interp.create] wires it to the
@@ -351,14 +355,6 @@ let[@inline] charge_stall t (frame : Frame.t) cycles =
 let[@inline] retire t n =
   t.stats.retired_instructions <- t.stats.retired_instructions + n
 
-let[@inline] now t = t.stats.cycles
-
-let observe_load t (frame : Frame.t) ~site ~addr =
-  Frame.record_site frame ~site ~addr;
-  match t.load_observer with
-  | Some f -> f ~method_id:frame.method_info.method_id ~site ~addr
-  | None -> ()
-
 (* Report a stalled demand access to the profiler. The attributing pc is
    [frame.pc - 1]: every memory-access handler runs after [frame.pc] was
    advanced past the instruction and none of them branches first, so this
@@ -389,38 +385,38 @@ let[@inline] prof_cycles t ~method_id ~pc ~bin ~cycles =
 let[@inline] pack_pc (frame : Frame.t) ~pc =
   (frame.method_info.method_id lsl 16) lor (pc land 0xffff)
 
-(* Charge a demand access's stall, reporting it to the profiler first. *)
-let[@inline] charge_demand t frame ~obj stall =
-  if stall > 0 then begin
-    (match t.prof with Some p -> prof_stall t p frame ~obj ~stall | None -> ());
-    charge_stall t frame stall
-  end
-
-let demand t frame ~pc ~obj ~addr ~kind =
-  charge_demand t frame ~obj
-    (Memsim.Hierarchy.demand_access t.mem ~pc:(pack_pc frame ~pc) ~addr ~kind
-       ~now:(now t))
-
-(* A demand load at a numbered load site. Under telemetry its memory
+(* A demand access of [kind] at [pc], charging its stall. [kind] is a
+   constant at every call site. A load names its load site, whose
+   address register then takes [addr]; a store's [site] is unused (-1).
+   Observed, three observers join in: under telemetry the load's memory
    misses are bucketed by the packed (method, site) key — the coverage
-   denominator for prefetches registered against that site. *)
-let demand_load t (frame : Frame.t) ~pc ~obj ~addr ~site =
-  charge_demand t frame ~obj
-    (Memsim.Hierarchy.demand_load t.mem ~pc:(pack_pc frame ~pc) ~addr
-       ~now:(now t)
-       ~dkey:
-         (Telemetry.Attrib.demand_key ~method_id:frame.method_info.method_id
-            ~site))
-
-(* Plain demand access: the closure engine's handlers, which only run
-   unobserved, go straight to the hierarchy — [demand] without the
-   profiler test. *)
-let[@inline] demand_plain t (frame : Frame.t) ~pc ~addr ~kind =
+   denominator for prefetches registered against that site —, the
+   profiler hears of a stall before it is charged, and the load observer
+   sees the site's address last. *)
+let[@inline] demand t (frame : Frame.t) ~observed ~pc ~obj ~addr ~kind ~site =
+  let pc = pack_pc frame ~pc and now = t.stats.cycles in
   let stall =
-    Memsim.Hierarchy.demand_access t.mem ~pc:(pack_pc frame ~pc) ~addr ~kind
-      ~now:t.stats.cycles
+    match kind with
+    | `Load when observed ->
+        Memsim.Hierarchy.demand_load t.mem ~pc ~addr ~now
+          ~dkey:
+            (Telemetry.Attrib.demand_key
+               ~method_id:frame.method_info.method_id ~site)
+    | `Load | `Store -> Memsim.Hierarchy.demand_access t.mem ~pc ~addr ~kind ~now
   in
-  if stall > 0 then charge_stall t frame stall
+  if stall > 0 then begin
+    (if observed then
+       match t.prof with Some p -> prof_stall t p frame ~obj ~stall | None -> ());
+    charge_stall t frame stall
+  end;
+  match kind with
+  | `Store -> ()
+  | `Load -> (
+      Frame.record_site frame ~site ~addr;
+      if observed then
+        match t.load_observer with
+        | Some f -> f ~method_id:frame.method_info.method_id ~site ~addr
+        | None -> ())
 
 let collect_garbage t =
   let ts_us, cycles_begin =
@@ -469,12 +465,16 @@ let collect_garbage t =
         ~cycles_begin ~cycles_end:t.stats.cycles ()
   | _ -> ()
 
-let allocate t frame ~pc:alloc_pc alloc =
+(* Allocate with [alloc t.heap arg] — [Heap.alloc_object] and a class, or
+   an array allocator and a length, so no closure is built per
+   allocation — collecting and retrying once when the heap is full. Out
+   of line: both engines call it, and it reports to the profiler. *)
+let[@inline never] allocate t frame ~pc:alloc_pc alloc arg =
   let id =
-    try alloc ()
+    try alloc t.heap arg
     with Heap.Out_of_memory -> (
       collect_garbage t;
-      try alloc ()
+      try alloc t.heap arg
       with Heap.Out_of_memory -> vm_error "heap exhausted after collection")
   in
   charge t frame t.opts.alloc_cycles;
@@ -488,12 +488,12 @@ let allocate t frame ~pc:alloc_pc alloc =
       p.on_cycles ~method_id ~pc ~bin:Prof_alloc ~cycles:t.opts.alloc_cycles
   | None -> ());
   (* The header write warms the first line of the new object. *)
-  demand t frame ~pc:alloc_pc ~obj:id ~addr:(Heap.base_of t.heap id)
-    ~kind:`Store;
+  demand t frame ~observed:true ~pc:alloc_pc ~obj:id
+    ~addr:(Heap.base_of t.heap id) ~kind:`Store ~site:(-1);
   id
 
-(* The engines' handlers inline [as_ref] and [array_access_plain]; the
-   error paths that build messages stay out of line. *)
+(* The engines' handlers inline [as_ref] and [array_addr]; the error
+   paths that build messages stay out of line. *)
 let[@inline never] bad_ref (frame : Frame.t) v =
   match v with
   | Value.Null ->
@@ -508,26 +508,17 @@ let[@inline never] index_out_of_bounds (frame : Frame.t) ~index ~len =
   vm_error "array index %d out of bounds [0,%d) in %s" index len
     frame.method_info.method_name
 
-(* Load the array length (bounds-check load), verify the index, and return
-   the element address. Charges the length-load access. *)
-let array_access t frame ~pc ~len_site ~id ~index =
-  let len_addr = Heap.length_addr t.heap id in
-  demand_load t frame ~pc ~obj:id ~addr:len_addr ~site:len_site;
-  observe_load t frame ~site:len_site ~addr:len_addr;
-  let len = Heap.array_length t.heap id in
-  if index < 0 || index >= len then index_out_of_bounds frame ~index ~len;
-  Heap.elem_addr t.heap id index
-
-(* Plain twin of [array_access] for the closure engine's handlers:
-   direct demand access and site-register update, no observer
-   dispatch. The kind check ([Heap.array_length]) precedes the
-   length-load demand; the bounds check follows it. *)
-let[@inline] array_access_plain t (frame : Frame.t) ~pc ~len_site ~id ~index =
+(* The address of element [index] of array [id]: the bounds-check load of
+   the length word at [len_site], then the bounds check. The kind check
+   ([Heap.array_length] raises on an object) precedes the length load on
+   both engines; where it stands can only show in a run that aborts on
+   that instruction, which raises the same error either way. *)
+let[@inline] array_addr t (frame : Frame.t) ~observed ~pc ~len_site ~id ~index =
   let len = Heap.array_length t.heap id in
   let base = Heap.base_of t.heap id in
-  let len_addr = base + Classfile.array_length_offset in
-  demand_plain t frame ~pc ~addr:len_addr ~kind:`Load;
-  Frame.record_site frame ~site:len_site ~addr:len_addr;
+  demand t frame ~observed ~pc ~obj:id
+    ~addr:(base + Classfile.array_length_offset)
+    ~kind:`Load ~site:len_site;
   if index < 0 || index >= len then index_out_of_bounds frame ~index ~len;
   base + Classfile.array_elems_offset + (index * Classfile.slot_bytes)
 

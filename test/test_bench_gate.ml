@@ -241,7 +241,15 @@ let test_default_keys_pinned () =
   Alcotest.(check int) "110 cells" 110 (List.length keys);
   Alcotest.(check int) "distinct keys" 110
     (List.length (List.sort_uniq compare keys));
-  let baseline = ok (Gate.load "../BENCH_hotpath.json") in
+  (* The rule's [deps] copy the baseline next to the test directory; find
+     it from the executable, so the test runs from any directory. *)
+  let baseline =
+    ok
+      (Gate.load
+         (Filename.concat
+            (Filename.dirname Sys.executable_name)
+            "../BENCH_hotpath.json"))
+  in
   Alcotest.(check (list string))
     "key set of the committed baseline"
     (List.sort compare (List.map Gate.cell_key baseline.Gate.cells))

@@ -312,6 +312,390 @@ let test_array_path_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words independent of N" words_short
     words_long
 
+(* ---- every instruction in every entry state ----
+
+   The closure engine compiles each instruction against the statically
+   tracked top-of-stack cache: a consumer entered with the cache empty
+   runs behind a pop adapter, an instruction that does not consume a
+   cached top runs behind a spill adapter, and a budget that runs out
+   inside a block re-runs it through the per-instruction fallback chain.
+   Each case below runs one instruction three ways on both engines:
+   first in its block (entered empty, after a [Goto] to it), right after
+   a producer in the same block (entered with the top cached), and under
+   every step budget that runs out after the prelude. Output, the
+   returned value and the books must match; an aborted run compares its
+   error and output only (no counter is read after an abort). *)
+
+module B = Vm.Bytecode
+
+(* A tiny assembler: labels name the pc of the next instruction. *)
+type asm = I of B.instr | L of string | J of string * (int -> B.instr)
+
+let assemble items =
+  let labels = Hashtbl.create 8 in
+  ignore
+    (List.fold_left
+       (fun pc -> function
+         | L l ->
+             Hashtbl.replace labels l pc;
+             pc
+         | I _ | J _ -> pc + 1)
+       0 items);
+  Array.of_list
+    (List.filter_map
+       (function
+         | I i -> Some i
+         | J (l, f) -> Some (f (Hashtbl.find labels l))
+         | L _ -> None)
+       items)
+
+let is = List.map (fun i -> I i)
+
+let point =
+  Vm.Classfile.make_class ~class_id:0 ~class_name:"P"
+    ~field_specs:[ ("x", false); ("next", true) ]
+
+let get_x site = B.Getfield { site; offset = 8; name = "x"; is_ref = false }
+let get_next site = B.Getfield { site; offset = 12; name = "next"; is_ref = true }
+let put_x = B.Putfield { offset = 8; name = "x" }
+let put_next = B.Putfield { offset = 12; name = "next" }
+let get_s0 site = B.Getstatic { site; index = 0; name = "s0"; is_ref = false }
+let get_s1 site = B.Getstatic { site; index = 1; name = "s1"; is_ref = true }
+let put_s0 = B.Putstatic { index = 0; name = "s0" }
+let put_s1 = B.Putstatic { index = 1; name = "s1" }
+
+(* Locals: 0 an int[4] with a[1] = 77, 1 a ref[3] with r[2] = the object,
+   2 a P object with x = 9 and next = itself, 3 the int 100003. Statics:
+   s0 = 11, s1 = the object. Site 9 is never loaded. *)
+let prelude =
+  is
+    [
+      B.Iconst 4; B.Newarray B.Int_array; B.Astore 0;
+      B.Iconst 3; B.Newarray B.Ref_array; B.Astore 1;
+      B.New 0; B.Astore 2;
+      B.Iconst 100003; B.Istore 3;
+      B.Aload 0; B.Iconst 1; B.Iconst 77; B.Iastore { len_site = 10 };
+      B.Aload 1; B.Iconst 2; B.Aload 2; B.Aastore { len_site = 10 };
+      B.Aload 2; B.Iconst 9; put_x;
+      B.Aload 2; B.Aload 2; put_next;
+      B.Iconst 11; put_s0;
+      B.Aload 2; put_s1;
+    ]
+
+(* Callees: 1 [T.sub] (a, b) -> a - b; 2 [T.seven] () -> 7; 3 [T.show]
+   (a) prints a; 4 [T.same] (r) -> r. *)
+let matrix_program code =
+  let p = Helpers.program_of_code ~max_locals:4 code in
+  let main = p.methods.(0) in
+  main.n_sites <- 16;
+  main.n_pref_regs <- 2;
+  let callee method_id method_name ~arity ~returns_value code =
+    Vm.Classfile.make_method ~method_id ~method_name ~arity ~returns_value
+      ~max_locals:arity ~code
+  in
+  {
+    p with
+    Vm.Classfile.classes = [| point |];
+    statics =
+      [|
+        { Vm.Classfile.static_name = "s0"; static_index = 0 };
+        { Vm.Classfile.static_name = "s1"; static_index = 1 };
+      |];
+    methods =
+      [|
+        main;
+        callee 1 "T.sub" ~arity:2 ~returns_value:true
+          [| B.Iload 0; B.Iload 1; B.Isub; B.Ireturn |];
+        callee 2 "T.seven" ~arity:0 ~returns_value:true
+          [| B.Iconst 7; B.Ireturn |];
+        callee 3 "T.show" ~arity:1 ~returns_value:false
+          [| B.Iload 0; B.Print; B.Return |];
+        callee 4 "T.same" ~arity:1 ~returns_value:true
+          [| B.Aload 0; B.Areturn |];
+      |];
+  }
+
+(* Prints 0 for a null top of stack, 1 otherwise. *)
+let print_nullness tag =
+  [
+    J (tag ^ "-null", fun t -> B.Ifnull t);
+    I (B.Iconst 1); I B.Print;
+    J (tag ^ "-done", fun t -> B.Goto t);
+    L (tag ^ "-null");
+    I (B.Iconst 0); I B.Print;
+    L (tag ^ "-done");
+  ]
+
+(* One case: [setup] ends with a producer, so that in the same block the
+   instruction is entered with the top cached; [rest] makes its result
+   observable. *)
+type case = { name : string; setup : asm list; instr : asm; rest : asm list }
+
+let case name setup instr rest = { name; setup; instr; rest }
+
+(* A conditional branch: prints 1 when taken, 0 when not. *)
+let branch name setup make =
+  case name setup
+    (J ("taken", make))
+    [
+      I (B.Iconst 0); I B.Print;
+      J ("join", fun t -> B.Goto t);
+      L "taken";
+      I (B.Iconst 1); I B.Print;
+      L "join";
+    ]
+
+let one = I (B.Iconst 1)
+let ints = List.map (fun k -> I (B.Iconst k))
+let cmps = B.[ Eq; Ne; Lt; Ge; Gt; Le ]
+let array_elem = B.Iaload { len_site = 5; elem_site = 6 }
+let ref_elem = B.Aaload { len_site = 5; elem_site = 6 }
+
+(* Every case of one constructor. No wildcard: a new constructor stops
+   the build here. *)
+let cases_of (instr : B.instr) =
+  let show_int = is [ B.Print ] and show_ref tag = print_nullness tag in
+  match instr with
+  | Iconst _ ->
+      List.map
+        (fun k -> case (string_of_int k) [ one ] (I (B.Iconst k)) (is [ B.Print; B.Print ]))
+        [ 42; 100000; -5 ]
+  | Aconst_null -> [ case "" [ one ] (I B.Aconst_null) (show_ref "a" @ show_int) ]
+  | Iload _ ->
+      [
+        case "in range" [ one ] (I (B.Iload 3)) (is [ B.Print; B.Print ]);
+        case "out of range" [ one ] (I (B.Iload 7)) (is [ B.Print; B.Print ]);
+      ]
+  | Istore _ ->
+      [
+        case "in range" (ints [ 100000 ]) (I (B.Istore 3)) (is [ B.Iload 3; B.Print ]);
+        case "out of range" (ints [ 5 ]) (I (B.Istore 7)) [];
+      ]
+  | Aload _ -> [ case "" [ one ] (I (B.Aload 2)) (show_ref "a" @ show_int) ]
+  | Astore _ ->
+      [ case "" (is [ B.Aconst_null ]) (I (B.Astore 2)) (I (B.Aload 2) :: show_ref "a") ]
+  | Dup -> [ case "" (ints [ 3 ]) (I B.Dup) (is [ B.Iadd; B.Print ]) ]
+  | Pop -> [ case "" (ints [ 1; 2 ]) (I B.Pop) show_int ]
+  | (Iadd | Isub | Imul | Idiv | Irem | Iand | Ior | Ixor | Ishl | Ishr) as op ->
+      List.map
+        (fun (a, b) -> case (Printf.sprintf "%d %d" a b) (ints [ a; b ]) (I op) show_int)
+        [ (100003, 7); (-7, 2); (3, 65) ]
+  | Ineg ->
+      List.map (fun a -> case (string_of_int a) (ints [ a ]) (I B.Ineg) show_int) [ 100003; -4 ]
+  | Goto _ ->
+      [
+        case "forward, then backward" [ one ]
+          (J ("fwd", fun t -> B.Goto t))
+          [
+            L "back"; I (B.Iconst 5); I B.Print;
+            J ("end", fun t -> B.Goto t);
+            L "fwd"; J ("back", fun t -> B.Goto t);
+            L "end"; I B.Print;
+          ];
+      ]
+  | If_icmp _ ->
+      List.concat_map
+        (fun c ->
+          List.map
+            (fun (a, b) ->
+              branch
+                (Printf.sprintf "%s %d %d" (B.string_of_cmp c) a b)
+                (ints [ a; b ])
+                (fun t -> B.If_icmp (c, t)))
+            [ (1, 2); (2, 1); (2, 2) ])
+        cmps
+  | If _ ->
+      List.concat_map
+        (fun c ->
+          List.map
+            (fun a ->
+              branch
+                (Printf.sprintf "%s %d" (B.string_of_cmp c) a)
+                (ints [ a ])
+                (fun t -> B.If (c, t)))
+            [ -1; 0; 1 ])
+        cmps
+  | If_acmpeq _ | If_acmpne _ ->
+      let make t =
+        match instr with B.If_acmpeq _ -> B.If_acmpeq t | _ -> B.If_acmpne t
+      in
+      List.map
+        (fun (name, setup) -> branch name (is setup) make)
+        [
+          ("same", [ B.Aload 2; B.Aload 2 ]);
+          ("different", [ B.Aload 2; B.Aload 1 ]);
+          ("ref null", [ B.Aload 2; B.Aconst_null ]);
+          ("null null", [ B.Aconst_null; B.Aconst_null ]);
+        ]
+  | Ifnull _ | Ifnonnull _ ->
+      let make t =
+        match instr with B.Ifnull _ -> B.Ifnull t | _ -> B.Ifnonnull t
+      in
+      [ branch "null" (is [ B.Aconst_null ]) make; branch "ref" (is [ B.Aload 2 ]) make ]
+  | Getfield _ ->
+      [
+        case "int" (is [ B.Aload 2 ]) (I (get_x 0)) show_int;
+        case "ref" (is [ B.Aload 2 ]) (I (get_next 1)) (show_ref "f");
+      ]
+  | Putfield _ ->
+      [
+        case "int" (is [ B.Aload 2; B.Iconst 123 ]) (I put_x)
+          (is [ B.Aload 2; get_x 2; B.Print ]);
+        case "ref" (is [ B.Aload 2; B.Aconst_null ]) (I put_next)
+          (I (B.Aload 2) :: I (get_next 2) :: show_ref "f");
+      ]
+  | Getstatic _ ->
+      [
+        case "int" [ one ] (I (get_s0 3)) (is [ B.Print; B.Print ]);
+        case "ref" [ one ] (I (get_s1 3)) (show_ref "s" @ show_int);
+      ]
+  | Putstatic _ ->
+      [ case "" (ints [ 31 ]) (I put_s0) (is [ get_s0 4; B.Print ]) ]
+  | Aaload _ ->
+      [
+        case "ref" (is [ B.Aload 1; B.Iconst 2 ]) (I ref_elem) (show_ref "e");
+        case "null" (is [ B.Aload 1; B.Iconst 0 ]) (I ref_elem) (show_ref "e");
+      ]
+  | Iaload _ -> [ case "" (is [ B.Aload 0; B.Iconst 1 ]) (I array_elem) show_int ]
+  | Aastore _ ->
+      [
+        case "" (is [ B.Aload 1; B.Iconst 0; B.Aload 2 ]) (I (B.Aastore { len_site = 5 }))
+          (is [ B.Aload 1; B.Iconst 0; B.Aaload { len_site = 7; elem_site = 8 } ]
+          @ show_ref "e");
+      ]
+  | Iastore _ ->
+      [
+        case "" (is [ B.Aload 0; B.Iconst 3; B.Iconst 100007 ])
+          (I (B.Iastore { len_site = 5 }))
+          (is [ B.Aload 0; B.Iconst 3; B.Iaload { len_site = 7; elem_site = 8 }; B.Print ]);
+      ]
+  | Arraylength _ ->
+      List.map
+        (fun l -> case (string_of_int l) (is [ B.Aload l ]) (I (B.Arraylength { site = 0 })) show_int)
+        [ 0; 1 ]
+  | New _ -> [ case "" [ one ] (I (B.New 0)) (is [ get_x 0; B.Print; B.Print ]) ]
+  | Newarray _ ->
+      List.concat_map
+        (fun kind ->
+          List.map
+            (fun len ->
+              case (string_of_int len) (ints [ len ]) (I (B.Newarray kind))
+                (is [ B.Arraylength { site = 0 }; B.Print ]))
+            [ 5; 0 ])
+        B.[ Int_array; Ref_array ]
+  | Invoke _ ->
+      [
+        case "two arguments" (ints [ 10; 3 ]) (I (B.Invoke 1)) show_int;
+        case "no argument" [ one ] (I (B.Invoke 2)) (is [ B.Print; B.Print ]);
+        case "void" (ints [ 1; 8 ]) (I (B.Invoke 3)) show_int;
+        case "ref" (is [ B.Aload 2 ]) (I (B.Invoke 4)) (show_ref "r");
+      ]
+  | Return -> [ case "" (ints [ 3 ] @ [ I B.Print; one ]) (I B.Return) [] ]
+  | Ireturn -> [ case "" (ints [ 100003 ]) (I B.Ireturn) [] ]
+  | Areturn -> [ case "" (is [ B.Aload 2 ]) (I B.Areturn) [] ]
+  | Print -> [ case "" (ints [ 100003 ]) (I B.Print) [] ]
+  | Prefetch_inter _ ->
+      List.map
+        (fun site ->
+          case (string_of_int site)
+            (is [ B.Aload 0; B.Iconst 1; array_elem; B.Pop; B.Iconst 1 ])
+            (I (B.Prefetch_inter { site; distance = 64 }))
+            show_int)
+        [ 6; 9 ]
+  | Spec_load _ ->
+      List.map
+        (fun (site, distance) ->
+          case
+            (Printf.sprintf "%d %d" site distance)
+            (is [ B.Aload 1; B.Iconst 2; ref_elem; B.Pop; B.Iconst 1 ])
+            (I (B.Spec_load { site; distance; reg = 0 }))
+            (is [ B.Prefetch_indirect { reg = 0; offset = 8; guarded = true }; B.Print ]))
+        [ (6, 0); (6, -100000); (6, -2000000); (9, 0) ]
+  | Prefetch_indirect _ ->
+      List.map
+        (fun (reg, guarded) ->
+          case
+            (Printf.sprintf "p%d %b" reg guarded)
+            (is
+               [
+                 B.Aload 1; B.Iconst 2; ref_elem; B.Pop;
+                 B.Spec_load { site = 6; distance = 0; reg = 1 }; B.Iconst 1;
+               ])
+            (I (B.Prefetch_indirect { reg; offset = 8; guarded }))
+            show_int)
+        [ (1, true); (1, false); (0, false) ]
+  | Prefetch_dynamic _ ->
+      List.map
+        (fun site ->
+          case (string_of_int site)
+            (is
+               [
+                 B.Aload 0; B.Iconst 1; array_elem; B.Pop;
+                 B.Aload 0; B.Iconst 2; array_elem; B.Pop; B.Iconst 1;
+               ])
+            (I (B.Prefetch_dynamic { site; times = 2 }))
+            show_int)
+        [ 6; 9 ]
+
+(* One run's result: how it ended, then (for a run that ended normally
+   or on its step budget) its books. *)
+let matrix_run engine ?(max_steps = max_int) code =
+  let machine = Memsim.Config.pentium4 in
+  let options =
+    { (Vm.Interp.default_options machine) with Vm.Interp.max_steps; engine }
+  in
+  let interp = Vm.Interp.create ~options machine (matrix_program code) in
+  let ended, complete =
+    match Vm.Interp.run interp with
+    | None -> ("returned nothing", true)
+    | Some v -> ("returned " ^ Vm.Value.to_string v, true)
+    | exception Vm.Interp.Budget_exhausted _ -> ("budget exhausted", true)
+    | exception Vm.Interp.Vm_error msg -> ("vm error: " ^ msg, false)
+    | exception Vm.Frame.Stack_error msg -> ("stack error: " ^ msg, false)
+    | exception Invalid_argument msg -> ("invalid argument: " ^ msg, false)
+  in
+  let output = ended ^ "\n" ^ Vm.Interp.output interp in
+  let books =
+    if complete then
+      books ~output ~interpreted:(Vm.Interp.interpreted_cycles interp)
+        ~compiled:(Vm.Interp.compiled_cycles interp)
+        ~gc_count:(Vm.Interp.gc_count interp) ~methods_compiled:0
+        ~faulting:(Vm.Interp.faulting_prefetches interp)
+        ~guard_trips:(Vm.Interp.spec_guard_trips interp)
+        (Vm.Interp.stats interp)
+    else (output, [])
+  in
+  (books, Vm.Interp.steps interp)
+
+let test_every_instruction_every_entry () =
+  Helpers.check_every_instr_complete ();
+  let first = List.length prelude in
+  List.iter
+    (fun instr ->
+      List.iter
+        (fun c ->
+          let entered_empty =
+            c.setup @ [ J ("enter", fun t -> B.Goto t); L "enter"; c.instr ]
+          in
+          List.iter
+            (fun (entry, body) ->
+              let code = assemble (prelude @ body @ c.rest @ [ I B.Return ]) in
+              let ctx =
+                Printf.sprintf "%s %s (%s)" (B.to_string instr) c.name entry
+              in
+              let sw, steps = matrix_run Vm.Interp.Switch code in
+              let cl, _ = matrix_run Vm.Interp.Closure code in
+              check_same_books ~ctx sw cl;
+              for max_steps = first to steps - 1 do
+                let ctx = Printf.sprintf "%s, max_steps %d" ctx max_steps in
+                check_same_books ~ctx
+                  (fst (matrix_run Vm.Interp.Switch ~max_steps code))
+                  (fst (matrix_run Vm.Interp.Closure ~max_steps code))
+              done)
+            [ ("entered empty", entered_empty); ("top cached", c.setup @ [ c.instr ]) ])
+        (cases_of instr))
+    Helpers.every_instr
+
 let suite =
   [
     Alcotest.test_case "bit-identity: workload x machine x mode" `Slow
@@ -325,4 +709,6 @@ let suite =
     Alcotest.test_case "re-run determinism" `Quick test_rerun_determinism;
     Alcotest.test_case "array path allocates nothing" `Quick
       test_array_path_allocates_nothing;
+    Alcotest.test_case "every instruction in every entry state" `Quick
+      test_every_instruction_every_entry;
   ]

@@ -688,9 +688,18 @@ let suite = suite @ liveness_suite
 
 (* --- verifier ------------------------------------------------------------ *)
 
+(* The type-state verifier ([Analysis.Typestate]) accepts every method
+   of [program]. *)
+let verifies ~program =
+  Array.iter (fun (m : Vm.Classfile.method_info) ->
+      match Analysis.Typestate.check ~program m with
+      | [] -> ()
+      | d :: _ -> Alcotest.fail (Analysis.Diag.render ~meth:m d))
+    program.Vm.Classfile.methods
+
 let verify_program source =
   let program = Helpers.compile source in
-  Array.iter (Jit.Verify.check_exn ~program) program.methods;
+  verifies ~program;
   program
 
 let test_verify_accepts_frontend_output () =
@@ -708,7 +717,7 @@ let test_verify_accepts_frontend_output () =
   Vm.Interp.set_compile_hook interp (fun _ m args ->
       Jit.Pipeline.compile pipeline m args);
   ignore (Vm.Interp.run interp);
-  Array.iter (Jit.Verify.check_exn ~program) program.methods
+  verifies ~program
 
 let test_verify_rejects_malformed () =
   let program = Helpers.compile "class A { static void main() { print(1); } }" in
@@ -717,9 +726,8 @@ let test_verify_rejects_malformed () =
       Vm.Classfile.make_method ~method_id:0 ~method_name:"T.bad" ~arity:0
         ~returns_value:false ~max_locals:2 ~code
     in
-    match Jit.Verify.check ~program m with
-    | Error _ -> ()
-    | Ok () -> Alcotest.failf "malformed body accepted"
+    if Analysis.Typestate.check ~program m = [] then
+      Alcotest.failf "malformed body accepted"
   in
   (* branch out of range *)
   expect_error [| B.Goto 99 |];
@@ -745,7 +753,7 @@ let test_verify_all_workloads () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let program = Workloads.Workload.compile w in
-      Array.iter (Jit.Verify.check_exn ~program) program.methods)
+      verifies ~program)
     (Workloads.Specjvm.all @ Workloads.Javagrande.all)
 
 let verify_suite =

@@ -182,8 +182,11 @@ let test_frame_push_pop () =
     (Vm.Frame.Stack_error "operand stack underflow in T.m") (fun () ->
       ignore (Vm.Engine.pop f))
 
-(* Each stack fault must raise the same [Stack_error] message on either
-   engine. *)
+(* Each raising path must raise the same error on either engine, at the
+   same instruction: the rows cover every [Stack_error] and every
+   [Vm_error] an instruction body raises, including underflow on a
+   consumer entered with the closure engine's top-of-stack cache empty
+   and overflow on [Dup] with the top cached at [max_stack - 1]. *)
 let test_frame_stack_errors_agree () =
   let stack_error engine code =
     let program = Helpers.program_of_code code in
@@ -192,7 +195,9 @@ let test_frame_stack_errors_agree () =
     match Vm.Interp.run (Vm.Interp.create ~options machine program) with
     | _ -> Alcotest.failf "%s: no stack error" (Vm.Interp.engine_name engine)
     | exception Vm.Frame.Stack_error msg -> msg
+    | exception Vm.Interp.Vm_error msg -> msg
   in
+  let getfield = B.Getfield { site = 0; offset = 8; name = "f"; is_ref = false } in
   let cases =
     [
       ("underflow on pop", [| B.Pop; B.Return |], "operand stack underflow in T.main");
@@ -204,6 +209,35 @@ let test_frame_stack_errors_agree () =
         Array.append
           (Array.make (Vm.Frame.max_stack + 1) (B.Iconst 0))
           [| B.Return |],
+        "operand stack overflow in T.main" );
+      ( "division by zero",
+        [| B.Iconst 1; B.Iconst 0; B.Idiv; B.Return |],
+        "division by zero in T.main" );
+      ( "remainder by zero",
+        [| B.Iconst 1; B.Iconst 0; B.Irem; B.Return |],
+        "division by zero in T.main" );
+      ( "null dereference",
+        [| B.Aconst_null; getfield; B.Return |],
+        "null pointer dereference in T.main" );
+      ( "int used as a reference",
+        [| B.Iconst 3; getfield; B.Return |],
+        "integer used as reference in T.main" );
+      ( "array index out of bounds",
+        [|
+          B.Iconst 2; B.Newarray B.Int_array; B.Iconst 5;
+          B.Iaload { len_site = 0; elem_site = 1 }; B.Return;
+        |],
+        "array index 5 out of bounds [0,2) in T.main" );
+      ( "negative array size",
+        [| B.Iconst (-1); B.Newarray B.Int_array; B.Return |],
+        "negative array size in T.main" );
+      ( "underflow on a consumer entered with the cache empty",
+        [| B.Goto 1; B.Iadd; B.Return |],
+        "operand stack underflow in T.main" );
+      ( "overflow on dup with the top cached at max_stack - 1",
+        Array.append
+          (Array.make Vm.Frame.max_stack (B.Iconst 0))
+          [| B.Dup; B.Return |],
         "operand stack overflow in T.main" );
     ]
   in
@@ -244,29 +278,10 @@ let test_bytecode_branch_helpers () =
   Alcotest.(check bool) "return" true (B.is_return B.Ireturn)
 
 let test_bytecode_printer_total () =
-  let instrs =
-    [
-      B.Iconst 1; B.Aconst_null; B.Iload 0; B.Istore 0; B.Aload 0; B.Astore 0;
-      B.Dup; B.Pop; B.Iadd; B.Isub; B.Imul; B.Idiv; B.Irem; B.Ineg; B.Iand;
-      B.Ior; B.Ixor; B.Ishl; B.Ishr; B.Goto 0; B.If_icmp (B.Lt, 0);
-      B.If (B.Eq, 0); B.If_acmpeq 0; B.If_acmpne 0; B.Ifnull 0; B.Ifnonnull 0;
-      B.Getfield { site = 0; offset = 8; name = "f"; is_ref = false };
-      B.Putfield { offset = 8; name = "f" };
-      B.Getstatic { site = 0; index = 0; name = "s"; is_ref = false };
-      B.Putstatic { index = 0; name = "s" };
-      B.Aaload { len_site = 0; elem_site = 1 };
-      B.Iaload { len_site = 0; elem_site = 1 };
-      B.Aastore { len_site = 0 }; B.Iastore { len_site = 0 };
-      B.Arraylength { site = 0 }; B.New 0; B.Newarray B.Int_array;
-      B.Newarray B.Ref_array; B.Invoke 0; B.Return; B.Ireturn; B.Areturn;
-      B.Print; B.Prefetch_inter { site = 0; distance = 64 };
-      B.Spec_load { site = 0; distance = 64; reg = 0 };
-      B.Prefetch_indirect { reg = 0; offset = 8; guarded = true };
-    ]
-  in
+  Helpers.check_every_instr_complete ();
   List.iter
     (fun i -> Alcotest.(check bool) "nonempty" true (B.to_string i <> ""))
-    instrs
+    (B.Newarray B.Ref_array :: Helpers.every_instr)
 
 (* --- interpreter --------------------------------------------------------- *)
 
