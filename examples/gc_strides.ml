@@ -57,7 +57,7 @@ let () =
   (* collect with only the list head as root: garbage arrays die, the
      linked nodes survive via the next chain *)
   let result =
-    Vm.Gc_compact.collect heap ~roots:(fun visit -> visit (V.Ref nodes.(0)))
+    Vm.Gc_compact.collect heap ~roots:(fun visit -> visit nodes.(0))
   in
   Printf.printf "\nGC: collected %d, kept %d (%d bytes)\n" result.collected
     result.live result.live_bytes;

@@ -69,14 +69,33 @@ let check_seed ?cells ?faults ~seed ~max_size () =
   in
   (g, verdict)
 
+(* A shrink candidate's step budget: ten times what the failing
+   program's headline run retires, and no less than [min_shrink_steps].
+   A candidate can loop where the program did not (deleting [p = p.next]
+   from a [while (p != null)] walk, say); without a budget each such
+   candidate would run to the VM's default of two billion steps. *)
+let min_shrink_steps = 1_000_000
+
+let shrink_budget ?faults ~heap_limit_bytes program =
+  match
+    Oracle.headline_retired ?faults
+      ~source:(Minijava.Pretty.program program)
+      ~heap_limit_bytes ()
+  with
+  | Some retired -> max min_shrink_steps (10 * retired)
+  | None -> min_shrink_steps
+
 let shrink_finding ?cells ?faults ?max_attempts ~heap_limit_bytes
     ~(failure : Oracle.failure) program =
   (* A candidate counts as "still failing" only if it fails in the same
      class: shrinking an output divergence must not wander off into some
-     unrelated compile error of a mangled candidate. *)
+     unrelated compile error of a mangled candidate. One that exhausts
+     its step budget crashes with the budget's message, which is another
+     class, so the shrinker rejects it. *)
+  let max_steps = shrink_budget ?faults ~heap_limit_bytes program in
   let is_failing source =
     match
-      Oracle.check ?cells ?faults ~source ~heap_limit_bytes ()
+      Oracle.check ?cells ?faults ~max_steps ~source ~heap_limit_bytes ()
     with
     | Oracle.Pass _ -> false
     | Oracle.Fail f -> same_class f failure

@@ -262,11 +262,13 @@ let headline =
 (* Small enough that even tiny fuzzed programs close several windows. *)
 let monitor_window = 4096
 
-let run ~faults ?compile_observer workload c =
+let run ~faults ?max_steps ?compile_observer workload c =
   H.run
     ~opts:{ O.default with O.prediction = c.prediction }
     ~standard_passes:c.cell.standard_passes ?compile_observer
-    ~tweak_options:(fun o -> { o with Vm.Interp.faults })
+    ~tweak_options:(fun o ->
+      let max_steps = Option.value max_steps ~default:o.Vm.Interp.max_steps in
+      { o with Vm.Interp.faults; max_steps })
     ~engine:c.engine ~capture_observables:true ~telemetry:c.observed
     ~profile:c.observed
     ?monitor:(if c.monitored then Some monitor_window else None)
@@ -501,10 +503,15 @@ let runs_per_program cells =
         (rows ~faults:[])
     |> List.sort_uniq compare |> List.length
 
+let headline_retired ?(faults = []) ~source ~heap_limit_bytes () =
+  match run ~faults (workload_of ~source ~heap_limit_bytes) headline with
+  | r -> Some r.stats.retired_instructions
+  | exception _ -> None
+
 exception Failed of failure
 
-let check ?(cells = default_cells) ?(faults = []) ~source ~heap_limit_bytes ()
-    =
+let check ?(cells = default_cells) ?(faults = []) ?max_steps ~source
+    ~heap_limit_bytes () =
   match
     (* Surface front-end failures as their own verdict: the generator is
        supposed to emit well-typed programs, so a compile error is a
@@ -524,7 +531,7 @@ let check ?(cells = default_cells) ?(faults = []) ~source ~heap_limit_bytes ()
         match List.assoc_opt c !runs with
         | Some r -> r
         | None ->
-            let r = run ~faults ?compile_observer workload c in
+            let r = run ~faults ?max_steps ?compile_observer workload c in
             runs := (c, r) :: !runs;
             r
       in

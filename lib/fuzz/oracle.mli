@@ -107,6 +107,7 @@ val runs_per_program : cell list -> int
 val check :
   ?cells:cell list ->
   ?faults:Vm.Fault.t list ->
+  ?max_steps:int ->
   source:string ->
   heap_limit_bytes:int ->
   unit ->
@@ -117,4 +118,15 @@ val check :
     pentium4) — the table in EXPERIMENTS.md, "Fuzzing & reproducing
     failures". The first failure is the verdict; [cells_run] counts the
     runs made. [faults] (default none) are injected into every run, to
-    prove the check each one targets is live. *)
+    prove the check each one targets is live. [max_steps] (default the
+    VM's) is every run's step budget; a run that exhausts it is a
+    {!Crash}. *)
+
+val headline_retired :
+  ?faults:Vm.Fault.t list ->
+  source:string ->
+  heap_limit_bytes:int ->
+  unit ->
+  int option
+(** The instructions the headline configuration retires running
+    [source], or [None] when that run does not complete. *)

@@ -18,6 +18,14 @@
    hierarchy's demand path. A [--profile dev] build turns those into
    calls, which costs host time only.
 
+   Every value here is an unboxed (payload, tag) pair of ints, as
+   [Value] encodes it: the stack primitives push and pop pairs, a cached
+   top of stack is two handler arguments, and an effect takes its
+   operands as pairs. Storing one is a plain int move, so the hot path
+   allocates nothing and calls no write barrier ([caml_modify]).
+   Handlers return whether the method returned a value, which travels in
+   [t.ret_p]/[t.ret_tag].
+
    [compile] translates a method body, at JIT time, into a flat array of
    OCaml closures — one handler per pc, plus an out-of-bounds sentinel at
    index [n]. Each handler performs exactly the observable state
@@ -79,68 +87,80 @@
 
 open State
 
-(* The operand-stack primitives of both loops. The happy path is a
-   bounds test + array move; the raising code (string building) stays out
-   of line, so each primitive is small enough to inline at every use. *)
-
-let[@inline never] stack_overflow (frame : Frame.t) =
-  raise
-    (Frame.Stack_error
-       ("operand stack overflow in " ^ frame.method_info.method_name))
+(* The operand-stack primitives of both loops. Values are (payload, tag)
+   pairs (DESIGN.md section 10): [push] takes both ints, and [pop] and
+   [peek] return the index of the slot, whose pair the caller reads from
+   [frame.stack] before its next push. The happy path is a capacity test
+   and plain int moves; growth and the raising code (string building)
+   stay out of line, so each primitive is small enough to inline at
+   every use. Every index below [frame.sp] is in bounds, because [sp]
+   only grows past a [Frame.reserve]. *)
 
 let[@inline never] stack_underflow (frame : Frame.t) =
   raise
     (Frame.Stack_error
        ("operand stack underflow in " ^ frame.method_info.method_name))
 
-let[@inline never] int_expected (frame : Frame.t) v =
+let[@inline never] int_expected (frame : Frame.t) p tag =
   raise
     (Frame.Stack_error
        (Printf.sprintf "expected int on stack in %s, got %s"
-          frame.method_info.method_name (Value.to_string v)))
+          frame.method_info.method_name
+          (Value.to_string (Value.of_pair p tag))))
 
-let[@inline] push (frame : Frame.t) v =
-  if frame.sp >= Frame.max_stack then stack_overflow frame;
-  Array.unsafe_set frame.stack frame.sp v;
-  frame.sp <- frame.sp + 1
+let[@inline] push (frame : Frame.t) p tag =
+  let sp = frame.sp in
+  Frame.reserve frame (sp + 1);
+  Value.set frame.stack sp p tag;
+  frame.sp <- sp + 1
 
 let[@inline] pop (frame : Frame.t) =
-  if frame.sp <= 0 then stack_underflow frame;
   let sp = frame.sp - 1 in
+  if sp < 0 then stack_underflow frame;
   frame.sp <- sp;
-  Array.unsafe_get frame.stack sp
-
-let[@inline] pop_int (frame : Frame.t) =
-  match pop frame with Value.Int n -> n | v -> int_expected frame v
+  sp
 
 let[@inline] peek (frame : Frame.t) =
-  if frame.sp <= 0 then stack_underflow frame;
-  Array.unsafe_get frame.stack (frame.sp - 1)
+  let sp = frame.sp - 1 in
+  if sp < 0 then stack_underflow frame;
+  sp
+
+let[@inline] cached_int (frame : Frame.t) p tag =
+  if tag <> Value.tag_int then int_expected frame p tag;
+  p
+
+(* The pair in operand-stack slot [i], an index [pop] or [peek]
+   returned. *)
+let[@inline] stack_p (frame : Frame.t) i = Value.payload frame.stack i
+let[@inline] stack_tag (frame : Frame.t) i = Value.tag frame.stack i
+
+let[@inline] pop_int (frame : Frame.t) =
+  let i = pop frame in
+  cached_int frame (stack_p frame i) (stack_tag frame i)
 
 (* Block-local top-of-stack caching (see the commentary in [compile]): a
-   [vhandler] is a handler compiled against a {e full} cache — its second
-   argument is the logical top of stack, which is {e not} present in
-   [frame.stack]. [kont] is a handler of either kind, matched at compile
-   time against the statically-tracked cache state. *)
-type vhandler = Frame.t -> Value.t -> Value.t option
+   [vhandler] is a handler compiled against a {e full} cache — its last
+   two arguments are the pair on top of the logical stack, which is
+   {e not} present in [frame.stack]. [kont] is a handler of either kind,
+   matched at compile time against the statically-tracked cache
+   state. *)
+type vhandler = Frame.t -> int -> int -> bool
 type kont = KH of handler | KV of vhandler
 
 (* Write a cached value back into the stack array. Unconditionally in
-   bounds: a value is only cached after the push producing it passed its
-   overflow check, and [frame.sp] cannot change while it stays cached. *)
-let[@inline] spill (frame : Frame.t) v =
-  Array.unsafe_set frame.stack frame.sp v;
+   bounds: a value is only cached once its slot is reserved (by [pass],
+   or as the slot a consumer's operand vacated), and [frame.sp] cannot
+   change while it stays cached. *)
+let[@inline] spill (frame : Frame.t) p tag =
+  Value.set frame.stack frame.sp p tag;
   frame.sp <- frame.sp + 1
 
-let[@inline] cached_int (frame : Frame.t) v =
-  match v with Value.Int n -> n | v -> int_expected frame v
-
-(* A producer's hand-off to a full-cache continuation: the overflow test
+(* A producer's hand-off to a full-cache continuation: the capacity test
    [push] would make, after which the value stays cached (the invariant
    [spill] relies on). *)
-let[@inline] pass nv (frame : Frame.t) v =
-  if frame.sp >= Frame.max_stack then stack_overflow frame;
-  nv frame v
+let[@inline] pass nv (frame : Frame.t) p tag =
+  Frame.reserve frame (frame.sp + 1);
+  nv frame p tag
 
 (* The shared step prologue: budget, retire, charge — with the retired
    count and cycle cost pre-folded by the compiler ([retired]/[cost] are
@@ -165,10 +185,14 @@ let[@inline] extra_cost ~base_cost cost =
 (* ---- instruction effects ----
 
    One function per instruction effect, shared by both engines. Operands
-   arrive as arguments in the order the reference pops them; what a
-   closure computes at compile time (a field slot, a static's address)
-   stays an argument. An effect never builds a closure: the non-flambda
-   compiler would not inline it. *)
+   arrive as arguments in the order the reference pops them, each value
+   as its (payload, tag) pair; what a closure computes at compile time (a
+   field slot, a static's address) stays an argument. A loading effect
+   returns what it loads from (a field array, an array's contents, the
+   statics), and the caller reads the pair from it: a returned tuple
+   would be allocated, and a continuation argument would be called
+   through [caml_applyN] rather than inlined. An effect never builds a
+   closure: the non-flambda compiler would not inline it. *)
 
 let[@inline never] division_by_zero (frame : Frame.t) =
   vm_error "division by zero in %s" frame.method_info.method_name
@@ -177,24 +201,30 @@ let[@inline never] negative_array_size (frame : Frame.t) =
   vm_error "negative array size in %s" frame.method_info.method_name
 
 (* A binary integer instruction [op], a constant at every closure: its
-   right operand [top] is already taken, the left one is popped. The
-   divisor test is written with [==] so that it folds for a constant
-   [op]; a [match] would compile to a range test on it. *)
-let[@inline] arith (frame : Frame.t) op top =
-  let b = cached_int frame top in
+   right operand [(p, tag)] is already taken, the left one is popped; the
+   result is an int. The divisor test is written with [==] so that it
+   folds for a constant [op]; a [match] would compile to a range test on
+   it. *)
+let[@inline] arith (frame : Frame.t) op p tag =
+  let b = cached_int frame p tag in
   let a = pop_int frame in
   if (op == Bytecode.Idiv || op == Bytecode.Irem) && b = 0 then
     division_by_zero frame;
-  Value.of_int (Bytecode.int_op op a b)
+  Bytecode.int_op op a b
 
-(* [If_icmp c]'s test, its right operand [top] already taken, and
-   [If c]'s test of [top] against zero. *)
-let[@inline] icmp (frame : Frame.t) c top =
-  let b = cached_int frame top in
+(* [If_icmp c]'s test, its right operand already taken, and [If c]'s
+   test of the top against zero. *)
+let[@inline] icmp (frame : Frame.t) c p tag =
+  let b = cached_int frame p tag in
   Bytecode.compare c (pop_int frame) b
 
-let[@inline] ifz (frame : Frame.t) c top =
-  Bytecode.compare c (cached_int frame top) 0
+let[@inline] ifz (frame : Frame.t) c p tag =
+  Bytecode.compare c (cached_int frame p tag) 0
+
+(* [If_acmpeq]'s test, its right operand already taken. *)
+let[@inline] acmp (frame : Frame.t) p tag =
+  let i = pop frame in
+  Value.same (stack_p frame i) (stack_tag frame i) p tag
 
 let[@inline] slot_of offset =
   (offset - Classfile.header_bytes) / Classfile.slot_bytes
@@ -202,48 +232,55 @@ let[@inline] slot_of offset =
 let[@inline] static_addr index =
   Classfile.statics_base + (index * Classfile.slot_bytes)
 
-let[@inline] getfield t frame ~observed ~pc ~site ~offset ~slot v =
-  let id = as_ref frame v in
+(* The field slots of the object, [slot] among them: read or written
+   at [slot] by the caller. *)
+let[@inline] getfield t frame ~observed ~pc ~site ~offset ~slot p tag =
+  let id = as_ref frame p tag in
   let addr = Heap.base_of t.heap id + offset in
   demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Load ~site;
-  Heap.get_field t.heap id slot
+  Heap.fields t.heap id ~slot
 
-let[@inline] putfield t frame ~observed ~pc ~offset ~slot obj v =
-  let id = as_ref frame obj in
+let[@inline] putfield t frame ~observed ~pc ~offset ~slot op otag p tag =
+  let id = as_ref frame op otag in
   let addr = Heap.base_of t.heap id + offset in
   demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Store ~site:(-1);
-  Heap.set_field t.heap id slot v
+  Value.set (Heap.fields t.heap id ~slot) slot p tag
 
+(* The statics, [index] among them. *)
 let[@inline] getstatic t frame ~observed ~pc ~site ~index ~addr =
   demand t frame ~observed ~pc ~obj:(-1) ~addr ~kind:`Load ~site;
-  t.globals.(index)
+  Value.check t.globals index;
+  t.globals
 
-let[@inline] putstatic t frame ~observed ~pc ~index ~addr v =
+let[@inline] putstatic t frame ~observed ~pc ~index ~addr p tag =
   demand t frame ~observed ~pc ~obj:(-1) ~addr ~kind:`Store ~site:(-1);
-  t.globals.(index) <- v
+  Value.check t.globals index;
+  Value.set t.globals index p tag
 
 (* [Aaload]/[Iaload]: the length load and bounds check, then the element
-   load. *)
-let[@inline] array_load t frame ~observed ~pc ~len_site ~elem_site arr index =
-  let id = as_ref frame arr in
+   load; the array's contents, [index] in bounds. *)
+let[@inline] array_load t frame ~observed ~pc ~len_site ~elem_site ap atag
+    index =
+  let id = as_ref frame ap atag in
   let addr = array_addr t frame ~observed ~pc ~len_site ~id ~index in
   demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Load ~site:elem_site;
-  Heap.get_elem t.heap id index
+  Heap.elems t.heap id
 
-let[@inline] array_store t frame ~observed ~pc ~len_site arr index v =
-  let id = as_ref frame arr in
+let[@inline] array_store t frame ~observed ~pc ~len_site ap atag index p tag =
+  let id = as_ref frame ap atag in
   let addr = array_addr t frame ~observed ~pc ~len_site ~id ~index in
   demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Store ~site:(-1);
-  Heap.set_elem t.heap id index v
+  Heap.store_elem t.heap id index p tag
 
-let[@inline] arraylength t frame ~observed ~pc ~site arr =
-  let id = as_ref frame arr in
+let[@inline] arraylength t frame ~observed ~pc ~site ap atag =
+  let id = as_ref frame ap atag in
   let addr = Heap.length_addr t.heap id in
   demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Load ~site;
-  Value.of_int (Heap.array_length t.heap id)
+  Heap.array_length t.heap id
 
+(* The new object's id. *)
 let[@inline] new_object t frame ~pc ci =
-  Value.Ref (allocate t frame ~pc Heap.alloc_object ci)
+  allocate t frame ~pc Heap.alloc_object ci
 
 let[@inline] newarray t frame ~pc (kind : Bytecode.array_kind) len =
   if len < 0 then negative_array_size frame;
@@ -252,18 +289,19 @@ let[@inline] newarray t frame ~pc (kind : Bytecode.array_kind) len =
     | Int_array -> Heap.alloc_int_array
     | Ref_array -> Heap.alloc_ref_array
   in
-  Value.Ref (allocate t frame ~pc alloc len)
+  allocate t frame ~pc alloc len
 
 (* Stage the [n] arguments below those already taken into [args]. *)
-let[@inline] pop_args frame (args : Value.t array) n =
+let[@inline] pop_args frame (args : Value.slots) n =
   for i = n - 1 downto 0 do
-    args.(i) <- pop frame
+    let j = pop frame in
+    Value.set args i (stack_p frame j) (stack_tag frame j)
   done
 
 (* [Invoke] with its arguments staged in [args] (a [State.scratch_args]
    buffer): the call, then its result pushed. *)
 let[@inline] invoke t frame callee args =
-  match call t callee args with Some v -> push frame v | None -> ()
+  if call t callee args then push frame t.ret_p t.ret_tag
 
 let[@inline] print t n =
   Buffer.add_string t.out (string_of_int n);
@@ -302,7 +340,7 @@ let[@inline never] spec_guard_trip t (frame : Frame.t) addr =
     vm_error "unguarded spec_load faulted at address 0x%x in %s" addr
       frame.method_info.method_name
   end;
-  Value.Null
+  -1
 
 let[@inline] spec_load t (frame : Frame.t) ~observed ~site ~distance ~reg =
   let anchor = frame.site_addr.(site) in
@@ -320,12 +358,11 @@ let[@inline] spec_load t (frame : Frame.t) ~observed ~site ~distance ~reg =
       else -1
     in
     Memsim.Hierarchy.guarded_load t.mem ~addr ~now:t.stats.cycles ~site:sid;
+    let id = Heap.ref_at t.heap addr in
     frame.pref_regs.(reg) <-
-      (match Heap.value_at t.heap addr with
-      | Some v -> v
-      | None -> spec_guard_trip t frame addr)
+      (if id = Heap.no_slot then spec_guard_trip t frame addr else id)
   end
-  else frame.pref_regs.(reg) <- Value.Null
+  else frame.pref_regs.(reg) <- -1
 
 let[@inline] prefetch_dynamic t (frame : Frame.t) ~observed ~site ~times =
   let addr = frame.site_addr.(site) and prev = frame.site_prev.(site) in
@@ -348,25 +385,25 @@ let[@inline] prefetch_dynamic t (frame : Frame.t) ~observed ~site ~times =
 
 let[@inline] prefetch_indirect t (frame : Frame.t) ~observed ~reg ~offset
     ~guarded =
-  match frame.pref_regs.(reg) with
-  | Value.Ref id when Heap.exists t.heap id ->
-      let addr = Heap.base_of t.heap id + offset in
-      audit_prefetch_addr t addr;
-      let sid =
-        if observed then
-          match t.telem with
-          | Some tl ->
-              Telemetry.Attrib.site_id tl.registry
-                (Telemetry.Attrib.Indirect_site
-                   { method_id = frame.method_info.method_id; reg; offset })
-          | None -> -1
-        else -1
-      in
-      if guarded then
-        Memsim.Hierarchy.guarded_load t.mem ~addr ~now:t.stats.cycles ~site:sid
-      else
-        Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:t.stats.cycles ~site:sid
-  | Value.Ref _ | Value.Int _ | Value.Null -> ()
+  let id = frame.pref_regs.(reg) in
+  if Heap.exists t.heap id then begin
+    let addr = Heap.base_of t.heap id + offset in
+    audit_prefetch_addr t addr;
+    let sid =
+      if observed then
+        match t.telem with
+        | Some tl ->
+            Telemetry.Attrib.site_id tl.registry
+              (Telemetry.Attrib.Indirect_site
+                 { method_id = frame.method_info.method_id; reg; offset })
+        | None -> -1
+      else -1
+    in
+    if guarded then
+      Memsim.Hierarchy.guarded_load t.mem ~addr ~now:t.stats.cycles ~site:sid
+    else
+      Memsim.Hierarchy.sw_prefetch t.mem ~addr ~now:t.stats.cycles ~site:sid
+  end
 
 let compile (t : t) (m : Classfile.method_info) : compiled_method =
   let code = m.code in
@@ -503,10 +540,13 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
      does not consume it (the collector enumerates roots from
      [frame.stack], so a reference must never be cached across a GC
      point; [New] spills first, [Newarray] and [Invoke] consume the cache
-     before allocating, and a zero-arity [Invoke] spills). Overflow and
+     before allocating, and a zero-arity [Invoke] spills). Capacity and
      underflow tests compare the same logical depths at the same program
      points as the switch engine — a cached value counts one toward the
-     logical depth — so every Stack_error fires identically.
+     logical depth, and [Frame.reserve] raises the overflow only past
+     [max_stack] — so every Stack_error fires identically. A cached
+     value always has a slot: [pass] reserves it, and [Dup] reserves two
+     before it spills.
 
      [form] gives each instruction one closure. A consumer (any
      instruction that pops) takes its top operand as the [vhandler]
@@ -537,22 +577,26 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
   let kv = function KV h -> h | KH _ -> assert false in
   let enter ~full (form : kont) : kont =
     match (form, full) with
-    | KV vh, false -> KH (fun frame -> vh frame (pop frame))
+    | KV vh, false ->
+        KH
+          (fun frame ->
+            let i = pop frame in
+            vh frame (stack_p frame i) (stack_tag frame i))
     | KH h, true ->
         KV
-          (fun frame v ->
-            spill frame v;
+          (fun frame p tag ->
+            spill frame p tag;
             h frame)
     | (KV _ | KH _), _ -> form
   in
   let form kont pc (instr_ : Bytecode.instr) : kont =
     match instr_ with
     | Iconst k ->
-        let v = Value.of_int k and nv = kv kont in
-        KH (fun frame -> pass nv frame v)
+        let nv = kv kont in
+        KH (fun frame -> pass nv frame k Value.tag_int)
     | Aconst_null ->
         let nv = kv kont in
-        KH (fun frame -> pass nv frame Value.Null)
+        KH (fun frame -> pass nv frame Value.null_payload Value.tag_null)
     | Iload i | Aload i ->
         (* Baked bounds check: the frame executing this artifact always
            has [max max_locals arity] locals (Frame.reusable discards
@@ -563,60 +607,67 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
         let nv = kv kont in
         KH
           (if i >= 0 && i < locals_len then fun frame ->
-             pass nv frame (Array.unsafe_get frame.locals i)
-           else fun frame -> pass nv frame frame.locals.(i))
+             let l = frame.locals in
+             pass nv frame (Value.payload l i) (Value.tag l i)
+           else fun frame ->
+             let l = frame.locals in
+             Value.check l i;
+             pass nv frame (Value.payload l i) (Value.tag l i))
     | Istore i | Astore i ->
         let nh = kh kont in
         KV
-          (if i >= 0 && i < locals_len then fun frame v ->
-             Array.unsafe_set frame.locals i v;
+          (if i >= 0 && i < locals_len then fun frame p tag ->
+             Value.set frame.locals i p tag;
              nh frame
-           else fun frame v ->
-             frame.locals.(i) <- v;
+           else fun frame p tag ->
+             Value.check frame.locals i;
+             Value.set frame.locals i p tag;
              nh frame)
     | Dup ->
         let nv = kv kont in
         KV
-          (fun frame v ->
-            if frame.sp >= Frame.max_stack - 1 then stack_overflow frame;
-            spill frame v;
-            nv frame v)
+          (fun frame p tag ->
+            Frame.reserve frame (frame.sp + 2);
+            spill frame p tag;
+            nv frame p tag)
     | Pop ->
         let nh = kh kont in
-        KV (fun frame _v -> nh frame)
+        KV (fun frame _p _tag -> nh frame)
     | Iadd ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Iadd v))
+        KV (fun frame p tag -> nv frame (arith frame Iadd p tag) Value.tag_int)
     | Isub ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Isub v))
+        KV (fun frame p tag -> nv frame (arith frame Isub p tag) Value.tag_int)
     | Imul ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Imul v))
+        KV (fun frame p tag -> nv frame (arith frame Imul p tag) Value.tag_int)
     | Idiv ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Idiv v))
+        KV (fun frame p tag -> nv frame (arith frame Idiv p tag) Value.tag_int)
     | Irem ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Irem v))
+        KV (fun frame p tag -> nv frame (arith frame Irem p tag) Value.tag_int)
     | Iand ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Iand v))
+        KV (fun frame p tag -> nv frame (arith frame Iand p tag) Value.tag_int)
     | Ior ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Ior v))
+        KV (fun frame p tag -> nv frame (arith frame Ior p tag) Value.tag_int)
     | Ixor ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Ixor v))
+        KV (fun frame p tag -> nv frame (arith frame Ixor p tag) Value.tag_int)
     | Ishl ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Ishl v))
+        KV (fun frame p tag -> nv frame (arith frame Ishl p tag) Value.tag_int)
     | Ishr ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (arith frame Ishr v))
+        KV (fun frame p tag -> nv frame (arith frame Ishr p tag) Value.tag_int)
     | Ineg ->
         let nv = kv kont in
-        KV (fun frame v -> nv frame (Value.of_int (-cached_int frame v)))
+        KV
+          (fun frame p tag ->
+            nv frame (-cached_int frame p tag) Value.tag_int)
     | Goto target -> KH (taken_of ~pc target)
     | If_icmp (c, target) ->
         (* One closure per comparison: the cached back-edge compare is the
@@ -626,118 +677,135 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
         KV
           (match c with
           | Eq ->
-              fun frame v ->
-                if icmp frame Eq v then taken frame else next frame
+              fun frame p tag ->
+                if icmp frame Eq p tag then taken frame else next frame
           | Ne ->
-              fun frame v ->
-                if icmp frame Ne v then taken frame else next frame
+              fun frame p tag ->
+                if icmp frame Ne p tag then taken frame else next frame
           | Lt ->
-              fun frame v ->
-                if icmp frame Lt v then taken frame else next frame
+              fun frame p tag ->
+                if icmp frame Lt p tag then taken frame else next frame
           | Ge ->
-              fun frame v ->
-                if icmp frame Ge v then taken frame else next frame
+              fun frame p tag ->
+                if icmp frame Ge p tag then taken frame else next frame
           | Gt ->
-              fun frame v ->
-                if icmp frame Gt v then taken frame else next frame
+              fun frame p tag ->
+                if icmp frame Gt p tag then taken frame else next frame
           | Le ->
-              fun frame v ->
-                if icmp frame Le v then taken frame else next frame)
+              fun frame p tag ->
+                if icmp frame Le p tag then taken frame else next frame)
     | If (c, target) ->
         let taken = taken_of ~pc target and next = kh kont in
         KV
           (match c with
           | Eq ->
-              fun frame v ->
-                if ifz frame Eq v then taken frame else next frame
+              fun frame p tag ->
+                if ifz frame Eq p tag then taken frame else next frame
           | Ne ->
-              fun frame v ->
-                if ifz frame Ne v then taken frame else next frame
+              fun frame p tag ->
+                if ifz frame Ne p tag then taken frame else next frame
           | Lt ->
-              fun frame v ->
-                if ifz frame Lt v then taken frame else next frame
+              fun frame p tag ->
+                if ifz frame Lt p tag then taken frame else next frame
           | Ge ->
-              fun frame v ->
-                if ifz frame Ge v then taken frame else next frame
+              fun frame p tag ->
+                if ifz frame Ge p tag then taken frame else next frame
           | Gt ->
-              fun frame v ->
-                if ifz frame Gt v then taken frame else next frame
+              fun frame p tag ->
+                if ifz frame Gt p tag then taken frame else next frame
           | Le ->
-              fun frame v ->
-                if ifz frame Le v then taken frame else next frame)
+              fun frame p tag ->
+                if ifz frame Le p tag then taken frame else next frame)
     | If_acmpeq target ->
         let taken = taken_of ~pc target and next = kh kont in
         KV
-          (fun frame v ->
-            if Value.equal (pop frame) v then taken frame else next frame)
+          (fun frame p tag ->
+            if acmp frame p tag then taken frame else next frame)
     | If_acmpne target ->
         let taken = taken_of ~pc target and next = kh kont in
         KV
-          (fun frame v ->
-            if Value.equal (pop frame) v then next frame else taken frame)
+          (fun frame p tag ->
+            if acmp frame p tag then next frame else taken frame)
     | Ifnull target ->
         let taken = taken_of ~pc target and next = kh kont in
         KV
-          (fun frame v ->
-            match v with Value.Null -> taken frame | _ -> next frame)
+          (fun frame _p tag ->
+            if tag = Value.tag_null then taken frame else next frame)
     | Ifnonnull target ->
         let taken = taken_of ~pc target and next = kh kont in
         KV
-          (fun frame v ->
-            match v with Value.Null -> next frame | _ -> taken frame)
+          (fun frame _p tag ->
+            if tag = Value.tag_null then next frame else taken frame)
     | Getfield { site; offset; name = _; is_ref = _ } ->
         let slot = slot_of offset and nv = kv kont in
         KV
-          (fun frame v ->
-            nv frame
-              (getfield t frame ~observed:false ~pc ~site ~offset ~slot v))
+          (fun frame p tag ->
+            let f =
+              getfield t frame ~observed:false ~pc ~site ~offset ~slot p tag
+            in
+            nv frame (Value.payload f slot) (Value.tag f slot))
     | Putfield { offset; name = _ } ->
         let slot = slot_of offset and nh = kh kont in
         KV
-          (fun frame v ->
-            putfield t frame ~observed:false ~pc ~offset ~slot (pop frame) v;
+          (fun frame p tag ->
+            let o = pop frame in
+            putfield t frame ~observed:false ~pc ~offset ~slot
+              (stack_p frame o) (stack_tag frame o) p tag;
             nh frame)
     | Getstatic { site; index; name = _; is_ref = _ } ->
         let addr = static_addr index and nv = kv kont in
         KH
           (fun frame ->
-            pass nv frame
-              (getstatic t frame ~observed:false ~pc ~site ~index ~addr))
+            let g =
+              getstatic t frame ~observed:false ~pc ~site ~index ~addr
+            in
+            pass nv frame (Value.payload g index) (Value.tag g index))
     | Putstatic { index; name = _ } ->
         let addr = static_addr index and nh = kh kont in
         KV
-          (fun frame v ->
-            putstatic t frame ~observed:false ~pc ~index ~addr v;
+          (fun frame p tag ->
+            putstatic t frame ~observed:false ~pc ~index ~addr p tag;
             nh frame)
     | Aaload { len_site; elem_site } | Iaload { len_site; elem_site } ->
         let nv = kv kont in
         KV
-          (fun frame v ->
-            let index = cached_int frame v in
-            nv frame
-              (array_load t frame ~observed:false ~pc ~len_site ~elem_site
-                 (pop frame) index))
+          (fun frame p tag ->
+            let index = cached_int frame p tag in
+            let a = pop frame in
+            let e =
+              array_load t frame ~observed:false ~pc ~len_site ~elem_site
+                (stack_p frame a) (stack_tag frame a) index
+            in
+            nv frame (Heap.elem_payload e index) (Heap.elem_tag e index))
     | Aastore { len_site } | Iastore { len_site } ->
         let nh = kh kont in
         KV
-          (fun frame v ->
+          (fun frame p tag ->
             let index = pop_int frame in
-            array_store t frame ~observed:false ~pc ~len_site (pop frame) index
-              v;
+            let a = pop frame in
+            array_store t frame ~observed:false ~pc ~len_site
+              (stack_p frame a) (stack_tag frame a) index p
+              tag;
             nh frame)
     | Arraylength { site } ->
         let nv = kv kont in
         KV
-          (fun frame v ->
-            nv frame (arraylength t frame ~observed:false ~pc ~site v))
+          (fun frame p tag ->
+            nv frame
+              (arraylength t frame ~observed:false ~pc ~site p tag)
+              Value.tag_int)
     | New class_id ->
         let ci = Classfile.class_of_id t.program class_id and nv = kv kont in
-        KH (fun frame -> pass nv frame (new_object t frame ~pc ci))
+        KH
+          (fun frame ->
+            pass nv frame (new_object t frame ~pc ci) Value.tag_ref)
     | Newarray kind ->
         let nv = kv kont in
         KV
-          (fun frame v ->
-            nv frame (newarray t frame ~pc kind (cached_int frame v)))
+          (fun frame p tag ->
+            nv frame
+              (newarray t frame ~pc kind (cached_int frame p tag))
+              Value.tag_ref)
     | Invoke callee_id ->
         let callee = Classfile.method_of_id t.program callee_id in
         let arity = callee.arity and nh = kh kont in
@@ -748,19 +816,24 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
               nh frame)
         else
           KV
-            (fun frame v ->
+            (fun frame p tag ->
               let args = scratch_args t arity in
-              args.(arity - 1) <- v;
+              Value.set args (arity - 1) p tag;
               pop_args frame args (arity - 1);
               invoke t frame callee args;
               nh frame)
-    | Return -> KH (fun _frame -> None)
-    | Ireturn | Areturn -> KV (fun _frame v -> Some v)
+    | Return -> KH (fun _frame -> false)
+    | Ireturn | Areturn ->
+        KV
+          (fun _frame p tag ->
+            t.ret_p <- p;
+            t.ret_tag <- tag;
+            true)
     | Print ->
         let nh = kh kont in
         KV
-          (fun frame v ->
-            print t (cached_int frame v);
+          (fun frame p tag ->
+            print t (cached_int frame p tag);
             nh frame)
     | Prefetch_inter { site; distance } ->
         let nh = kh kont in
@@ -839,12 +912,12 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             h frame)
     | KV vh ->
         KV
-          (fun frame v ->
+          (fun frame p tag ->
             let stats = t.stats in
             stats.cycles <- stats.cycles + cost;
             if m.compiled then t.compiled_cycles <- t.compiled_cycles + cost
             else t.interpreted_cycles <- t.interpreted_cycles + cost;
-            vh frame v)
+            vh frame p tag)
   in
   (* The chain of forms for pcs [j..e], entered in cache state [full]: the
      successor handler at [e + 1] is entered empty (through the spill
@@ -940,6 +1013,12 @@ let[@inline] bin_of_instr (instr : Bytecode.instr) =
       if guarded then Prof_guard_overhead else Prof_pf_overhead
   | _ -> Prof_retire
 
+(* A binary integer instruction [op] (a constant at every use): both
+   operands popped, the result pushed. *)
+let[@inline] binop (frame : Frame.t) op =
+  let j = pop frame in
+  push frame (arith frame op (stack_p frame j) (stack_tag frame j)) Value.tag_int
+
 (* A taken branch: count a backedge, then move the pc. *)
 let[@inline] jump (m : Classfile.method_info) (frame : Frame.t) ~pc target =
   if target <= pc then m.backedges <- m.backedges + 1;
@@ -967,10 +1046,9 @@ let[@inline] overhead t (frame : Frame.t) ~pc ~base_cost ~bin cost =
    closure handlers call. Keep it in lockstep with [compile]: any change
    to this loop needs the mirrored change there. [Invoke] recurses
    through [State.call], which dispatches the callee through whichever
-   engine is wired — the engines compose. Results are pushed through
-   [Value.of_int] and arguments staged in [State.scratch_args], as the
-   closure handlers do; neither is observable, since values are only
-   compared structurally.
+   engine is wired — the engines compose. Arguments are staged in
+   [State.scratch_args] and results return through [t.ret_p]/[t.ret_tag],
+   as on the closure handlers.
 
    Its prologue is the closure handlers' [pre] (steps, budget, retire,
    charge) followed by [mon_poll], where [State.charge] polls. The fetch
@@ -986,7 +1064,7 @@ let exec_switch (t : t) (frame : Frame.t) =
     if m.compiled then machine.compiled_cost else machine.interp_cost
   in
   let max_steps = t.opts.max_steps in
-  let result = ref None in
+  let result = ref false in
   let running = ref true in
   while !running do
     let pc = frame.pc in
@@ -1007,73 +1085,105 @@ let exec_switch (t : t) (frame : Frame.t) =
           ~cycles:base_cost
     | None -> ());
     match instr with
-    | Iconst k -> push frame (Value.of_int k)
-    | Aconst_null -> push frame Value.Null
-    | Iload i | Aload i -> push frame frame.locals.(i)
-    | Istore i | Astore i -> frame.locals.(i) <- pop frame
-    | Dup -> push frame (peek frame)
+    | Iconst k -> push frame k Value.tag_int
+    | Aconst_null -> push frame Value.null_payload Value.tag_null
+    | Iload i | Aload i ->
+        let l = frame.locals in
+        Value.check l i;
+        push frame (Value.payload l i) (Value.tag l i)
+    | Istore i | Astore i ->
+        let j = pop frame in
+        Value.check frame.locals i;
+        Value.set frame.locals i (stack_p frame j) (stack_tag frame j)
+    | Dup ->
+        let j = peek frame in
+        push frame (stack_p frame j) (stack_tag frame j)
     | Pop -> ignore (pop frame)
-    | Iadd -> push frame (arith frame Iadd (pop frame))
-    | Isub -> push frame (arith frame Isub (pop frame))
-    | Imul -> push frame (arith frame Imul (pop frame))
-    | Idiv -> push frame (arith frame Idiv (pop frame))
-    | Irem -> push frame (arith frame Irem (pop frame))
-    | Iand -> push frame (arith frame Iand (pop frame))
-    | Ior -> push frame (arith frame Ior (pop frame))
-    | Ixor -> push frame (arith frame Ixor (pop frame))
-    | Ishl -> push frame (arith frame Ishl (pop frame))
-    | Ishr -> push frame (arith frame Ishr (pop frame))
-    | Ineg -> push frame (Value.of_int (-pop_int frame))
+    | Iadd -> binop frame Iadd
+    | Isub -> binop frame Isub
+    | Imul -> binop frame Imul
+    | Idiv -> binop frame Idiv
+    | Irem -> binop frame Irem
+    | Iand -> binop frame Iand
+    | Ior -> binop frame Ior
+    | Ixor -> binop frame Ixor
+    | Ishl -> binop frame Ishl
+    | Ishr -> binop frame Ishr
+    | Ineg -> push frame (-pop_int frame) Value.tag_int
     | Goto target -> jump m frame ~pc target
     | If_icmp (c, target) ->
-        if icmp frame c (pop frame) then jump m frame ~pc target
-    | If (c, target) -> if ifz frame c (pop frame) then jump m frame ~pc target
+        let j = pop frame in
+        if icmp frame c (stack_p frame j) (stack_tag frame j) then
+          jump m frame ~pc target
+    | If (c, target) ->
+        let j = pop frame in
+        if ifz frame c (stack_p frame j) (stack_tag frame j) then
+          jump m frame ~pc target
     | If_acmpeq target ->
-        let b = pop frame in
-        if Value.equal (pop frame) b then jump m frame ~pc target
+        let j = pop frame in
+        if acmp frame (stack_p frame j) (stack_tag frame j) then
+          jump m frame ~pc target
     | If_acmpne target ->
-        let b = pop frame in
-        if not (Value.equal (pop frame) b) then jump m frame ~pc target
-    | Ifnull target -> (
-        match pop frame with
-        | Value.Null -> jump m frame ~pc target
-        | Value.Int _ | Value.Ref _ -> ())
-    | Ifnonnull target -> (
-        match pop frame with
-        | Value.Null -> ()
-        | Value.Int _ | Value.Ref _ -> jump m frame ~pc target)
+        let j = pop frame in
+        if not (acmp frame (stack_p frame j) (stack_tag frame j)) then
+          jump m frame ~pc target
+    | Ifnull target ->
+        if stack_tag frame (pop frame) = Value.tag_null then
+          jump m frame ~pc target
+    | Ifnonnull target ->
+        if stack_tag frame (pop frame) <> Value.tag_null then
+          jump m frame ~pc target
     | Getfield { site; offset; name = _; is_ref = _ } ->
-        push frame
-          (getfield t frame ~observed:true ~pc ~site ~offset
-             ~slot:(slot_of offset) (pop frame))
+        let slot = slot_of offset and j = pop frame in
+        let f =
+          getfield t frame ~observed:true ~pc ~site ~offset ~slot
+            (stack_p frame j) (stack_tag frame j)
+        in
+        push frame (Value.payload f slot) (Value.tag f slot)
     | Putfield { offset; name = _ } ->
         let v = pop frame in
+        let o = pop frame in
         putfield t frame ~observed:true ~pc ~offset ~slot:(slot_of offset)
-          (pop frame) v
+          (stack_p frame o) (stack_tag frame o) (stack_p frame v)
+          (stack_tag frame v)
     | Getstatic { site; index; name = _; is_ref = _ } ->
-        push frame
-          (getstatic t frame ~observed:true ~pc ~site ~index
-             ~addr:(static_addr index))
+        let g =
+          getstatic t frame ~observed:true ~pc ~site ~index
+            ~addr:(static_addr index)
+        in
+        push frame (Value.payload g index) (Value.tag g index)
     | Putstatic { index; name = _ } ->
+        let j = pop frame in
         putstatic t frame ~observed:true ~pc ~index ~addr:(static_addr index)
-          (pop frame)
+          (stack_p frame j) (stack_tag frame j)
     | Aaload { len_site; elem_site } | Iaload { len_site; elem_site } ->
         second_slot t frame ~pc ~base_cost;
         let index = pop_int frame in
-        push frame
-          (array_load t frame ~observed:true ~pc ~len_site ~elem_site
-             (pop frame) index)
+        let a = pop frame in
+        let e =
+          array_load t frame ~observed:true ~pc ~len_site ~elem_site
+            (stack_p frame a) (stack_tag frame a) index
+        in
+        push frame (Heap.elem_payload e index) (Heap.elem_tag e index)
     | Aastore { len_site } | Iastore { len_site } ->
         second_slot t frame ~pc ~base_cost;
         let v = pop frame in
         let index = pop_int frame in
-        array_store t frame ~observed:true ~pc ~len_site (pop frame) index v
+        let a = pop frame in
+        array_store t frame ~observed:true ~pc ~len_site (stack_p frame a)
+          (stack_tag frame a) index (stack_p frame v) (stack_tag frame v)
     | Arraylength { site } ->
-        push frame (arraylength t frame ~observed:true ~pc ~site (pop frame))
+        let j = pop frame in
+        push frame
+          (arraylength t frame ~observed:true ~pc ~site (stack_p frame j)
+             (stack_tag frame j))
+          Value.tag_int
     | New class_id ->
         push frame
           (new_object t frame ~pc (Classfile.class_of_id t.program class_id))
-    | Newarray kind -> push frame (newarray t frame ~pc kind (pop_int frame))
+          Value.tag_ref
+    | Newarray kind ->
+        push frame (newarray t frame ~pc kind (pop_int frame)) Value.tag_ref
     | Invoke callee_id ->
         let callee = Classfile.method_of_id t.program callee_id in
         let args = scratch_args t callee.arity in
@@ -1081,7 +1191,10 @@ let exec_switch (t : t) (frame : Frame.t) =
         invoke t frame callee args
     | Return -> running := false
     | Ireturn | Areturn ->
-        result := Some (pop frame);
+        let j = pop frame in
+        t.ret_p <- stack_p frame j;
+        t.ret_tag <- stack_tag frame j;
+        result := true;
         running := false
     | Print -> print t (pop_int frame)
     | Prefetch_inter { site; distance } ->

@@ -12,7 +12,7 @@ type result = {
   live_bytes : int;  (** heap bytes in use after compaction *)
 }
 
-val collect : Heap.t -> roots:((Value.t -> unit) -> unit) -> result
-(** Mark from every value [roots] visits, then compact. Root order is
+val collect : Heap.t -> roots:((int -> unit) -> unit) -> result
+(** Mark from every object id [roots] visits, then compact. Root order is
     irrelevant: marking computes a set, compaction follows address order.
     Surviving ids stay valid; only simulated base addresses change. *)

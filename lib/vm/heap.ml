@@ -1,7 +1,10 @@
+(* An object's fields are {!Value.slots}. An int array holds its ints;
+   a ref array holds its elements as ids, -1 for null ([set_elem] admits
+   only references and null there, so no tag is needed). *)
 type contents =
-  | Object of { class_id : int; fields : Value.t array }
+  | Object of { class_id : int; fields : Value.slots }
   | Int_array of int array
-  | Ref_array of Value.t array
+  | Ref_array of int array
 
 type obj = { id : int; mutable base : int; size : int; contents : contents }
 
@@ -30,6 +33,9 @@ type t = {
      search. Invalidated (reset to [tombstone]) by compaction, the only
      operation that can move or kill objects. *)
   mutable last_hit : obj;
+  (* The pair [read_at] last read. *)
+  mutable read_p : int;
+  mutable read_tag : int;
   (* Collector scratch, empty until the first collection: one mark byte
      per id (all zero between collections: compaction clears what marking
      set) and the explicit mark stack. *)
@@ -51,6 +57,8 @@ let create ?(limit_bytes = default_limit) () =
     n_objects = 0;
     next_id = 0;
     last_hit = tombstone;
+    read_p = Value.null_payload;
+    read_tag = Value.tag_null;
     marks = Bytes.empty;
     work = [||];
     work_sp = 0;
@@ -93,7 +101,7 @@ let alloc_object t (ci : Classfile.class_info) =
     (Object
        {
          class_id = ci.class_id;
-         fields = Array.make (Array.length ci.fields) Value.Null;
+         fields = Value.make (Array.length ci.fields);
        })
 
 let array_size len = Classfile.array_elems_offset + (len * Classfile.slot_bytes)
@@ -104,7 +112,7 @@ let alloc_int_array t len =
 
 let alloc_ref_array t len =
   if len < 0 then invalid_arg "alloc_ref_array: negative length";
-  alloc t ~size:(array_size len) (Ref_array (Array.make len Value.Null))
+  alloc t ~size:(array_size len) (Ref_array (Array.make len Value.null_payload))
 
 let[@inline never] dangling id =
   invalid_arg (Printf.sprintf "heap: dangling object id %d" id)
@@ -130,6 +138,10 @@ let class_id_of t id =
 let is_ref_array t id =
   match (get t id).contents with Ref_array _ -> true | _ -> false
 
+let raw_slots t id =
+  match (get t id).contents with
+  | Object { fields = a; _ } | Int_array a | Ref_array a -> Array.copy a
+
 (* The accessors below inline into the engines' handlers; their raising
    paths stay out of line so the inlined bodies are a lookup, a tag test
    and a bounds-checked move. *)
@@ -140,8 +152,15 @@ let[@inline] fields_of obj =
   | Object { fields; _ } -> fields
   | Int_array _ | Ref_array _ -> invalid "heap: array used as object"
 
-let[@inline] get_field t id slot = (fields_of (get t id)).(slot)
-let[@inline] set_field t id slot v = (fields_of (get t id)).(slot) <- v
+(* The field array of [id], with [slot] checked: the closure engine's
+   field loads and stores read and write the pair in place. *)
+let[@inline] fields t id ~slot =
+  let fields = fields_of (get t id) in
+  Value.check fields slot;
+  fields
+
+let get_field t id slot = Value.get (fields_of (get t id)) slot
+let set_field t id slot v = Value.put (fields_of (get t id)) slot v
 
 let field_addr t id slot =
   (get t id).base + Classfile.header_bytes + (slot * Classfile.slot_bytes)
@@ -154,31 +173,48 @@ let[@inline] array_length t id =
 
 let[@inline] length_addr t id = (get t id).base + Classfile.array_length_offset
 
-let[@inline] get_elem t id i =
-  match (get t id).contents with
-  | Int_array a -> Value.of_int a.(i)
-  | Ref_array a -> a.(i)
+type elems = contents
+
+let[@inline] elems t id = (get t id).contents
+
+let[@inline] elem_payload (e : elems) i =
+  match e with
+  | Int_array a | Ref_array a -> a.(i)
   | Object _ -> invalid "heap: object used as array"
 
-let[@inline] set_elem t id i v =
-  match ((get t id).contents, v) with
-  | Int_array a, Value.Int n -> a.(i) <- n
-  | Int_array _, (Value.Ref _ | Value.Null) ->
-      invalid "heap: reference stored into int array"
-  | Ref_array a, (Value.Ref _ | Value.Null) -> a.(i) <- v
-  | Ref_array _, Value.Int _ -> invalid "heap: int stored into ref array"
-  | Object _, _ -> invalid "heap: object used as array"
+let[@inline] elem_tag (e : elems) i =
+  match e with
+  | Int_array _ -> Value.tag_int
+  | Ref_array a -> Value.tag_of_id a.(i)
+  | Object _ -> invalid "heap: object used as array"
+
+let get_elem t id i =
+  let e = elems t id in
+  Value.of_pair (elem_payload e i) (elem_tag e i)
+
+let[@inline] store_elem t id i p tag =
+  match (get t id).contents with
+  | Int_array a ->
+      if tag = Value.tag_int then a.(i) <- p
+      else invalid "heap: reference stored into int array"
+  | Ref_array a ->
+      if tag <> Value.tag_int then a.(i) <- p
+      else invalid "heap: int stored into ref array"
+  | Object _ -> invalid "heap: object used as array"
+
+let set_elem t id i v = store_elem t id i (Value.payload_of v) (Value.tag_of v)
 
 let elem_addr t id i =
   (get t id).base + Classfile.array_elems_offset + (i * Classfile.slot_bytes)
 
 (* Greatest object whose base is <= addr, by binary search over the
-   address-ordered table; the last hit is memoized, which turns the
-   spec-load probe sequences of Section 3.3 (many addresses within one
-   inspected object) into a single range check. *)
-let object_containing t addr =
+   address-ordered table, or [tombstone] when [addr] is in no object; the
+   last hit is memoized, which turns the spec-load probe sequences of
+   Section 3.3 (many addresses within one inspected object) into a single
+   range check. *)
+let containing t addr =
   let memo = t.last_hit in
-  if addr >= memo.base && addr - memo.base < memo.size then Some memo
+  if addr >= memo.base && addr - memo.base < memo.size then memo
   else begin
     let lo = ref 0 and hi = ref (t.n_objects - 1) and found = ref tombstone in
     while !lo <= !hi do
@@ -193,57 +229,70 @@ let object_containing t addr =
     let obj = !found in
     if obj.id >= 0 && addr - obj.base < obj.size then begin
       t.last_hit <- obj;
-      Some obj
+      obj
     end
-    else None
+    else tombstone
   end
 
 let object_at t addr =
-  match object_containing t addr with Some o -> Some o.id | None -> None
+  let obj = containing t addr in
+  if obj == tombstone then None else Some obj.id
+
+(* The index of the slot at byte [rel] of an object whose slots start at
+   byte [off], when it is one of the first [n]; -1 otherwise. *)
+let[@inline] slot_index ~rel ~off n =
+  let d = rel - off in
+  if d >= 0 && d mod Classfile.slot_bytes = 0 && d / Classfile.slot_bytes < n
+  then d / Classfile.slot_bytes
+  else -1
+
+let[@inline] found t p tag =
+  t.read_p <- p;
+  t.read_tag <- tag;
+  true
+
+(* Read the data slot at [addr] into [read_p]/[read_tag]; [false] when
+   [addr] is in no live object's data slots (header bytes included). *)
+let read_at t addr =
+  let obj = containing t addr in
+  let rel = addr - obj.base and off = Classfile.array_elems_offset in
+  obj != tombstone
+  &&
+  match obj.contents with
+  | Object { fields; _ } ->
+      let s = slot_index ~rel ~off:Classfile.header_bytes (Value.length fields) in
+      s >= 0 && found t (Value.payload fields s) (Value.tag fields s)
+  | (Int_array a | Ref_array a) when rel = Classfile.array_length_offset ->
+      found t (Array.length a) Value.tag_int
+  | Int_array a ->
+      let s = slot_index ~rel ~off (Array.length a) in
+      s >= 0 && found t a.(s) Value.tag_int
+  | Ref_array a ->
+      let s = slot_index ~rel ~off (Array.length a) in
+      s >= 0 && found t a.(s) (Value.tag_of_id a.(s))
 
 let value_at t addr =
-  match object_containing t addr with
-  | None -> None
-  | Some obj -> (
-      let rel = addr - obj.base in
-      let slot_of off = (rel - off) / Classfile.slot_bytes in
-      let aligned off = (rel - off) mod Classfile.slot_bytes = 0 in
-      match obj.contents with
-      | Object { fields; _ } ->
-          let off = Classfile.header_bytes in
-          if rel >= off && aligned off && slot_of off < Array.length fields
-          then Some fields.(slot_of off)
-          else None
-      | Int_array a ->
-          if rel = Classfile.array_length_offset then
-            Some (Value.Int (Array.length a))
-          else
-            let off = Classfile.array_elems_offset in
-            if rel >= off && aligned off && slot_of off < Array.length a then
-              Some (Value.Int a.(slot_of off))
-            else None
-      | Ref_array a ->
-          if rel = Classfile.array_length_offset then
-            Some (Value.Int (Array.length a))
-          else
-            let off = Classfile.array_elems_offset in
-            if rel >= off && aligned off && slot_of off < Array.length a then
-              Some a.(slot_of off)
-            else None)
+  if read_at t addr then Some (Value.of_pair t.read_p t.read_tag) else None
+
+let no_slot = min_int
+
+let ref_at t addr =
+  if not (read_at t addr) then no_slot
+  else if t.read_tag = Value.tag_ref then t.read_p
+  else -1
 
 let iter_ids_in_address_order t f =
   for i = 0 to t.n_objects - 1 do
     f t.by_addr.(i).id
   done
 
-let mark t v =
-  match v with
-  | Value.Ref id when exists t id && Bytes.unsafe_get t.marks id = '\000' ->
-      Bytes.unsafe_set t.marks id '\001';
-      if t.work_sp = Array.length t.work then t.work <- grow t.work 0;
-      t.work.(t.work_sp) <- id;
-      t.work_sp <- t.work_sp + 1
-  | Value.Ref _ | Value.Int _ | Value.Null -> ()
+let mark t id =
+  if exists t id && Bytes.unsafe_get t.marks id = '\000' then begin
+    Bytes.unsafe_set t.marks id '\001';
+    if t.work_sp = Array.length t.work then t.work <- grow t.work 0;
+    t.work.(t.work_sp) <- id;
+    t.work_sp <- t.work_sp + 1
+  end
 
 let mark_compact t ~roots =
   if Bytes.length t.marks < t.next_id then
@@ -252,7 +301,13 @@ let mark_compact t ~roots =
   while t.work_sp > 0 do
     t.work_sp <- t.work_sp - 1;
     match t.by_id.(t.work.(t.work_sp)).contents with
-    | Object { fields = a; _ } | Ref_array a ->
+    | Object { fields; _ } ->
+        for i = 0 to Value.length fields - 1 do
+          if Value.tag fields i = Value.tag_ref then
+            mark t (Value.payload fields i)
+        done
+    | Ref_array a ->
+        (* A null element is -1, which [mark] ignores. *)
         for i = 0 to Array.length a - 1 do
           mark t (Array.unsafe_get a i)
         done

@@ -10,9 +10,15 @@
     heap", Section 4).
 
     The address map is total enough for speculative loads: {!value_at}
-    recovers the value stored at any simulated address, which is how the
-    [spec_load] pseudo-instruction reads the pointer it will prefetch
-    through. *)
+    recovers the value stored at any simulated address, and {!ref_at} the
+    reference the [spec_load] pseudo-instruction will prefetch through.
+
+    Storage is unboxed: an object's fields are {!Value.slots}, an int
+    array holds its ints, and a ref array holds object ids with -1 for
+    null. The [Value.t] accessors ({!get_field}, {!set_field},
+    {!get_elem}, {!set_elem}, {!value_at}) convert at this boundary; the
+    execution engines use the raw ones ({!fields}, {!elems},
+    {!store_elem}, {!ref_at}). *)
 
 type t
 
@@ -38,9 +44,18 @@ val class_id_of : t -> int -> int option
 
 val is_ref_array : t -> int -> bool
 
+val raw_slots : t -> int -> int array
+(** A copy of an object's storage as described above: its fields'
+    {!Value.slots}, an int array's ints, or a ref array's ids. *)
+
 (* Field access by slot index. *)
 val get_field : t -> int -> int -> Value.t
 val set_field : t -> int -> int -> Value.t -> unit
+
+val fields : t -> int -> slot:int -> Value.slots
+(** The field slots of object [id], after checking that [slot] is one of
+    them ([Invalid_argument] otherwise, as for {!get_field}). *)
+
 val field_addr : t -> int -> int -> int
 
 (* Array access; int arrays yield [Value.Int]. Indices must be in bounds
@@ -49,11 +64,30 @@ val array_length : t -> int -> int
 val length_addr : t -> int -> int
 val get_elem : t -> int -> int -> Value.t
 val set_elem : t -> int -> int -> Value.t -> unit
+
+type elems
+(** An array's contents. *)
+
+val elems : t -> int -> elems
+val elem_payload : elems -> int -> int
+val elem_tag : elems -> int -> int
+(** Element [i] of an array as a (payload, tag) pair. *)
+
+val store_elem : t -> int -> int -> int -> int -> unit
+(** [store_elem t id i payload tag]: {!set_elem} of the pair. *)
+
 val elem_addr : t -> int -> int -> int
 
 val value_at : t -> int -> Value.t option
 (** The value stored at a simulated address, or [None] when the address
     falls outside any live object's data slots (header bytes included). *)
+
+val ref_at : t -> int -> int
+(** What a speculative load reads at a simulated address: the object id
+    of the reference stored there, -1 when the slot holds an int or
+    null, or {!no_slot} where {!value_at} is [None]. *)
+
+val no_slot : int
 
 val object_at : t -> int -> int option
 (** The id of the object whose extent contains the address, if any. *)
@@ -64,7 +98,7 @@ val limit_bytes : t -> int
 
 val iter_ids_in_address_order : t -> (int -> unit) -> unit
 
-val mark_compact : t -> roots:((Value.t -> unit) -> unit) -> int
+val mark_compact : t -> roots:((int -> unit) -> unit) -> int
 (** The collector behind {!Gc_compact.collect}, which documents it;
     returns the number of objects removed. Allocates only to grow its
     mark table and mark stack. *)

@@ -71,7 +71,7 @@ let memory (t : t) = t.mem
 let stats (t : t) = t.stats
 let options (t : t) = t.opts
 let output (t : t) = Buffer.contents t.out
-let global (t : t) index = t.globals.(index)
+let global (t : t) index = Value.get t.globals index
 let set_compile_hook (t : t) hook = t.compile_hook <- Some hook
 let set_load_observer (t : t) f = t.load_observer <- Some f
 let gc_count (t : t) = t.gc_count
@@ -88,8 +88,14 @@ let set_monitor = State.set_monitor
 let combine_profile_hooks = State.combine_profile_hooks
 let attribution = State.attribution
 let finalize_telemetry = State.finalize_telemetry
-let call = State.call
-let run = State.run
+
+(* The [Value.t] edge of a call: the result pair a method returns
+   through [t.ret_p]/[t.ret_tag], boxed. *)
+let result (t : t) returned =
+  if returned then Some (Value.of_pair t.ret_p t.ret_tag) else None
+
+let call t m args = result t (State.call t m (Value.of_values args))
+let run t = result t (State.run t)
 
 (* Observed activations run on the reference loop: the closure engine
    compiles only the unobserved fast path. The test runs on every method

@@ -18,6 +18,13 @@
    transition goes through these helpers; the differential fuzz oracle's
    engine axis (lib/fuzz/oracle.ml) asserts it empirically.
 
+   Values are unboxed (payload, tag) pairs here as in [Frame] and [Heap]
+   (DESIGN.md section 10): the statics and the staged call arguments are
+   {!Value.slots}, and a method's result travels in [ret_p]/[ret_tag]
+   while [call] and the handlers return whether there is one. [Value.t]
+   appears only at the edges: the compile hook's arguments here, and
+   [Interp]'s [global], [call] and [run].
+
    Observers (telemetry, profiler, load observer, monitor) are called
    from these helpers and the reference loop only: while any is
    installed ([instrumented]), every activation runs on the switch
@@ -108,9 +115,9 @@ type monitor = {
 }
 
 (* One instruction of a closure-compiled method body. Handlers capture
-   the interpreter [t] they were compiled against; [None]/[Some v] is the
-   method's return value, exactly like [call]'s result. *)
-type handler = Frame.t -> Value.t option
+   the interpreter [t] they were compiled against and return whether the
+   method returned a value, exactly like [call]. *)
+type handler = Frame.t -> bool
 
 type t = {
   program : Classfile.program;
@@ -128,7 +135,7 @@ type t = {
       (** membership of [opts.faults], derived once at [make] so the
           per-instruction and per-window paths test a bool, never walk
           the list *)
-  globals : Value.t array;
+  globals : Value.slots;
   out : Buffer.t;
   pool_frames : Frame.t array array;
       (** per-method free stack of frames; [call] recycles activation
@@ -138,13 +145,17 @@ type t = {
           not cons — on call-dense workloads the pool churns once per
           invocation and the cons cells dominated minor-GC pressure *)
   pool_len : int array;  (** live prefix length of [pool_frames.(id)] *)
-  scratch_args : Value.t array array;
+  scratch_args : Value.slots array;
       (** per-arity reusable argument buffers for both engines' [Invoke]
-          (slot [a] holds an [a]-length array, lazily created). Safe to
-          reuse across calls: [call] consumes the buffer into the callee
+          (entry [a] holds [a] slots, lazily created). Safe to reuse
+          across calls: [call] consumes the buffer into the callee
           frame's locals before any bytecode executes, and the (cold,
-          once-per-method) compile hook gets a defensive copy — nothing
+          once-per-method) compile hook gets a converted copy — nothing
           retains the buffer itself. *)
+  mutable ret_p : int;
+  mutable ret_tag : int;
+      (** the value the last method that returned one returned; read by
+          its caller right after [call] returns [true] *)
   closure_cache : compiled_method option array;
       (** per-method closure-engine artifact, lazily (re)compiled by
           [Engine]; invalidated when the code array identity or the
@@ -183,7 +194,7 @@ type t = {
           the closure engine, which batches its base costs past [charge]
           entirely (an armed monitor counts as [instrumented], so the
           closure engine never runs monitored) *)
-  mutable engine_exec : t -> Frame.t -> Value.t option;
+  mutable engine_exec : t -> Frame.t -> bool;
       (** the selected engine's method-body executor; wired by
           [Interp.create], dispatched through by [call] *)
 }
@@ -226,11 +237,13 @@ let make ?options machine program =
     unguarded_spec_loads = List.mem Fault.Unguarded_spec_loads opts.faults;
     engine_desync = List.mem Fault.Engine_desync opts.faults;
     monitor_desync = List.mem Fault.Monitor_desync opts.faults;
-    globals = Array.make (max 1 (Array.length program.statics)) Value.Null;
+    globals = Value.make (max 1 (Array.length program.statics));
     out = Buffer.create 256;
     pool_frames = Array.make (max 1 (Array.length program.methods)) [||];
     pool_len = Array.make (max 1 (Array.length program.methods)) 0;
     scratch_args = Array.make 16 [||];
+    ret_p = Value.null_payload;
+    ret_tag = Value.tag_null;
     closure_cache = Array.make (max 1 (Array.length program.methods)) None;
     frame_stack = [||];
     frame_depth = 0;
@@ -430,7 +443,7 @@ let collect_garbage t =
     for i = 0 to t.frame_depth - 1 do
       Frame.iter_roots t.frame_stack.(i) visit
     done;
-    Array.iter visit t.globals
+    Value.iter_refs t.globals (Value.length t.globals) visit
   in
   let result = Gc_compact.collect t.heap ~roots in
   t.gc_count <- t.gc_count + 1;
@@ -494,15 +507,14 @@ let[@inline never] allocate t frame ~pc:alloc_pc alloc arg =
 
 (* The engines' handlers inline [as_ref] and [array_addr]; the error
    paths that build messages stay out of line. *)
-let[@inline never] bad_ref (frame : Frame.t) v =
-  match v with
-  | Value.Null ->
-      vm_error "null pointer dereference in %s" frame.method_info.method_name
-  | Value.Int _ | Value.Ref _ ->
-      vm_error "integer used as reference in %s" frame.method_info.method_name
+let[@inline never] bad_ref (frame : Frame.t) tag =
+  if tag = Value.tag_null then
+    vm_error "null pointer dereference in %s" frame.method_info.method_name
+  else vm_error "integer used as reference in %s" frame.method_info.method_name
 
-let[@inline] as_ref frame v =
-  match v with Value.Ref id -> id | Value.Int _ | Value.Null -> bad_ref frame v
+(* The object id of the pair [(p, tag)], which must be a reference. *)
+let[@inline] as_ref frame p tag =
+  if tag = Value.tag_ref then p else bad_ref frame tag
 
 let[@inline never] index_out_of_bounds (frame : Frame.t) ~index ~len =
   vm_error "array index %d out of bounds [0,%d) in %s" index len
@@ -528,10 +540,10 @@ let maybe_compile t (m : Classfile.method_info) args =
     | Some hook ->
         (* Mark first: the hook may recursively execute nothing, but a
            failed compilation should not retrigger on every call. The
-           copy isolates the hook from [Invoke]'s reusable scratch
-           buffer (cold path: once per method). *)
+           conversion copies the arguments out of [Invoke]'s reusable
+           scratch buffer (cold path: once per method). *)
         m.compiled <- true;
-        hook t m (Array.copy args)
+        hook t m (Value.to_values args)
     | None -> ()
 
 (* Acquire an activation record, recycling one from the per-method pool
@@ -594,14 +606,14 @@ let scratch_args t arity =
   let pool = t.scratch_args in
   if arity < Array.length pool then begin
     let a = Array.unsafe_get pool arity in
-    if Array.length a = arity then a
+    if Value.length a = arity then a
     else begin
-      let a = Array.make arity Value.Null in
+      let a = Value.make arity in
       pool.(arity) <- a;
       a
     end
   end
-  else Array.make arity Value.Null
+  else Value.make arity
 
 let call t (m : Classfile.method_info) args =
   m.invocations <- m.invocations + 1;
@@ -624,7 +636,7 @@ let call t (m : Classfile.method_info) args =
 
 let run t =
   let entry = Classfile.method_of_id t.program t.program.entry in
-  let result = call t entry (Array.make entry.arity Value.Null) in
+  let result = call t entry (Value.make entry.arity) in
   (* [Fault.Hw_desync]: an architectural observable (program output)
      that depends on which hardware prefetcher model the machine ships —
      exactly the divergence the oracle's hw row exists to catch. *)

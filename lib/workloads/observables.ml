@@ -8,7 +8,10 @@ type obj = {
   obj_id : int;
   base : int;  (** simulated byte address; [-1] in [`Reachable] scope *)
   kind : obj_kind;
-  payload : Vm.Value.t array;  (** fields or elements, in slot order *)
+  slots : int array;
+      (** fields or elements, raw as the heap stores them
+          ([Vm.Heap.raw_slots]): an instance's [Vm.Value.slots], an int
+          array's ints, a ref array's ids; decoded by [value] *)
 }
 
 type t = {
@@ -20,30 +23,36 @@ type t = {
   used_bytes : int;  (** [-1] in [`Reachable] scope *)
 }
 
-let payload_of heap id =
+let kind_of heap id =
   match Vm.Heap.class_id_of heap id with
-  | Some cid ->
-      let slots =
-        (Vm.Heap.size_of heap id - Vm.Classfile.header_bytes)
-        / Vm.Classfile.slot_bytes
-      in
-      ( Instance cid,
-        Array.init slots (fun slot -> Vm.Heap.get_field heap id slot) )
-  | None ->
-      let len = Vm.Heap.array_length heap id in
-      let kind =
-        if Vm.Heap.is_ref_array heap id then Ref_array else Int_array
-      in
-      (kind, Array.init len (fun i -> Vm.Heap.get_elem heap id i))
+  | Some cid -> Instance cid
+  | None -> if Vm.Heap.is_ref_array heap id then Ref_array else Int_array
 
 let capture_object ~with_base heap id =
-  let kind, payload = payload_of heap id in
   {
     obj_id = id;
     base = (if with_base then Vm.Heap.base_of heap id else -1);
-    kind;
-    payload;
+    kind = kind_of heap id;
+    slots = Vm.Heap.raw_slots heap id;
   }
+
+let length o =
+  match o.kind with
+  | Instance _ -> Vm.Value.length o.slots
+  | Int_array | Ref_array -> Array.length o.slots
+
+let value o i =
+  match o.kind with
+  | Instance _ -> Vm.Value.get o.slots i
+  | Int_array -> Vm.Value.Int o.slots.(i)
+  | Ref_array -> Vm.Value.of_id o.slots.(i)
+
+(* The object id of every reference [o] holds, in slot order. *)
+let iter_refs o f =
+  match o.kind with
+  | Instance _ -> Vm.Value.iter_refs o.slots (length o) f
+  | Ref_array -> Array.iter (fun id -> if id >= 0 then f id) o.slots
+  | Int_array -> ()
 
 let globals_of interp =
   let n = Array.length (Vm.Interp.program interp).Vm.Classfile.statics in
@@ -77,16 +86,18 @@ let capture_reachable interp =
   let globals = globals_of interp in
   let seen = Hashtbl.create 64 in
   let objects = ref [] in
-  let rec visit v =
-    match v with
-    | Vm.Value.Ref id when not (Hashtbl.mem seen id) ->
-        Hashtbl.replace seen id ();
-        let o = capture_object ~with_base:false heap id in
-        objects := o :: !objects;
-        Array.iter visit o.payload
-    | Vm.Value.Ref _ | Vm.Value.Int _ | Vm.Value.Null -> ()
+  let rec visit id =
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.replace seen id ();
+      let o = capture_object ~with_base:false heap id in
+      objects := o :: !objects;
+      iter_refs o visit
+    end
   in
-  Array.iter visit globals;
+  Array.iter
+    (function
+      | Vm.Value.Ref id -> visit id | Vm.Value.Int _ | Vm.Value.Null -> ())
+    globals;
   {
     scope = `Reachable;
     output = Vm.Interp.output interp;
@@ -112,7 +123,7 @@ let describe_obj o =
   Printf.sprintf "#%d %s%s [%s]" o.obj_id (string_of_kind o.kind)
     (if o.base >= 0 then Printf.sprintf " @0x%x" o.base else "")
     (String.concat "; "
-       (Array.to_list (Array.map Vm.Value.to_string o.payload)))
+       (List.init (length o) (fun i -> Vm.Value.to_string (value o i))))
 
 (* First difference between two captures, as a human-readable sentence;
    [None] when equal. *)

@@ -14,7 +14,10 @@ type obj = {
   obj_id : int;  (** stable allocation-ordered id *)
   base : int;  (** simulated byte address; [-1] in [`Reachable] scope *)
   kind : obj_kind;
-  payload : Vm.Value.t array;  (** fields or elements, in slot order *)
+  slots : int array;
+      (** fields or elements in slot order, copied raw as the heap stores
+          them ({!Vm.Heap.raw_slots}); {!describe_obj} and {!diff} decode
+          them to values *)
 }
 
 type t = {

@@ -48,10 +48,15 @@ let program_of_code ?(max_locals = 8) code =
 let qtest = QCheck_alcotest.to_alcotest
 
 (* Collect [heap] from a list of root values, then fail the test unless
-   every heap invariant holds afterwards. *)
+   every heap invariant holds afterwards. The collector's roots are object
+   ids: the references among the values. *)
 let collect heap roots =
   let result =
-    Vm.Gc_compact.collect heap ~roots:(fun visit -> List.iter visit roots)
+    Vm.Gc_compact.collect heap ~roots:(fun visit ->
+        List.iter
+          (function
+            | Vm.Value.Ref id -> visit id | Vm.Value.Int _ | Vm.Value.Null -> ())
+          roots)
   in
   (match Vm.Heap.check_invariants heap with
   | Ok () -> ()

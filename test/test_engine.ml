@@ -261,13 +261,19 @@ let test_rerun_determinism () =
   let b = H.run ~engine:Vm.Interp.Closure ~mode ~machine w in
   check_same_run ~ctx:"rerun" a b
 
-(* The closure engine's array path allocates nothing on the host: an int
-   element loads as a shared small-int block, and neither the bounds-check
-   load nor the element access builds a tuple. Two trip counts on fresh
-   interpreters must then allocate exactly the same words. *)
-let array_loop_source n =
-  Printf.sprintf
-    {|
+(* The closure engine's hot path allocates nothing on the host: values
+   are unboxed (payload, tag) pairs wherever they are stored, so no int
+   is boxed, however large, and no load builds a tuple. Each row is a
+   loop run for two trip counts on fresh interpreters, which must then
+   allocate exactly the same words: the array path (the bounds-check
+   load and the element access), ints past 1023, a field and a static
+   stored and loaded, and a call returning a value. *)
+let alloc_rows =
+  [
+    ( "array",
+      (fun n ->
+        Printf.sprintf
+          {|
 class T {
   static void main() {
     int[] a = new int[64];
@@ -282,11 +288,80 @@ class T {
   }
 }
 |}
-    n
+          n),
+      fun n ->
+        let a = Array.make 64 0 and s = ref 0 in
+        for i = 0 to n - 1 do
+          a.(i mod 64) <- !s mod 100;
+          s := a.((i + 1) mod 64) + 1
+        done;
+        !s );
+    ( "ints past 1023",
+      (fun n ->
+        Printf.sprintf
+          {|
+class T {
+  static void main() {
+    int s = 0;
+    for (int i = 0; i < %d; i = i + 1) { s = s + 1000003 * i; }
+    print(s);
+  }
+}
+|}
+          n),
+      fun n -> 1000003 * (n * (n - 1) / 2) );
+    ( "field and static",
+      (fun n ->
+        Printf.sprintf
+          {|
+class T {
+  int f;
+  static int g;
+  static void main() {
+    T t = new T();
+    t.f = 5000;
+    T.g = 7000;
+    for (int i = 0; i < %d; i = i + 1) {
+      t.f = t.f + T.g + i;
+      T.g = t.f %% 100000 + 2000;
+    }
+    print(t.f + T.g);
+  }
+}
+|}
+          n),
+      fun n ->
+        let f = ref 5000 and g = ref 7000 in
+        for i = 0 to n - 1 do
+          f := !f + !g + i;
+          g := (!f mod 100000) + 2000
+        done;
+        !f + !g );
+    ( "call returning a value",
+      (fun n ->
+        Printf.sprintf
+          {|
+class T {
+  static int step(int x, int i) { return (x * 3 + i) %% 1000000 + 5000; }
+  static void main() {
+    int s = 1;
+    for (int i = 0; i < %d; i = i + 1) { s = T.step(s, i); }
+    print(s);
+  }
+}
+|}
+          n),
+      fun n ->
+        let s = ref 1 in
+        for i = 0 to n - 1 do
+          s := (((!s * 3) + i) mod 1000000) + 5000
+        done;
+        !s );
+  ]
 
 let test_array_path_allocates_nothing () =
-  let run n =
-    let program = Helpers.compile (array_loop_source n) in
+  let run source n =
+    let program = Helpers.compile (source n) in
     let machine = Memsim.Config.pentium4 in
     let options =
       { (Vm.Interp.default_options machine) with engine = Vm.Interp.Closure }
@@ -297,20 +372,59 @@ let test_array_path_allocates_nothing () =
     let words = Gc.minor_words () -. before in
     (Vm.Interp.output interp, words)
   in
-  let expected n =
-    let a = Array.make 64 0 and s = ref 0 in
-    for i = 0 to n - 1 do
-      a.(i mod 64) <- !s mod 100;
-      s := a.((i + 1) mod 64) + 1
-    done;
-    Printf.sprintf "%d\n" !s
+  List.iter
+    (fun (name, source, expected) ->
+      let out_short, words_short = run source 200 in
+      let out_long, words_long = run source 900 in
+      let out n = Printf.sprintf "%d\n" (expected n) in
+      Alcotest.(check string) (name ^ ": N=200 output") (out 200) out_short;
+      Alcotest.(check string) (name ^ ": N=900 output") (out 900) out_long;
+      Alcotest.(check (float 0.))
+        (name ^ ": minor words independent of N")
+        words_short words_long)
+    alloc_rows
+
+(* A recursion deeper than the 64-frame pool builds a fresh frame per
+   extra level. The operand stack starts small and grows on demand, so
+   such a frame costs about 51 words (the record, two locals' slots, a
+   16-slot stack, the site and prefetch registers), not the 280 a
+   [max_stack]-slot stack cost. Checked on both engines. *)
+let recursion_source n =
+  Printf.sprintf
+    {|
+class T {
+  static int down(int n) {
+    int r = 0;
+    if (n > 0) { r = T.down(n - 1) + 1; }
+    return r;
+  }
+  static void main() { print(T.down(%d)); }
+}
+|}
+    n
+
+let test_recursion_words_per_level () =
+  let run engine n =
+    let program = Helpers.compile (recursion_source n) in
+    let machine = Memsim.Config.pentium4 in
+    let options = { (Vm.Interp.default_options machine) with engine } in
+    let interp = Vm.Interp.create ~options machine program in
+    let before = Gc.minor_words () in
+    ignore (Vm.Interp.run interp);
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check string)
+      (Printf.sprintf "down(%d) output" n)
+      (Printf.sprintf "%d\n" n) (Vm.Interp.output interp);
+    words
   in
-  let out_short, words_short = run 200 in
-  let out_long, words_long = run 900 in
-  Alcotest.(check string) "N=200 output" (expected 200) out_short;
-  Alcotest.(check string) "N=900 output" (expected 900) out_long;
-  Alcotest.(check (float 0.)) "minor words independent of N" words_short
-    words_long
+  List.iter
+    (fun engine ->
+      let per_level = (run engine 4000 -. run engine 2000) /. 2000. in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per level <= 64"
+           (Vm.Interp.engine_name engine) per_level)
+        true (per_level <= 64.))
+    [ Vm.Interp.Switch; Vm.Interp.Closure ]
 
 (* ---- every instruction in every entry state ----
 
@@ -696,6 +810,63 @@ let test_every_instruction_every_entry () =
         (cases_of instr))
     Helpers.every_instr
 
+(* ---- values through every container ----
+
+   Each value is routed through every place the VM stores one: the
+   operand stack, a local, an object field, a static, a call argument
+   and a return value, an int or ref array element, and [main]'s result.
+   The pair encoding's edges are in the list: the extreme 63-bit ints,
+   the ints just outside the old shared-box range, a reference and null.
+   A field, ref element and int element never written read null, null
+   and 0. The output is pinned and must be the same on both engines. *)
+let through_containers push ~int =
+  (push :: is [ B.Istore 3; B.Aload 2; B.Iload 3; put_next ])
+  @ is [ B.Aload 2; get_next 0; put_s1; get_s1 1; B.Invoke 4; B.Istore 3 ]
+  @ (if int then
+       is
+         [
+           B.Aload 0; B.Iconst 2; B.Iload 3; B.Iastore { len_site = 2 };
+           B.Aload 0; B.Iconst 2; B.Iaload { len_site = 3; elem_site = 4 };
+           B.Istore 3; B.Iload 3; B.Print;
+         ]
+     else
+       is
+         [
+           B.Aload 1; B.Iconst 0; B.Iload 3; B.Aastore { len_site = 2 };
+           B.Aload 1; B.Iconst 0; B.Aaload { len_site = 3; elem_site = 4 };
+           B.Istore 3;
+         ])
+  @ is [ B.Iload 3; B.Areturn ]
+
+let container_cases =
+  List.map
+    (fun k ->
+      ( string_of_int k,
+        through_containers (I (B.Iconst k)) ~int:true,
+        Printf.sprintf "returned %d\n%d\n" k k ))
+    [ max_int; min_int; -129; 1024 ]
+  @ [
+      ("ref", through_containers (I (B.Aload 2)) ~int:false, "returned ref#2\n");
+      ("null", through_containers (I B.Aconst_null) ~int:false, "returned null\n");
+      ("unwritten field", is [ B.New 0; get_next 5; B.Areturn ], "returned null\n");
+      ( "unwritten ref element",
+        is [ B.Aload 1; B.Iconst 1; B.Aaload { len_site = 5; elem_site = 6 }; B.Areturn ],
+        "returned null\n" );
+      ( "unwritten int element",
+        is [ B.Aload 0; B.Iconst 3; B.Iaload { len_site = 5; elem_site = 6 }; B.Areturn ],
+        "returned 0\n" );
+    ]
+
+let test_values_survive_containers () =
+  List.iter
+    (fun (name, body, expected) ->
+      let code = assemble (prelude @ body) in
+      let sw, _ = matrix_run Vm.Interp.Switch code in
+      let cl, _ = matrix_run Vm.Interp.Closure code in
+      check_same_books ~ctx:name sw cl;
+      Alcotest.(check string) (name ^ ": output") expected (fst sw))
+    container_cases
+
 let suite =
   [
     Alcotest.test_case "bit-identity: workload x machine x mode" `Slow
@@ -709,6 +880,10 @@ let suite =
     Alcotest.test_case "re-run determinism" `Quick test_rerun_determinism;
     Alcotest.test_case "array path allocates nothing" `Quick
       test_array_path_allocates_nothing;
+    Alcotest.test_case "recursion past the frame pool: words per level"
+      `Quick test_recursion_words_per_level;
     Alcotest.test_case "every instruction in every entry state" `Quick
       test_every_instruction_every_entry;
+    Alcotest.test_case "values survive every container" `Quick
+      test_values_survive_containers;
   ]

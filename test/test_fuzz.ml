@@ -213,6 +213,56 @@ let test_replay_names_the_fault () =
         (Helpers.contains printed (Fuzz.Driver.replay f))
   | l -> Alcotest.failf "expected exactly 1 finding, got %d" (List.length l)
 
+(* A shrink candidate can loop where the failing program did not: one of
+   seed 2028's skip-guard-dominance candidates deletes [p = p.next;] from
+   a [while (p != null)] walk, and one of seed 2026's prediction-desync
+   candidates loops too. Each candidate runs under a step budget derived
+   from the failing program, so such a candidate crashes, in another
+   class, and is rejected. Every fault's self-test campaign (the CLI's
+   [--seed 2026 --count 2 --max-size 6 --inject F], seed 2028 for
+   skip-guard-dominance, which 2026 does not trigger), shrinking on,
+   must end within seconds, and each shrunk source must still fail in
+   its finding's class. *)
+let test_shrinking_ends_under_a_step_budget () =
+  List.iter
+    (fun fault ->
+      let faults = [ fault ] and name = Vm.Fault.name fault in
+      let campaign_seed =
+        if fault = Vm.Fault.Skip_guard_dominance then 2028 else 2026
+      in
+      let started = Sys.time () in
+      let campaign =
+        Fuzz.Driver.run ~faults ~campaign_seed ~count:2 ~max_size:6 ()
+      in
+      let seconds = Sys.time () -. started in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: campaign ends in %.1f s (< 30)" name seconds)
+        true (seconds < 30.);
+      Alcotest.(check bool)
+        (name ^ ": a finding") true
+        (campaign.Fuzz.Driver.findings <> []);
+      List.iter
+        (fun (f : Fuzz.Driver.finding) ->
+          match f.shrunk with
+          | None -> Alcotest.failf "%s: finding was not shrunk" name
+          | Some s -> (
+              let g = Fuzz.Gen.generate ~seed:f.seed ~max_size:6 in
+              match
+                Fuzz.Oracle.check ~faults ~source:s.Fuzz.Shrink.source
+                  ~heap_limit_bytes:g.Fuzz.Gen.heap_limit_bytes ()
+              with
+              | Fuzz.Oracle.Fail shrunk ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s seed %d: shrunk source fails in class"
+                       name f.seed)
+                    (Fuzz.Oracle.class_name f.failure)
+                    (Fuzz.Oracle.class_name shrunk)
+              | Fuzz.Oracle.Pass _ ->
+                  Alcotest.failf "%s seed %d: shrunk source passes" name
+                    f.seed))
+        campaign.Fuzz.Driver.findings)
+    Vm.Fault.all
+
 let test_shrink_terminates_and_decreases () =
   (* with an always-failing predicate the shrinker drives any program to a
      local minimum without looping: every accepted step strictly
@@ -245,4 +295,6 @@ let suite =
     ("driver: replay names the fault", `Quick, test_replay_names_the_fault);
     ("shrink: terminates at a compiling minimum", `Quick,
      test_shrink_terminates_and_decreases);
+    ("shrink: ends under a step budget for every fault", `Slow,
+     test_shrinking_ends_under_a_step_budget);
   ]

@@ -168,15 +168,20 @@ let dummy_method code =
   C.make_method ~method_id:0 ~method_name:"T.m" ~arity:2 ~returns_value:false
     ~max_locals:4 ~code
 
-(* The operand-stack primitives live in [Engine], shared by both loops. *)
+(* The operand-stack primitives live in [Engine], shared by both loops:
+   [push] takes a (payload, tag) pair, [peek] and [pop] return the index
+   of the slot holding one. *)
 let test_frame_push_pop () =
   let f =
-    Vm.Frame.create (dummy_method [| B.Return |]) ~args:[| V.Int 1; V.Null |]
+    Vm.Frame.create (dummy_method [| B.Return |])
+      ~args:(V.of_values [| V.Int 1; V.Null |])
   in
-  Vm.Engine.push f (V.Int 5);
-  Vm.Engine.push f (V.Ref 0);
-  Alcotest.(check bool) "peek" true (Vm.Engine.peek f = V.Ref 0);
-  Alcotest.(check bool) "pop" true (Vm.Engine.pop f = V.Ref 0);
+  let push v = Vm.Engine.push f (V.payload_of v) (V.tag_of v) in
+  let slot i = V.get f.Vm.Frame.stack i in
+  push (V.Int 5);
+  push (V.Ref 0);
+  Alcotest.(check bool) "peek" true (slot (Vm.Engine.peek f) = V.Ref 0);
+  Alcotest.(check bool) "pop" true (slot (Vm.Engine.pop f) = V.Ref 0);
   Alcotest.(check int) "pop_int" 5 (Vm.Engine.pop_int f);
   Alcotest.check_raises "underflow"
     (Vm.Frame.Stack_error "operand stack underflow in T.m") (fun () ->
@@ -198,13 +203,35 @@ let test_frame_stack_errors_agree () =
     | exception Vm.Interp.Vm_error msg -> msg
   in
   let getfield = B.Getfield { site = 0; offset = 8; name = "f"; is_ref = false } in
+  let grown = Array.init 40 (fun i -> (i * 1_000_003) - 7) in
   let cases =
     [
       ("underflow on pop", [| B.Pop; B.Return |], "operand stack underflow in T.main");
       ("underflow on dup", [| B.Dup; B.Return |], "operand stack underflow in T.main");
       ( "ref where an int is expected",
         [| B.Iconst 1; B.Newarray B.Int_array; B.Iconst 1; B.Iadd; B.Return |],
-        "expected int on stack in T.main, got " );
+        "expected int on stack in T.main, got ref#0" );
+      ( "ref on top where an int is expected",
+        [| B.Iconst 1; B.Newarray B.Int_array; B.Print; B.Return |],
+        "expected int on stack in T.main, got ref#0" );
+      ( "null where an int is expected",
+        [| B.Aconst_null; B.Iconst 1; B.Iadd; B.Return |],
+        "expected int on stack in T.main, got null" );
+      ( "null on top where an int is expected",
+        [| B.Aconst_null; B.Print; B.Return |],
+        "expected int on stack in T.main, got null" );
+      (* 40 values, past the stack's initial capacity, summed back: the
+         divisor is 0, and the row raises, only if every value survived
+         the growth. *)
+      ( "values survive stack growth",
+        Array.concat
+          [
+            [| B.Iconst 1 |];
+            Array.map (fun k -> B.Iconst k) grown;
+            Array.make (Array.length grown - 1) B.Iadd;
+            [| B.Iconst (Array.fold_left ( + ) 0 grown); B.Isub; B.Idiv; B.Return |];
+          ],
+        "division by zero in T.main" );
       ( "push past max_stack",
         Array.append
           (Array.make (Vm.Frame.max_stack + 1) (B.Iconst 0))
@@ -253,13 +280,14 @@ let test_frame_stack_errors_agree () =
 
 let test_frame_args_in_locals () =
   let f =
-    Vm.Frame.create (dummy_method [| B.Return |]) ~args:[| V.Int 7; V.Ref 3 |]
+    Vm.Frame.create (dummy_method [| B.Return |])
+      ~args:(V.of_values [| V.Int 7; V.Ref 3 |])
   in
-  Alcotest.(check bool) "arg 0" true (f.Vm.Frame.locals.(0) = V.Int 7);
-  Alcotest.(check bool) "arg 1" true (f.Vm.Frame.locals.(1) = V.Ref 3);
+  Alcotest.(check bool) "arg 0" true (V.get f.Vm.Frame.locals 0 = V.Int 7);
+  Alcotest.(check bool) "arg 1" true (V.get f.Vm.Frame.locals 1 = V.Ref 3);
   let roots = ref [] in
-  Vm.Frame.iter_roots f (fun v -> roots := v :: !roots);
-  Alcotest.(check bool) "roots include args" true (List.mem (V.Ref 3) !roots)
+  Vm.Frame.iter_roots f (fun id -> roots := id :: !roots);
+  Alcotest.(check bool) "roots include args" true (List.mem 3 !roots)
 
 (* --- bytecode ------------------------------------------------------------ *)
 
