@@ -287,7 +287,7 @@ let fig11 () =
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: sweeps of algorithm knobs that are not run-configuration
-   axes, run through Harness.run ~opts on the same Domain pool. *)
+   axes, run through the harness's request on the same Domain pool. *)
 
 let find_workload name = List.find (fun (w : W.t) -> w.name = name) workloads
 
@@ -338,7 +338,8 @@ let ablation ~jobs () =
   let runs =
     Runner.map ~jobs
       (fun (title, w, mode, label, opts) ->
-        (title, w, label, H.run ~opts ~mode ~machine w))
+        let config = { Workloads.Run_config.default with mode; machine } in
+        (title, w, label, H.execute { (H.request w) with config; opts }))
       points
   in
   ignore

@@ -68,10 +68,18 @@ let run_cell c =
     if c.monitor then Some Monitor.Collector.default_window_cycles else None
   in
   let result =
-    H.run ~opts:(R.opts c.config) ~standard_passes:c.config.passes
-      ~engine:c.config.engine ?monitor ~telemetry:c.telemetry
-      ~profile:c.profile ~mode:c.config.mode ~machine:(R.machine c.config)
-      c.workload
+    H.execute
+      {
+        (H.request c.workload) with
+        config = c.config;
+        observers =
+          {
+            H.no_observers with
+            telemetry = c.telemetry;
+            profile = c.profile;
+            monitor;
+          };
+      }
   in
   { cell = c; result; seconds = Unix.gettimeofday () -. t0 }
 

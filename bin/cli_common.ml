@@ -16,6 +16,22 @@ let find_workload name =
       String.lowercase_ascii w.name = String.lowercase_ascii name)
     workloads
 
+(* A workload named on the command line. An unknown name is a usage
+   error (exit 124, cmdliner's) that lists the known names. *)
+let workload_conv =
+  let name (w : Workloads.Workload.t) = w.name in
+  let parse s =
+    match find_workload s with
+    | Some w -> Ok w
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown workload '%s' (expected: %s)" s
+               (String.concat ", " (List.map name workloads))))
+  in
+  let print ppf w = Format.pp_print_string ppf (name w) in
+  Cmdliner.Arg.conv (parse, print)
+
 module R = Workloads.Run_config
 
 (* One axis as a cmdliner argument whose value sets that axis (parsed by

@@ -24,18 +24,24 @@ module H = Workloads.Harness
 module R = Workloads.Run_config
 module B = Diff.Bisect
 
-let run_live ?(profile = false) ~workload (c : R.t) =
+(* The request every live run of [w] derives from: one compile serves the
+   twins and every bisector replay. *)
+let live_request w =
+  {
+    (H.request w) with
+    opts = { Strideprefetch.Options.default with check_invariants = true };
+  }
+
+let run_live ?(profile = false) (req : H.request) config =
   try
-    H.run
-      ~opts:{ (R.opts c) with check_invariants = true }
-      ~standard_passes:c.passes ~engine:c.engine ~profile ~mode:c.mode
-      ~machine:(R.machine c) workload
+    H.execute
+      { req with config; observers = { H.no_observers with profile } }
   with H.Invariant_violation msg ->
     Printf.eprintf "spf_diff: invariant violation in replay: %s\n" msg;
     exit 2
 
-let rundata_of_live ~workload c =
-  let r = run_live ~profile:true ~workload c in
+let rundata_of_live req c =
+  let r = run_live ~profile:true req c in
   match
     Diff.Rundata.of_run
       ~config:(Diff.Rundata.config_strings ~workload:r.H.workload c)
@@ -58,19 +64,12 @@ let write_json path json =
       Out_channel.output_string oc (Telemetry.Json.to_string json);
       Out_channel.output_string oc "\n")
 
-let find_workload_or_die name =
-  match Cli_common.find_workload name with
-  | Some w -> w
-  | None ->
-      Printf.eprintf "spf_diff: unknown workload %s\n" name;
-      exit 2
-
 (* ------------------------------------------------------------------ *)
 
 let workload_arg =
   Cmdliner.Arg.(
     value
-    & opt (some string) None
+    & opt (some Cli_common.workload_conv) None
     & info [ "w"; "workload" ] ~docv:"NAME"
         ~doc:"Workload to replay (required for live diffs and --record).")
 
@@ -166,15 +165,14 @@ let main workload base vs bisect expect_axis max_replays record a_file b_file
   let fault_desync = List.mem Vm.Fault.Diff_desync faults in
   match (record, a_file, b_file) with
   | Some path, _, _ ->
-      let name =
+      let w =
         match workload with
-        | Some n -> n
+        | Some w -> w
         | None ->
             Printf.eprintf "spf_diff: --record needs --workload\n";
             exit 2
       in
-      let w = find_workload_or_die name in
-      let rd = rundata_of_live ~workload:w base in
+      let rd = rundata_of_live (live_request w) base in
       write_json path (Diff.Rundata.to_json rd);
       Printf.printf "snapshot written to %s (%s, %d cycles)\n" path
         rd.Diff.Rundata.config.c_workload rd.Diff.Rundata.cycles
@@ -192,16 +190,15 @@ let main workload base vs bisect expect_axis max_replays record a_file b_file
       Printf.eprintf "spf_diff: -a and -b go together\n";
       exit 2
   | None, None, None -> (
-      let name =
+      let w =
         match workload with
-        | Some n -> n
+        | Some w -> w
         | None ->
             Printf.eprintf
               "spf_diff: nothing to do — need --workload with --vs (live \
                diff), --record, or -a/-b (recorded diff)\n";
             exit 2
       in
-      let w = find_workload_or_die name in
       let vs_spec =
         match vs with
         | Some s -> s
@@ -216,9 +213,10 @@ let main workload base vs bisect expect_axis max_replays record a_file b_file
             Printf.eprintf "spf_diff: %s\n" e;
             exit 2
       in
+      let req = live_request w in
       if bisect then begin
         let outcome =
-          B.run ~replay:(fun c -> (run_live ~workload:w c).H.cycles) ~a:base ~b
+          B.run ~replay:(fun c -> (run_live req c).H.cycles) ~a:base ~b
         in
         print_string (B.render ~a:base ~b outcome);
         (match max_replays with
@@ -241,8 +239,8 @@ let main workload base vs bisect expect_axis max_replays record a_file b_file
                 exit 1)
       end
       else
-        let ra = rundata_of_live ~workload:w base in
-        let rb = rundata_of_live ~workload:w b in
+        let ra = rundata_of_live req base in
+        let rb = rundata_of_live req b in
         emit_blame ~json ~top (Diff.Blame.build ~fault_desync ~a:ra ~b:rb ()))
 
 let () =

@@ -7,8 +7,8 @@
 
    Exit status 0 when everything is clean, 1 when any finding was
    produced (or, under --inject, when the injected fault went
-   unreported), 2 for an unknown workload, 124 on other usage errors —
-   so the tool slots directly into CI (`dune build @lint`). *)
+   unreported), 124 on usage errors such as an unknown workload — so the
+   tool slots directly into CI (`dune build @lint`). *)
 
 open Cmdliner
 
@@ -17,6 +17,7 @@ let all_modes =
   Strideprefetch.Options.[ Off; Inter; Inter_intra ]
 
 module R = Workloads.Run_config
+module H = Workloads.Harness
 
 let predict_flag =
   Arg.(
@@ -41,7 +42,7 @@ let min_agreement_arg =
 let workload_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Cli_common.workload_conv) None
     & info [ "w"; "workload" ] ~docv:"NAME"
         ~doc:"Lint only this workload (default: all seed workloads).")
 
@@ -92,19 +93,15 @@ let config_name (w : Workloads.Workload.t) (machine : Memsim.Config.machine)
   Printf.sprintf "%s/%s/%s" w.name machine.Memsim.Config.name
     (Strideprefetch.Options.mode_name mode)
 
-(* Lint one (workload, machine, mode) cell. Returns (methods checked,
-   findings printed). *)
-let lint_one ~opts ~faults ~verify_each_pass ~verbose
-    (w : Workloads.Workload.t) (machine : Memsim.Config.machine) mode =
-  let name = config_name w machine mode in
+(* Lint one (workload, machine, mode) cell: [req] run at [config].
+   Returns (methods checked, findings printed). *)
+let lint_one ~verbose (req : H.request) (config : R.t) =
+  let opts = req.opts and machine = R.machine config in
+  let name = config_name req.workload machine config.mode in
   if verbose then (
     Printf.printf "-- %s\n" name;
     flush stdout);
-  match
-    Workloads.Harness.run ~opts ~verify_each_pass
-      ~tweak_options:(fun o -> { o with Vm.Interp.faults })
-      ~mode ~machine w
-  with
+  match H.execute { req with config } with
   | exception Jit.Pipeline.Verification_failed
       { pass_name; method_name; message } ->
       Printf.printf "[%s] %s failed verification after pass '%s':\n  %s\n"
@@ -130,37 +127,39 @@ let lint_one ~opts ~faults ~verify_each_pass ~verbose
         program.Vm.Classfile.methods;
       (!methods, !findings)
 
-let fuzz_workload ~seed ~max_size index : Workloads.Workload.t =
+let fuzz_workload ~seed ~max_size index =
   let g = Fuzz.Gen.generate ~seed:(seed + index) ~max_size in
-  {
-    Workloads.Workload.name = Printf.sprintf "fuzz-%d" (seed + index);
-    suite = `Specjvm;
-    description = "generated program (spf_lint corpus)";
-    paper_note = "";
-    source = Fuzz.Gen.source g;
-    heap_limit_bytes = g.Fuzz.Gen.heap_limit_bytes;
-  }
+  Workloads.Workload.of_source
+    ~name:(Printf.sprintf "fuzz-%d" (seed + index))
+    ~description:"generated program (spf_lint corpus)"
+    ~heap_limit_bytes:g.Fuzz.Gen.heap_limit_bytes (Fuzz.Gen.source g)
 
 (* Agreement mode: one run per workload x machine with the predictor
    attached but inspection left at full depth, so every static claim has
    its dynamically inspected counterpart to be judged against. *)
-let predict_run ~opts ~verbose ~min_agreement ~machines workloads =
-  let min_samples = opts.Strideprefetch.Options.min_samples in
+let predict_run ~(config : R.t) ~verbose ~min_agreement workloads =
+  let min_samples = Strideprefetch.Options.default.min_samples in
   let all_rows = ref [] in
   let scored = ref [] in
   let disagreements = ref 0 in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let wrows = ref [] in
+      let req =
+        {
+          (H.request w) with
+          observers = { H.no_observers with predict = true };
+        }
+      in
       List.iter
         (fun (machine : Memsim.Config.machine) ->
           if verbose then (
             Printf.printf "-- predict %s/%s\n" w.name
               machine.Memsim.Config.name;
             flush stdout);
+          let mode = Strideprefetch.Options.Inter_intra in
           let r =
-            Workloads.Harness.run ~opts ~predict:true
-              ~mode:Strideprefetch.Options.Inter_intra ~machine w
+            H.execute { req with config = { config with machine; mode } }
           in
           let rows =
             Strideprefetch.Pass.prediction_rows ~workload:w.name r.reports
@@ -204,7 +203,7 @@ let predict_run ~opts ~verbose ~min_agreement ~machines workloads =
                         (Analysis.Diag.render_plain d))
               | _ -> ())
             rows)
-        machines;
+        Memsim.Config.machines;
       all_rows := !all_rows @ !wrows;
       scored :=
         (w.name, Strideprefetch.Predict.score ~min_samples !wrows)
@@ -229,46 +228,33 @@ let predict_run ~opts ~verbose ~min_agreement ~machines workloads =
 let run workload fuzz seed max_size verify_each_pass verbose faults
     (config : R.t) predict min_agreement =
   let workloads =
-    match workload with
-    | None -> all_workloads
-    | Some name -> (
-        match
-          List.find_opt
-            (fun (w : Workloads.Workload.t) ->
-              String.lowercase_ascii w.name = String.lowercase_ascii name)
-            all_workloads
-        with
-        | Some w -> [ w ]
-        | None ->
-            Printf.eprintf "unknown workload: %s\n" name;
-            exit 2)
+    Option.fold ~none:all_workloads ~some:(fun w -> [ w ]) workload
+    @ List.init fuzz (fuzz_workload ~seed ~max_size)
   in
-  let workloads =
-    workloads @ List.init fuzz (fuzz_workload ~seed ~max_size)
-  in
-  let opts = R.opts config in
-  let machines =
-    List.map (fun machine -> R.machine { config with machine })
-      Memsim.Config.machines
-  in
-  if predict then
-    exit (predict_run ~opts ~verbose ~min_agreement ~machines workloads);
+  if predict then exit (predict_run ~config ~verbose ~min_agreement workloads);
   let runs = ref 0 and methods = ref 0 and findings = ref 0 in
   List.iter
     (fun w ->
+      (* One compile serves every machine x mode cell. *)
+      let req =
+        {
+          (H.request w) with
+          observers = { H.no_observers with verify_each_pass };
+          faults;
+        }
+      in
       List.iter
         (fun machine ->
           List.iter
             (fun mode ->
               let m, f =
-                lint_one ~opts ~faults ~verify_each_pass ~verbose w machine
-                  mode
+                lint_one ~verbose req { config with machine; mode }
               in
               incr runs;
               methods := !methods + m;
               findings := !findings + f)
             all_modes)
-        machines)
+        Memsim.Config.machines)
     workloads;
   Printf.printf "spf_lint: %d configuration(s), %d method bodies checked: \
                  %d finding(s)\n"

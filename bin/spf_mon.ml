@@ -10,13 +10,12 @@
    or took too long. *)
 
 module R = Workloads.Run_config
-
-let find_workload = Cli_common.find_workload
+module H = Workloads.Harness
 
 let workload_arg =
   Cmdliner.Arg.(
     required
-    & opt (some string) None
+    & opt (some Cli_common.workload_conv) None
     & info [ "w"; "workload" ] ~docv:"WORKLOAD"
         ~doc:
           "Workload name (see $(b,spf_run list)); the $(b,PhaseShift) and \
@@ -67,66 +66,65 @@ let max_latency_arg =
 
 let latency_gate_exit = 2
 
-let run name (config : R.t) window jsonl trace top max_latency =
-  match find_workload name with
-  | None ->
-      prerr_endline ("unknown workload: " ^ name);
-      exit 1
-  | Some w ->
-      if window <= 0 then begin
-        prerr_endline "spf_mon: --window must be positive";
-        exit 1
-      end;
-      let result =
-        Workloads.Harness.run ~opts:(R.opts config) ~engine:config.engine
-          ~monitor:window ~mode:config.mode ~machine:(R.machine config) w
+let run w (config : R.t) window jsonl trace top max_latency =
+  if window <= 0 then begin
+    prerr_endline "spf_mon: --window must be positive";
+    exit 1
+  end;
+  let result =
+    H.execute
+      {
+        (H.request w) with
+        config;
+        observers = { H.no_observers with monitor = Some window };
+      }
+  in
+  let rep = Option.get result.H.monitor in
+  Printf.printf "workload: %s  machine: %s  mode: %s  engine: %s\n"
+    result.workload result.machine
+    (Strideprefetch.Options.mode_name result.mode)
+    (Vm.Interp.engine_name config.engine);
+  Format.printf "%a" (Monitor.Report.pp_dashboard ~top) rep;
+  (match jsonl with
+  | Some path ->
+      Out_channel.with_open_text path (Monitor.Report.write_jsonl rep);
+      Printf.printf "per-window JSONL written to %s (%d windows)\n" path
+        (Array.length rep.Monitor.Report.windows)
+  | None -> ());
+  (match (trace, result.sink) with
+  | Some path, Some sink ->
+      let other =
+        [
+          ("workload", Telemetry.Json.Str result.workload);
+          ("machine", Telemetry.Json.Str result.machine);
+          ( "mode",
+            Telemetry.Json.Str (Strideprefetch.Options.mode_name result.mode)
+          );
+        ]
       in
-      let rep = Option.get result.Workloads.Harness.monitor in
-      Printf.printf "workload: %s  machine: %s  mode: %s  engine: %s\n"
-        result.workload result.machine
-        (Strideprefetch.Options.mode_name result.mode)
-        (Vm.Interp.engine_name config.engine);
-      Format.printf "%a" (Monitor.Report.pp_dashboard ~top) rep;
-      (match jsonl with
-      | Some path ->
-          Out_channel.with_open_text path (Monitor.Report.write_jsonl rep);
-          Printf.printf "per-window JSONL written to %s (%d windows)\n" path
-            (Array.length rep.Monitor.Report.windows)
-      | None -> ());
-      (match (trace, result.sink) with
-      | Some path, Some sink ->
-          let other =
-            [
-              ("workload", Telemetry.Json.Str result.workload);
-              ("machine", Telemetry.Json.Str result.machine);
-              ( "mode",
-                Telemetry.Json.Str (Strideprefetch.Options.mode_name result.mode)
-              );
-            ]
-          in
-          Telemetry.Trace.write_chrome ~other sink ~path;
-          Printf.printf "chrome trace written to %s\n" path
-      | Some _, None | None, _ -> ());
-      (* Detection latency against the planted shift, when there is one. *)
-      (match Workloads.Phase.marker_offset result.output with
-      | None -> ()
-      | Some off -> (
-          match Monitor.Report.detection_latency rep ~marker_offset:off with
-          | Monitor.Report.No_shift ->
-              print_endline "phase shift: marker past the last window"
-          | Monitor.Report.Undetected shift ->
-              Printf.printf "phase shift at window %d: NOT detected\n" shift;
-              if max_latency <> None then exit latency_gate_exit
-          | Monitor.Report.Detected { shift; degraded; latency } -> (
-              Printf.printf
-                "phase shift at window %d: degraded at window %d (latency %d \
-                 windows)\n"
-                shift degraded latency;
-              match max_latency with
-              | Some gate when latency > gate ->
-                  Printf.printf "latency gate FAILED (> %d windows)\n" gate;
-                  exit latency_gate_exit
-              | _ -> ())))
+      Telemetry.Trace.write_chrome ~other sink ~path;
+      Printf.printf "chrome trace written to %s\n" path
+  | Some _, None | None, _ -> ());
+  (* Detection latency against the planted shift, when there is one. *)
+  (match Workloads.Phase.marker_offset result.output with
+  | None -> ()
+  | Some off -> (
+      match Monitor.Report.detection_latency rep ~marker_offset:off with
+      | Monitor.Report.No_shift ->
+          print_endline "phase shift: marker past the last window"
+      | Monitor.Report.Undetected shift ->
+          Printf.printf "phase shift at window %d: NOT detected\n" shift;
+          if max_latency <> None then exit latency_gate_exit
+      | Monitor.Report.Detected { shift; degraded; latency } -> (
+          Printf.printf
+            "phase shift at window %d: degraded at window %d (latency %d \
+             windows)\n"
+            shift degraded latency;
+          match max_latency with
+          | Some gate when latency > gate ->
+              Printf.printf "latency gate FAILED (> %d windows)\n" gate;
+              exit latency_gate_exit
+          | _ -> ())))
 
 let () =
   let info =

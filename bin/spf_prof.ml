@@ -7,13 +7,12 @@
    failure inside the harness). *)
 
 module R = Workloads.Run_config
-
-let find_workload = Cli_common.find_workload
+module H = Workloads.Harness
 
 let workload_arg =
   Cmdliner.Arg.(
     required
-    & opt (some string) None
+    & opt (some Cli_common.workload_conv) None
     & info [ "w"; "workload" ] ~docv:"WORKLOAD"
         ~doc:"Workload name (see $(b,spf_run list)).")
 
@@ -84,65 +83,65 @@ let phased_arg =
     & info [ "phased" ]
         ~doc:"Enable Wu-style phased multiple-stride prefetching.")
 
-let run name (config : R.t) topdown objects loops loop folded json top check
+let run w (config : R.t) topdown objects loops loop folded json top check
     phased =
-  match find_workload name with
-  | None ->
-      prerr_endline ("unknown workload: " ^ name);
-      exit 1
-  | Some w ->
-      let opts =
+  let opts =
+    {
+      Strideprefetch.Options.default with
+      enable_phased = phased;
+      check_invariants = check;
+    }
+  in
+  let result =
+    try
+      H.execute
         {
-          (R.opts config) with
-          enable_phased = phased;
-          check_invariants = check;
+          (H.request w) with
+          config;
+          opts;
+          observers = { H.no_observers with profile = true };
         }
-      in
-      let result =
-        try
-          Workloads.Harness.run ~opts ~profile:true ~engine:config.engine
-            ~mode:config.mode ~machine:(R.machine config) w
-        with Workloads.Harness.Invariant_violation msg ->
-          prerr_endline ("invariant violation: " ^ msg);
-          exit 2
-      in
-      let rep = Option.get result.profile in
-      (* The conservation law is this tool's foundation; refuse to print
-         tables that do not sum. *)
-      (match Profile.Report.conservation_error rep with
-      | Some msg ->
-          prerr_endline ("BUG: " ^ msg);
-          exit 2
-      | None -> ());
-      Printf.printf "workload: %s  machine: %s  mode: %s\n" result.workload
-        result.machine
-        (Strideprefetch.Options.mode_name result.mode);
-      let any_view = topdown || objects || loops || loop <> None in
-      if topdown || not any_view then
-        Format.printf "@.%a@." (Profile.Report.pp_topdown ~top) rep;
-      if loops then Format.printf "@.%a@." (Profile.Report.pp_loops ~top) rep;
-      if objects then
-        Format.printf "@.%a@." (Profile.Report.pp_objects ~top) rep;
-      (match loop with
-      | Some id ->
-          Format.printf "@.%a@." (Profile.Report.pp_loop_detail ~loop:id) rep
-      | None -> ());
-      (match folded with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Profile.Report.folded rep);
-          close_out oc;
-          Printf.printf "folded stacks written to %s\n" path
-      | None -> ());
-      (match json with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (Telemetry.Json.to_string (Profile.Report.to_json rep));
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf "profile JSON written to %s\n" path
-      | None -> ())
+    with H.Invariant_violation msg ->
+      prerr_endline ("invariant violation: " ^ msg);
+      exit 2
+  in
+  let rep = Option.get result.profile in
+  (* The conservation law is this tool's foundation; refuse to print
+     tables that do not sum. *)
+  (match Profile.Report.conservation_error rep with
+  | Some msg ->
+      prerr_endline ("BUG: " ^ msg);
+      exit 2
+  | None -> ());
+  Printf.printf "workload: %s  machine: %s  mode: %s\n" result.workload
+    result.machine
+    (Strideprefetch.Options.mode_name result.mode);
+  let any_view = topdown || objects || loops || loop <> None in
+  if topdown || not any_view then
+    Format.printf "@.%a@." (Profile.Report.pp_topdown ~top) rep;
+  if loops then Format.printf "@.%a@." (Profile.Report.pp_loops ~top) rep;
+  if objects then
+    Format.printf "@.%a@." (Profile.Report.pp_objects ~top) rep;
+  (match loop with
+  | Some id ->
+      Format.printf "@.%a@." (Profile.Report.pp_loop_detail ~loop:id) rep
+  | None -> ());
+  (match folded with
+  | Some path ->
+      let oc = open_out path in
+      output_string oc (Profile.Report.folded rep);
+      close_out oc;
+      Printf.printf "folded stacks written to %s\n" path
+  | None -> ());
+  (match json with
+  | Some path ->
+      let oc = open_out path in
+      output_string oc
+        (Telemetry.Json.to_string (Profile.Report.to_json rep));
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "profile JSON written to %s\n" path
+  | None -> ())
 
 let () =
   let info =

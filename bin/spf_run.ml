@@ -4,9 +4,9 @@
 (* Workload lookup and the configuration axes are shared across all
    spf_* drivers. *)
 module R = Workloads.Run_config
+module H = Workloads.Harness
 
 let workloads = Cli_common.workloads
-let find_workload = Cli_common.find_workload
 
 let max_steps_arg =
   Cmdliner.Arg.(
@@ -27,11 +27,6 @@ let with_budget_exit f =
   with Vm.Interp.Budget_exhausted n ->
     Printf.eprintf "spf_run: step budget exceeded (max_steps=%d)\n" n;
     exit budget_exit_code
-
-let tweak_max_steps max_steps o =
-  match max_steps with
-  | Some n -> { o with Vm.Interp.max_steps = n }
-  | None -> o
 
 let verbose_arg =
   Cmdliner.Arg.(
@@ -97,26 +92,30 @@ let monitor_arg =
 let config_arg =
   Cli_common.config_term R.[ Machine; Hw; Mode; Prediction; Engine ]
 
-let opts_of ~interproc ~phased config =
-  {
-    (R.opts config) with
-    Strideprefetch.Options.inspect_calls = interproc;
-    enable_phased = phased;
-  }
-
-(* One configured run, with the driver's budget and observers. *)
-let run_config ~opts ~trace ~profile ~monitor ~max_steps (c : R.t) w =
+(* One configured run, with the driver's knobs, budget and observers. *)
+let run_config ?program ~interproc ~phased ~trace ~profile ~monitor ~max_steps
+    config w =
   with_budget_exit (fun () ->
-      Workloads.Harness.run ~opts ~telemetry:(trace <> None) ~profile
-        ?monitor ~engine:c.engine
-        ~tweak_options:(tweak_max_steps max_steps)
-        ~mode:c.mode ~machine:(R.machine c) w)
+      H.execute
+        {
+          (H.request ?program w) with
+          config;
+          opts =
+            {
+              Strideprefetch.Options.default with
+              inspect_calls = interproc;
+              enable_phased = phased;
+            };
+          observers =
+            { H.no_observers with telemetry = trace <> None; profile; monitor };
+          max_steps;
+        })
 
-let print_result ~verbose (r : Workloads.Harness.run_result) =
+let print_result ~verbose (r : H.run_result) =
   Printf.printf "workload: %s  machine: %s  mode: %s\n" r.workload r.machine
     (Strideprefetch.Options.mode_name r.mode);
   Printf.printf "cycles: %d  (compiled %.1f%%)  GCs: %d\n" r.cycles
-    (100.0 *. Workloads.Harness.compiled_fraction r)
+    (100.0 *. H.compiled_fraction r)
     r.gc_count;
   Format.printf "%a@." Memsim.Stats.pp r.stats;
   Format.printf "MPI: %a@." Memsim.Stats.pp_mpi r.stats;
@@ -139,7 +138,7 @@ let print_result ~verbose (r : Workloads.Harness.run_result) =
 
 (* Telemetry epilogue shared by [run] and [file]: effectiveness table plus
    the Chrome-trace export, when the run carried a sink. *)
-let export_trace ~trace (r : Workloads.Harness.run_result) =
+let export_trace ~trace (r : H.run_result) =
   match trace with
   | None -> ()
   | Some path ->
@@ -177,26 +176,21 @@ let list_cmd =
     (Cmdliner.Cmd.info "list" ~doc:"List the available workloads.")
     Cmdliner.Term.(const run $ const ())
 
+let workload_arg =
+  Cmdliner.Arg.(
+    required
+    & pos 0 (some Cli_common.workload_conv) None
+    & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,list)).")
+
 let run_cmd =
-  let workload_arg =
-    Cmdliner.Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,list)).")
-  in
-  let run name config verbose interproc phased trace explain profile monitor
+  let run w config verbose interproc phased trace explain profile monitor
       max_steps =
-    match find_workload name with
-    | None ->
-        prerr_endline ("unknown workload: " ^ name);
-        exit 1
-    | Some w ->
-        let opts = opts_of ~interproc ~phased config in
-        let result =
-          run_config ~opts ~trace ~profile ~monitor ~max_steps config w
-        in
-        print_result ~verbose:(verbose || explain) result;
-        export_trace ~trace result
+    let result =
+      run_config ~interproc ~phased ~trace ~profile ~monitor ~max_steps config
+        w
+    in
+    print_result ~verbose:(verbose || explain) result;
+    export_trace ~trace result
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "run" ~doc:"Run one workload under one configuration.")
@@ -206,34 +200,22 @@ let run_cmd =
       $ max_steps_arg)
 
 let compare_cmd =
-  let workload_arg =
-    Cmdliner.Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,list)).")
-  in
-  let run name (config : R.t) max_steps =
-    match find_workload name with
-    | None ->
-        prerr_endline ("unknown workload: " ^ name);
-        exit 1
-    | Some w ->
-        let machine = R.machine config in
-        let one mode =
-          with_budget_exit (fun () ->
-              Workloads.Harness.run ~engine:config.engine
-                ~tweak_options:(tweak_max_steps max_steps)
-                ~mode ~machine w)
-        in
-        let baseline = one Strideprefetch.Options.Off in
-        let inter = one Strideprefetch.Options.Inter in
-        let both = one Strideprefetch.Options.Inter_intra in
-        Printf.printf "%s on %s:\n" w.name machine.Memsim.Config.name;
-        Printf.printf "  BASELINE     %12d cycles\n" baseline.cycles;
-        Printf.printf "  INTER        %12d cycles  %+.1f%%\n" inter.cycles
-          (Workloads.Harness.percent_speedup ~baseline inter);
-        Printf.printf "  INTER+INTRA  %12d cycles  %+.1f%%\n" both.cycles
-          (Workloads.Harness.percent_speedup ~baseline both)
+  let run (w : Workloads.Workload.t) (config : R.t) max_steps =
+    (* One compile serves the three modes. *)
+    let req = { (H.request w) with max_steps } in
+    let one mode =
+      with_budget_exit (fun () ->
+          H.execute { req with config = { config with mode } })
+    in
+    let baseline = one Strideprefetch.Options.Off in
+    let inter = one Strideprefetch.Options.Inter in
+    let both = one Strideprefetch.Options.Inter_intra in
+    Printf.printf "%s on %s:\n" w.name baseline.machine;
+    Printf.printf "  BASELINE     %12d cycles\n" baseline.cycles;
+    Printf.printf "  INTER        %12d cycles  %+.1f%%\n" inter.cycles
+      (H.percent_speedup ~baseline inter);
+    Printf.printf "  INTER+INTRA  %12d cycles  %+.1f%%\n" both.cycles
+      (H.percent_speedup ~baseline both)
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "compare"
@@ -257,20 +239,15 @@ let file_cmd =
     | Error e ->
         Printf.eprintf "%s: %s\n" path (Minijava.Compile.string_of_error e);
         exit 1
-    | Ok _ ->
+    | Ok program ->
         let w =
-          {
-            Workloads.Workload.name = Filename.basename path;
-            suite = `Specjvm;
-            description = "user program";
-            paper_note = "";
-            source;
-            heap_limit_bytes = 64 * 1024 * 1024;
-          }
+          Workloads.Workload.of_source ~name:(Filename.basename path)
+            ~description:"user program" ~heap_limit_bytes:(64 * 1024 * 1024)
+            source
         in
-        let opts = opts_of ~interproc ~phased config in
         let result =
-          run_config ~opts ~trace ~profile ~monitor ~max_steps config w
+          run_config ~program ~interproc ~phased ~trace ~profile ~monitor
+            ~max_steps config w
         in
         print_result ~verbose:(verbose || explain) result;
         export_trace ~trace result

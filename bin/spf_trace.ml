@@ -4,13 +4,12 @@
    coverage/accuracy table and export Chrome-trace / JSONL files. *)
 
 module R = Workloads.Run_config
-
-let find_workload = Cli_common.find_workload
+module H = Workloads.Harness
 
 let workload_arg =
   Cmdliner.Arg.(
     required
-    & opt (some string) None
+    & opt (some Cli_common.workload_conv) None
     & info [ "w"; "workload" ] ~docv:"WORKLOAD"
         ~doc:"Workload name (see $(b,spf_run list)).")
 
@@ -60,54 +59,59 @@ let extra_of ~(w : Workloads.Workload.t) ~machine ~mode =
     ("mode", Telemetry.Json.Str (Strideprefetch.Options.mode_name mode));
   ]
 
-let run name (config : R.t) trace metrics explain phased capacity =
-  match find_workload name with
-  | None ->
-      prerr_endline ("unknown workload: " ^ name);
-      exit 1
-  | Some w ->
-      let machine = R.machine config and mode = config.mode in
-      let opts = { (R.opts config) with enable_phased = phased } in
-      let result =
-        Workloads.Harness.run ~opts ~telemetry:true ~sink_capacity:capacity
-          ~mode ~machine w
-      in
-      Printf.printf "workload: %s  machine: %s  mode: %s\n" result.workload
-        result.machine
-        (Strideprefetch.Options.mode_name result.mode);
-      Printf.printf "cycles: %d  GCs: %d  methods compiled: %d\n"
-        result.cycles result.gc_count result.methods_compiled;
-      Format.printf "%a@." Memsim.Stats.pp result.stats;
-      if explain then
-        List.iter
-          (fun rep -> Format.printf "%a@." Strideprefetch.Pass.pp_report rep)
-          result.reports;
-      (match result.effectiveness with
-      | Some eff when eff.Workloads.Effectiveness.rows <> [] ->
-          Format.printf "@.%a@." Workloads.Effectiveness.pp_table eff
-      | Some _ ->
-          print_endline
-            "no prefetch sites executed (mode off, or nothing qualified)"
-      | None -> ());
-      let sink = Option.get result.sink in
-      Printf.printf "telemetry: %d events recorded (%d dropped)\n"
-        (Telemetry.Sink.total_events sink)
-        (Telemetry.Sink.dropped sink);
-      let other = extra_of ~w ~machine ~mode in
-      (match trace with
-      | Some path ->
-          Telemetry.Trace.write_chrome ~other sink ~path;
-          Printf.printf "chrome trace written to %s\n" path
-      | None -> ());
-      (match metrics with
-      | Some path ->
-          Telemetry.Trace.write_jsonl ~extra:other sink ~path;
-          Printf.printf
-            "JSONL metrics written to %s (%d events + summary, %d dropped)\n"
-            path
-            (List.length (Telemetry.Sink.events sink))
-            (Telemetry.Sink.dropped sink)
-      | None -> ())
+let run w (config : R.t) trace metrics explain phased capacity =
+  let machine = R.machine config and mode = config.mode in
+  let result =
+    H.execute
+      {
+        (H.request w) with
+        config;
+        opts =
+          { Strideprefetch.Options.default with enable_phased = phased };
+        observers =
+          {
+            H.no_observers with
+            telemetry = true;
+            sink_capacity = Some capacity;
+          };
+      }
+  in
+  Printf.printf "workload: %s  machine: %s  mode: %s\n" result.workload
+    result.machine
+    (Strideprefetch.Options.mode_name result.mode);
+  Printf.printf "cycles: %d  GCs: %d  methods compiled: %d\n"
+    result.cycles result.gc_count result.methods_compiled;
+  Format.printf "%a@." Memsim.Stats.pp result.stats;
+  if explain then
+    List.iter
+      (fun rep -> Format.printf "%a@." Strideprefetch.Pass.pp_report rep)
+      result.reports;
+  (match result.effectiveness with
+  | Some eff when eff.Workloads.Effectiveness.rows <> [] ->
+      Format.printf "@.%a@." Workloads.Effectiveness.pp_table eff
+  | Some _ ->
+      print_endline
+        "no prefetch sites executed (mode off, or nothing qualified)"
+  | None -> ());
+  let sink = Option.get result.sink in
+  Printf.printf "telemetry: %d events recorded (%d dropped)\n"
+    (Telemetry.Sink.total_events sink)
+    (Telemetry.Sink.dropped sink);
+  let other = extra_of ~w ~machine ~mode in
+  (match trace with
+  | Some path ->
+      Telemetry.Trace.write_chrome ~other sink ~path;
+      Printf.printf "chrome trace written to %s\n" path
+  | None -> ());
+  (match metrics with
+  | Some path ->
+      Telemetry.Trace.write_jsonl ~extra:other sink ~path;
+      Printf.printf
+        "JSONL metrics written to %s (%d events + summary, %d dropped)\n"
+        path
+        (List.length (Telemetry.Sink.events sink))
+        (Telemetry.Sink.dropped sink)
+  | None -> ())
 
 let () =
   let info =

@@ -17,6 +17,7 @@
 
 module O = Strideprefetch.Options
 module H = Workloads.Harness
+module R = Workloads.Run_config
 
 type cell = {
   mode : O.mode;
@@ -193,16 +194,6 @@ let stats_invariants (cell : cell) (r : H.run_result) =
     fail "mode Off tripped %d spec_load guards" r.spec_guard_trips
   else None
 
-let workload_of ~source ~heap_limit_bytes : Workloads.Workload.t =
-  {
-    Workloads.Workload.name = "fuzz";
-    suite = `Specjvm;
-    description = "generated program (fuzzer)";
-    paper_note = "";
-    source;
-    heap_limit_bytes;
-  }
-
 (* The lint cell: after a run, every JIT-transformed method body must be
    clean under the whole analysis stack — type-state verifier, prefetch-
    safety checkers, and the plan-aware lints cross-checked against the
@@ -211,68 +202,56 @@ let workload_of ~source ~heap_limit_bytes : Workloads.Workload.t =
    spec-load register. *)
 let lint_failure (cell : cell) (r : H.run_result) =
   let opts = O.default in
-  let program = r.program in
   let require_guarded = O.use_guarded opts cell.machine in
-  let violation = ref None in
-  Array.iter
+  Array.find_map
     (fun (m : Vm.Classfile.method_info) ->
-      if !violation = None && m.compiled then
+      if not m.compiled then None
+      else
         match
-          Analysis.Check.check_method ~program ~reports:r.reports
+          Analysis.Check.check_method ~program:r.program ~reports:r.reports
             ~scheduling_distance:opts.O.scheduling_distance ~require_guarded
             ~inter_stride_threshold:
               (O.resolved_inter_stride_threshold opts cell.machine)
             m
         with
-        | [] -> ()
+        | [] -> None
         | d :: _ ->
-            violation :=
-              Some
-                (Lint_violation
-                   {
-                     cell;
-                     meth = m.method_name;
-                     message = Analysis.Diag.render ~meth:m d;
-                   }))
-    program.Vm.Classfile.methods;
-  !violation
+            let message = Analysis.Diag.render ~meth:m d in
+            Some (Lint_violation { cell; meth = m.method_name; message }))
+    r.program.methods
 
 (* ---- Runs, keyed by configuration ---------------------------------- *)
 
-(* One configuration the oracle runs: a matrix cell plus the axes the
-   cross-check rows vary. Structural equality is run identity. *)
-type config = {
-  cell : cell;
-  engine : Vm.Interp.engine;
-  prediction : O.prediction_tier;
-  observed : bool;  (** [~telemetry:true ~profile:true] *)
-  monitored : bool;  (** a live monitor with [monitor_window]-cycle windows *)
-}
+(* The headline request, at [Run_config.default]: every run is derived
+   from it by record update, and executes a fresh copy of its program, so
+   one compile serves them all. *)
+let headline ~faults ?max_steps ~source ~heap_limit_bytes program =
+  let workload =
+    Workloads.Workload.of_source ~name:"fuzz"
+      ~description:"generated program (fuzzer)" ~heap_limit_bytes source
+  in
+  {
+    (H.request ~program workload) with
+    observers = { H.no_observers with capture_observables = true };
+    faults;
+    max_steps;
+  }
 
-let plain cell =
-  let engine = Vm.Interp.Closure and prediction = O.Inspect in
-  { cell; engine; prediction; observed = false; monitored = false }
+let on_cell ({ mode; standard_passes = passes; machine } : cell)
+    (h : H.request) =
+  { h with config = { R.default with mode; passes; machine } }
 
-(* The headline configuration every row's variants are derived from;
-   [Workloads.Run_config.default] names the same point. *)
-let headline =
-  let machine = Memsim.Config.pentium4 in
-  plain { mode = O.Inter_intra; standard_passes = true; machine }
+let cell_of ({ config = c; _ } : H.request) =
+  { mode = c.mode; standard_passes = c.passes; machine = R.machine c }
+
+(* Two requests make the same run when every axis (the hardware
+   prefetcher resolved) and the observers the rows switch on agree. A
+   request holds a program and a closure, so it is never compared. *)
+let run_key ({ config = c; observers = o; _ } : H.request) =
+  ({ c with hw = Some (R.machine c).hw_prefetch }, o.profile, o.monitor <> None)
 
 (* Small enough that even tiny fuzzed programs close several windows. *)
 let monitor_window = 4096
-
-let run ~faults ?max_steps ?compile_observer workload c =
-  H.run
-    ~opts:{ O.default with O.prediction = c.prediction }
-    ~standard_passes:c.cell.standard_passes ?compile_observer
-    ~tweak_options:(fun o ->
-      let max_steps = Option.value max_steps ~default:o.Vm.Interp.max_steps in
-      { o with Vm.Interp.faults; max_steps })
-    ~engine:c.engine ~capture_observables:true ~telemetry:c.observed
-    ~profile:c.observed
-    ?monitor:(if c.monitored then Some monitor_window else None)
-    ~mode:c.cell.mode ~machine:c.cell.machine workload
 
 (* ---- Equivalence relations and laws -------------------------------- *)
 
@@ -416,9 +395,9 @@ let window_books (r : H.run_result) =
 (* ---- The cross-check table ----------------------------------------- *)
 
 type row = {
-  variants : (string * config) list;
-      (** label and configuration of each run compared with the
-          reference; one equal to [headline] is dropped *)
+  variants : (string * H.request) list;
+      (** label and request of each run compared with the reference;
+          one that makes the headline's own run is dropped *)
   relation : H.run_result -> H.run_result -> string option;
       (** reference, variant *)
   law : H.run_result -> string option;  (** on the variant alone *)
@@ -435,12 +414,17 @@ type row = {
    reference-loop run too: they cross engines as well. A desync between
    the engines must be reported as what it is, before an observer row
    sees the same divergence and claims it. *)
-let rows ~faults =
-  let observed = { headline with observed = true } in
+let rows ~faults (h : H.request) =
+  let config f = { h with config = f h.config }
+  and observers f = { h with observers = f h.observers } in
+  let observed =
+    observers (fun o -> { o with telemetry = true; profile = true })
+  in
   [
     (* engine-desync *)
     {
-      variants = [ ("switch", { headline with engine = Vm.Interp.Switch }) ];
+      variants =
+        [ ("switch", config (fun c -> { c with engine = Vm.Interp.Switch })) ];
       relation = bit_identical;
       law = no_law;
       fail = (fun cell _ message -> Engine_divergence { cell; message });
@@ -464,9 +448,8 @@ let rows ~faults =
       variants =
         List.map
           (fun hw ->
-            let machine = { headline.cell.machine with hw_prefetch = hw } in
             ( Memsim.Config.hw_prefetch_to_string hw,
-              { headline with cell = { headline.cell with machine } } ))
+              config (fun c -> { c with hw = Some hw }) ))
           Memsim.Config.[ Hw_none; default_stream; default_rpt ];
       relation = architectural;
       law = no_law;
@@ -477,7 +460,8 @@ let rows ~faults =
       variants =
         List.map
           (fun prediction ->
-            (O.prediction_name prediction, { headline with prediction }))
+            ( O.prediction_name prediction,
+              config (fun c -> { c with prediction }) ))
           [ O.Inspect; O.Static; O.Hybrid ];
       relation = architectural;
       law = no_faulting_prefetch;
@@ -487,7 +471,11 @@ let rows ~faults =
     };
     (* monitor-desync *)
     {
-      variants = [ ("monitor", { headline with monitored = true }) ];
+      variants =
+        [
+          ( "monitor",
+            observers (fun o -> { o with monitor = Some monitor_window }) );
+        ];
       relation = bit_identical;
       law = window_books;
       fail = (fun cell _ message -> Monitor_divergence { cell; message });
@@ -495,16 +483,24 @@ let rows ~faults =
   ]
 
 let runs_per_program cells =
+  (* Only configurations are counted, so a program that never runs
+     stands in for a checked one. *)
+  let h =
+    headline ~faults:[] ~source:"" ~heap_limit_bytes:0
+      Vm.Classfile.{ classes = [||]; methods = [||]; statics = [||]; entry = 0 }
+  in
   if cells = [] then 0
   else
-    List.map plain cells @ [ headline ]
-    @ List.concat_map
-        (fun row -> List.map snd row.variants)
-        (rows ~faults:[])
-    |> List.sort_uniq compare |> List.length
+    (h :: List.map (fun c -> on_cell c h) cells)
+    @ List.concat_map (fun row -> List.map snd row.variants) (rows ~faults:[] h)
+    |> List.map run_key |> List.sort_uniq compare |> List.length
 
 let headline_retired ?(faults = []) ~source ~heap_limit_bytes () =
-  match run ~faults (workload_of ~source ~heap_limit_bytes) headline with
+  match
+    H.execute
+      (headline ~faults ~source ~heap_limit_bytes
+         (Minijava.Compile.program_of_source_exn source))
+  with
   | r -> Some r.stats.retired_instructions
   | exception _ -> None
 
@@ -512,27 +508,29 @@ exception Failed of failure
 
 let check ?(cells = default_cells) ?(faults = []) ?max_steps ~source
     ~heap_limit_bytes () =
-  match
-    (* Surface front-end failures as their own verdict: the generator is
-       supposed to emit well-typed programs, so a compile error is a
-       generator bug (or, during shrinking, an invalid candidate). *)
-    try
-      Ok (ignore (Minijava.Compile.program_of_source_exn source))
-    with e -> Error (Printexc.to_string e)
-  with
-  | Error msg -> Fail (Compile_error msg)
-  | Ok () when cells = [] -> Pass { cells_run = 0 }
-  | Ok () -> (
-      let workload = workload_of ~source ~heap_limit_bytes in
+  (* Surface front-end failures as their own verdict: the generator is
+     supposed to emit well-typed programs, so a compile error is a
+     generator bug (or, during shrinking, an invalid candidate). The
+     program this compile yields is the one every run executes. *)
+  match Minijava.Compile.program_of_source_exn source with
+  | exception e -> Fail (Compile_error (Printexc.to_string e))
+  | _ when cells = [] -> Pass { cells_run = 0 }
+  | program -> (
+      let headline =
+        headline ~faults ?max_steps ~source ~heap_limit_bytes program
+      in
       let fail f = raise (Failed f) in
       let fail_if = Option.iter fail in
+      let crash cell e = fail (Crash { cell; message = Printexc.to_string e })
+      in
       let runs = ref [] in
-      let shared ?compile_observer c =
-        match List.assoc_opt c !runs with
+      let shared (req : H.request) =
+        let key = run_key req in
+        match List.assoc_opt key !runs with
         | Some r -> r
         | None ->
-            let r = run ~faults ?max_steps ?compile_observer workload c in
-            runs := (c, r) :: !runs;
+            let r = H.execute req in
+            runs := (key, r) :: !runs;
             r
       in
       (* A matrix cell, audited on its own. *)
@@ -547,14 +545,18 @@ let check ?(cells = default_cells) ?(faults = []) ?max_steps ~source
                     { cell; meth = meth.Vm.Classfile.method_name; diff })
                 (Workloads.Observables.diff before after)
         in
-        match shared ~compile_observer (plain cell) with
+        let req = on_cell cell headline in
+        let observers =
+          { req.observers with compile_observer = Some compile_observer }
+        in
+        match shared { req with observers } with
         | exception Jit.Pipeline.Verification_failed
             { pass_name; method_name; message } ->
             let message =
               Printf.sprintf "after pass %s: %s" pass_name message
             in
             fail (Lint_violation { cell; meth = method_name; message })
-        | exception e -> fail (Crash { cell; message = Printexc.to_string e })
+        | exception e -> crash cell e
         | r ->
             fail_if !side_effect;
             if r.faulting_prefetches > 0 then
@@ -584,18 +586,15 @@ let check ?(cells = default_cells) ?(faults = []) ?max_steps ~source
             | _ -> ())
           (List.tl cells);
         let reference =
-          try shared headline
-          with e ->
-            let message = Printexc.to_string e in
-            fail (Crash { cell = headline.cell; message })
+          try shared headline with e -> crash (cell_of headline) e
         in
         List.iter
           (fun row ->
             List.iter
-              (fun (label, c) ->
-                if c <> headline then begin
-                  let fail_with msg = fail (row.fail c.cell label msg) in
-                  match shared c with
+              (fun (label, req) ->
+                if run_key req <> run_key headline then begin
+                  let fail_with msg = fail (row.fail (cell_of req) label msg) in
+                  match shared req with
                   | exception e ->
                       fail_with
                         (Printf.sprintf "the %s run crashed: %s" label
@@ -605,6 +604,6 @@ let check ?(cells = default_cells) ?(faults = []) ?max_steps ~source
                       Option.iter fail_with (row.law r)
                 end)
               row.variants)
-          (rows ~faults);
+          (rows ~faults headline);
         Pass { cells_run = List.length !runs }
       with Failed f -> Fail f)

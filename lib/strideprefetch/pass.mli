@@ -50,9 +50,11 @@ val run :
   args:Vm.Value.t array ->
   unit ->
   loop_report list
-(** Analyze and (unless [opts.mode = Off] or nothing qualified) rewrite
-    [meth.code] in place, splicing prefetch sequences and setting
-    [meth.n_pref_regs]. Returns one report per loop processed.
+(** Analyze and (unless [opts.mode = Off] or nothing qualified) replace
+    [meth.code] with a new array that splices in prefetch sequences, and
+    set [meth.n_pref_regs]; the old array is never written, which keeps
+    the front-end bodies that {!Vm.Classfile.fresh} shares pristine.
+    Returns one report per loop processed.
 
     [?registry] records decision provenance for each spliced prefetch
     instruction (strategy kind, anchor/target load sites, loop) under the

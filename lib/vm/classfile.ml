@@ -132,6 +132,21 @@ let reset_program program =
       m.compile_seconds <- 0.0)
     program.methods
 
+(* A copy of [program] as [reset_program] leaves it, for one run: each
+   method gets a record of its own, while classes, statics and every
+   [original_code] are shared. Nothing writes those after codegen (each
+   JIT pass swaps [m.code] for a new array), so one compiled program
+   serves any number of runs. *)
+let fresh program =
+  let copy =
+    {
+      program with
+      methods = Array.map (fun m -> { m with code = m.code }) program.methods;
+    }
+  in
+  reset_program copy;
+  copy
+
 let pp_method ppf (m : method_info) =
   Format.fprintf ppf "@[<v 2>%s (arity %d, locals %d, sites %d)%s:@,%a@]"
     m.method_name m.arity m.max_locals m.n_sites

@@ -1,3 +1,41 @@
+type observers = {
+  telemetry : bool;
+  profile : bool;
+  monitor : int option;
+  sink_capacity : int option;
+  capture_observables : bool;
+  predict : bool;
+  verify_each_pass : bool;
+  compile_observer :
+    (meth:Vm.Classfile.method_info ->
+    before:Observables.t ->
+    after:Observables.t ->
+    unit)
+    option;
+}
+
+let no_observers =
+  {
+    telemetry = false;
+    profile = false;
+    monitor = None;
+    sink_capacity = None;
+    capture_observables = false;
+    predict = false;
+    verify_each_pass = false;
+    compile_observer = None;
+  }
+
+type request = {
+  workload : Workload.t;
+  program : Vm.Classfile.program;
+  config : Run_config.t;
+  opts : Strideprefetch.Options.t;
+  observers : observers;
+  faults : Vm.Fault.t list;
+  max_steps : int option;
+}
+
 type run_result = {
   workload : string;
   machine : string;
@@ -27,30 +65,39 @@ exception Invariant_violation of string
     with [check_invariants]. The payload is the rendered
     {!Analysis.Diag.global} finding. *)
 
-let run ?opts ?(standard_passes = true) ?compile_observer ?tweak_options
-    ?engine ?(capture_observables = false) ?(verify_each_pass = false)
-    ?(telemetry = false) ?(profile = false) ?(predict = false) ?sink_capacity
-    ?monitor ?monitor_detect ~mode ~machine (workload : Workload.t) =
+let request ?program (workload : Workload.t) =
+  {
+    workload;
+    program =
+      (match program with Some p -> p | None -> Workload.compile workload);
+    config = Run_config.default;
+    opts = Strideprefetch.Options.default;
+    observers = no_observers;
+    faults = [];
+    max_steps = None;
+  }
+
+let execute (req : request) =
+  let { workload; config; observers = obs; _ } = req in
+  let machine = Run_config.machine config and mode = config.mode in
   let opts =
-    let base =
-      Option.value ~default:Strideprefetch.Options.default opts
-    in
-    Strideprefetch.Options.with_mode mode base
+    {
+      req.opts with
+      Strideprefetch.Options.mode;
+      prediction = config.prediction;
+      inter_stride_threshold = config.threshold;
+    }
   in
-  let program = Workload.compile workload in
+  let program = Vm.Classfile.fresh req.program in
   let interp_options =
-    let base =
-      {
-        (Vm.Interp.default_options machine) with
-        Vm.Interp.heap_limit_bytes = workload.heap_limit_bytes;
-      }
-    in
-    let base =
-      match engine with
-      | Some e -> { base with Vm.Interp.engine = e }
-      | None -> base
-    in
-    match tweak_options with Some f -> f base | None -> base
+    let base = Vm.Interp.default_options machine in
+    {
+      base with
+      Vm.Interp.heap_limit_bytes = workload.heap_limit_bytes;
+      engine = config.engine;
+      faults = req.faults;
+      max_steps = Option.value req.max_steps ~default:base.max_steps;
+    }
   in
   let interp = Vm.Interp.create ~options:interp_options machine program in
   (* Telemetry wiring: one sink + one site registry per run. The sink's
@@ -61,22 +108,24 @@ let run ?opts ?(standard_passes = true) ?compile_observer ?tweak_options
      attributing, so it implies telemetry; so does monitoring (the
      useful-rate stream is attribution, and the stall-bin stream is the
      profile hooks). *)
-  let telemetry = telemetry || profile || monitor <> None in
+  let telemetry = obs.telemetry || obs.profile || obs.monitor <> None in
   let sink =
-    if telemetry then Some (Telemetry.Sink.create ?capacity:sink_capacity ())
+    if telemetry then
+      Some (Telemetry.Sink.create ?capacity:obs.sink_capacity ())
     else None
   in
   let registry = if telemetry then Some (Telemetry.Attrib.create ()) else None in
   (match registry with
   | Some reg -> Vm.Interp.set_telemetry interp ~registry:reg ?sink ()
   | None -> ());
-  let collector = if profile then Some (Profile.Collector.create ()) else None in
+  let collector =
+    if obs.profile then Some (Profile.Collector.create ()) else None
+  in
   let mon =
     Option.map
       (fun window_cycles ->
-        Monitor.Collector.create ?detect:monitor_detect ?registry ?sink
-          ~window_cycles interp)
-      monitor
+        Monitor.Collector.create ?registry ?sink ~window_cycles interp)
+      obs.monitor
   in
   (* One [set_profile] call whoever is listening: the disabled state must
      stay a single [None] test on the hot paths, so two observers share
@@ -94,12 +143,12 @@ let run ?opts ?(standard_passes = true) ?compile_observer ?tweak_options
      agreement scorer) or needed (non-[Inspect] prediction tiers), so the
      default path stays bit-identical to a predictor-free build. *)
   let predictor =
-    if predict || opts.Strideprefetch.Options.prediction <> Strideprefetch.Options.Inspect
-    then Some (Analysis.Addralg.predictor ~program)
+    if obs.predict || opts.prediction <> Strideprefetch.Options.Inspect then
+      Some (Analysis.Addralg.predictor ~program)
     else None
   in
   let passes =
-    (if standard_passes then Jit.Pipeline.standard_passes () else [])
+    (if config.passes then Jit.Pipeline.standard_passes () else [])
     @
     match mode with
     | Strideprefetch.Options.Off -> []
@@ -111,7 +160,7 @@ let run ?opts ?(standard_passes = true) ?compile_observer ?tweak_options
         ]
   in
   let verifier =
-    if not verify_each_pass then None
+    if not obs.verify_each_pass then None
     else
       Some
         (fun m ->
@@ -142,7 +191,7 @@ let run ?opts ?(standard_passes = true) ?compile_observer ?tweak_options
       passes
   in
   Vm.Interp.set_compile_hook interp (fun _ m args ->
-      match compile_observer with
+      match obs.compile_observer with
       | None -> Jit.Pipeline.compile pipeline m args
       | Some observe ->
           (* Snapshot the complete heap + statics around the compilation —
@@ -219,7 +268,7 @@ let run ?opts ?(standard_passes = true) ?compile_observer ?tweak_options
     faulting_prefetches = Vm.Interp.faulting_prefetches interp;
     spec_guard_trips = Vm.Interp.spec_guard_trips interp;
     observables =
-      (if capture_observables then
+      (if obs.capture_observables then
          Some (Observables.capture ~scope:`Reachable interp)
        else None);
     program;
@@ -228,6 +277,14 @@ let run ?opts ?(standard_passes = true) ?compile_observer ?tweak_options
     profile = profile_report;
     monitor = Option.map Monitor.Collector.report mon;
   }
+
+let run ?(profile = false) ?monitor ~mode ~machine workload =
+  execute
+    {
+      (request workload) with
+      config = { Run_config.default with machine; mode };
+      observers = { no_observers with profile; monitor };
+    }
 
 let speedup ~baseline result =
   if baseline.output <> result.output then

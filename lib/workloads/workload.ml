@@ -17,6 +17,10 @@ type t = {
 
 let compile t = Minijava.Compile.program_of_source_exn t.source
 
+let of_source ~name ~description ~heap_limit_bytes source =
+  let paper_note = "" in
+  { name; suite = `Specjvm; description; paper_note; source; heap_limit_bytes }
+
 (* Shared pseudo-random number generator used inside workloads: a simple
    LCG every workload embeds so runs are deterministic. *)
 let lcg_snippet =

@@ -22,6 +22,11 @@ val compile : t -> Vm.Classfile.program
 (** Compile [source]; raises [Failure] with a located message when the
     workload does not type-check (they all do — see the test suite). *)
 
+val of_source :
+  name:string -> description:string -> heap_limit_bytes:int -> string -> t
+(** A workload that is not one of the paper's: a generated or a user
+    program, with no paper note. *)
+
 val lcg_snippet : string
 (** A deterministic linear-congruential [Rng] class every workload embeds
     so runs are reproducible. *)

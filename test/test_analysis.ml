@@ -388,7 +388,7 @@ let test_transformed_workload_is_lint_clean () =
     (fun machine ->
       let opts = SP.Options.default in
       let r =
-        Workloads.Harness.run ~opts ~mode:SP.Options.Inter_intra ~machine
+        Workloads.Harness.run ~mode:SP.Options.Inter_intra ~machine
           quickstart_workload
       in
       let spliced =
@@ -416,23 +416,23 @@ let test_transformed_workload_is_lint_clean () =
     Memsim.Config.machines
 
 let test_verify_each_pass_mode () =
+  let req =
+    {
+      (Workloads.Harness.request quickstart_workload) with
+      observers =
+        { Workloads.Harness.no_observers with verify_each_pass = true };
+    }
+  in
   (* clean run: the per-pass verifier stays silent *)
-  (try
-     ignore
-       (Workloads.Harness.run ~verify_each_pass:true
-          ~mode:SP.Options.Inter_intra ~machine:Memsim.Config.pentium4
-          quickstart_workload)
+  (try ignore (Workloads.Harness.execute req)
    with Jit.Pipeline.Verification_failed { pass_name; message; _ } ->
      Alcotest.failf "clean run failed verification after %s: %s" pass_name
        message);
   (* injected miscompile: the verifier aborts compilation naming the
      offending pass *)
   match
-    Workloads.Harness.run ~verify_each_pass:true
-      ~tweak_options:(fun o ->
-        { o with Vm.Interp.faults = [ Vm.Fault.Skip_guard_dominance ] })
-      ~mode:SP.Options.Inter_intra ~machine:Memsim.Config.pentium4
-      quickstart_workload
+    Workloads.Harness.execute
+      { req with faults = [ Vm.Fault.Skip_guard_dominance ] }
   with
   | exception Jit.Pipeline.Verification_failed { pass_name; message; _ } ->
       Alcotest.(check string) "offending pass" "stride-prefetch" pass_name;

@@ -17,18 +17,18 @@ let all_workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all
 let find_workload name =
   List.find (fun (w : Workloads.Workload.t) -> w.name = name) all_workloads
 
-let profiled_run ?(opts = O.default) ?(mode = O.Inter_intra) name =
-  Workloads.Harness.run ~opts ~profile:true ~mode
-    ~machine:Memsim.Config.pentium4 (find_workload name)
+let profiled_run ?(mode = O.Inter_intra) name =
+  Workloads.Harness.run ~profile:true ~mode ~machine:Memsim.Config.pentium4
+    (find_workload name)
 
-let snapshot ?opts ?mode name =
+let snapshot ?mode name =
   let config =
     RD.config_strings ~workload:name
       (match mode with
       | Some O.Off -> { RC.default with mode = O.Off }
       | _ -> RC.default)
   in
-  match RD.of_run ~config (profiled_run ?opts ?mode name) with
+  match RD.of_run ~config (profiled_run ?mode name) with
   | Ok rd -> rd
   | Error e -> Alcotest.failf "snapshot failed: %s" e
 

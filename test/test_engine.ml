@@ -22,6 +22,15 @@ let workload name =
   | Some w -> w
   | None -> Alcotest.failf "no workload named %s" name
 
+(* One run of [w] on [engine], with the observers given. *)
+let run_on ?(observers = H.no_observers) ~engine ~mode ~machine w =
+  H.execute
+    {
+      (H.request w) with
+      config = { Workloads.Run_config.default with engine; mode; machine };
+      observers;
+    }
+
 (* What bit-identity compares: the program output, then every counter a
    run reports, VM-side books first. *)
 let books ~output ~interpreted ~compiled ~gc_count ~methods_compiled
@@ -64,7 +73,7 @@ let test_bit_identity_matrix () =
         (fun machine ->
           List.iter
             (fun mode ->
-              let run engine = H.run ~engine ~mode ~machine w in
+              let run engine = run_on ~engine ~mode ~machine w in
               let ctx =
                 Printf.sprintf "%s/%s" name machine.Memsim.Config.name
               in
@@ -74,7 +83,7 @@ let test_bit_identity_matrix () =
         [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ])
     [ "MonteCarlo"; "Euler" ]
 
-(* [Harness.run] has no load-observer flag, so this run repeats its
+(* [Harness.execute] has no load observer, so this run repeats its
    plain wiring (standard passes, then the prefetch pass at [mode]) and
    installs [Interp.set_load_observer]. It returns the run's books and
    the observed (method, site, addr) stream as a count and a hash. *)
@@ -122,8 +131,9 @@ let test_observer_twins () =
   let machine = Memsim.Config.athlon_mp in
   let mode = Strideprefetch.Options.Inter_intra in
   let window = Monitor.Collector.default_window_cycles in
-  let harness ?telemetry ?profile ?monitor engine =
-    books_of_run (H.run ~engine ?telemetry ?profile ?monitor ~mode ~machine w)
+  let harness ?(telemetry = false) ?(profile = false) ?monitor engine =
+    let observers = { H.no_observers with telemetry; profile; monitor } in
+    books_of_run (run_on ~observers ~engine ~mode ~machine w)
   in
   let plain = harness Vm.Interp.Closure in
   let streams = ref [] in
@@ -195,7 +205,7 @@ class T {
 let test_gc_compaction_mid_loop () =
   let machine = Memsim.Config.athlon_mp in
   let mode = Strideprefetch.Options.Inter_intra in
-  let run engine = H.run ~engine ~mode ~machine gc_churn in
+  let run engine = run_on ~engine ~mode ~machine gc_churn in
   let sw = run Vm.Interp.Switch in
   let cl = run Vm.Interp.Closure in
   Alcotest.(check bool)
@@ -257,8 +267,8 @@ let test_rerun_determinism () =
   let w = workload "MonteCarlo" in
   let machine = Memsim.Config.pentium4 in
   let mode = Strideprefetch.Options.Inter_intra in
-  let a = H.run ~engine:Vm.Interp.Closure ~mode ~machine w in
-  let b = H.run ~engine:Vm.Interp.Closure ~mode ~machine w in
+  let a = run_on ~engine:Vm.Interp.Closure ~mode ~machine w in
+  let b = run_on ~engine:Vm.Interp.Closure ~mode ~machine w in
   check_same_run ~ctx:"rerun" a b
 
 (* The closure engine's hot path allocates nothing on the host: values

@@ -199,9 +199,18 @@ let test_rpt_engine_invariance () =
      compile-time constant): if they ever disagree, RPT lookups diverge
      and so do cycle counts. This is the sharpest consumer of the
      engines' bit-identity contract. *)
+  let req = H.request stride_workload in
   let run engine =
-    H.run ~engine ~mode:Strideprefetch.Options.Inter_intra
-      ~machine:(with_hw C.default_rpt) stride_workload
+    H.execute
+      {
+        req with
+        config =
+          {
+            Workloads.Run_config.default with
+            machine = with_hw C.default_rpt;
+            engine;
+          };
+      }
   in
   check_same_run "switch vs closure under rpt" (run Vm.Interp.Switch)
     (run Vm.Interp.Closure)

@@ -163,14 +163,17 @@ let find_workload name =
 
 let test_monitor_observer_only () =
   let w = find_workload "db" in
+  let req = H.request w in
   let run ~engine ~monitor =
-    match monitor with
-    | false ->
-        H.run ~engine ~mode:SP.Options.Inter_intra
-          ~machine:Memsim.Config.pentium4 w
-    | true ->
-        H.run ~engine ~monitor:Monitor.Collector.default_window_cycles
-          ~mode:SP.Options.Inter_intra ~machine:Memsim.Config.pentium4 w
+    let monitor =
+      if monitor then Some Monitor.Collector.default_window_cycles else None
+    in
+    H.execute
+      {
+        req with
+        config = { Workloads.Run_config.default with engine };
+        observers = { H.no_observers with monitor };
+      }
   in
   let timelines =
     List.map

@@ -55,8 +55,14 @@ let machines = [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ]
 let modes = [ SP.Options.Off; SP.Options.Inter; SP.Options.Inter_intra ]
 
 let profiled ?(machine = Memsim.Config.pentium4)
-    ?(mode = SP.Options.Inter_intra) ?opts w =
-  H.run ?opts ~profile:true ~mode ~machine w
+    ?(mode = SP.Options.Inter_intra) ?(opts = SP.Options.default) w =
+  H.execute
+    {
+      (H.request w) with
+      config = { Workloads.Run_config.default with machine; mode };
+      opts;
+      observers = { H.no_observers with profile = true };
+    }
 
 let report r = Option.get r.H.profile
 

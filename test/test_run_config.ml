@@ -83,6 +83,31 @@ let test_resolved_hw () =
     (C.hw_prefetch_to_string
        (RC.machine { RC.default with hw = Some C.Hw_none }).C.hw_prefetch)
 
+(* A strided object walk with a foldable constant in its loop, so each
+   axis but the engine moves its books or its loop reports. *)
+let axes_workload =
+  Workloads.Workload.of_source ~name:"axes"
+    ~description:"run-config test fixture" ~heap_limit_bytes:(4 * 1024 * 1024)
+    {|
+class Node { int v; Node next; Node(int x) { v = x; } }
+class T {
+  static int walk(Node[] ns) {
+    int acc = 0;
+    for (int i = 0; i < ns.length; i = i + 1) {
+      acc = (acc + ns[i].v * (2 + 3)) % 65521;
+    }
+    return acc;
+  }
+  static void main() {
+    Node[] ns = new Node[2000];
+    for (int i = 0; i < 2000; i = i + 1) { ns[i] = new Node(i); }
+    int acc = 0;
+    for (int r = 0; r < 8; r = r + 1) { acc = (acc + T.walk(ns)) % 9973; }
+    print(acc);
+  }
+}
+|}
+
 let test_opts () =
   let c = ok (RC.apply_overrides RC.default "prediction=hybrid,threshold=16") in
   let o = RC.opts c in
@@ -91,7 +116,55 @@ let test_opts () =
   Alcotest.(check bool) "prediction set" true
     (o.Strideprefetch.Options.prediction = Strideprefetch.Options.Hybrid);
   Alcotest.(check (option int)) "threshold set" (Some 16)
-    o.Strideprefetch.Options.inter_stride_threshold
+    o.Strideprefetch.Options.inter_stride_threshold;
+  (* Every axis of a request reaches its run. Each row sets one axis off
+     its default; its cycles, retired instructions, loop reports and
+     inspection steps were recorded through the harness's per-axis
+     arguments before the request replaced them. Each row's numbers
+     differ from the first row's, so a request that dropped an axis
+     would fail here. *)
+  let module H = Workloads.Harness in
+  let req = H.request axes_workload in
+  let run spec =
+    H.execute { req with config = ok (RC.apply_overrides RC.default spec) }
+  in
+  let steps (r : H.run_result) =
+    List.fold_left
+      (fun acc (l : Strideprefetch.Pass.loop_report) ->
+        acc + l.inspection_steps)
+      0 r.reports
+  in
+  List.iter
+    (fun (spec, cycles, retired, reports, inspection_steps) ->
+      let r = run spec in
+      Alcotest.(check (list int))
+        (spec ^ ": cycles, retired, loop reports, inspection steps")
+        [ cycles; retired; reports; inspection_steps ]
+        [
+          r.cycles;
+          r.stats.Memsim.Stats.retired_instructions;
+          List.length r.reports;
+          steps r;
+        ])
+    [
+      ("mode=inter+intra", 1_070_898, 380_218, 1, 404);
+      ("machine=athlonmp", 1_030_777, 380_218, 1, 404);
+      ("hw=none", 1_077_018, 380_218, 1, 404);
+      ("mode=off", 1_070_898, 380_218, 0, 0);
+      ("passes=off", 1_098_898, 408_218, 1, 444);
+      ("prediction=static", 1_119_023, 408_218, 1, 0);
+      ("threshold=0", 1_098_898, 408_218, 1, 404);
+    ];
+  (* The engine moves nothing: that is the engines' contract. *)
+  let closure = run "engine=closure" and switch = run "engine=switch" in
+  Alcotest.(check (list (pair string int)))
+    "engine=switch: identical books"
+    (("cycles", closure.cycles) :: ("gc_count", closure.gc_count)
+     :: Memsim.Stats.core_alist closure.stats)
+    (("cycles", switch.cycles) :: ("gc_count", switch.gc_count)
+     :: Memsim.Stats.core_alist switch.stats);
+  Alcotest.(check string) "engine=switch: identical output" closure.output
+    switch.output
 
 let suite =
   [

@@ -308,7 +308,13 @@ class K {
 let machine = Memsim.Config.pentium4
 
 let run ?(telemetry = false) w =
-  H.run ~telemetry ~mode:O.Inter_intra ~machine w
+  H.execute
+    {
+      (H.request w) with
+      config =
+        { Workloads.Run_config.default with machine; mode = O.Inter_intra };
+      observers = { H.no_observers with telemetry };
+    }
 
 (* One simulation per fixture/config, shared across the tests below. *)
 let walk_plain = lazy (run walk)

@@ -171,8 +171,13 @@ let test_inspection_leaves_heap_and_globals_intact () =
               w.W.name meth.Vm.Classfile.method_name diff
       in
       let r =
-        H.run ~compile_observer:observer
-          ~mode:Strideprefetch.Options.Inter_intra ~machine w
+        H.execute
+          {
+            (H.request w) with
+            config = { Workloads.Run_config.default with machine };
+            observers =
+              { H.no_observers with compile_observer = Some observer };
+          }
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: something was compiled" w.W.name)
@@ -186,4 +191,83 @@ let side_effect_suite =
      test_inspection_leaves_heap_and_globals_intact);
   ]
 
-let suite = suite @ side_effect_suite
+(* --- one compiled program, many runs ---
+
+   A request carries a compiled program and every run executes a fresh
+   copy of it, so one compile serves any number of runs. Each run of a
+   shared request must match a run compiled from source, whatever ran
+   before it, and the shared program must come out as the front end left
+   it: the JIT rewrites only the copies. *)
+
+let test_one_program_many_runs () =
+  let fuzz =
+    let g = Fuzz.Gen.generate ~seed:2026 ~max_size:6 in
+    W.of_source ~name:"fuzz-2026" ~description:"generated program"
+      ~heap_limit_bytes:g.Fuzz.Gen.heap_limit_bytes (Fuzz.Gen.source g)
+  in
+  let churn =
+    { Workloads.Phase.churn with W.heap_limit_bytes = 512 * 1024 }
+  in
+  let db = List.find (fun (w : W.t) -> w.name = "db") all in
+  let pentium4 = Memsim.Config.pentium4 in
+  List.iter
+    (fun (w, machines) ->
+      let req = H.request w in
+      List.iter
+        (fun machine ->
+          let config = { Workloads.Run_config.default with machine } in
+          let expected = H.execute { (H.request w) with config } in
+          List.iteri
+            (fun i engine ->
+              let r =
+                H.execute { req with config = { config with engine } }
+              in
+              let ctx =
+                Printf.sprintf "%s/%s run %d (%s)" w.W.name
+                  machine.Memsim.Config.name (i + 1)
+                  (Vm.Interp.engine_name engine)
+              in
+              Alcotest.(check string) (ctx ^ ": output") expected.output
+                r.output;
+              Alcotest.(check (list (pair string int)))
+                (ctx ^ ": books")
+                (("cycles", expected.cycles)
+                 :: ("gc_count", expected.gc_count)
+                 :: ("methods_compiled", expected.methods_compiled)
+                 :: Memsim.Stats.core_alist expected.stats)
+                (("cycles", r.cycles) :: ("gc_count", r.gc_count)
+                 :: ("methods_compiled", r.methods_compiled)
+                 :: Memsim.Stats.core_alist r.stats))
+            Vm.Interp.[ Closure; Closure; Switch ])
+        machines;
+      let front_end = W.compile w in
+      Array.iteri
+        (fun i (m : Vm.Classfile.method_info) ->
+          let ctx = w.W.name ^ ": " ^ m.method_name in
+          Alcotest.(check bool) (ctx ^ ": front-end body") true
+            (m.code = front_end.methods.(i).code
+            && m.original_code = front_end.methods.(i).code);
+          Alcotest.(check (list int))
+            (ctx ^ ": locals, sites, registers, counters")
+            [
+              front_end.methods.(i).max_locals;
+              front_end.methods.(i).n_sites;
+              0; 0; 0; 0;
+            ]
+            [
+              m.max_locals; m.n_sites; m.n_pref_regs; Bool.to_int m.compiled;
+              m.invocations; m.backedges;
+            ];
+          Alcotest.(check (float 0.0)) (ctx ^ ": compile seconds") 0.0
+            m.compile_seconds)
+        req.program.methods)
+    [
+      (db, [ pentium4; Memsim.Config.athlon_mp ]);
+      (churn, [ pentium4 ]);
+      (fuzz, [ pentium4 ]);
+    ]
+
+let suite =
+  suite @ side_effect_suite
+  @ [ ("harness: one compiled program, many runs", `Slow,
+       test_one_program_many_runs) ]
