@@ -1,17 +1,16 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md section 4 for the experiment index), plus an
-   ablation sweep and bechamel microbenchmarks of the compiler machinery.
+   ablation sweep of the pass's knobs.
    The bench_hotpath/v2 report of per-cell wall-clock is spf_bench
    --record's.
 
    Usage: dune exec bench/main.exe [-- flags] [experiment ...]
    Experiments: table1 table2 table3 fig34 fig5 fig6 fig7 fig8 fig9 fig10
-   fig11 ablation micro; default is all of them in paper order.
+   fig11 ablation; default is all of them in paper order.
 
    Flags:
      --jobs N     size of the Domain pool for the simulation matrix
                   (default: Domain.recommended_domain_count ())
-     --smoke      reduced bechamel quota for [micro] (used by dune runtest)
 
    All simulation cells needed by the requested experiments are collected
    up front, deduplicated, and run once on the Domain pool (Bench_runner);
@@ -102,11 +101,11 @@ let kernel_and_infos () =
       ~callee_returns:(fun m ->
         (Vm.Classfile.method_of_id program m).returns_value)
   in
-  (program, meth, infos)
+  (meth, infos)
 
 let table1 () =
   heading "Table 1: load instructions in the findInMemory() method";
-  let _, meth, infos = kernel_and_infos () in
+  let meth, infos = kernel_and_infos () in
   Printf.printf "%-6s %-20s %s\n" "Load" "Memory address" "instruction";
   for site = 0 to meth.n_sites - 1 do
     let instr =
@@ -196,7 +195,7 @@ let fig34 () =
 
 let fig5 () =
   heading "Figure 5: load dependence graph for findInMemory";
-  let _, meth, infos = kernel_and_infos () in
+  let meth, infos = kernel_and_infos () in
   let sites = List.init meth.n_sites Fun.id in
   let ldg = SP.Ldg.build infos ~sites in
   Format.printf "%a@." SP.Ldg.pp ldg;
@@ -277,7 +276,7 @@ let fig11 () =
      The paper reports the pass adds < 3.0%% to total JIT compilation time\n\
      and < 0.4%% to total execution time. A ratio against OUR baseline\n\
      pipeline would be meaningless: this reproduction's non-prefetch JIT\n\
-     work (CFG/loops/fold/inline) is a deliberately thin stand-in, tens of\n\
+     work (CFG/loops/fold/DSE) is a deliberately thin stand-in, tens of\n\
      microseconds per method, where the IBM JIT's full compilation\n\
      (native code generation, register allocation, inlining, ...) runs\n\
      milliseconds to tens of milliseconds per hot method. Against such a\n\
@@ -353,119 +352,6 @@ let ablation ~jobs () =
        "" runs)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the compiler-side machinery. *)
-
-let micro ~smoke () =
-  heading "Microbenchmarks (bechamel): compiler-side costs";
-  let program, meth, infos = kernel_and_infos () in
-  let cfg_built = Jit.Cfg.build meth.code in
-  let forest = Jit.Loops.analyze cfg_built in
-  let target = List.hd (List.rev (Jit.Loops.postorder forest)) in
-  (* a populated interpreter for object inspection *)
-  let interp = Vm.Interp.create Memsim.Config.pentium4 program in
-  ignore (Vm.Interp.run interp);
-  let opts = SP.Options.default in
-  let args =
-    let heap = Vm.Interp.heap interp in
-    let node = ref Vm.Value.Null
-    and tv = ref Vm.Value.Null
-    and tok = ref Vm.Value.Null in
-    let class_id name =
-      (Option.get (Vm.Classfile.find_class program name)).Vm.Classfile.class_id
-    in
-    Vm.Heap.iter_ids_in_address_order heap (fun id ->
-        match Vm.Heap.class_id_of heap id with
-        | Some c when c = class_id "Node2" -> node := Vm.Value.Ref id
-        | Some c when c = class_id "TokenVector" -> tv := Vm.Value.Ref id
-        | Some c when c = class_id "Token" && !tok = Vm.Value.Null ->
-            tok := Vm.Value.Ref id
-        | _ -> ());
-    [| !node; !tv; !tok |]
-  in
-  let fresh_meth () =
-    Vm.Classfile.make_method ~method_id:meth.method_id
-      ~method_name:meth.method_name ~arity:meth.arity
-      ~returns_value:meth.returns_value ~max_locals:meth.max_locals
-      ~code:(Array.copy meth.original_code)
-  in
-  let tests =
-    [
-      Bechamel.Test.make ~name:"cfg+dominators+loops"
-        (Bechamel.Staged.stage (fun () ->
-             let cfg = Jit.Cfg.build meth.code in
-             let idom = Jit.Dominators.compute cfg in
-             ignore (Jit.Loops.analyze cfg);
-             ignore idom));
-      Bechamel.Test.make ~name:"stack-model"
-        (Bechamel.Staged.stage (fun () ->
-             ignore
-               (Jit.Stack_model.analyze meth.code ~arity:meth.arity
-                  ~callee_arity:(fun m ->
-                    (Vm.Classfile.method_of_id program m).arity)
-                  ~callee_returns:(fun m ->
-                    (Vm.Classfile.method_of_id program m).returns_value))));
-      Bechamel.Test.make ~name:"ldg-build"
-        (Bechamel.Staged.stage (fun () ->
-             ignore
-               (SP.Ldg.build infos ~sites:(List.init meth.n_sites Fun.id))));
-      Bechamel.Test.make ~name:"object-inspection"
-        (Bechamel.Staged.stage (fun () ->
-             ignore
-               (SP.Inspection.inspect ~program ~heap:(Vm.Interp.heap interp)
-                  ~globals:(Vm.Interp.global interp) ~opts ~cfg:cfg_built
-                  ~forest ~target ~meth ~args)));
-      Bechamel.Test.make ~name:"whole-prefetch-pass"
-        (Bechamel.Staged.stage (fun () ->
-             let m = fresh_meth () in
-             ignore (SP.Pass.run ~opts ~interp ~meth:m ~args ())));
-      Bechamel.Test.make ~name:"stride-detection-1k"
-        (Bechamel.Staged.stage
-           (let records = List.init 1000 (fun i -> (i, 4096 + (i * 60))) in
-            fun () -> ignore (SP.Stride.inter ~opts records)));
-      Bechamel.Test.make ~name:"cache-sim-4k-accesses"
-        (Bechamel.Staged.stage
-           (let hier = Memsim.Hierarchy.create Memsim.Config.pentium4 in
-            fun () ->
-              for i = 0 to 4095 do
-                ignore
-                  (Memsim.Hierarchy.demand_access hier ~pc:0
-                     ~addr:(i * 64 * 7) ~kind:`Load ~now:i)
-              done));
-    ]
-  in
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let benchmark_cfg =
-    (* The smoke config (dune runtest) only checks the harness runs end to
-       end; the quota is slashed so the whole alias stays well under 30s. *)
-    if smoke then
-      Benchmark.cfg ~limit:50 ~quota:(Time.second 0.02) ~stabilize:false ()
-    else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  Printf.printf "%-26s %16s\n" "benchmark" "time/run";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all benchmark_cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let ols_result = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] ->
-              let pretty =
-                if smoke then "ok"
-                else if ns > 1e6 then Printf.sprintf "%10.3f ms" (ns /. 1e6)
-                else if ns > 1e3 then Printf.sprintf "%10.3f us" (ns /. 1e3)
-                else Printf.sprintf "%10.0f ns" ns
-              in
-              Printf.printf "%-26s %16s\n" name pretty
-          | _ -> Printf.printf "%-26s %16s\n" name "n/a")
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Experiment index and the cells each one needs from the matrix. *)
 
 let matrix_cells ~machines ~modes =
@@ -500,18 +386,17 @@ let needs = function
 let experiment_names =
   [
     "table1"; "table2"; "table3"; "fig34"; "fig5"; "fig6"; "fig7"; "fig8";
-    "fig9"; "fig10"; "fig11"; "ablation"; "micro";
+    "fig9"; "fig10"; "fig11"; "ablation";
   ]
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--jobs N] [--smoke] [experiment ...]\n\
+    "usage: main.exe [--jobs N] [experiment ...]\n\
      experiments: %s\n"
     (String.concat ", " experiment_names)
 
 let () =
   let jobs = ref (Runner.default_jobs ()) in
-  let smoke = ref false in
   let names = ref [] in
   let rec parse = function
     | [] -> ()
@@ -521,9 +406,6 @@ let () =
         | _ ->
             Printf.eprintf "--jobs expects a positive integer, got '%s'\n" n;
             exit 2);
-        parse rest
-    | "--smoke" :: rest ->
-        smoke := true;
         parse rest
     | ("--help" | "-h") :: _ ->
         usage ();
@@ -555,7 +437,6 @@ let () =
     | "fig10" -> fig10 ()
     | "fig11" -> fig11 ()
     | "ablation" -> ablation ~jobs:!jobs ()
-    | "micro" -> micro ~smoke:!smoke ()
     | name ->
         Printf.eprintf "unknown experiment '%s'\n" name;
         exit 1

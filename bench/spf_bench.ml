@@ -104,7 +104,7 @@ let rundata_of_cell name (c : Gate.cell_rec) =
   match c.Gate.blame with
   | Some payload ->
       Diff.Rundata.of_bench_blame
-        ~config:(Diff.Rundata.config_strings ~workload:c.workload c.config)
+        ~stamp:{ workload = c.workload; config = c.config }
         ~cycles:c.Gate.cycles payload
   | None -> Error (name ^ " carries no blame payload")
 
@@ -203,11 +203,7 @@ let gate_against ?threshold ~jobs baseline_path =
               (Runner.run_cell { t.cell with Runner.profile = true })
                 .Runner.result
         in
-        Diff.Rundata.of_run
-          ~config:
-            (Diff.Rundata.config_strings ~workload:t.cell.workload.name
-               t.cell.config)
-          result
+        Diff.Rundata.of_run ~config:t.cell.config result
   in
   compare_runs ?threshold ~rerun a b
 

@@ -32,6 +32,18 @@ let workload_conv =
   let print ppf w = Format.pp_print_string ppf (name w) in
   Cmdliner.Arg.conv (parse, print)
 
+(* A size or count that must be at least 1 (a window, a ring capacity).
+   Zero or a negative value is a usage error (exit 124), never an
+   uncaught [Invalid_argument] from the library that rejects it. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got '%s'" s))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
 module R = Workloads.Run_config
 
 (* One axis as a cmdliner argument whose value sets that axis (parsed by

@@ -42,11 +42,7 @@ let run_live ?(profile = false) (req : H.request) config =
 
 let rundata_of_live req c =
   let r = run_live ~profile:true req c in
-  match
-    Diff.Rundata.of_run
-      ~config:(Diff.Rundata.config_strings ~workload:r.H.workload c)
-      r
-  with
+  match Diff.Rundata.of_run ~config:c r with
   | Ok rd -> rd
   | Error e ->
       Printf.eprintf "spf_diff: %s\n" e;
@@ -175,7 +171,7 @@ let main workload base vs bisect expect_axis max_replays record a_file b_file
       let rd = rundata_of_live (live_request w) base in
       write_json path (Diff.Rundata.to_json rd);
       Printf.printf "snapshot written to %s (%s, %d cycles)\n" path
-        rd.Diff.Rundata.config.c_workload rd.Diff.Rundata.cycles
+        w.Workloads.Workload.name rd.Diff.Rundata.cycles
   | None, Some fa, Some fb ->
       let load f =
         match Diff.Rundata.load f with

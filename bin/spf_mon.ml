@@ -24,7 +24,7 @@ let workload_arg =
 let window_arg =
   Cmdliner.Arg.(
     value
-    & opt int Monitor.Collector.default_window_cycles
+    & opt Cli_common.positive_int Monitor.Collector.default_window_cycles
     & info [ "window" ] ~docv:"CYCLES"
         ~doc:"Window size in simulated cycles (default 262144).")
 
@@ -67,10 +67,6 @@ let max_latency_arg =
 let latency_gate_exit = 2
 
 let run w (config : R.t) window jsonl trace top max_latency =
-  if window <= 0 then begin
-    prerr_endline "spf_mon: --window must be positive";
-    exit 1
-  end;
   let result =
     H.execute
       {

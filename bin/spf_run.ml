@@ -80,7 +80,9 @@ let profile_arg =
 let monitor_arg =
   Cmdliner.Arg.(
     value
-    & opt ~vopt:(Some Monitor.Collector.default_window_cycles) (some int) None
+    & opt
+        ~vopt:(Some Monitor.Collector.default_window_cycles)
+        (some Cli_common.positive_int) None
     & info [ "monitor" ] ~docv:"WINDOW"
         ~doc:
           "Run with the live windowed monitor armed (implies telemetry) \

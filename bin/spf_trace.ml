@@ -46,7 +46,7 @@ let phased_arg =
 
 let capacity_arg =
   Cmdliner.Arg.(
-    value & opt int 65536
+    value & opt Cli_common.positive_int 65536
     & info [ "sink-capacity" ] ~docv:"N"
         ~doc:
           "Event-ring capacity; the oldest events are overwritten beyond \

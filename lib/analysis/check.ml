@@ -47,9 +47,3 @@ let verify ~program ?reports ?scheduling_distance ?require_guarded
   with
   | [] -> Ok ()
   | d :: _ -> Error (Diag.render ~meth:m d)
-
-let pass_verifier ~program ?reports ?scheduling_distance ?require_guarded
-    ?inter_stride_threshold () =
- fun m ->
-  verify ~program ?reports ?scheduling_distance ?require_guarded
-    ?inter_stride_threshold m

@@ -23,8 +23,6 @@ val check_method :
     {!Strideprefetch.Options.resolved_inter_stride_threshold}, enabling
     the threshold clause of {!Lint.degenerate_plans}. *)
 
-val errors_only : Diag.t list -> Diag.t list
-
 val verify :
   program:Vm.Classfile.program ->
   ?reports:Strideprefetch.Pass.loop_report list ->
@@ -36,14 +34,3 @@ val verify :
 (** [Ok ()] when {!check_method} reports no {e errors} (warnings pass);
     otherwise the first error, rendered with method and instruction
     context. *)
-
-val pass_verifier :
-  program:Vm.Classfile.program ->
-  ?reports:Strideprefetch.Pass.loop_report list ->
-  ?scheduling_distance:int ->
-  ?require_guarded:bool ->
-  ?inter_stride_threshold:int ->
-  unit ->
-  Vm.Classfile.method_info ->
-  (unit, string) result
-(** {!verify} packaged for {!Jit.Pipeline.create}'s [?verifier] hook. *)

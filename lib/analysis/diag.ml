@@ -22,8 +22,6 @@ let global ~checker fmt =
 
 let is_error d = d.severity = Error
 
-let severity_name = function Error -> "error" | Warning -> "warning"
-
 (* The rendered instruction at the faulting pc — diagnostics always name
    the method and show the instruction, not just the pc, so a finding can
    be read without disassembling the body by hand. *)

@@ -19,10 +19,6 @@ val global : checker:string -> ('a, unit, string, t) format4 -> 'a
     render with {!render_plain}. *)
 
 val is_error : t -> bool
-val severity_name : severity -> string
-
-val instr_at : Vm.Classfile.method_info -> int -> string
-(** Rendered instruction at [pc], or ["<no instruction>"] out of range. *)
 
 val render : meth:Vm.Classfile.method_info -> t -> string
 (** ["<method>: pc <pc> (`<instr>`): [<checker>] <message>"]. *)

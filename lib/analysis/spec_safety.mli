@@ -14,10 +14,6 @@
 
 val is_prefetch_family : Vm.Bytecode.instr -> bool
 
-val dominates_pc : Jit.Cfg.t -> idom:int array -> def:int -> use:int -> bool
-(** pc-level dominance: block-level dominance, program order within a
-    block. *)
-
 val check :
   cfg:Jit.Cfg.t -> idom:int array -> Vm.Classfile.method_info -> Diag.t list
 (** All findings of the three checkers, in pc order of discovery. [cfg]

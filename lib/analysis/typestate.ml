@@ -173,8 +173,9 @@ let check ~(program : Vm.Classfile.program) (m : Vm.Classfile.method_info) =
       | B.Iconst _ -> push pc A.Int st
       | B.Aconst_null -> push pc A.Null st
       | B.Iload i | B.Aload i ->
-          (* locals are untyped slots (the inliner spills reference
-             arguments with istore); typing happens at the use site *)
+          (* locals are untyped slots: iload and aload push whatever
+             the slot holds ([Top] where paths disagree), and the
+             consumer checks the type it needs *)
           push pc st.locals.(i) st
       | B.Istore i | B.Astore i -> store pc i st
       | B.Dup -> (

@@ -240,17 +240,16 @@ let loop_name d =
   if d.d_loop = -1 then Printf.sprintf "%s/(straight-line)" d.d_method
   else Printf.sprintf "%s/loop%d" d.d_method d.d_loop
 
-let config_line (c : Rundata.config) =
-  Printf.sprintf "%s %s %s %s hw=%s pred=%s thr=%s passes=%s" c.c_workload
-    c.c_machine c.c_mode c.c_engine c.c_hw c.c_prediction
-    (match c.c_threshold with None -> "default" | Some n -> string_of_int n)
-    (if c.c_passes then "on" else "off")
+let stamp_line = function
+  | Some (s : Rundata.stamp) ->
+      s.workload ^ " " ^ Workloads.Run_config.to_string s.config
+  | None -> "? (no configuration recorded)"
 
 let render ?(top = 10) t =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "A: %s" (config_line t.a.config);
-  line "B: %s" (config_line t.b.config);
+  line "A: %s" (stamp_line t.a.stamp);
+  line "B: %s" (stamp_line t.b.stamp);
   line "cycles: A=%d  B=%d  delta=%s (%s)" t.a.cycles t.b.cycles
     (signed t.total_delta)
     (pct_of_total t.total_delta t.a.cycles);

@@ -1,41 +1,8 @@
 module J = Telemetry.Json
 module R = Profile.Report
+module RC = Workloads.Run_config
 
-type config = {
-  c_workload : string;
-  c_machine : string;
-  c_mode : string;
-  c_engine : string;
-  c_hw : string;
-  c_prediction : string;
-  c_threshold : int option;
-  c_passes : bool;
-}
-
-let unknown_config =
-  {
-    c_workload = "?";
-    c_machine = "?";
-    c_mode = "?";
-    c_engine = "?";
-    c_hw = "?";
-    c_prediction = "?";
-    c_threshold = None;
-    c_passes = true;
-  }
-
-let config_strings ~workload (c : Workloads.Run_config.t) =
-  let module R = Workloads.Run_config in
-  {
-    c_workload = workload;
-    c_machine = R.axis_value c R.Machine;
-    c_mode = R.axis_value c R.Mode;
-    c_engine = R.axis_value c R.Engine;
-    c_hw = R.axis_value c R.Hw;
-    c_prediction = R.axis_value c R.Prediction;
-    c_threshold = c.threshold;
-    c_passes = c.passes;
-  }
+type stamp = { workload : string; config : RC.t }
 
 type loop = {
   lr_method : string;
@@ -82,7 +49,7 @@ type prov = {
 }
 
 type t = {
-  config : config;
+  stamp : stamp option;
   cycles : int;
   gc_cycles : int;
   totals : int array;
@@ -195,7 +162,7 @@ let of_run ~config (r : Workloads.Harness.run_result) =
       in
       Ok
         {
-          config;
+          stamp = Some { workload = r.workload; config };
           cycles = rep.cycles;
           gc_cycles = rep.gc_cycles;
           totals = bins_array rep.totals;
@@ -213,20 +180,29 @@ let schema = "spf_diff/v1"
 let json_of_bin_array a =
   J.Obj (List.mapi (fun i n -> (n, J.Int a.(i))) bin_names)
 
+(* The stamp's axis fields, each named by [RC.axis_name], in the order
+   spf_diff/v1 files record them. *)
+let stamp_axes =
+  RC.[ Machine; Mode; Engine; Hw; Prediction; Threshold; Passes ]
+
+(* Each axis as [RC.axis_value] spells it, except the two the format
+   records typed: the threshold as an integer or null, passes as a
+   boolean. *)
+let axis_json (c : RC.t) = function
+  | RC.Threshold -> (
+      match c.threshold with None -> J.Null | Some n -> J.Int n)
+  | RC.Passes -> J.Bool c.passes
+  | ax -> J.Str (RC.axis_value c ax)
+
 let to_json t =
-  let config_json c =
-    J.Obj
-      [
-        ("workload", J.Str c.c_workload);
-        ("machine", J.Str c.c_machine);
-        ("mode", J.Str c.c_mode);
-        ("engine", J.Str c.c_engine);
-        ("hw", J.Str c.c_hw);
-        ("prediction", J.Str c.c_prediction);
-        ( "threshold",
-          match c.c_threshold with None -> J.Null | Some n -> J.Int n );
-        ("passes", J.Bool c.c_passes);
-      ]
+  let stamp_json = function
+    | None -> J.Null
+    | Some s ->
+        J.Obj
+          (("workload", J.Str s.workload)
+          :: List.map
+               (fun ax -> (RC.axis_name ax, axis_json s.config ax))
+               stamp_axes)
   in
   let loop_json l =
     J.Obj
@@ -283,7 +259,7 @@ let to_json t =
   J.Obj
     [
       ("schema", J.Str schema);
-      ("config", config_json t.config);
+      ("config", stamp_json t.stamp);
       ("cycles", J.Int t.cycles);
       ("gc_cycles", J.Int t.gc_cycles);
       ("totals", json_of_bin_array t.totals);
@@ -296,14 +272,15 @@ let to_json t =
     ]
 
 (* Lenient readers in the gate parser's spirit: absent numeric fields
-   default to 0, absent strings to "?" — older snapshots keep loading. *)
+   default to 0, flags to false, strings to "?" — older snapshots keep
+   loading. (The stamp is stricter: see [stamp_of_json].) *)
 let mem_str name v =
   match J.member name v with Some (J.Str s) -> s | _ -> "?"
 
 let mem_int name v = match J.member name v with Some (J.Int i) -> i | _ -> 0
 
-let mem_bool ~default name v =
-  match J.member name v with Some (J.Bool b) -> b | _ -> default
+let mem_bool name v =
+  match J.member name v with Some (J.Bool b) -> b | _ -> false
 
 let mem_list name v = match J.member name v with Some (J.List l) -> l | _ -> []
 
@@ -336,18 +313,28 @@ let site_of_json v =
     s_total = mem_int "stall" v;
   }
 
-let config_of_json v =
-  {
-    c_workload = mem_str "workload" v;
-    c_machine = mem_str "machine" v;
-    c_mode = mem_str "mode" v;
-    c_engine = mem_str "engine" v;
-    c_hw = mem_str "hw" v;
-    c_prediction = mem_str "prediction" v;
-    c_threshold =
-      (match J.member "threshold" v with Some (J.Int i) -> Some i | _ -> None);
-    c_passes = mem_bool ~default:true "passes" v;
-  }
+(* Every axis field back through [RC.parse]; a missing or unparseable
+   one leaves the stamp absent. *)
+let stamp_of_json v =
+  let value = function
+    | J.Str s -> Some s
+    | J.Int n -> Some (string_of_int n)
+    | J.Null -> Some "default"
+    | J.Bool b -> Some (string_of_bool b)
+    | _ -> None
+  in
+  let set config ax =
+    match Option.bind (J.member (RC.axis_name ax) v) value with
+    | None -> None
+    | Some s -> Result.to_option (Result.map (fun f -> f config) (RC.parse ax s))
+  in
+  match J.member "workload" v with
+  | Some (J.Str workload) ->
+      List.fold_left
+        (fun acc ax -> Option.bind acc (fun c -> set c ax))
+        (Some RC.default) stamp_axes
+      |> Option.map (fun config -> { workload; config })
+  | _ -> None
 
 let attribution_of_json v =
   {
@@ -369,22 +356,17 @@ let prov_of_json v =
         (function J.Str s -> Some s | _ -> None)
         (mem_list "actions" v);
     p_rejected = mem_int "rejected" v;
-    p_promoted = mem_bool ~default:false "promoted" v;
-    p_low_trip = mem_bool ~default:false "low_trip" v;
+    p_promoted = mem_bool "promoted" v;
+    p_low_trip = mem_bool "low_trip" v;
     p_iterations = mem_int "iterations" v;
     p_steps = mem_int "steps" v;
-    p_skipped = mem_bool ~default:false "skipped" v;
-    p_shortened = mem_bool ~default:false "shortened" v;
+    p_skipped = mem_bool "skipped" v;
+    p_shortened = mem_bool "shortened" v;
   }
 
 let of_json v =
   match J.member "schema" v with
   | Some (J.Str s) when s = schema || s = "spf_prof/v1" ->
-      let config =
-        match J.member "config" v with
-        | Some c -> config_of_json c
-        | None -> unknown_config
-      in
       let attribution =
         match J.member "attribution" v with
         | Some (J.Obj _ as a) -> Some (attribution_of_json a)
@@ -392,7 +374,7 @@ let of_json v =
       in
       Ok
         {
-          config;
+          stamp = Option.bind (J.member "config" v) stamp_of_json;
           cycles = mem_int "cycles" v;
           gc_cycles = mem_int "gc_cycles" v;
           totals = bins_of_json (J.member "totals" v);
@@ -413,7 +395,7 @@ let of_json v =
    every cycle in exactly one loop row (straight-line remainders are the
    loop = -1 rows), so the reconstruction is exact and the blame
    conservation law carries over. *)
-let of_bench_blame ~config ~cycles v =
+let of_bench_blame ~stamp ~cycles v =
   match J.member "loops" v with
   | Some (J.List loop_rows) ->
       let loops = List.map loop_of_json loop_rows in
@@ -423,7 +405,7 @@ let of_bench_blame ~config ~cycles v =
         loops;
       Ok
         {
-          config;
+          stamp = Some stamp;
           cycles;
           gc_cycles = mem_int "gc_cycles" v;
           totals;

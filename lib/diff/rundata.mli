@@ -1,5 +1,5 @@
 (** One run, reduced to what differential diagnosis needs: the
-    configuration axes it was produced under, total/GC cycles, the
+    workload and configuration it was produced under, total/GC cycles, the
     profiler's per-loop stall-bin and per-allocation-site breakdowns,
     the attribution outcome totals, and the pass's per-loop decision
     provenance.
@@ -7,26 +7,15 @@
     A snapshot comes from three places — a live profiled
     {!Workloads.Harness} run ({!of_run}), a recorded ["spf_diff/v1"]
     snapshot, or a plain ["spf_prof/v1"] report written by [spf_prof]
-    (both via {!of_json}; the latter carries no config, attribution or
+    (both via {!of_json}; the latter carries no stamp, attribution or
     provenance, and the corresponding blame sections are skipped). *)
 
-type config = {
-  c_workload : string;
-  c_machine : string;
-  c_mode : string;  (** {!Strideprefetch.Options.mode_name} spelling *)
-  c_engine : string;
-  c_hw : string;  (** resolved hardware-prefetch spec, e.g. ["stream:8"] *)
-  c_prediction : string;
-  c_threshold : int option;
-  c_passes : bool;  (** standard JIT passes enabled *)
-}
-
-val unknown_config : config
-(** All-["?"] placeholder used for ["spf_prof/v1"] inputs, which record
-    no configuration. *)
-
-val config_strings : workload:string -> Workloads.Run_config.t -> config
-(** The stamp of a snapshot made under this configuration. *)
+type stamp = { workload : string; config : Workloads.Run_config.t }
+(** What a snapshot was made under. Recorded as the workload name plus
+    one field per {!Workloads.Run_config} axis, each spelled by
+    {!Workloads.Run_config.axis_value} (the threshold as an integer or
+    [null], passes as a boolean) and read back by
+    {!Workloads.Run_config.parse}. *)
 
 type loop = {
   lr_method : string;
@@ -74,7 +63,9 @@ type prov = {
 }
 
 type t = {
-  config : config;
+  stamp : stamp option;
+      (** [None] for ["spf_prof/v1"] inputs, and for snapshots with a
+          missing or unparseable axis *)
   cycles : int;
   gc_cycles : int;
   totals : int array;  (** whole-run bins, {!Profile.Report.bin_fields} order *)
@@ -88,19 +79,22 @@ val bin_names : string list
 (** The bin spelling shared with {!Profile.Report.bin_fields}. *)
 
 val of_run :
-  config:config -> Workloads.Harness.run_result -> (t, string) result
-(** Reduce a live run. [Error] unless the run was made with
-    [~profile:true] (the per-loop breakdown is the diff's backbone). *)
+  config:Workloads.Run_config.t ->
+  Workloads.Harness.run_result ->
+  (t, string) result
+(** Reduce a live run made under [config]; the stamp's workload is the
+    run's. [Error] unless the run was profiled (the per-loop breakdown
+    is the diff's backbone). *)
 
 val to_json : t -> Telemetry.Json.t
 (** Schema ["spf_diff/v1"]. *)
 
 val of_json : Telemetry.Json.t -> (t, string) result
-(** Accepts ["spf_diff/v1"] and ["spf_prof/v1"] (the latter with
-    {!unknown_config} and no attribution/provenance). *)
+(** Accepts ["spf_diff/v1"] and ["spf_prof/v1"] (the latter with no
+    stamp, attribution or provenance). *)
 
 val of_bench_blame :
-  config:config -> cycles:int -> Telemetry.Json.t -> (t, string) result
+  stamp:stamp -> cycles:int -> Telemetry.Json.t -> (t, string) result
 (** A fourth source: the compact ["blame"] payload a bench_hotpath/v2
     report embeds in its profiled cells
     ([{"gc_cycles": N, "loops": [...]}] — loops spelled as in the

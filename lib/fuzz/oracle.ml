@@ -318,11 +318,7 @@ let observer_books (r : H.run_result) =
 
 (* The diff engine's identity law: the attributed run diffed against
    itself blames nothing, and the blame conservation check is exact. *)
-let self_diff ~faults (r : H.run_result) =
-  let config =
-    Diff.Rundata.config_strings ~workload:r.workload
-      Workloads.Run_config.default
-  in
+let self_diff ~faults ~config (r : H.run_result) =
   match Diff.Rundata.of_run ~config r with
   | Error msg -> Some ("snapshot of a profiled run failed: " ^ msg)
   | Ok rd ->
@@ -440,7 +436,7 @@ let rows ~faults (h : H.request) =
     {
       variants = [ ("telemetry+profile", observed) ];
       relation = bit_identical;
-      law = self_diff ~faults;
+      law = self_diff ~faults ~config:h.config;
       fail = (fun cell _ message -> Diff_divergence { cell; message });
     };
     (* hw-desync *)

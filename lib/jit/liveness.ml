@@ -52,7 +52,6 @@ let analyze code =
   done;
   { cfg; ins; outs }
 
-let live_in t pc = t.ins.(pc)
 let live_out t pc = t.outs.(pc)
 
 let eliminate_dead_stores code =

@@ -11,11 +11,9 @@ type t
 
 val analyze : Vm.Bytecode.instr array -> t
 
-val live_in : t -> int -> Int_set.t
-(** Locals live immediately before the instruction at a pc. *)
-
 val live_out : t -> int -> Int_set.t
-(** Locals live immediately after it (the union over successors). *)
+(** Locals live immediately after the instruction at a pc (the union
+    over its successors). *)
 
 val eliminate_dead_stores : Vm.Bytecode.instr array -> Vm.Bytecode.instr array
 (** Replace [istore]/[astore] to locals that are dead afterwards with

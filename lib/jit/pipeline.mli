@@ -30,8 +30,9 @@ val create :
   ?on_mutate:(Vm.Classfile.method_info -> unit) ->
   pass list ->
   t
-(** [?verifier] is a debug-mode hook (see [Analysis.Check.pass_verifier])
-    run over the method body after {e every} pass; [Error msg] aborts
+(** [?verifier] is a debug-mode hook (the harness installs
+    [Analysis.Check.verify] under its [verify_each_pass] observer) run
+    over the method body after {e every} pass; [Error msg] aborts
     compilation with {!Verification_failed}. The pipeline stays generic:
     it never depends on the analysis library, it just runs the callback.
 

@@ -214,22 +214,3 @@ let address_offset_of info =
       | Const k when k >= 0 ->
           Some (Vm.Classfile.array_elems_offset + (k * Vm.Classfile.slot_bytes))
       | _ -> None)
-
-let pp_source ppf = function
-  | Unknown -> Format.pp_print_string ppf "?"
-  | Const k -> Format.fprintf ppf "const %d" k
-  | Param i -> Format.fprintf ppf "param %d" i
-  | Load s -> Format.fprintf ppf "L%d" s
-  | Alloc -> Format.pp_print_string ppf "alloc"
-
-let pp_load_info ppf i =
-  let kind =
-    match i.kind with
-    | Field { name; offset } -> Printf.sprintf "field %s(+%d)" name offset
-    | Static { name; _ } -> Printf.sprintf "static %s" name
-    | Array_length -> "arraylength"
-    | Array_elem -> "arrayelem"
-  in
-  Format.fprintf ppf "L%d@%d %s base=%a idx=%a%s" i.site i.pc kind pp_source
-    i.base pp_source i.index
-    (if i.yields_ref then " (ref)" else "")

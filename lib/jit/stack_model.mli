@@ -51,6 +51,3 @@ val address_offset_of : load_info -> int option
     an affine function of the base with a known constant. This is the
     [F[Lx,Ly]] map of Section 3.3 ("typically, the function simply adds a
     constant offset to the input address"). *)
-
-val pp_source : Format.formatter -> source -> unit
-val pp_load_info : Format.formatter -> load_info -> unit

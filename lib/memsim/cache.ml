@@ -153,11 +153,6 @@ let fill t ~addr ~ready_at =
       if ready_at < t.ready.(slot) then t.ready.(slot) <- ready_at;
       touch t slot
 
-let invalidate t ~addr =
-  match find_slot t (line_of t addr) with
-  | -1 -> ()
-  | slot -> t.tags.(slot) <- -1
-
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.ready 0 (Array.length t.ready) 0;

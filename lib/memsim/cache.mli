@@ -19,11 +19,8 @@ val line_of : t -> int -> int
 val access : t -> addr:int -> now:int -> lookup
 (** Demand lookup; promotes the line to most-recently-used on a hit. *)
 
-val miss : int
-(** Sentinel returned by {!access_residual} on a miss ([min_int]). *)
-
 val access_residual : t -> addr:int -> now:int -> int
-(** Allocation-free {!access}: {!miss} on a miss, otherwise the residual
+(** Allocation-free {!access}: [min_int] on a miss, otherwise the residual
     fill cycles clamped to [>= 0] (0 meaning hit-and-ready). Identical
     state effects to {!access}; this is the interpreter's hot path. *)
 
@@ -35,7 +32,6 @@ val fill : t -> addr:int -> ready_at:int -> unit
     the line is already present only its [ready_at] is lowered, never
     raised (a demand fill completes an in-flight prefetch). *)
 
-val invalidate : t -> addr:int -> unit
 val reset : t -> unit
 
 val resident_lines : t -> int

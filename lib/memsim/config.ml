@@ -151,11 +151,6 @@ let hw_prefetch_to_string = function
   | Hw_rpt { table_size; degree; distance } ->
       Printf.sprintf "rpt:%dx%d@%d" table_size degree distance
 
-let hw_prefetch_kind = function
-  | Hw_none -> "none"
-  | Hw_stream _ -> "stream"
-  | Hw_rpt _ -> "rpt"
-
 let default_stream = Hw_stream { streams = 8 }
 let default_rpt = Hw_rpt { table_size = 64; degree = 2; distance = 4 }
 
@@ -189,13 +184,3 @@ let hw_prefetch_of_string s =
           | _ -> fail ())
       | _ -> fail ())
   | _ -> fail ()
-
-let pp_cache ppf (c : cache_params) =
-  Format.fprintf ppf "%dKB/%dB-line/%d-way" (c.size_bytes / 1024) c.line_bytes
-    c.assoc
-
-let pp_machine ppf m =
-  Format.fprintf ppf "%s: L1 %a, L2 %a, DTLB %d entries, prefetch->%s, hw=%s"
-    m.name pp_cache m.l1 pp_cache m.l2 m.dtlb.entries
-    (match m.prefetch_target with To_l2 -> "L2" | To_l1 -> "L1")
-    (hw_prefetch_to_string m.hw_prefetch)

@@ -63,10 +63,6 @@ val validate_cache : string -> cache_params -> (unit, string) result
 (** [validate_cache label params] checks one cache level; [label] prefixes
     the error message. *)
 
-val validate_hw_prefetch : hw_prefetch_model -> (unit, string) result
-(** Structural checks for one prefetcher model (power-of-two RPT table,
-    degree/distance >= 1, non-negative stream count). *)
-
 val default_stream : hw_prefetch_model
 (** [Hw_stream {streams = 8}] — what both paper machines ship. *)
 
@@ -79,13 +75,7 @@ val hw_prefetch_to_string : hw_prefetch_model -> string
     bench cell keys embed it. Round-trips through
     {!hw_prefetch_of_string}. *)
 
-val hw_prefetch_kind : hw_prefetch_model -> string
-(** Just the model family: "none" | "stream" | "rpt". *)
-
 val hw_prefetch_of_string : string -> (hw_prefetch_model, string) result
 (** Parse a spec: "none", "stream", "stream:N", "rpt", or
     "rpt:TABLExDEGREE\@DISTANCE" (e.g. "rpt:64x2\@4"). Bare "stream"
     and "rpt" mean {!default_stream} and {!default_rpt}. *)
-
-val pp_machine : Format.formatter -> machine -> unit
-(** One-line rendering of the Table 2 parameters of a machine. *)

@@ -5,9 +5,6 @@ type t
 val create : Config.tlb_params -> t
 val params : t -> Config.tlb_params
 
-val page_of : t -> int -> int
-(** [page_of t addr] is the virtual page number of [addr]. *)
-
 val access : t -> addr:int -> bool
 (** Demand translation: [true] on a hit (entry promoted to MRU), [false] on
     a miss — the caller charges the page-walk penalty and then {!fill}s. *)

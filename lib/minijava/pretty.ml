@@ -124,5 +124,3 @@ let class_decl (c : Ast.class_decl) =
        (List.map (method_decl ~class_name:c.class_name) c.class_methods))
 
 let program classes = String.concat "\n" (List.map class_decl classes)
-
-let pp_program ppf p = Format.pp_print_string ppf (program p)

@@ -18,5 +18,3 @@ val stmt : ?indent:int -> Ast.stmt -> string
 
 val program : Ast.program -> string
 (** The whole compilation unit, classes in order. *)
-
-val pp_program : Format.formatter -> Ast.program -> unit

@@ -57,9 +57,6 @@ val analyze : Ast.program -> env
 val sty_of_ty : Ast.ty -> sty
 val string_of_sty : sty -> string
 
-val assignable : target:sty -> sty -> bool
-(** [null] into references; otherwise exact match. *)
-
 val is_ref_sty : sty -> bool
 
 type var_resolution =

@@ -411,7 +411,6 @@ let finalize t =
       ~partial:true
   end
 
-let n_windows t = t.n_windows
 let first_degraded t = t.first_degraded
 let windows t = Array.of_list (List.rev t.windows_rev)
 

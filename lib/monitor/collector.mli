@@ -44,7 +44,6 @@ val finalize : t -> unit
     detectors) so the per-window stats deltas sum exactly to the run
     totals. Idempotent. Call after [Vm.Interp.finalize_telemetry]. *)
 
-val n_windows : t -> int
 val first_degraded : t -> int option
 val windows : t -> Window.t array
 (** Oldest first. *)

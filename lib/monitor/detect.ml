@@ -122,7 +122,6 @@ let ph_update cfg p x =
   p.ph_acc
 
 let ph_mean p = p.ph_mean
-let ph_value p = p.ph_acc
 
 (* ---- CUSUM over a mix (probability vector) ---- *)
 
@@ -130,17 +129,14 @@ type mix = {
   mix_means : float array;
   mutable mix_n : int;
   mutable mix_acc : float;
-  mutable mix_last : float;  (** divergence of the most recent sample *)
 }
 
-let mix_create k =
-  { mix_means = Array.make k 0.0; mix_n = 0; mix_acc = 0.0; mix_last = 0.0 }
+let mix_create k = { mix_means = Array.make k 0.0; mix_n = 0; mix_acc = 0.0 }
 
 let mix_reset m =
   Array.fill m.mix_means 0 (Array.length m.mix_means) 0.0;
   m.mix_n <- 0;
-  m.mix_acc <- 0.0;
-  m.mix_last <- 0.0
+  m.mix_acc <- 0.0
 
 (* [p] must be a probability vector of the same arity as [mix_create]'s
    [k]. Total-variation distance against the running mean mix, scored
@@ -155,7 +151,6 @@ let mix_update ~slack ~cap ~warmup m (p : float array) =
     d := !d +. Float.abs (p.(i) -. m.mix_means.(i))
   done;
   let d = 0.5 *. !d in
-  m.mix_last <- d;
   if m.mix_n >= warmup then
     m.mix_acc <- Float.max 0.0 (m.mix_acc +. Float.min cap (d -. slack));
   m.mix_n <- m.mix_n + 1;
@@ -164,9 +159,6 @@ let mix_update ~slack ~cap ~warmup m (p : float array) =
     m.mix_means.(i) <- m.mix_means.(i) +. (w *. (p.(i) -. m.mix_means.(i)))
   done;
   m.mix_acc
-
-let mix_value m = m.mix_acc
-let mix_last m = m.mix_last
 
 (* ---- one-sided drift (increase) with a learned baseline ---- *)
 
@@ -181,19 +173,16 @@ type drift = {
   mutable dr_n : int;
   mutable dr_mean : float;
   mutable dr_acc : float;
-  mutable dr_last : float;
 }
 
-let drift_create () = { dr_n = 0; dr_mean = 0.0; dr_acc = 0.0; dr_last = 0.0 }
+let drift_create () = { dr_n = 0; dr_mean = 0.0; dr_acc = 0.0 }
 
 let drift_reset d =
   d.dr_n <- 0;
   d.dr_mean <- 0.0;
-  d.dr_acc <- 0.0;
-  d.dr_last <- 0.0
+  d.dr_acc <- 0.0
 
 let drift_update ~slack ~cap ~warmup d x =
-  d.dr_last <- x;
   if d.dr_n >= warmup then
     d.dr_acc <-
       Float.max 0.0 (d.dr_acc +. Float.min cap (x -. d.dr_mean -. slack));
@@ -202,8 +191,6 @@ let drift_update ~slack ~cap ~warmup d x =
   d.dr_acc
 
 let drift_mean d = d.dr_mean
-let drift_value d = d.dr_acc
-let drift_last d = d.dr_last
 
 (* ---- scalar CUSUM (alloc-site churn) ---- *)
 
@@ -219,8 +206,6 @@ let cusum_update ~slack c x =
   c.cu_acc <- Float.max 0.0 (c.cu_acc +. (x -. slack));
   c.cu_n <- c.cu_n + 1;
   c.cu_acc
-
-let cusum_value c = c.cu_acc
 
 (* ---- verdicts ---- *)
 

@@ -50,8 +50,6 @@ val ph_update : config -> ph -> float -> float
 val ph_mean : ph -> float
 (** The learned baseline (running mean of all samples). *)
 
-val ph_value : ph -> float
-
 (** {2 CUSUM over a mix (probability vector)} *)
 
 type mix
@@ -70,11 +68,6 @@ val mix_update :
     samples only teach the baseline; [cap] keeps a single outlier
     window from alarming on its own. *)
 
-val mix_value : mix -> float
-
-val mix_last : mix -> float
-(** Divergence of the most recent sample. *)
-
 (** {2 One-sided drift (increase) with a learned baseline} *)
 
 type drift
@@ -90,10 +83,6 @@ val drift_update : slack:float -> cap:float -> warmup:int -> drift -> float -> f
     memory-bound stall share. *)
 
 val drift_mean : drift -> float
-val drift_value : drift -> float
-
-val drift_last : drift -> float
-(** The most recent sample. *)
 
 (** {2 Scalar CUSUM (alloc-site churn)} *)
 
@@ -102,7 +91,6 @@ type cusum
 val cusum_create : unit -> cusum
 val cusum_reset : cusum -> unit
 val cusum_update : slack:float -> cusum -> float -> float
-val cusum_value : cusum -> float
 
 (** {2 Verdicts} *)
 

@@ -112,6 +112,8 @@ let sparkline ?(width = 60) t f =
     Buffer.contents buf
   end
 
+(* One character per column: '.' healthy, '~' drifting, 'D' degraded
+   (the worst verdict in the column's bucket). *)
 let verdict_strip ?(width = 60) t =
   let n = Array.length t.windows in
   if n = 0 then ""

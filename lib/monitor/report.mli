@@ -35,10 +35,6 @@ val make :
 
 (** {2 Detection latency} *)
 
-val window_of_out_offset : t -> int -> int option
-(** The window during which the program-output byte at this offset was
-    printed (first window whose cumulative [out_bytes] passes it). *)
-
 type latency =
   | No_shift  (** the marker offset lies past every window *)
   | Undetected of int  (** shift located at this window, never flagged *)
@@ -52,22 +48,8 @@ val detection_latency : t -> marker_offset:int -> latency
 
 (** {2 Renderings} *)
 
-val sparkline : ?width:int -> t -> (Window.t -> float) -> string
-(** Unicode block-element sparkline of a per-window metric,
-    bucket-averaged to at most [width] (default 60) glyphs. *)
-
-val verdict_strip : ?width:int -> t -> string
-(** One character per column: ['.'] healthy, ['~'] drifting, ['D']
-    degraded (worst verdict in the column's bucket). *)
-
-val loop_rows : t -> (string * float * float * int) list
-(** [(method, early share, late share, backedges)] rows for the top
-    degrading loops table, sorted by share movement across the first
-    Degraded window. *)
-
 val pp_dashboard : ?top:int -> Format.formatter -> t -> unit
 
-val window_json : Window.t -> Telemetry.Json.t
 val jsonl_lines : t -> string list
 (** One JSON object per window plus a final summary line. *)
 

@@ -42,8 +42,6 @@ type t = {
 val cycles : t -> int
 (** The window's simulated-cycle delta ([stats.cycles]). *)
 
-val classified : t -> int
-(** [useful + late + useless] — settled outcomes in the window. *)
-
 val useful_rate : t -> float
-(** [useful / classified]; 0.0 when nothing settled. *)
+(** [useful / (useful + late + useless)], the settled outcomes; 0.0 when
+    nothing settled. *)

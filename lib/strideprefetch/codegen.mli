@@ -56,13 +56,6 @@ val plan :
     next free spec-load register (plans for several loops of one method
     share the register space). *)
 
-val splice_of_action :
-  ?fault_skip_guard:bool -> guarded:bool -> action -> Vm.Bytecode.instr list
-(** The pseudo-instruction sequence one action splices after its anchor.
-    [fault_skip_guard] (default false) injects the guard-dominance
-    miscompile of {!Vm.Fault.Skip_guard_dominance}: the
-    dereference prefetches are emitted {e before} their [spec_load]. *)
-
 val apply :
   ?fault_skip_guard:bool ->
   guarded:bool ->
@@ -73,8 +66,10 @@ val apply :
     Jump targets keep pointing at the original instructions, so a spliced
     sequence runs exactly when its anchor load ran. [guarded] selects the
     guarded-load form for indirect prefetches (TLB priming on machines
-    with small DTLBs, per {!Options.use_guarded});
-    [fault_skip_guard] is forwarded to {!splice_of_action}. *)
+    with small DTLBs, per {!Options.use_guarded}).
+    [fault_skip_guard] (default false) injects the guard-dominance
+    miscompile of {!Vm.Fault.Skip_guard_dominance}: the dereference
+    prefetches are emitted {e before} their [spec_load]. *)
 
 val action_descriptor : action -> string
 (** A stable one-line identity of an action for provenance diffing, e.g.

@@ -90,8 +90,8 @@ val analyze_only :
   args:Vm.Value.t array ->
   unit ->
   loop_report list
-(** Like {!run} but never rewrites the method (used by examples to show
-    what would be generated). *)
+(** Like {!run} but never rewrites the method: the reports of what would
+    be generated. *)
 
 val prediction_rows : workload:string -> loop_report list -> Predict.row list
 (** Join each loop's static claims against its inspected patterns, one

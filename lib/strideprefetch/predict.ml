@@ -36,9 +36,15 @@ type depth = Full | Shortened of int | Probed of int | Skipped
    inspects is floored at [small_trip_count], and fully skipping is
    reserved for outermost loops, where no promotion consumer exists. *)
 
+(* A [Probed] inspection's budget: just enough iterations to classify the
+   loop's trip count the same way a [Full] inspection would. *)
 let probe_iterations (opts : Options.t) =
   min opts.inspect_iterations opts.small_trip_count
 
+(* A [Shortened] inspection's budget: a quarter of the full one, floored
+   at [small_trip_count] and at [min_samples + 1] (which keeps
+   [Stride.dominant] satisfiable: [n] observed addresses yield [n - 1]
+   stride samples), capped at [inspect_iterations]. *)
 let shortened_iterations (opts : Options.t) =
   min opts.inspect_iterations
     (max opts.small_trip_count

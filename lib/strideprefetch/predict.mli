@@ -60,19 +60,6 @@ type predictor =
     claims, exactly as for [Skipped]. *)
 type depth = Full | Shortened of int | Probed of int | Skipped
 
-val probe_iterations : Options.t -> int
-(** Iteration budget of a [Probed] inspection:
-    [min inspect_iterations small_trip_count] — just enough to classify
-    the loop's trip count the same way a [Full] inspection would. *)
-
-val shortened_iterations : Options.t -> int
-(** Iteration budget of a [Shortened] inspection:
-    [max (min_samples + 1) (inspect_iterations / 4)], floored at
-    [small_trip_count] (so shortening never flips a trip-class decision)
-    and capped at [inspect_iterations]. The [min_samples] floor keeps
-    {!Stride.dominant} satisfiable ([n] observed addresses yield [n - 1]
-    stride samples). *)
-
 val depth_of :
   opts:Options.t -> t -> loop:Jit.Loops.loop -> candidates:int list -> depth
 (** [Inspect] tier: always [Full]. [Static]: always [Skipped]. [Hybrid]:
@@ -137,9 +124,6 @@ val agreement_pct : score -> float
 (** [100 * agreed / (agreed + disagreed)]; vacuously [100.] with no
     decided claims (precision over claimed sites, the tentpole's >= 80%
     acceptance metric). *)
-
-val coverage_pct : score -> float
-(** [100 * claimed / sites]; [0.] with no rows. *)
 
 val render_table : (string * score) list -> string
 (** Per-workload agreement table in {!Telemetry.Table} style, with a

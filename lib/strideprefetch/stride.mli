@@ -11,8 +11,6 @@ type pattern = {
   samples : int;  (** total strides observed *)
 }
 
-val confidence : pattern -> float
-
 val dominant : opts:Options.t -> int list -> pattern option
 (** The dominant value of a stride sample list, subject to the majority
     threshold and [opts.min_samples]. *)

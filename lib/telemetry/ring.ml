@@ -14,7 +14,6 @@ let create ~capacity ~dummy =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { buf = Array.make capacity dummy; capacity; total = 0 }
 
-let capacity t = t.capacity
 let total t = t.total
 let length t = min t.total t.capacity
 let dropped t = max 0 (t.total - t.capacity)
@@ -22,8 +21,6 @@ let dropped t = max 0 (t.total - t.capacity)
 let add t x =
   t.buf.(t.total mod t.capacity) <- x;
   t.total <- t.total + 1
-
-let clear t = t.total <- 0
 
 (* Oldest-first snapshot of the retained window. *)
 let to_list t =

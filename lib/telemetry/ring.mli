@@ -5,7 +5,6 @@
 type 'a t
 
 val create : capacity:int -> dummy:'a -> 'a t
-val capacity : 'a t -> int
 val add : 'a t -> 'a -> unit
 
 val total : 'a t -> int
@@ -21,4 +20,3 @@ val to_list : 'a t -> 'a list
 (** Oldest-first snapshot of the retained window. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
-val clear : 'a t -> unit

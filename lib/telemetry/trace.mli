@@ -2,25 +2,16 @@
     chrome://tracing or Perfetto) and a flat JSONL metrics stream. Both
     carry host wall time and the simulated cycle counter. *)
 
-val event_json : Event.t -> Json.t
-(** One trace_event object: name/cat/ph/ts (+dur for spans), pid/tid 1,
-    cycles in [args]. *)
-
 val chrome_json : ?other:(string * Json.t) list -> Sink.t -> Json.t
 (** The full trace document: [traceEvents] plus an [otherData] section
     recording total and dropped event counts (and any [other] fields). *)
 
 val write_chrome : ?other:(string * Json.t) list -> Sink.t -> path:string -> unit
 
-val jsonl_line : ?extra:(string * Json.t) list -> Event.t -> string
-
-val jsonl_summary : ?extra:(string * Json.t) list -> Sink.t -> string
-(** The stream's trailing summary object (keyed ["summary"]): total and
-    dropped event counts, so a consumer of a truncated retained window
-    knows what it is missing. *)
-
 val jsonl_lines : ?extra:(string * Json.t) list -> Sink.t -> string list
 (** One JSON object per event, [extra] fields stamped on every line,
-    ending with {!jsonl_summary}. *)
+    ending with a summary object (keyed ["summary"]): total and dropped
+    event counts, so a consumer of a truncated retained window knows
+    what it is missing. *)
 
 val write_jsonl : ?extra:(string * Json.t) list -> Sink.t -> path:string -> unit

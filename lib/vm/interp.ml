@@ -67,7 +67,6 @@ exception Budget_exhausted = State.Budget_exhausted
 
 let program (t : t) = t.program
 let heap (t : t) = t.heap
-let memory (t : t) = t.mem
 let stats (t : t) = t.stats
 let options (t : t) = t.opts
 let output (t : t) = Buffer.contents t.out

@@ -73,7 +73,6 @@ val create : ?options:options -> Memsim.Config.machine -> Classfile.program -> t
 
 val program : t -> Classfile.program
 val heap : t -> Heap.t
-val memory : t -> Memsim.Hierarchy.t
 val stats : t -> Memsim.Stats.t
 val options : t -> options
 val output : t -> string

@@ -16,8 +16,7 @@ type obj = {
   kind : obj_kind;
   slots : int array;
       (** fields or elements in slot order, copied raw as the heap stores
-          them ({!Vm.Heap.raw_slots}); {!describe_obj} and {!diff} decode
-          them to values *)
+          them ({!Vm.Heap.raw_slots}); {!diff} decodes them to values *)
 }
 
 type t = {
@@ -43,5 +42,3 @@ val equal : t -> t -> bool
 val diff : t -> t -> string option
 (** Human-readable description of the first difference; [None] when
     equal. *)
-
-val describe_obj : obj -> string

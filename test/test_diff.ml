@@ -23,10 +23,7 @@ let profiled_run ?(mode = O.Inter_intra) name =
 
 let snapshot ?mode name =
   let config =
-    RD.config_strings ~workload:name
-      (match mode with
-      | Some O.Off -> { RC.default with mode = O.Off }
-      | _ -> RC.default)
+    match mode with Some O.Off -> { RC.default with mode = O.Off } | _ -> RC.default
   in
   match RD.of_run ~config (profiled_run ?mode name) with
   | Ok rd -> rd
@@ -129,15 +126,43 @@ let test_fault_desync_caught () =
 (* ------------------------------------------------------------------ *)
 (* Round trips.                                                        *)
 
+(* The stamp is compared axis by axis: a recorded [hw] is the resolved
+   model, so the configuration comes back [RC.equal], not [=]. *)
+let stamp_string (rd : RD.t) =
+  match rd.stamp with
+  | Some s -> s.workload ^ " " ^ RC.to_string s.config
+  | None -> "(no stamp)"
+
 let test_snapshot_round_trip () =
   let rd = snapshot "Euler" in
-  match J.parse (J.to_string (RD.to_json rd)) with
-  | Error e -> Alcotest.failf "snapshot does not re-parse: %s" e
-  | Ok v -> (
-      match RD.of_json v with
-      | Error e -> Alcotest.failf "snapshot rejected: %s" e
-      | Ok rd' ->
-          Alcotest.(check bool) "snapshot round-trips exactly" true (rd = rd'))
+  (* differs from RC.default on every axis *)
+  let other =
+    {
+      RC.machine = Memsim.Config.athlon_mp;
+      hw = Some Memsim.Config.default_rpt;
+      mode = O.Inter;
+      passes = false;
+      engine = Vm.Interp.Switch;
+      prediction = O.Hybrid;
+      threshold = Some 32;
+    }
+  in
+  Alcotest.(check int) "every axis differs from the default"
+    (List.length RC.all_axes)
+    (List.length (RC.differing ~a:RC.default ~b:other));
+  List.iter
+    (fun rd ->
+      match J.parse (J.to_string (RD.to_json rd)) with
+      | Error e -> Alcotest.failf "snapshot does not re-parse: %s" e
+      | Ok v -> (
+          match RD.of_json v with
+          | Error e -> Alcotest.failf "snapshot rejected: %s" e
+          | Ok rd' ->
+              Alcotest.(check string) "stamp round-trips" (stamp_string rd)
+                (stamp_string rd');
+              Alcotest.(check bool) "the rest round-trips exactly" true
+                ({ rd with stamp = None } = { rd' with stamp = None })))
+    [ rd; { rd with stamp = Some { workload = "Euler"; config = other } } ]
 
 let test_prof_report_ingest () =
   let r = profiled_run "Euler" in
@@ -147,8 +172,7 @@ let test_prof_report_ingest () =
   | Ok rd ->
       Alcotest.(check int) "cycles carried over" rep.Profile.Report.cycles
         rd.RD.cycles;
-      Alcotest.(check bool) "config unknown" true
-        (rd.RD.config = RD.unknown_config);
+      Alcotest.(check bool) "no stamp" true (rd.RD.stamp = None);
       Alcotest.(check int) "all loops carried over"
         (List.length rep.Profile.Report.loops)
         (List.length rd.RD.loops);
@@ -179,9 +203,8 @@ let test_bench_blame_ingest () =
         ("loops", J.List (List.map loop_json rd.RD.loops));
       ]
   in
-  (match
-     RD.of_bench_blame ~config:rd.RD.config ~cycles:rd.RD.cycles payload
-   with
+  let stamp = Option.get rd.RD.stamp in
+  (match RD.of_bench_blame ~stamp ~cycles:rd.RD.cycles payload with
   | Error e -> Alcotest.failf "bench blame rejected: %s" e
   | Ok rd' ->
       Alcotest.(check bool) "totals reconstructed from loops" true
@@ -189,7 +212,7 @@ let test_bench_blame_ingest () =
       let bl = B.build ~a:rd ~b:rd' () in
       Alcotest.(check int) "diff vs the embedding is empty" 0 bl.B.total_delta;
       check_conservation "bench blame" bl);
-  match RD.of_bench_blame ~config:rd.RD.config ~cycles:0 (J.Obj []) with
+  match RD.of_bench_blame ~stamp ~cycles:0 (J.Obj []) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "payload without loops accepted"
 

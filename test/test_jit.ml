@@ -421,174 +421,6 @@ let suite =
     ("pipeline: timings and correctness", `Quick, test_pipeline_timings);
   ]
 
-(* --- inliner ------------------------------------------------------------- *)
-
-let inline_source =
-  {|
-class Vec3 {
-  int x; int y; int z;
-  Vec3(int a, int b, int c) { x = a; y = b; z = c; }
-  int norm1() { return x + y + z; }
-  int scaled(int k) { return (x + y + z) * k; }
-}
-class K {
-  static int sum(Vec3[] vs) {
-    int acc = 0;
-    for (int i = 0; i < vs.length; i = i + 1) {
-      acc = acc + vs[i].norm1() + vs[i].scaled(2);
-    }
-    return acc;
-  }
-  static void main() {
-    Vec3[] vs = new Vec3[200];
-    for (int i = 0; i < 200; i = i + 1) { vs[i] = new Vec3(i, i + 1, i + 2); }
-    print(K.sum(vs));
-    print(K.sum(vs));
-  }
-}
-|}
-
-let expand_all program =
-  Array.iter
-    (fun (m : Vm.Classfile.method_info) ->
-      ignore (Jit.Inline.expand ~program m))
-    program.Vm.Classfile.methods
-
-let test_inline_preserves_semantics () =
-  let plain = Helpers.compile inline_source in
-  let expected =
-    Vm.Interp.output (Helpers.run_program ~hot_threshold:1_000_000 plain)
-  in
-  let inlined = Helpers.compile inline_source in
-  expand_all inlined;
-  let got =
-    Vm.Interp.output (Helpers.run_program ~hot_threshold:1_000_000 inlined)
-  in
-  Alcotest.(check string) "output preserved" expected got
-
-let test_inline_removes_calls () =
-  let program = Helpers.compile inline_source in
-  let m = Option.get (Vm.Classfile.find_method program "K.sum") in
-  let count_invokes code =
-    Array.fold_left
-      (fun acc i ->
-        match i with Vm.Bytecode.Invoke _ -> acc + 1 | _ -> acc)
-      0 code
-  in
-  Alcotest.(check int) "two call sites before" 2 (count_invokes m.code);
-  Alcotest.(check bool) "something inlined" true
-    (Jit.Inline.expand ~program m);
-  Alcotest.(check int) "no call sites after" 0 (count_invokes m.code);
-  (* site ids must remain unique and dense enough for count_sites *)
-  let sites =
-    Array.to_list m.code |> List.concat_map Vm.Bytecode.all_sites
-  in
-  Alcotest.(check int) "sites unique"
-    (List.length sites)
-    (List.length (List.sort_uniq compare sites));
-  Alcotest.(check bool) "n_sites covers all" true
-    (List.for_all (fun s -> s < m.n_sites) sites)
-
-let test_inline_skips_recursive_and_allocating () =
-  let source =
-    {|
-class K {
-  static int fact(int n) { if (n <= 1) { return 1; } return n * K.fact(n - 1); }
-  static int[] make(int n) { return new int[n]; }
-  static int drive() {
-    int acc = 0;
-    for (int i = 1; i < 5; i = i + 1) {
-      acc = acc + K.fact(i) + K.make(i).length;
-    }
-    return acc;
-  }
-  static void main() { print(K.drive()); }
-}
-|}
-  in
-  let program = Helpers.compile source in
-  let m = Option.get (Vm.Classfile.find_method program "K.drive") in
-  Alcotest.(check bool) "nothing eligible" false
-    (Jit.Inline.expand ~program m)
-
-let test_inline_enables_prefetching () =
-  (* the loop's loads hide behind the getter: without inlining the prefetch
-     pass sees only an invoke; with inlining it finds the strides *)
-  let source =
-    {|
-class Cell {
-  int v; int p0; int p1; int p2; int p3; int p4;
-  int p5; int p6; int p7; int p8; int p9; int pa;
-  int pb; int pc; int pd; int pe; int pf; int pg;
-  Cell(int x) { v = x;
-    p0 = 0; p1 = 0; p2 = 0; p3 = 0; p4 = 0; p5 = 0; p6 = 0; p7 = 0;
-    p8 = 0; p9 = 0; pa = 0; pb = 0; pc = 0; pd = 0; pe = 0; pf = 0; pg = 0; }
-  int get() { return v; }
-}
-class K {
-  static int sum(Cell[] cs) {
-    int acc = 0;
-    for (int i = 0; i < cs.length; i = i + 1) {
-      acc = acc + cs[i].get();
-    }
-    return acc;
-  }
-  static void main() {
-    Cell[] cs = new Cell[400];
-    for (int i = 0; i < 400; i = i + 1) { cs[i] = new Cell(i); }
-    int acc = 0;
-    for (int r = 0; r < 4; r = r + 1) { acc = (acc + K.sum(cs)) % 65536; }
-    print(acc);
-  }
-}
-|}
-  in
-  let run ~with_inline =
-    let program = Helpers.compile source in
-    let opts = Strideprefetch.Options.default in
-    let interp = Vm.Interp.create Memsim.Config.pentium4 program in
-    let passes =
-      (if with_inline then [ Jit.Inline.pass ~program () ] else [])
-      @ Jit.Pipeline.standard_passes ()
-      @ [ Strideprefetch.Pass.make_pass ~opts ~interp () ]
-    in
-    let pipeline = Jit.Pipeline.create passes in
-    Vm.Interp.set_compile_hook interp (fun _ m args ->
-        Jit.Pipeline.compile pipeline m args);
-    ignore (Vm.Interp.run interp);
-    let m = Option.get (Vm.Classfile.find_method program "K.sum") in
-    let prefetches =
-      Array.fold_left
-        (fun acc i ->
-          match i with
-          | Vm.Bytecode.Prefetch_inter _ | Vm.Bytecode.Spec_load _
-          | Vm.Bytecode.Prefetch_indirect _ ->
-              acc + 1
-          | _ -> acc)
-        0 m.code
-    in
-    (Vm.Interp.output interp, prefetches)
-  in
-  let out_plain, prefetches_plain = run ~with_inline:false in
-  let out_inlined, prefetches_inlined = run ~with_inline:true in
-  Alcotest.(check string) "outputs agree" out_plain out_inlined;
-  Alcotest.(check int) "no prefetch without inlining" 0 prefetches_plain;
-  Alcotest.(check bool) "prefetch appears after inlining" true
-    (prefetches_inlined > 0)
-
-let inline_suite =
-  [
-    ("inline: preserves semantics", `Quick, test_inline_preserves_semantics);
-    ("inline: removes call sites, renumbers sites", `Quick,
-     test_inline_removes_calls);
-    ("inline: skips recursive and allocating callees", `Quick,
-     test_inline_skips_recursive_and_allocating);
-    ("inline: exposes loads to the prefetch pass", `Quick,
-     test_inline_enables_prefetching);
-  ]
-
-let suite = suite @ inline_suite
-
 (* --- liveness ------------------------------------------------------------ *)
 
 let test_liveness_straightline () =
@@ -710,8 +542,7 @@ let test_verify_accepts_frontend_output () =
   let interp = Vm.Interp.create Memsim.Config.pentium4 program in
   let pipeline =
     Jit.Pipeline.create
-      ([ Jit.Inline.pass ~program () ]
-      @ Jit.Pipeline.standard_passes ()
+      (Jit.Pipeline.standard_passes ()
       @ [ Strideprefetch.Pass.make_pass ~opts ~interp () ])
   in
   Vm.Interp.set_compile_hook interp (fun _ m args ->
