@@ -1,11 +1,11 @@
 (* Option parsing shared by the spf_* command-line drivers.
 
    Every binary used to carry its own copy of the machine / mode / engine /
-   hw-prefetch / prediction converters, and the copies drifted (spf_prof
-   had no --prediction, spf_mon no --hw-prefetch). Each binary now takes
-   one [config_term] over the axes it accepts, and every value is parsed
-   by Workloads.Run_config — the same parser behind spf_diff --vs and
-   the bench cells — so an axis is spelled the same everywhere. *)
+   hw-prefetch / prediction converters, and the copies drifted. Each
+   binary now takes one [config_term] over the axes it accepts, and every
+   value is parsed by Workloads.Run_config — the same parser behind
+   spf_diff --vs and the bench cells — so an axis is spelled the same
+   everywhere. *)
 
 let workloads =
   Workloads.Specjvm.all @ Workloads.Javagrande.all @ Workloads.Phase.all

@@ -109,9 +109,7 @@ let lint_one ~verbose (req : H.request) (config : R.t) =
       (0, 1)
   | r ->
       let program = r.program in
-      let require_guarded =
-        Strideprefetch.Options.use_guarded opts machine
-      in
+      let require_guarded = Strideprefetch.Options.use_guarded machine in
       let methods = ref 0 and findings = ref 0 in
       Array.iter
         (fun (m : Vm.Classfile.method_info) ->

@@ -6,9 +6,10 @@
 
     A snapshot comes from three places — a live profiled
     {!Workloads.Harness} run ({!of_run}), a recorded ["spf_diff/v1"]
-    snapshot, or a plain ["spf_prof/v1"] report written by [spf_prof]
-    (both via {!of_json}; the latter carries no stamp, attribution or
-    provenance, and the corresponding blame sections are skipped). *)
+    snapshot, or a plain ["spf_prof/v1"] report written by
+    [spf_run run --json] (both via {!of_json}; the latter carries no
+    stamp, attribution or provenance, and the corresponding blame
+    sections are skipped). *)
 
 type stamp = { workload : string; config : Workloads.Run_config.t }
 (** What a snapshot was made under. Recorded as the workload name plus

@@ -202,7 +202,7 @@ let stats_invariants (cell : cell) (r : H.run_result) =
    spec-load register. *)
 let lint_failure (cell : cell) (r : H.run_result) =
   let opts = O.default in
-  let require_guarded = O.use_guarded opts cell.machine in
+  let require_guarded = O.use_guarded cell.machine in
   Array.find_map
     (fun (m : Vm.Classfile.method_info) ->
       if not m.compiled then None

@@ -1,11 +1,7 @@
 module B = Vm.Bytecode
 module Int_set = Set.Make (Int)
 
-type t = {
-  cfg : Cfg.t;
-  ins : Int_set.t array;  (** per pc: live before *)
-  outs : Int_set.t array;  (** per pc: live after *)
-}
+type t = Int_set.t array  (** per pc: live after *)
 
 let use_def = function
   | B.Iload i | B.Aload i -> (Some i, None)
@@ -22,9 +18,7 @@ let transfer instr after =
 
 let analyze code =
   let cfg = Cfg.build code in
-  let n = Array.length code in
-  let ins = Array.make n Int_set.empty in
-  let outs = Array.make n Int_set.empty in
+  let outs = Array.make (Array.length code) Int_set.empty in
   let n_blocks = Cfg.n_blocks cfg in
   (* block-level fixpoint on live-in of block heads *)
   let block_in = Array.make n_blocks Int_set.empty in
@@ -41,8 +35,7 @@ let analyze code =
       let live = ref live_after_block in
       for pc = block.end_pc - 1 downto block.start_pc do
         outs.(pc) <- !live;
-        live := transfer code.(pc) !live;
-        ins.(pc) <- !live
+        live := transfer code.(pc) !live
       done;
       if not (Int_set.equal !live block_in.(b)) then begin
         block_in.(b) <- !live;
@@ -50,9 +43,9 @@ let analyze code =
       end
     done
   done;
-  { cfg; ins; outs }
+  outs
 
-let live_out t pc = t.outs.(pc)
+let live_out t pc = t.(pc)
 
 let eliminate_dead_stores code =
   let analysis = analyze code in

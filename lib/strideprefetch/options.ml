@@ -9,12 +9,6 @@
     to in-loop loads), [Inter_intra] its INTER+INTRA. *)
 type mode = Off | Inter | Inter_intra
 
-(** How intra-iteration/dereference-based prefetches are realized.
-    [Auto] picks guarded loads on machines with few DTLB entries (the
-    paper uses guarded loads on the Pentium 4 for TLB priming, hardware
-    prefetch instructions otherwise). *)
-type prefetch_style = Auto | Always_guarded | Always_hardware
-
 (** Where stride predictions come from. [Inspect] is the paper's dynamic
     object inspection; [Static] trusts the address-algebra abstract
     interpretation ({!Analysis.Addralg}) alone; [Hybrid] uses static
@@ -39,10 +33,6 @@ type t = {
           promoted into their parent *)
   min_samples : int;  (** strides needed before a pattern is trusted *)
   max_inspect_steps : int;  (** hard budget for one object inspection *)
-  style : prefetch_style;
-  small_dtlb_entries : int;
-      (** [Auto] style uses guarded loads when the DTLB has at most this
-          many entries *)
   inspect_calls : bool;
       (** inter-procedural object inspection: step into (statically
           dispatched) callees instead of skipping them. The paper discusses
@@ -82,8 +72,6 @@ let default =
     small_trip_count = 16;
     min_samples = 4;
     max_inspect_steps = 100_000;
-    style = Auto;
-    small_dtlb_entries = 64;
     inspect_calls = false;
     max_call_depth = 3;
     enable_phased = false;
@@ -136,11 +124,12 @@ let resolved_inter_stride_threshold t (machine : Memsim.Config.machine) =
       in
       line / 2
 
-let use_guarded t (machine : Memsim.Config.machine) =
-  match t.style with
-  | Always_guarded -> true
-  | Always_hardware -> false
-  | Auto -> machine.dtlb.entries <= t.small_dtlb_entries
+(* The paper realizes intra-iteration prefetches as guarded loads on
+   the Pentium 4 and as prefetch instructions on the Athlon MP: a
+   hardware prefetch is dropped on a DTLB miss, and the P4's 64-entry
+   DTLB misses often, while a guarded load primes the DTLB. So a DTLB of
+   at most 64 entries counts as small. *)
+let use_guarded (machine : Memsim.Config.machine) = machine.dtlb.entries <= 64
 
 let validate t =
   if t.inspect_iterations < 2 then Error "inspect_iterations must be >= 2"

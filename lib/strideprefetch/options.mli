@@ -9,12 +9,6 @@
     to in-loop loads), [Inter_intra] its INTER+INTRA. *)
 type mode = Off | Inter | Inter_intra
 
-(** How intra-iteration/dereference-based prefetches are realized. [Auto]
-    picks guarded loads on machines with few DTLB entries (the paper uses
-    guarded loads on the Pentium 4 for TLB priming, hardware prefetch
-    instructions otherwise). *)
-type prefetch_style = Auto | Always_guarded | Always_hardware
-
 (** Where stride predictions come from. [Inspect] is the paper's dynamic
     object inspection; [Static] trusts the address-algebra abstract
     interpretation ({!Analysis.Addralg}) alone; [Hybrid] uses static
@@ -40,10 +34,6 @@ type t = {
           promoted into their parent *)
   min_samples : int;  (** strides needed before a pattern is trusted *)
   max_inspect_steps : int;  (** hard budget for one object inspection *)
-  style : prefetch_style;
-  small_dtlb_entries : int;
-      (** [Auto] style uses guarded loads when the DTLB has at most this
-          many entries *)
   inspect_calls : bool;
       (** inter-procedural object inspection: step into (statically
           dispatched) callees instead of skipping them — the extension the
@@ -90,8 +80,9 @@ val resolved_inter_stride_threshold : t -> Memsim.Config.machine -> int
     [inter_stride_threshold] when set, otherwise the paper's half-line rule
     for the cache level software prefetches fill. *)
 
-val use_guarded : t -> Memsim.Config.machine -> bool
+val use_guarded : Memsim.Config.machine -> bool
 (** Whether intra-iteration prefetches on [machine] use the guarded-load
-    form (TLB priming). *)
+    form (TLB priming): on a machine with a small DTLB (at most 64
+    entries), as the paper does on the Pentium 4. *)
 
 val validate : t -> (unit, string) result

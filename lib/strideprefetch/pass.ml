@@ -181,7 +181,7 @@ let register_plan registry ~(meth : C.method_info) ~loop_id
     plan.actions
 
 let process ?registry ?sink ?predictor ~opts ~interp ~(meth : C.method_info)
-    ~args ~rewrite () =
+    ~args () =
   let program = Vm.Interp.program interp in
   let code = meth.code in
   if Array.length code = 0 then []
@@ -367,9 +367,8 @@ let process ?registry ?sink ?predictor ~opts ~interp ~(meth : C.method_info)
             next_reg := !next_reg + plan.regs_used;
             plans := plan :: !plans;
             (match registry with
-            | Some reg when rewrite ->
-                register_plan reg ~meth ~loop_id:loop.loop_id plan
-            | Some _ | None -> ());
+            | Some reg -> register_plan reg ~meth ~loop_id:loop.loop_id plan
+            | None -> ());
             let inter_patterns =
               List.filter_map
                 (fun s -> Option.map (fun p -> (s, p)) (inter s))
@@ -404,9 +403,8 @@ let process ?registry ?sink ?predictor ~opts ~interp ~(meth : C.method_info)
               }
           end)
         (Jit.Loops.postorder forest);
-      if rewrite && List.exists (fun p -> p.Codegen.actions <> []) !plans
-      then begin
-        let guarded = Options.use_guarded opts machine in
+      if List.exists (fun p -> p.Codegen.actions <> []) !plans then begin
+        let guarded = Options.use_guarded machine in
         meth.code <-
           Codegen.apply
             ~fault_skip_guard:(List.mem Vm.Fault.Skip_guard_dominance faults)
@@ -415,8 +413,7 @@ let process ?registry ?sink ?predictor ~opts ~interp ~(meth : C.method_info)
         meth.n_pref_regs <- !next_reg
       end;
       if
-        rewrite
-        && List.mem Vm.Fault.Prediction_desync faults
+        List.mem Vm.Fault.Prediction_desync faults
         && opts.prediction <> Options.Inspect
       then meth.code <- Predict.inject_desync meth.code;
       List.rev !reports
@@ -427,15 +424,7 @@ let run ?registry ?sink ?predictor ~opts ~interp ~meth ~args () =
   match opts.Options.mode with
   | Options.Off -> []
   | Options.Inter | Options.Inter_intra ->
-      process ?registry ?sink ?predictor ~opts ~interp ~meth ~args
-        ~rewrite:true ()
-
-let analyze_only ?registry ?sink ?predictor ~opts ~interp ~meth ~args () =
-  match opts.Options.mode with
-  | Options.Off -> []
-  | Options.Inter | Options.Inter_intra ->
-      process ?registry ?sink ?predictor ~opts ~interp ~meth ~args
-        ~rewrite:false ()
+      process ?registry ?sink ?predictor ~opts ~interp ~meth ~args ()
 
 let make_pass ~opts ~interp ?report_sink ?registry ?sink ?predictor () =
   {

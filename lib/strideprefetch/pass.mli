@@ -80,19 +80,6 @@ val make_pass :
     in the reports but never change compilation; under [Static]/[Hybrid]
     they drive the skip/shorten rule of DESIGN.md section 12. *)
 
-val analyze_only :
-  ?registry:Telemetry.Attrib.t ->
-  ?sink:Telemetry.Sink.t ->
-  ?predictor:Predict.predictor ->
-  opts:Options.t ->
-  interp:Vm.Interp.t ->
-  meth:Vm.Classfile.method_info ->
-  args:Vm.Value.t array ->
-  unit ->
-  loop_report list
-(** Like {!run} but never rewrites the method: the reports of what would
-    be generated. *)
-
 val prediction_rows : workload:string -> loop_report list -> Predict.row list
 (** Join each loop's static claims against its inspected patterns, one
     row per claimed site — the agreement scorer's input. Rows come only

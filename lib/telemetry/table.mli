@@ -1,10 +1,10 @@
 (** Plain-text table renderer shared by the reporting CLIs.
 
     One implementation of column sizing/alignment serves the
-    effectiveness table ([spf_trace]), the profiler's top-down, object
-    and loop tables ([spf_prof]) and the bench-gate comparison
-    ([spf_bench]), so they all line up the same way and a formatting fix
-    lands everywhere at once.
+    effectiveness table and the profiler's top-down, object and loop
+    tables ([spf_run]) and the bench-gate comparison ([spf_bench]), so
+    they all line up the same way and a formatting fix lands everywhere
+    at once.
 
     Rendering is deterministic: column widths depend only on the cell
     strings, so identical inputs produce byte-identical output (the

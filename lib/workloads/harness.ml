@@ -171,7 +171,7 @@ let execute (req : request) =
              plan-free checkers apply. *)
           Analysis.Check.verify ~program ~reports:!reports
             ~scheduling_distance:opts.Strideprefetch.Options.scheduling_distance
-            ~require_guarded:(Strideprefetch.Options.use_guarded opts machine)
+            ~require_guarded:(Strideprefetch.Options.use_guarded machine)
             ~inter_stride_threshold:
               (Strideprefetch.Options.resolved_inter_stride_threshold opts
                  machine)

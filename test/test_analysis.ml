@@ -404,7 +404,7 @@ let test_transformed_workload_is_lint_clean () =
             A.Check.check_method ~program:r.Workloads.Harness.program
               ~reports:r.Workloads.Harness.reports
               ~scheduling_distance:opts.SP.Options.scheduling_distance
-              ~require_guarded:(SP.Options.use_guarded opts machine)
+              ~require_guarded:(SP.Options.use_guarded machine)
               m
           with
           | [] -> ()

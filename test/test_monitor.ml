@@ -250,8 +250,8 @@ let test_phasechurn_reason () =
 let test_stationary_never_degraded () =
   (* The four historically false-positive-prone stationary workloads
      (periodic bursts, mid-run pass handovers, startup oscillation) on
-     both machines; the full 24-run sweep lives in `dune build
-     @monitor` / spf_mon. *)
+     both machines; the full 24-run sweep is `spf_run run W --monitor`
+     over every workload and machine. *)
   List.iter
     (fun name ->
       let w = find_workload name in

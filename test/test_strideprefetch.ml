@@ -25,9 +25,9 @@ let test_options_validation () =
 let test_options_guarded_choice () =
   (* the paper used guarded loads on the Pentium 4 (64 DTLB entries) *)
   Alcotest.(check bool) "P4 guarded" true
-    (SP.Options.use_guarded opts Memsim.Config.pentium4);
+    (SP.Options.use_guarded Memsim.Config.pentium4);
   Alcotest.(check bool) "Athlon hardware" false
-    (SP.Options.use_guarded opts Memsim.Config.athlon_mp)
+    (SP.Options.use_guarded Memsim.Config.athlon_mp)
 
 (* --- stride detection ---------------------------------------------------- *)
 
@@ -636,33 +636,6 @@ let test_pass_preserves_output () =
   Alcotest.(check string) "INTER output" off inter;
   Alcotest.(check string) "INTER+INTRA output" off both
 
-let test_pass_analyze_only_does_not_rewrite () =
-  let program = Helpers.compile quickstart_source in
-  let interp = Helpers.run_program ~hot_threshold:1_000_000 program in
-  let m = Option.get (C.find_method program "Kernel.scan") in
-  let before = Array.copy m.C.code in
-  let vec_class = (Option.get (C.find_class program "Vec")).C.class_id in
-  let heap = Vm.Interp.heap interp in
-  let vec = ref None in
-  Vm.Heap.iter_ids_in_address_order heap (fun id ->
-      if Vm.Heap.class_id_of heap id = Some vec_class then
-        if !vec = None then vec := Some id);
-  let kernel = ref None in
-  Vm.Heap.iter_ids_in_address_order heap (fun id ->
-      match Vm.Heap.class_id_of heap id with
-      | Some c
-        when c = (Option.get (C.find_class program "Kernel")).C.class_id ->
-          kernel := Some id
-      | _ -> ());
-  let reports =
-    SP.Pass.analyze_only ~opts ~interp ~meth:m
-      ~args:
-        [| Vm.Value.Ref (Option.get !kernel); Vm.Value.Ref (Option.get !vec) |]
-      ()
-  in
-  Alcotest.(check bool) "reports produced" true (reports <> []);
-  Alcotest.(check bool) "code unchanged" true (m.C.code = before)
-
 let suite =
   [
     ("options: paper defaults", `Quick, test_options_defaults_match_paper);
@@ -711,8 +684,6 @@ let suite =
     ("pass: INTER mode never uses spec_load", `Quick,
      test_pass_inter_mode_has_no_spec_load);
     ("pass: output preserved across modes", `Quick, test_pass_preserves_output);
-    ("pass: analyze_only does not rewrite", `Quick,
-     test_pass_analyze_only_does_not_rewrite);
   ]
 
 (* --- inter-procedural object inspection (the Section 3.2 extension) ----- *)
