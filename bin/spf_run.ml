@@ -15,6 +15,7 @@ let workloads = Cli_common.workloads
 let frontend_error = 1
 let check_failed = 2
 let budget_exhausted = 3
+let program_failed = 4
 
 let exits =
   Cmdliner.Cmd.Exit.
@@ -28,6 +29,11 @@ let exits =
            $(b,--check-invariants)), or the $(b,--max-latency) gate.";
       info budget_exhausted
         ~doc:"when the run exhausts its step budget ($(b,--max-steps)).";
+      info program_failed
+        ~doc:
+          "when the simulated program fails at run time: a division by \
+           zero, a null dereference, an array index out of bounds, an \
+           operand-stack error, or a heap exhausted after a collection.";
       info 124
         ~doc:"on a usage error: a bad flag or value, or an unknown workload.";
     ]
@@ -41,6 +47,9 @@ let execute req =
   | H.Invariant_violation msg ->
       prerr_endline ("spf_run: invariant violation: " ^ msg);
       exit check_failed
+  | Vm.Interp.Vm_error msg | Vm.Frame.Stack_error msg ->
+      prerr_endline ("spf_run: " ^ msg);
+      exit program_failed
 
 let max_steps_arg =
   Cmdliner.Arg.(

@@ -55,7 +55,7 @@
      bounds-check pc -> steps++ -> budget check -> fetch -> pc++ ->
      retire 1 -> charge base_cost -> instruction body
 
-   and the compiled handlers replay it with three compile-time
+   and the compiled handlers replay it with four compile-time
    transformations, each individually cycle-neutral:
 
    - The pc bounds check is baked: in-range pcs get handlers, branch
@@ -72,6 +72,10 @@
      folded.
    - Nothing observes the run, so handlers carry no per-step option
      tests and no [frame.pc] stores, and call the hierarchy directly.
+   - A local load or a constant that the next instruction consumes is
+     read by that instruction's handler, which makes the push's capacity
+     test itself (the deferred operands below); the push still retires
+     and is charged in its block.
 
    Compiled/interpreted cycle attribution reads [m.compiled] dynamically
    in [pre] (not the baked entry value) because the switch engine's
@@ -138,6 +142,16 @@ let[@inline] pop_int (frame : Frame.t) =
   let i = pop frame in
   cached_int frame (stack_p frame i) (stack_tag frame i)
 
+(* A deferred operand's side of the stack primitives (see the commentary
+   in [compile]): the capacity test of the pushes a folded handler skips,
+   [d] slots above [frame.sp], and an in-range local read for an int
+   consumer, with the int test its pop would make. *)
+let[@inline] room (frame : Frame.t) d = Frame.reserve frame (frame.sp + d)
+
+let[@inline] local_int (frame : Frame.t) i =
+  let l = frame.locals in
+  cached_int frame (Value.payload l i) (Value.tag l i)
+
 (* Block-local top-of-stack caching (see the commentary in [compile]): a
    [vhandler] is a handler compiled against a {e full} cache — its last
    two arguments are the pair on top of the logical stack, which is
@@ -200,17 +214,48 @@ let[@inline never] division_by_zero (frame : Frame.t) =
 let[@inline never] negative_array_size (frame : Frame.t) =
   vm_error "negative array size in %s" frame.method_info.method_name
 
-(* A binary integer instruction [op], a constant at every closure: its
-   right operand [(p, tag)] is already taken, the left one is popped; the
-   result is an int. The divisor test is written with [==] so that it
-   folds for a constant [op]; a [match] would compile to a range test on
-   it. *)
-let[@inline] arith (frame : Frame.t) op p tag =
-  let b = cached_int frame p tag in
-  let a = pop_int frame in
+(* A binary integer instruction [op] on its int operands, the right one
+   [b] taken first. [op] is a constant at every closure but the folded
+   forms of the operators after [Imul]. The divisor test is written with
+   [==] so that it folds for a constant [op]; a [match] would compile to
+   a range test on it. *)
+let[@inline] int_result (frame : Frame.t) op a b =
   if (op == Bytecode.Idiv || op == Bytecode.Irem) && b = 0 then
     division_by_zero frame;
   Bytecode.int_op op a b
+
+(* [op]'s result handed to a full-cache continuation. *)
+let[@inline] int_to (frame : Frame.t) op a b (nv : vhandler) =
+  nv frame (int_result frame op a b) Value.tag_int
+
+(* The folded forms of a binary operator [op] (see the commentary in
+   [compile]): its right operand is local [x] or the constant [k], its
+   left one the cached top [(p, tag)] or local [i]. Each makes the
+   capacity test of the pushes it skips, then takes the right operand
+   and then the left one. *)
+let[@inline] top_local frame op p tag x nv =
+  room frame 2;
+  let b = local_int frame x in
+  int_to frame op (cached_int frame p tag) b nv
+
+let[@inline] top_const frame op p tag k nv =
+  room frame 2;
+  int_to frame op (cached_int frame p tag) k nv
+
+let[@inline] local_local frame op i x nv =
+  room frame 2;
+  let b = local_int frame x in
+  int_to frame op (local_int frame i) b nv
+
+let[@inline] local_const frame op i k nv =
+  room frame 2;
+  int_to frame op (local_int frame i) k nv
+
+(* [op] with its right operand [(p, tag)] already taken and the left one
+   popped. *)
+let[@inline] arith (frame : Frame.t) op p tag =
+  let b = cached_int frame p tag in
+  int_result frame op (pop_int frame) b
 
 (* [If_icmp c]'s test, its right operand already taken, and [If c]'s
    test of the top against zero. *)
@@ -239,6 +284,16 @@ let[@inline] getfield t frame ~observed ~pc ~site ~offset ~slot p tag =
   let addr = Heap.base_of t.heap id + offset in
   demand t frame ~observed ~pc ~obj:id ~addr ~kind:`Load ~site;
   Heap.fields t.heap id ~slot
+
+(* A folded [Getfield] of local [x], its result handed to [nv]. *)
+let[@inline] getfield_local t (frame : Frame.t) ~pc ~site ~offset ~slot x
+    (nv : vhandler) =
+  let l = frame.locals in
+  let f =
+    getfield t frame ~observed:false ~pc ~site ~offset ~slot (Value.payload l x)
+      (Value.tag l x)
+  in
+  nv frame (Value.payload f slot) (Value.tag f slot)
 
 let[@inline] putfield t frame ~observed ~pc ~offset ~slot op otag p tag =
   let id = as_ref frame op otag in
@@ -861,6 +916,44 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             nh frame)
   in
 
+  (* ---- deferred operands ----
+
+     An [Iload]/[Aload] of an in-range local or an [Iconst] that the very
+     next instruction of the block consumes gets no handler of its own:
+     the consumer's closure reads the local or the constant itself. So do
+     two such pushes, a local then a local or a constant, feeding the
+     binary consumer right after them. [fold] picks the form at a pc and
+     the pcs it covers, so [chain] stays one loop for every width.
+
+     Adjacent only: nothing runs between a skipped push and its consumer
+     (no store to the local, no allocation, no call, no block exit), so
+     the consumer reads the value the push would have pushed, and a
+     deferred operand is never spilled. A folded handler does what the
+     reference loop does, in its order: first the capacity test of the
+     skipped pushes ([room], at the logical depth the last one reaches),
+     then the pops and int tests, top of stack first. So every
+     [Stack_error] and [Vm_error] fires with the same message. An
+     out-of-range local is never deferred: it keeps the checked path and
+     its [Invalid_argument]. The skipped pushes still count in the block's
+     retired instructions and charge segments, and the per-instruction
+     fallback chain is a one-pc block, which never folds.
+
+     The shapes are the ones the coverage probe ranks highest over the 12
+     paper programs (DESIGN.md section 10): [Iadd], [Isub] and [Imul] get
+     a closure per operand kind, the other binary operators and [If_icmp]
+     share one per kind. A one-push integer consumer folds only with its
+     other operand cached: entered empty, all of them add up to 0.32% of
+     retired instructions. [Getfield] and [Arraylength] entered full spill
+     the cached top themselves; the other forms that take no cached top,
+     the two-push ones among them, run behind the spill adapter when
+     entered full. *)
+  let deferred (instr_ : Bytecode.instr) =
+    match instr_ with
+    | Iload i | Aload i -> i >= 0 && i < locals_len
+    | Iconst _ -> true
+    | _ -> false
+  in
+
   (* Block leaders: entry, every in-range branch target, and the
      instruction after any control transfer. *)
   let leaders = Array.make (n + 1) false in
@@ -922,18 +1015,206 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
   (* The chain of forms for pcs [j..e], entered in cache state [full]: the
      successor handler at [e + 1] is entered empty (through the spill
      adapter when [e] leaves a value cached), and a charge step follows
-     every cycle observer but the last. *)
+     every cycle observer but the last. A folded form covers pcs [j..l]
+     and goes on with [after ~e l]; the plain path spells [after] out, so
+     a run of unfolded pcs stays one self-recursive call per pc (a call
+     through [after] for each of them made compiling about 10% slower). *)
   let rec chain j ~e ~full : kont =
     if j > e then enter ~full (KH handlers.(e + 1))
     else
       let instr_ = code.(j) in
-      let kont = chain (j + 1) ~e ~full:(exits_full instr_) in
-      let kont =
-        if j < e && observes_cycles instr_ then
-          charged (seg_cost ~e (j + 1)) kont
-        else kont
-      in
-      enter ~full (form kont j instr_)
+      match if deferred instr_ then fold j ~e ~full instr_ else None with
+      | Some f -> enter ~full f
+      | None ->
+          let kont = chain (j + 1) ~e ~full:(exits_full instr_) in
+          let kont =
+            if j < e && observes_cycles instr_ then
+              charged (seg_cost ~e (j + 1)) kont
+            else kont
+          in
+          enter ~full (form kont j instr_)
+  (* What follows the folded form that ends at pc [l]. *)
+  and after ~e l =
+    let instr_ = code.(l) in
+    let kont = chain (l + 1) ~e ~full:(exits_full instr_) in
+    if l < e && observes_cycles instr_ then charged (seg_cost ~e (l + 1)) kont
+    else kont
+  (* The folded form at the deferred push [a] at pc [j], entered in cache
+     state [full]: two deferred pushes and their consumer, or one push and
+     its consumer. A deferred push is passed on as its instruction, which
+     allocates nothing. *)
+  and fold j ~e ~full (a : Bytecode.instr) =
+    let two =
+      match a with
+      | (Iload i | Aload i) when j + 2 <= e && deferred code.(j + 1) ->
+          fold2 ~e (j + 2) code.(j + 2) i code.(j + 1)
+      | _ -> None
+    in
+    match two with
+    | None when j + 1 <= e -> fold1 ~e (j + 1) ~full code.(j + 1) a
+    | _ -> two
+  (* The consumer [c] at [pc], entered in cache state [full], with its top
+     operand, the push [b], deferred. *)
+  and fold1 ~e pc ~full (c : Bytecode.instr) (b : Bytecode.instr) =
+    match (c, b, full) with
+    | (Iadd | Isub | Imul | Idiv | Irem | Iand | Ior | Ixor | Ishl | Ishr),
+      (Iload x | Aload x), true ->
+        let nv = kv (after ~e pc) in
+        Some
+          (match c with
+          | Iadd -> KV (fun frame p tag -> top_local frame Iadd p tag x nv)
+          | Isub -> KV (fun frame p tag -> top_local frame Isub p tag x nv)
+          | Imul -> KV (fun frame p tag -> top_local frame Imul p tag x nv)
+          | _ -> KV (fun frame p tag -> top_local frame c p tag x nv))
+    | (Iadd | Isub | Imul | Idiv | Irem | Iand | Ior | Ixor | Ishl | Ishr),
+      Iconst k, true ->
+        let nv = kv (after ~e pc) in
+        Some
+          (match c with
+          | Iadd -> KV (fun frame p tag -> top_const frame Iadd p tag k nv)
+          | Isub -> KV (fun frame p tag -> top_const frame Isub p tag k nv)
+          | Imul -> KV (fun frame p tag -> top_const frame Imul p tag k nv)
+          | _ -> KV (fun frame p tag -> top_const frame c p tag k nv))
+    | If_icmp (cmp, target), (Iload x | Aload x), true ->
+        let taken = taken_of ~pc target and next = kh (after ~e pc) in
+        Some
+          (KV
+             (fun frame p tag ->
+               room frame 2;
+               let b = local_int frame x in
+               if Bytecode.compare cmp (cached_int frame p tag) b then
+                 taken frame
+               else next frame))
+    | If_icmp (cmp, target), Iconst k, true ->
+        let taken = taken_of ~pc target and next = kh (after ~e pc) in
+        Some
+          (KV
+             (fun frame p tag ->
+               room frame 2;
+               if Bytecode.compare cmp (cached_int frame p tag) k then
+                 taken frame
+               else next frame))
+    | ( (Aaload { len_site; elem_site } | Iaload { len_site; elem_site }),
+        (Iload x | Aload x),
+        true ) ->
+        let nv = kv (after ~e pc) in
+        Some
+          (KV
+             (fun frame p tag ->
+               room frame 2;
+               let index = local_int frame x in
+               let e =
+                 array_load t frame ~observed:false ~pc ~len_site ~elem_site p
+                   tag index
+               in
+               nv frame (Heap.elem_payload e index) (Heap.elem_tag e index)))
+    | Getfield { site; offset; name = _; is_ref = _ }, (Iload x | Aload x), _ ->
+        let slot = slot_of offset and nv = kv (after ~e pc) in
+        Some
+          (if full then
+             KV
+               (fun frame p tag ->
+                 room frame 2;
+                 spill frame p tag;
+                 getfield_local t frame ~pc ~site ~offset ~slot x nv)
+           else
+             KH
+               (fun frame ->
+                 room frame 1;
+                 getfield_local t frame ~pc ~site ~offset ~slot x nv))
+    | Arraylength { site }, (Iload x | Aload x), true ->
+        let nv = kv (after ~e pc) in
+        Some
+          (KV
+             (fun frame p tag ->
+               room frame 2;
+               spill frame p tag;
+               let l = frame.locals in
+               nv frame
+                 (arraylength t frame ~observed:false ~pc ~site
+                    (Value.payload l x) (Value.tag l x))
+                 Value.tag_int))
+    | (Istore s | Astore s), (Iload x | Aload x), _
+      when s >= 0 && s < locals_len ->
+        let nh = kh (after ~e pc) in
+        Some
+          (KH
+             (fun frame ->
+               room frame 1;
+               let l = frame.locals in
+               Value.set l s (Value.payload l x) (Value.tag l x);
+               nh frame))
+    | (Istore s | Astore s), Iconst k, _ when s >= 0 && s < locals_len ->
+        let nh = kh (after ~e pc) in
+        Some
+          (KH
+             (fun frame ->
+               room frame 1;
+               Value.set frame.locals s k Value.tag_int;
+               nh frame))
+    | Ireturn, Iconst k, _ ->
+        Some
+          (KH
+             (fun frame ->
+               room frame 1;
+               t.ret_p <- k;
+               t.ret_tag <- Value.tag_int;
+               true))
+    | _ -> None
+  (* The binary consumer [c] at [pc], entered empty, with both operands
+     deferred: local [i] below the push [b]. *)
+  and fold2 ~e pc (c : Bytecode.instr) i (b : Bytecode.instr) =
+    match (c, b) with
+    | ( (Iadd | Isub | Imul | Idiv | Irem | Iand | Ior | Ixor | Ishl | Ishr),
+        (Iload x | Aload x) ) ->
+        let nv = kv (after ~e pc) in
+        Some
+          (match c with
+          | Iadd -> KH (fun frame -> local_local frame Iadd i x nv)
+          | Isub -> KH (fun frame -> local_local frame Isub i x nv)
+          | Imul -> KH (fun frame -> local_local frame Imul i x nv)
+          | _ -> KH (fun frame -> local_local frame c i x nv))
+    | ( (Iadd | Isub | Imul | Idiv | Irem | Iand | Ior | Ixor | Ishl | Ishr),
+        Iconst k ) ->
+        let nv = kv (after ~e pc) in
+        Some
+          (match c with
+          | Iadd -> KH (fun frame -> local_const frame Iadd i k nv)
+          | Isub -> KH (fun frame -> local_const frame Isub i k nv)
+          | Imul -> KH (fun frame -> local_const frame Imul i k nv)
+          | _ -> KH (fun frame -> local_const frame c i k nv))
+    | If_icmp (cmp, target), (Iload x | Aload x) ->
+        let taken = taken_of ~pc target and next = kh (after ~e pc) in
+        Some
+          (KH
+             (fun frame ->
+               room frame 2;
+               let b = local_int frame x in
+               if Bytecode.compare cmp (local_int frame i) b then taken frame
+               else next frame))
+    | If_icmp (cmp, target), Iconst k ->
+        let taken = taken_of ~pc target and next = kh (after ~e pc) in
+        Some
+          (KH
+             (fun frame ->
+               room frame 2;
+               if Bytecode.compare cmp (local_int frame i) k then taken frame
+               else next frame))
+    | ( (Aaload { len_site; elem_site } | Iaload { len_site; elem_site }),
+        (Iload x | Aload x) ) ->
+        let nv = kv (after ~e pc) in
+        Some
+          (KH
+             (fun frame ->
+               room frame 2;
+               let index = local_int frame x in
+               let l = frame.locals in
+               let e =
+                 array_load t frame ~observed:false ~pc ~len_site ~elem_site
+                   (Value.payload l i) (Value.tag l i) index
+               in
+               nv frame (Heap.elem_payload e index) (Heap.elem_tag e index)))
+    | _ -> None
   in
   (* The per-instruction handler: the prologue, then a one-instruction
      chain. It runs single-instruction blocks, and the fallback chain of

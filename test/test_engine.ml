@@ -83,6 +83,74 @@ let test_bit_identity_matrix () =
         [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ])
     [ "MonteCarlo"; "Euler" ]
 
+(* The benchmark's fuzz corpus (400 programs, seeds 2026 + i at size 6)
+   at every cell of [Fuzz.Oracle.default_cells], on both engines. The
+   oracle's engine row runs only the headline cell, and the matrix above
+   only two workloads, so a closure-compiler change that moves one cycle
+   on one cell fails here alone. A run that raises must raise the same
+   error on both engines. The same diff must catch an injected desync on
+   one cell of a program with a loop. *)
+let corpus_request i =
+  let g = Fuzz.Gen.generate ~seed:(2026 + i) ~max_size:6 in
+  let source = Fuzz.Gen.source g in
+  H.request
+    ~program:(Minijava.Compile.program_of_source_exn source)
+    (Workloads.Workload.of_source ~name:"fuzz"
+       ~description:"generated program (fuzzer)"
+       ~heap_limit_bytes:g.heap_limit_bytes source)
+
+let on_cell (c : Fuzz.Oracle.cell) engine (req : H.request) =
+  {
+    req with
+    config =
+      {
+        Workloads.Run_config.default with
+        mode = c.mode;
+        passes = c.standard_passes;
+        machine = c.machine;
+        engine;
+      };
+  }
+
+let test_fuzz_corpus_cells () =
+  let outcome req =
+    match H.execute req with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  for i = 0 to 399 do
+    let req = corpus_request i in
+    List.iter
+      (fun cell ->
+        let ctx =
+          Printf.sprintf "seed %d %s" (2026 + i) (Fuzz.Oracle.cell_name cell)
+        in
+        match
+          ( outcome (on_cell cell Vm.Interp.Switch req),
+            outcome (on_cell cell Vm.Interp.Closure req) )
+        with
+        | Ok a, Ok b -> check_same_run ~ctx a b
+        | Error a, Error b -> Alcotest.(check string) (ctx ^ ": error") a b
+        | Ok _, Error e | Error e, Ok _ ->
+            Alcotest.failf "%s: one engine raised %s" ctx e)
+      Fuzz.Oracle.default_cells
+  done;
+  let req = corpus_request 0 in
+  let loops (m : Vm.Classfile.method_info) =
+    Array.exists (function Vm.Bytecode.Goto _ -> true | _ -> false) m.code
+  in
+  Alcotest.(check bool)
+    "seed 2026 has a loop" true
+    (Array.exists loops req.program.methods);
+  let cell = List.hd Fuzz.Oracle.default_cells in
+  let desync =
+    { (on_cell cell Vm.Interp.Closure req) with faults = [ Vm.Fault.Engine_desync ] }
+  in
+  Alcotest.(check bool)
+    "an injected engine desync shows in the diff" false
+    (books_of_run (H.execute (on_cell cell Vm.Interp.Switch req))
+    = books_of_run (H.execute desync))
+
 (* [Harness.execute] has no load observer, so this run repeats its
    plain wiring (standard passes, then the prefetch pass at [mode]) and
    installs [Interp.set_load_observer]. It returns the run's books and
@@ -448,7 +516,15 @@ let test_recursion_words_per_level () =
    a producer in the same block (entered with the top cached), and under
    every step budget that runs out after the prelude. Output, the
    returned value and the books must match; an aborted run compares its
-   error and output only (no counter is read after an abort). *)
+   error and output only (no counter is read after an abort).
+
+   A case's [pushes] (local loads and constants) sit right before the
+   instruction in both layouts, so the closure engine folds them into it
+   as deferred operands, entered empty or on a cached top; every consumer
+   also keeps a row whose top comes from a producer that is never
+   deferred ([Getstatic], [Dup]). The edges: a ref or null local fed to
+   an int consumer, an out-of-range local (never deferred), and a
+   deferred push past the operand stack's 256 slots. *)
 
 module B = Vm.Bytecode
 
@@ -489,8 +565,8 @@ let put_s0 = B.Putstatic { index = 0; name = "s0" }
 let put_s1 = B.Putstatic { index = 1; name = "s1" }
 
 (* Locals: 0 an int[4] with a[1] = 77, 1 a ref[3] with r[2] = the object,
-   2 a P object with x = 9 and next = itself, 3 the int 100003. Statics:
-   s0 = 11, s1 = the object. Site 9 is never loaded. *)
+   2 a P object with x = 9 and next = itself, 3 the int 100003, 4 the int
+   1. Statics: s0 = 11, s1 = the object. Site 9 is never loaded. *)
 let prelude =
   is
     [
@@ -498,6 +574,7 @@ let prelude =
       B.Iconst 3; B.Newarray B.Ref_array; B.Astore 1;
       B.New 0; B.Astore 2;
       B.Iconst 100003; B.Istore 3;
+      B.Iconst 1; B.Istore 4;
       B.Aload 0; B.Iconst 1; B.Iconst 77; B.Iastore { len_site = 10 };
       B.Aload 1; B.Iconst 2; B.Aload 2; B.Aastore { len_site = 10 };
       B.Aload 2; B.Iconst 9; put_x;
@@ -509,7 +586,7 @@ let prelude =
 (* Callees: 1 [T.sub] (a, b) -> a - b; 2 [T.seven] () -> 7; 3 [T.show]
    (a) prints a; 4 [T.same] (r) -> r. *)
 let matrix_program code =
-  let p = Helpers.program_of_code ~max_locals:4 code in
+  let p = Helpers.program_of_code ~max_locals:5 code in
   let main = p.methods.(0) in
   main.n_sites <- 16;
   main.n_pref_regs <- 2;
@@ -551,11 +628,20 @@ let print_nullness tag =
   ]
 
 (* One case: [setup] ends with a producer, so that in the same block the
-   instruction is entered with the top cached; [rest] makes its result
-   observable. *)
-type case = { name : string; setup : asm list; instr : asm; rest : asm list }
+   instruction is entered with the top cached; [pushes] come right before
+   the instruction; [rest] makes its result observable. *)
+type case = {
+  name : string;
+  setup : asm list;
+  pushes : asm list;
+  instr : asm;
+  rest : asm list;
+}
 
-let case name setup instr rest = { name; setup; instr; rest }
+let case name setup instr rest = { name; setup; pushes = []; instr; rest }
+
+(* [c] with [pushes] deferred into its instruction. *)
+let fed name pushes c = { c with name = c.name ^ name; pushes }
 
 (* A conditional branch: prints 1 when taken, 0 when not. *)
 let branch name setup make =
@@ -571,6 +657,43 @@ let branch name setup make =
 
 let one = I (B.Iconst 1)
 let ints = List.map (fun k -> I (B.Iconst k))
+
+(* A setup that leaves [depth] values on the operand stack: one more
+   push overflows it at 256. *)
+let stack_of depth = ints (List.init depth (fun _ -> 0))
+
+(* Local 3 set to null, below a cached 1. *)
+let null_in_3 = is [ B.Aconst_null; B.Astore 3 ] @ [ one ]
+
+(* Rows that feed a binary int consumer [c] (its case on a given setup)
+   deferred operands: a local on a cached top, then two pushes. *)
+let int_operand_rows c =
+  [
+    fed " local on top" (is [ B.Iload 4 ]) (c (ints [ 100003 ]));
+    fed " local local" (is [ B.Iload 3; B.Iload 4 ]) (c [ one ]);
+    fed " local local, reversed" (is [ B.Iload 4; B.Iload 3 ]) (c [ one ]);
+    fed " local const" (is [ B.Iload 3; B.Iconst 7 ]) (c [ one ]);
+  ]
+
+(* Its error edges: a ref or null local (the right operand is tested
+   first), an out-of-range local. *)
+let int_operand_edges c =
+  [
+    fed " ref local on top" (is [ B.Iload 2 ]) (c (ints [ 100003 ]));
+    fed " null local on top" (is [ B.Iload 3 ]) (c null_in_3);
+    fed " out-of-range local on top" (is [ B.Iload 7 ]) (c (ints [ 100003 ]));
+    fed " ref local, null local" (is [ B.Iload 2; B.Iload 3 ]) (c null_in_3);
+    fed " null local, const" (is [ B.Iload 3; B.Iconst 7 ]) (c null_in_3);
+    fed " local, out-of-range local" (is [ B.Iload 3; B.Iload 7 ]) (c [ one ]);
+  ]
+
+(* And the pushes that reach, or pass, the stack's 256 slots. *)
+let int_operand_overflows c =
+  [
+    fed " local past 256 slots" (is [ B.Iload 4 ]) (c (stack_of 256));
+    fed " local const past 256 slots" (is [ B.Iload 3; B.Iconst 7 ]) (c (stack_of 255));
+    fed " local const at 256 slots" (is [ B.Iload 3; B.Iconst 7 ]) (c (stack_of 254));
+  ]
 let cmps = B.[ Eq; Ne; Lt; Ge; Gt; Le ]
 let array_elem = B.Iaload { len_site = 5; elem_site = 6 }
 let ref_elem = B.Aaload { len_site = 5; elem_site = 6 }
@@ -591,19 +714,36 @@ let cases_of (instr : B.instr) =
         case "out of range" [ one ] (I (B.Iload 7)) (is [ B.Print; B.Print ]);
       ]
   | Istore _ ->
+      let shown = is [ B.Iload 3; B.Print; B.Print ] in
+      let store = case "" [ one ] (I (B.Istore 3)) shown in
       [
         case "in range" (ints [ 100000 ]) (I (B.Istore 3)) (is [ B.Iload 3; B.Print ]);
         case "out of range" (ints [ 5 ]) (I (B.Istore 7)) [];
+        case "static top" (is [ get_s0 3 ]) (I (B.Istore 3)) (is [ B.Iload 3; B.Print ]);
+        fed "const" (ints [ 5 ]) store;
+        fed "local" (is [ B.Iload 4 ]) store;
+        fed "const, out-of-range target" (ints [ 5 ]) (case "" [ one ] (I (B.Istore 7)) []);
+        fed "const past 256 slots" (ints [ 5 ]) { store with setup = stack_of 256 };
       ]
   | Aload _ -> [ case "" [ one ] (I (B.Aload 2)) (show_ref "a" @ show_int) ]
   | Astore _ ->
-      [ case "" (is [ B.Aconst_null ]) (I (B.Astore 2)) (I (B.Aload 2) :: show_ref "a") ]
+      [
+        case "" (is [ B.Aconst_null ]) (I (B.Astore 2)) (I (B.Aload 2) :: show_ref "a");
+        fed "local" (is [ B.Aload 1 ])
+          (case "" [ one ] (I (B.Astore 2)) (is [ B.Aload 2; B.Arraylength { site = 0 }; B.Print; B.Print ]));
+      ]
   | Dup -> [ case "" (ints [ 3 ]) (I B.Dup) (is [ B.Iadd; B.Print ]) ]
   | Pop -> [ case "" (ints [ 1; 2 ]) (I B.Pop) show_int ]
   | (Iadd | Isub | Imul | Idiv | Irem | Iand | Ior | Ixor | Ishl | Ishr) as op ->
       List.map
         (fun (a, b) -> case (Printf.sprintf "%d %d" a b) (ints [ a; b ]) (I op) show_int)
         [ (100003, 7); (-7, 2); (3, 65) ]
+      @
+      let c setup = case "" setup (I op) show_int in
+      case "100003 static" (ints [ 100003 ] @ [ I (get_s0 3) ]) (I op) show_int
+      :: int_operand_rows c
+      @ int_operand_edges c
+      @ if op = B.Iadd then int_operand_overflows c else []
   | Ineg ->
       List.map (fun a -> case (string_of_int a) (ints [ a ]) (I B.Ineg) show_int) [ 100003; -4 ]
   | Goto _ ->
@@ -618,15 +758,27 @@ let cases_of (instr : B.instr) =
           ];
       ]
   | If_icmp _ ->
+      (* Each pair's outcome, with the operands moved so that the
+         static, the local (1) or the constant takes [b]'s place. *)
       List.concat_map
         (fun c ->
-          List.map
+          let name = B.string_of_cmp c and make t = B.If_icmp (c, t) in
+          let on setup = branch name setup make in
+          List.concat_map
             (fun (a, b) ->
-              branch
-                (Printf.sprintf "%s %d %d" (B.string_of_cmp c) a b)
-                (ints [ a; b ])
-                (fun t -> B.If_icmp (c, t)))
-            [ (1, 2); (2, 1); (2, 2) ])
+              let named = Printf.sprintf "%s %d %d" name a b in
+              [
+                branch named (ints [ a; b ]) make;
+                branch (named ^ " static") (ints [ 11 + a - b ] @ [ I (get_s0 3) ]) make;
+                fed " local on top" (is [ B.Iload 4 ]) (branch named (ints [ 1 + a - b ]) make);
+                fed " local const" (is [ B.Iload 4 ] @ ints [ 1 + b - a ]) (branch named [ one ] make);
+              ])
+            [ (1, 2); (2, 1); (1, 1) ]
+          @ List.map
+              (fun (x, y) ->
+                fed (Printf.sprintf " local %d local %d" x y) (is [ B.Iload x; B.Iload y ]) (on [ one ]))
+              [ (3, 4); (4, 3); (4, 4) ]
+          @ if c = B.Lt then int_operand_edges on @ int_operand_overflows on else [])
         cmps
   | If _ ->
       List.concat_map
@@ -657,9 +809,17 @@ let cases_of (instr : B.instr) =
       in
       [ branch "null" (is [ B.Aconst_null ]) make; branch "ref" (is [ B.Aload 2 ]) make ]
   | Getfield _ ->
+      let int_field setup = case "int" setup (I (get_x 0)) (show_int @ show_int) in
       [
         case "int" (is [ B.Aload 2 ]) (I (get_x 0)) show_int;
         case "ref" (is [ B.Aload 2 ]) (I (get_next 1)) (show_ref "f");
+        case "static top" (is [ get_s1 3 ]) (I (get_x 0)) show_int;
+        fed " local" (is [ B.Aload 2 ]) (int_field [ one ]);
+        fed " ref local" (is [ B.Aload 2 ]) (case "ref" [ one ] (I (get_next 1)) (show_ref "f" @ show_int));
+        fed " null local" (is [ B.Aload 3 ]) (int_field null_in_3);
+        fed " int local" (is [ B.Aload 3 ]) (int_field [ one ]);
+        fed " out-of-range local" (is [ B.Aload 7 ]) (int_field [ one ]);
+        fed " local past 256 slots" (is [ B.Aload 2 ]) (int_field (stack_of 256));
       ]
   | Putfield _ ->
       [
@@ -679,8 +839,26 @@ let cases_of (instr : B.instr) =
       [
         case "ref" (is [ B.Aload 1; B.Iconst 2 ]) (I ref_elem) (show_ref "e");
         case "null" (is [ B.Aload 1; B.Iconst 0 ]) (I ref_elem) (show_ref "e");
+        fed " local index on top" (is [ B.Iload 4 ])
+          (case "null" (is [ B.Aload 1; B.Dup ]) (I ref_elem) (show_ref "e"));
+        fed " local local" (is [ B.Aload 1; B.Iload 4 ])
+          (case "null" [ one ] (I ref_elem) (show_ref "e" @ show_int));
       ]
-  | Iaload _ -> [ case "" (is [ B.Aload 0; B.Iconst 1 ]) (I array_elem) show_int ]
+  | Iaload _ ->
+      let elem setup = case "" setup (I array_elem) (show_int @ show_int) in
+      [
+        case "" (is [ B.Aload 0; B.Iconst 1 ]) (I array_elem) show_int;
+        fed "local index on top" (is [ B.Iload 4 ]) (elem (is [ B.Aload 0; B.Dup ]));
+        fed "ref index on top" (is [ B.Iload 2 ]) (elem (is [ B.Aload 0; B.Dup ]));
+        fed "out-of-bounds index on top" (is [ B.Iload 3 ]) (elem (is [ B.Aload 0; B.Dup ]));
+        fed "local local" (is [ B.Aload 0; B.Iload 4 ]) (elem [ one ]);
+        fed "null array, local" (is [ B.Aload 3; B.Iload 4 ]) (elem null_in_3);
+        fed "local, ref index" (is [ B.Aload 0; B.Iload 2 ]) (elem [ one ]);
+        fed "local, out-of-range local" (is [ B.Aload 0; B.Iload 7 ]) (elem [ one ]);
+        fed "local index past 256 slots" (is [ B.Iload 4 ])
+          (elem (stack_of 254 @ is [ B.Aload 0; B.Dup ]));
+        fed "local local past 256 slots" (is [ B.Aload 0; B.Iload 4 ]) (elem (stack_of 255));
+      ]
   | Aastore _ ->
       [
         case "" (is [ B.Aload 1; B.Iconst 0; B.Aload 2 ]) (I (B.Aastore { len_site = 5 }))
@@ -694,9 +872,15 @@ let cases_of (instr : B.instr) =
           (is [ B.Aload 0; B.Iconst 3; B.Iaload { len_site = 7; elem_site = 8 }; B.Print ]);
       ]
   | Arraylength _ ->
+      let length setup = case "" setup (I (B.Arraylength { site = 0 })) (show_int @ show_int) in
       List.map
         (fun l -> case (string_of_int l) (is [ B.Aload l ]) (I (B.Arraylength { site = 0 })) show_int)
         [ 0; 1 ]
+      @ [
+          fed "local" (is [ B.Aload 0 ]) (length [ one ]);
+          fed "null local" (is [ B.Aload 3 ]) (length null_in_3);
+          fed "local past 256 slots" (is [ B.Aload 0 ]) (length (stack_of 256));
+        ]
   | New _ -> [ case "" [ one ] (I (B.New 0)) (is [ get_x 0; B.Print; B.Print ]) ]
   | Newarray _ ->
       List.concat_map
@@ -715,7 +899,12 @@ let cases_of (instr : B.instr) =
         case "ref" (is [ B.Aload 2 ]) (I (B.Invoke 4)) (show_ref "r");
       ]
   | Return -> [ case "" (ints [ 3 ] @ [ I B.Print; one ]) (I B.Return) [] ]
-  | Ireturn -> [ case "" (ints [ 100003 ]) (I B.Ireturn) [] ]
+  | Ireturn ->
+      [
+        case "" (ints [ 100003 ]) (I B.Ireturn) [];
+        case "static top" (is [ get_s0 3 ]) (I B.Ireturn) [];
+        fed "const" (ints [ 100003 ]) (case "" [ one ] (I B.Ireturn) []);
+      ]
   | Areturn -> [ case "" (is [ B.Aload 2 ]) (I B.Areturn) [] ]
   | Print -> [ case "" (ints [ 100003 ]) (I B.Print) [] ]
   | Prefetch_inter _ ->
@@ -799,7 +988,7 @@ let test_every_instruction_every_entry () =
       List.iter
         (fun c ->
           let entered_empty =
-            c.setup @ [ J ("enter", fun t -> B.Goto t); L "enter"; c.instr ]
+            c.setup @ [ J ("enter", fun t -> B.Goto t); L "enter" ] @ c.pushes @ [ c.instr ]
           in
           List.iter
             (fun (entry, body) ->
@@ -816,7 +1005,7 @@ let test_every_instruction_every_entry () =
                   (fst (matrix_run Vm.Interp.Switch ~max_steps code))
                   (fst (matrix_run Vm.Interp.Closure ~max_steps code))
               done)
-            [ ("entered empty", entered_empty); ("top cached", c.setup @ [ c.instr ]) ])
+            [ ("entered empty", entered_empty); ("top cached", c.setup @ c.pushes @ [ c.instr ]) ])
         (cases_of instr))
     Helpers.every_instr
 
@@ -881,6 +1070,8 @@ let suite =
   [
     Alcotest.test_case "bit-identity: workload x machine x mode" `Slow
       test_bit_identity_matrix;
+    Alcotest.test_case "bit-identity: fuzz corpus x oracle cells" `Slow
+      test_fuzz_corpus_cells;
     Alcotest.test_case "observer twins on both engines" `Slow
       test_observer_twins;
     Alcotest.test_case "GC compaction mid-loop" `Quick
